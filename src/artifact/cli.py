@@ -78,7 +78,7 @@ def parse_near_field(text: str) -> NearFieldSpec:
     """'q=N', bare 'N', or 'dickson9'."""
     if text == "dickson9":
         return near_field(9, kind="dickson9")
-    body = text[2:] if text.startswith("q=") else text
+    body = text.removeprefix("q=")
     if not body.isdigit():
         raise UsageError(f"cannot parse near-field spec {text!r}")
     return near_field(int(body))
@@ -249,7 +249,7 @@ def cmd_tunnel(args) -> int:
         g = parse_group(args.group)
         ga = gb = g
         wall = diagonal_wall(g)
-    elif args.wall_u is not None and (args.wall_u == "dickson9" or args.wall_u.lstrip("q=").isdigit()):
+    elif args.wall_u is not None and (args.wall_u == "dickson9" or args.wall_u.removeprefix("q=").isdigit()):
         h = parse_near_field(args.wall_u)
         phi = wall_cocycle(h)
         ga, gb = phi.subgroup.parent.meta["product_of"]
@@ -334,7 +334,7 @@ def cmd_lattice_character(args) -> int:
 
 # --- parser ----------------------------------------------------------------------------
 
-def _add_common(p, group=True, fmt=False, snap=False, boundary=False):
+def _add_common(p, group=True, fmt=False, snap=False, boundary=False, tol=False, seed=False):
     if group:
         p.add_argument("--group", required=True, help="group URI or JSON file path")
     if fmt:
@@ -344,8 +344,10 @@ def _add_common(p, group=True, fmt=False, snap=False, boundary=False):
     if boundary:
         p.add_argument("--subgroup", help="'trivial', 'full', comma list, or members file")
         p.add_argument("--cocycle", help="cocycle JSON file (root-of-unity exponents)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-8)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,35 +388,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="product:A<x>B for custom walls, any group for diagonal")
     p.add_argument("--wall-u", dest="wall_u", help="'diagonal', 'q=N', 'dickson9', or members file")
     p.add_argument("--cocycle", help="cocycle JSON file on the wall subgroup")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_tunnel)
 
     p = sub.add_parser("modinv", help="modular invariant tools")
     msub = p.add_subparsers(dest="subcommand", required=True)
     ms = msub.add_parser("search", help="transposition-type invariants")
-    _add_common(ms)
+    _add_common(ms, tol=True)
     ms.set_defaults(fn=cmd_modinv_search)
     mc = msub.add_parser("check", help="test a candidate matrix")
     mc.add_argument("matrix", help="JSON file with a square matrix")
-    _add_common(mc)
+    _add_common(mc, tol=True)
     mc.set_defaults(fn=cmd_modinv_check)
 
     p = sub.add_parser("verify", help="verification bundles")
     vsub = p.add_subparsers(dest="subcommand", required=True)
     vc = vsub.add_parser("cf", help="chargeon-fluxion symmetry for an affine group")
     vc.add_argument("target", help="prime power q, 'q=N', or 'dickson9'")
-    vc.add_argument("--tol", type=float, default=1e-8)
-    vc.add_argument("--seed", type=int, default=0)
     vc.set_defaults(fn=cmd_verify_cf)
 
     p = sub.add_parser("lattice", help="exact simulator checks")
     lsub = p.add_subparsers(dest="subcommand", required=True)
     lv = lsub.add_parser("verify", help="operator relation suite")
-    _add_common(lv, boundary=True)
+    _add_common(lv, boundary=True, tol=True, seed=True)
     lv.set_defaults(fn=cmd_lattice_verify)
     lc = lsub.add_parser("character", help="boundary character from the lattice")
-    _add_common(lc, boundary=True)
+    _add_common(lc, boundary=True, seed=True)
     lc.set_defaults(fn=cmd_lattice_character)
 
     return ap

@@ -54,10 +54,6 @@ class CommutingPairPhase:
     subgroup: Subgroup
     values: np.ndarray
 
-    def commuting_mask(self) -> np.ndarray:
-        mul = self.subgroup.as_group.mul
-        return mul == mul.T
-
 
 def _identity_residual(mul: np.ndarray, table: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Worst violation of phi(kl,m) phi(k,l) = phi(k,lm) phi(l,m) and its triple."""

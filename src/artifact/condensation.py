@@ -6,6 +6,11 @@ integer multiplicities; the multiplicity of an anyon says how many ways it
 condenses at that boundary.  A domain wall between the doubles of G and G'
 is the same datum on G x G' after folding, and when the wall is invertible
 the decomposition encodes a bijection between the two anyon sets.
+
+Characters are class functions on the double, stored per commuting-pair orbit
+(see quantum_double); `.values` is the expanded dense grid.  Boundary and
+wall characters are scattered straight from K x K (or U x U) onto orbits, so
+a wall never builds anything on G x G'.
 """
 
 from __future__ import annotations
@@ -19,18 +24,17 @@ from .errors import ConditionMismatch, GroupMismatch, SubgroupMismatch
 from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, subgroup
 from .quantum_double import (
     MULT_TOL,
+    REASSEMBLY_TOL,
     Anyon,
     DGClassFunction,
     anyon_character,
     anyon_dual,
     anyon_op,
     anyons,
-    character_stack,
     dg_decompose,
+    pair_orbits,
     product_anyon,
 )
-
-REASSEMBLY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +62,17 @@ class TunnelingMatrix:
     n: np.ndarray  # n[x, y] = multiplicity of x (x) y in the wall character
 
 
+def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Complex weights summed into n bins by id."""
+    return np.bincount(ids, weights.real, n) + 1j * np.bincount(ids, weights.imag, n)
+
+
 def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> DGClassFunction:
     """Character of the boundary algebra A(K, phi) as a function on the double.
 
-    chi(g h*) averages the commuting-pair phase of phi over conjugators x that
-    bring both g and h into K; pairs that never land in K, and non-commuting
-    pairs, give zero."""
+    On the orbit O of commuting pairs, chi = |G| / (|K| |O|) times the sum of
+    the commuting-pair phase of phi over the commuting (k, l) in K x K that
+    lie in O; orbits that never meet K x K give zero."""
     if k.parent is not g:
         raise SubgroupMismatch("boundary subgroup does not live in this group")
     if phi is None:
@@ -72,17 +81,11 @@ def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None
         phi.subgroup.parent is g and np.array_equal(phi.subgroup.members, k.members)
     ):
         raise SubgroupMismatch("cocycle is not defined on this boundary subgroup")
-    pv = phase(phi).values
-    conj = g.conj_table()
-    vals = np.zeros((g.order, g.order), dtype=np.complex128)
-    for x in range(g.order):
-        moved = k.position[conj[x]]
-        sel = np.nonzero(moved >= 0)[0]
-        loc = moved[sel]
-        vals[np.ix_(sel, sel)] += pv[np.ix_(loc, loc)]
-    vals *= g.mul == g.mul.T
-    vals /= k.order
-    return DGClassFunction(g, vals)
+    po = pair_orbits(g)
+    ids = po.orbit_of[np.ix_(k.members, k.members)]
+    inside = ids >= 0
+    sums = _scatter(ids[inside], phase(phi).values[inside], po.sizes.size)
+    return DGClassFunction(g, sums * g.order / (k.order * po.sizes))
 
 
 def condense(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> CondensationReport:
@@ -130,21 +133,25 @@ def _wall_factors(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> GroupTable
 def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     """Multiplicity matrix n[x, y] of x (x) y in the wall's boundary character.
 
-    Projects the folded character onto product characters factor by factor;
-    the (n_a n_b)^2-sized product character stack is never materialized."""
+    The phase on commuting (u, v) in U x U is scattered onto pairs of orbits,
+    (orbit of (u1, v1) in G, orbit of (u2, v2) in G'), and projected onto the
+    two factor character tables; nothing is built on G x G'."""
     gg = _wall_factors(ga, gb, wall)
-    chi = boundary_character(gg, wall.u, wall.phi)
-    na, nb = ga.order, gb.order
-    folded = chi.values.reshape(na, nb, na, nb)
-    sx = character_stack(ga)
-    sy = character_stack(gb)
-    raw = np.einsum("aik,bjl,ijkl->ab", sx.conj(), sy.conj(), folded, optimize=True)
-    raw /= na * nb
+    pa, pb = pair_orbits(ga), pair_orbits(gb)
+    left, right = wall.u.members // gb.order, wall.u.members % gb.order
+    ia = pa.orbit_of[np.ix_(left, left)]
+    ib = pb.orbit_of[np.ix_(right, right)]
+    inside = (ia >= 0) & (ib >= 0)
+    ma, mb = pa.sizes.size, pb.sizes.size
+    w = _scatter(ia[inside] * mb + ib[inside], phase(wall.phi).values[inside], ma * mb)
+    w = w.reshape(ma, mb)
+    raw = np.conj(pa.table) @ w @ np.conj(pb.table).T / wall.u.order
     n = np.rint(raw.real).astype(np.int64)
     err = float(np.abs(raw - n).max())
     if err > MULT_TOL or n.min() < 0:
         raise ConditionMismatch(f"wall character is not a sum of product anyons (err={err:.2e})")
-    back = np.einsum("ab,aik,bjl->ijkl", n, sx, sy, optimize=True)
+    folded = w * (gg.order / wall.u.order) / np.outer(pa.sizes, pb.sizes)
+    back = pa.table.T @ n @ pb.table
     scale = max(1.0, float(np.abs(folded).max()))
     assert np.abs(back - folded).max() <= REASSEMBLY_TOL * scale
     assert n[0, 0] == 1, "the product vacuum must appear exactly once"
@@ -240,9 +247,9 @@ def reference_characters(
     fv = anyon_character(g, f).values
     swap = np.kron(cv - fv, cv - fv)
     return {
-        "identity": DGClassFunction(gg, ident),
-        "dual": DGClassFunction(gg, dual),
-        "swap": DGClassFunction(gg, swap),
+        "identity": DGClassFunction.from_dense(gg, ident),
+        "dual": DGClassFunction.from_dense(gg, dual),
+        "swap": DGClassFunction.from_dense(gg, swap),
     }
 
 

@@ -363,21 +363,6 @@ def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> Latt
     return LatticeState(patch, _axis_scale(state.amplitudes, axis, mask))
 
 
-def local_ops(patch: LatticePatch) -> dict:
-    """Named operator handles; wall entries exist only on boundary patches."""
-    ops = {
-        "vertex": apply_vertex,
-        "face": apply_face,
-        "vertex_projector": vertex_projector,
-        "face_projector": face_projector,
-    }
-    if patch.boundary is not None:
-        ops["wall_vertex"] = apply_wall_vertex
-        ops["wall_vertex_projector"] = wall_vertex_projector
-        ops["wall_face"] = apply_wall_face
-    return ops
-
-
 def hamiltonian_terms(patch: LatticePatch):
     """Commuting projectors of the truncated Hamiltonian, as callables."""
     terms = []
@@ -626,7 +611,7 @@ def lattice_boundary_character(
             for b, mb in zip(basis, masked):
                 total += inner(b, apply_vertex(patch, mb, v1, g))
             values[g, h] = r * total
-    return DGClassFunction(gt, values)
+    return DGClassFunction.from_dense(gt, values)
 
 
 # --- relation suite -----------------------------------------------------------------

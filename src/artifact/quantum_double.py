@@ -3,22 +3,26 @@
 Simple objects are labeled by a conjugacy class together with an irreducible
 character of the centralizer of its representative.  Every derived quantity
 here (S and T matrices, fusion multiplicities, duality) is computed from the
-characters chi(g h*), which live on commuting pairs and determine the object
-up to isomorphism.
+characters chi(g h*), which live on commuting pairs and are constant on
+orbits of simultaneous conjugation.  There are exactly as many orbits as
+anyons, so a class function on the double is stored as one value per orbit
+(`pair_orbits`); `DGClassFunction.values` is the expanded |G| x |G| grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .characters import character_table
-from .errors import GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
+from .errors import ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 MULT_TOL = 1e-4
 FUSION_TOL = 1e-6
+REASSEMBLY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,17 +37,51 @@ class Anyon:
 
 
 @dataclass(frozen=True, eq=False)
-class DGClassFunction:
-    """Character-like function on the double: values[g, h] = chi(g h*).
+class PairOrbits:
+    """Orbits of commuting pairs (g, h) under simultaneous conjugation.
 
-    Supported on commuting pairs and constant on simultaneous-conjugation
-    orbits; sums and differences stay in the span of anyon characters."""
+    The orbit of (g, h) with h in class c is fixed by c and by the class of
+    k_h^-1 g k_h in Z(reps[c]).  Orbits are numbered class by class in anyon
+    order, so the double character table is block diagonal and its blocks are
+    the centralizer character tables."""
+
+    orbit_of: np.ndarray  # [g, h] -> orbit id, -1 off commuting pairs
+    sizes: np.ndarray  # |O| = |cl(a)| * |Z(a)-class|
+    rep_g: np.ndarray  # (rep_g[o], rep_h[o]) is a pair in orbit o
+    rep_h: np.ndarray
+    table: np.ndarray  # table[x, o] = chi_x on orbit o, anyons x in anyons() order
+
+
+@dataclass(frozen=True, eq=False)
+class DGClassFunction:
+    """Character-like function on the double: orbit_values[o] = chi(g h*) for
+    every commuting pair (g, h) in orbit o of pair_orbits(group).
+
+    Zero off commuting pairs; sums and differences stay in the span of anyon
+    characters."""
 
     group: GroupTable = field(repr=False)
-    values: np.ndarray
+    orbit_values: np.ndarray
 
-    def on(self, g: int, h: int) -> complex:
-        return complex(self.values[g, h])
+    @classmethod
+    def from_dense(cls, g: GroupTable, grid) -> "DGClassFunction":
+        """Orbit values of a dense grid[g, h]; raises ConditionMismatch unless the
+        grid is constant on orbits and zero off commuting pairs."""
+        grid = np.asarray(grid, dtype=np.complex128)
+        po = pair_orbits(g)
+        chi = cls(g, grid[po.rep_g, po.rep_h])
+        scale = max(1.0, float(np.max(np.abs(grid))))
+        residual = float(np.max(np.abs(chi.values - grid)))
+        if residual > REASSEMBLY_TOL * scale:
+            raise ConditionMismatch(
+                f"grid is not a class function on commuting pairs (residual {residual:.3e})"
+            )
+        return chi
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Dense grid values[g, h] = chi(g h*)."""
+        return np.append(self.orbit_values, 0)[pair_orbits(self.group).orbit_of]
 
     def _same_group(self, other: "DGClassFunction") -> None:
         if self.group is not other.group:
@@ -51,11 +89,11 @@ class DGClassFunction:
 
     def __add__(self, other: "DGClassFunction") -> "DGClassFunction":
         self._same_group(other)
-        return DGClassFunction(self.group, self.values + other.values)
+        return DGClassFunction(self.group, self.orbit_values + other.orbit_values)
 
     def __sub__(self, other: "DGClassFunction") -> "DGClassFunction":
         self._same_group(other)
-        return DGClassFunction(self.group, self.values - other.values)
+        return DGClassFunction(self.group, self.orbit_values - other.orbit_values)
 
 
 def centralizer(g: GroupTable, a: int) -> Subgroup:
@@ -105,46 +143,61 @@ def anyons(g: GroupTable) -> list[Anyon]:
     return out
 
 
+def _index(g: GroupTable, class_rep: int, pi: int) -> int:
+    anyons(g)
+    return g._cache["anyon_index"][(int(class_rep), int(pi))]
+
+
 def anyon_by(g: GroupTable, class_rep: int, pi: int) -> Anyon:
     """Anyon with the given canonical class representative and irrep row."""
-    lst = anyons(g)
-    return lst[g._cache["anyon_index"][(int(class_rep), int(pi))]]
+    return anyons(g)[_index(g, class_rep, pi)]
 
 
-def anyon_character(
-    g: GroupTable, x: Anyon, transversal: np.ndarray | None = None
-) -> DGClassFunction:
-    """chi(g h*) = [h in class][gh = hg] tr_pi(k_h^-1 g k_h).
+def pair_orbits(g: GroupTable) -> PairOrbits:
+    """Commuting-pair orbits of g with the double character table, memoized.
 
-    The optional transversal override (k_h a k_h^-1 = h) exists so tests can
-    confirm the values do not depend on that choice."""
+    chi_x(g h*) = [h in class][gh = hg] tr_pi(k_h^-1 g k_h), so the table is
+    the centralizer character tables placed along the diagonal."""
+    if "pair_orbits" in g._cache:
+        return g._cache["pair_orbits"]
     data = conjugacy_data(g)
-    tr = data.transversal if transversal is None else np.asarray(transversal)
-    zc = centralizer(g, x.class_rep)
-    tab = character_table(zc.as_group)
-    local = conjugacy_data(zc.as_group).class_of
-    member_vals = tab.table[x.pi][local]
-    values = np.zeros((g.order, g.order), dtype=np.complex128)
-    for h in data.classes[data.class_of[x.class_rep]]:
-        k = int(tr[h])
-        assert g.conj(k, x.class_rep) == h, "transversal must map the class rep to h"
-        values[g.mul[g.mul[k, zc.members], g.inv[k]], h] = member_vals
-    return DGClassFunction(g, values)
+    conj = g.conj_table()
+    n = len(anyons(g))
+    orbit_of = np.full((g.order, g.order), -1, dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
+    rep_g = np.empty(n, dtype=np.int64)
+    rep_h = np.empty(n, dtype=np.int64)
+    table = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for ci, a in enumerate(data.reps):
+        zc = centralizer(g, int(a))
+        zdata = conjugacy_data(zc.as_group)
+        hs = data.classes[ci]
+        block = slice(at, at + len(zdata.reps))
+        # k_h Z(a) k_h^-1 = Z(h), and m in Z(a) lands on orbit (class, class of m)
+        moved = conj[data.transversal[hs][:, None], zc.members[None, :]]
+        orbit_of[moved, hs[:, None]] = at + zdata.class_of[None, :]
+        sizes[block] = [hs.size * c.size for c in zdata.classes]
+        rep_g[block] = zc.members[zdata.reps]
+        rep_h[block] = a
+        table[block, block] = character_table(zc.as_group).table
+        at = block.stop
+    table.flags.writeable = False
+    out = PairOrbits(orbit_of, sizes, rep_g, rep_h, table)
+    g._cache["pair_orbits"] = out
+    return out
 
 
-def character_stack(g: GroupTable) -> np.ndarray:
-    """(num anyons, |G|, |G|) array stacking every anyon character."""
-    if "anyon_character_stack" not in g._cache:
-        g._cache["anyon_character_stack"] = np.stack(
-            [anyon_character(g, x).values for x in anyons(g)]
-        )
-    return g._cache["anyon_character_stack"]
+def anyon_character(g: GroupTable, x: Anyon) -> DGClassFunction:
+    """chi_x as a row of the double character table."""
+    return DGClassFunction(g, pair_orbits(g).table[_index(g, x.class_rep, x.pi)])
 
 
 def dg_inner_product(chi1: DGClassFunction, chi2: DGClassFunction) -> complex:
     """(1/|G|) sum over all basis pairs of chi1(g h*)* chi2(g h*)."""
     chi1._same_group(chi2)
-    return complex(np.vdot(chi1.values, chi2.values) / chi1.group.order)
+    sizes = pair_orbits(chi1.group).sizes
+    return complex(np.sum(sizes * np.conj(chi1.orbit_values) * chi2.orbit_values) / chi1.group.order)
 
 
 def dg_decompose(chi: DGClassFunction, tol: float = MULT_TOL) -> np.ndarray:
@@ -153,71 +206,53 @@ def dg_decompose(chi: DGClassFunction, tol: float = MULT_TOL) -> np.ndarray:
     Raises NonIntegerMultiplicity when the projections are not integers or the
     reassembled sum misses the input (the input was not in the character span)."""
     g = chi.group
-    stack = character_stack(g)
-    raw = np.tensordot(np.conj(stack), chi.values, axes=([1, 2], [0, 1])) / g.order
+    po = pair_orbits(g)
+    raw = np.conj(po.table) @ (po.sizes * chi.orbit_values) / g.order
     mult = np.rint(raw.real).astype(np.int64)
     err = float(np.max(np.abs(raw - mult)))
     if err > tol:
         raise NonIntegerMultiplicity(f"projection off nearest integer by {err:.3e}")
-    scale = max(1.0, float(np.max(np.abs(chi.values))))
-    residual = float(np.max(np.abs(np.tensordot(mult, stack, axes=1) - chi.values)))
-    if residual > 1e-8 * scale:
+    scale = max(1.0, float(np.max(np.abs(chi.orbit_values))))
+    residual = float(np.max(np.abs(mult @ po.table - chi.orbit_values)))
+    if residual > REASSEMBLY_TOL * scale:
         raise NonIntegerMultiplicity(f"reassembly residual {residual:.3e}")
     return mult
 
 
 def tensor_character(chi1: DGClassFunction, chi2: DGClassFunction) -> DGClassFunction:
-    """Product character via the coproduct: h splits over ordered pairs h1 h2 = h."""
+    """Product character via the coproduct: h splits over ordered pairs h1 h2 = h,
+    evaluated at one pair (g, h) per orbit."""
     chi1._same_group(chi2)
     g = chi1.group
-    out = np.zeros_like(chi1.values)
-    for h1 in range(g.order):
-        out += chi1.values[:, h1][:, None] * chi2.values[:, g.mul[g.inv[h1]]]
-    return DGClassFunction(g, out)
-
-
-def _extended_traces(g: GroupTable, a: int) -> tuple[np.ndarray, int]:
-    """Rows of Z(a)'s character table spread over all of G, zero off Z(a)."""
-    zc = centralizer(g, a)
-    tab = character_table(zc.as_group)
-    local = conjugacy_data(zc.as_group).class_of
-    ext = np.zeros((tab.n_rows, g.order), dtype=np.complex128)
-    ext[:, zc.members] = tab.table[:, local]
-    return ext, zc.order
+    po = pair_orbits(g)
+    h1 = np.arange(g.order)[None, :]
+    g_col, h_col = po.rep_g[:, None], po.rep_h[:, None]
+    first = np.append(chi1.orbit_values, 0)[po.orbit_of[g_col, h1]]
+    second = np.append(chi2.orbit_values, 0)[po.orbit_of[g_col, g.mul[g.inv[h1], h_col]]]
+    return DGClassFunction(g, np.sum(first * second, axis=1))
 
 
 def s_matrix(g: GroupTable) -> np.ndarray:
-    """Modular S: S_XY = (1/(|Z(a)||Z(b)|)) sum_h tr_pi(h b^-1 h^-1) tr_pi'(h^-1 a^-1 h).
+    """Modular S: S_XY = (1/|G|) sum over commuting (g, h) of chi_X(h g*)* chi_Y(g h*)*.
 
-    The zero-extended centralizer traces enforce the h b h^-1 in Z(a)
-    constraint, so each class pair reduces to one small matrix product."""
+    The swap (g, h) -> (h, g) permutes the orbits, so S is one product of the
+    double character table with its column-permuted conjugate."""
     if "smatrix" in g._cache:
         return g._cache["smatrix"]
-    data = conjugacy_data(g)
-    inv, conj = g.inv, g.conj_table()
-    ext = [_extended_traces(g, int(a)) for a in data.reps]
-    offsets = np.cumsum([0] + [e.shape[0] for e, _ in ext])
-    m = offsets[-1]
-    s = np.empty((m, m), dtype=np.complex128)
-    for ci, a in enumerate(data.reps):
-        for cj, b in enumerate(data.reps):
-            left = ext[ci][0][:, conj[:, inv[b]]]
-            right = ext[cj][0][:, conj[inv, inv[a]]]
-            block = left @ right.T / (ext[ci][1] * ext[cj][1])
-            s[offsets[ci] : offsets[ci + 1], offsets[cj] : offsets[cj + 1]] = block
+    po = pair_orbits(g)
+    swap = po.orbit_of[po.rep_h, po.rep_g]
+    x = np.conj(po.table)
+    s = (x[:, swap] * po.sizes) @ x.T / g.order
     g._cache["smatrix"] = s
     return s
 
 
 def t_vector(g: GroupTable) -> np.ndarray:
     """Twists T_X = tr_pi(a) / dim pi, one unit-modulus value per anyon."""
-    out = np.empty(len(anyons(g)), dtype=np.complex128)
-    for i, x in enumerate(anyons(g)):
-        zc = centralizer(g, x.class_rep)
-        tab = character_table(zc.as_group)
-        local = conjugacy_data(zc.as_group).class_of
-        pos = zc.position[x.class_rep]
-        out[i] = tab.table[x.pi, local[pos]] / tab.dims[x.pi]
+    po = pair_orbits(g)
+    a = np.array([x.class_rep for x in anyons(g)])
+    rows = np.arange(a.size)
+    out = po.table[rows, po.orbit_of[a, a]] / po.table[rows, po.orbit_of[0, a]]
     assert float(np.max(np.abs(np.abs(out) - 1.0))) < 1e-9, "twists must be unit modulus"
     return out
 
@@ -240,20 +275,11 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
 
 
 def anyon_dual(g: GroupTable, x: Anyon) -> Anyon:
-    """Dual object: inverse class, conjugated irrep transported to its centralizer."""
-    data = conjugacy_data(g)
-    a_inv = int(g.inv[x.class_rep])
-    b = int(data.reps[data.class_of[a_inv]])
-    k = int(data.transversal[a_inv])  # k b k^-1 = a^-1, so k Z(b) k^-1 = Z(a)
-    za = centralizer(g, x.class_rep)
-    zb = centralizer(g, b)
-    taba = character_table(za.as_group)
-    tabb = character_table(zb.as_group)
-    la = conjugacy_data(za.as_group).class_of
-    reps_b = zb.members[conjugacy_data(zb.as_group).reps]
-    moved = g.mul[g.mul[k, reps_b], g.inv[k]]
-    vals = np.conj(taba.table[x.pi, la[za.position[moved]]])
-    return anyon_by(g, b, tabb.match_row(vals))
+    """Dual object: its character is chi_x(g^-1 h^-1*), located by decomposition."""
+    po = pair_orbits(g)
+    inverse = po.orbit_of[g.inv[po.rep_g], g.inv[po.rep_h]]
+    row = po.table[_index(g, x.class_rep, x.pi), inverse]
+    return anyons(g)[int(np.argmax(dg_decompose(DGClassFunction(g, row))))]
 
 
 def anyon_op(g: GroupTable, x: Anyon) -> Anyon:

@@ -20,7 +20,7 @@ from .cocycles import TwoCocycle, validate
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
 from .errors import SizeMismatch
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
-from .modular import InvariantVerdict, TheoremB1Report, TranspositionHit
+from .modular import InvariantVerdict, TranspositionHit
 from .quantum_double import DGClassFunction, anyons, centralizer, kind
 
 # Largest omega_order the cocycle writer will infer when factoring a table
@@ -87,10 +87,6 @@ def group_from_obj(obj) -> GroupTable:
 
 def subgroup_from_obj(g: GroupTable, obj) -> Subgroup:
     return subgroup(g, np.asarray(obj["members"], dtype=np.int64))
-
-
-def subgroup_to_obj(k: Subgroup) -> dict:
-    return {"members": [int(m) for m in k.members]}
 
 
 def cocycle_to_obj(phi: TwoCocycle) -> dict:
@@ -267,7 +263,7 @@ def class_function_from_obj(g: GroupTable, obj) -> DGClassFunction:
     values = _pair_grid_to_array(obj["values"])
     if values.shape != (g.order, g.order):
         raise SizeMismatch("class function grid shape disagrees with group order")
-    return DGClassFunction(g, values)
+    return DGClassFunction.from_dense(g, values)
 
 
 # --- condensation and tunneling reports ---------------------------------------------
@@ -320,18 +316,6 @@ def cf_report_obj(rep: CFSymmetryReport) -> dict:
         "fluxion": rep.fluxion.label,
         "detail": rep.detail,
         "equivalence": equivalence_obj(rep.equivalence) if rep.equivalence else None,
-    }
-
-
-def b1_report_obj(rep: TheoremB1Report) -> dict:
-    return {
-        "group": rep.group.label,
-        "q": int(rep.q),
-        "chargeon": rep.chargeon.label,
-        "fluxion": rep.fluxion.label,
-        "steps": {k: bool(v) for k, v in rep.steps.items()},
-        "invariant": invariant_obj(rep.invariant),
-        "ok": rep.ok,
     }
 
 

@@ -26,7 +26,7 @@ from artifact.groups import (
     trivial_subgroup,
 )
 from artifact.modular import affine_cf_anyons
-from artifact.quantum_double import anyon_op, anyons, character_stack, kind, s_matrix
+from artifact.quantum_double import anyon_character, anyon_op, anyons, kind, s_matrix
 
 from conftest import dist
 
@@ -78,7 +78,7 @@ def test_condensation_character_lies_in_the_anyon_span():
     g = symmetric(3)
     k = generated_subgroup(g, [3])
     rep = condense(g, k)
-    stack = character_stack(g)
+    stack = np.stack([anyon_character(g, x).values for x in anyons(g)])
     rebuilt = np.einsum("x,xgh->gh", rep.multiplicities.astype(complex), stack)
     assert dist(rebuilt, rep.character.values) < 1e-9
     # flux support stays inside the conjugation closure of K
@@ -145,6 +145,13 @@ def test_q2_wall_tunneling_swaps_charge_and_flux():
         ]
     )
     assert dist(tm.n, expected) < 1e-9
+
+
+def test_tunnel_builds_nothing_on_the_product_group():
+    phi = wall_cocycle(near_field(4))
+    ga, gb = phi.subgroup.parent.meta["product_of"]
+    tunnel(ga, gb, UWallSpec(phi.subgroup, phi))
+    assert phi.subgroup.parent._cache == {}
 
 
 def test_partial_wall_is_not_an_equivalence():

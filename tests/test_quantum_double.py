@@ -18,11 +18,11 @@ from artifact.quantum_double import (
     anyon_op,
     anyons,
     centralizer,
-    character_stack,
     dg_decompose,
     dg_inner_product,
     fusion_verlinde,
     kind,
+    pair_orbits,
     product_anyon,
     s_matrix,
     t_vector,
@@ -30,6 +30,7 @@ from artifact.quantum_double import (
 )
 
 from conftest import dist
+from test_acceptance import sweep_groups
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -130,12 +131,25 @@ def test_anyon_character_support_and_vacuum_row():
 
 def test_character_stack_conjugation_invariance():
     g = symmetric(4)
-    stack = character_stack(g)
+    stack = np.stack([anyon_character(g, x).values for x in anyons(g)])
     conj = g.conj_table()
     rng = np.random.default_rng(11)
     for t in rng.integers(0, g.order, size=4):
         moved = stack[:, conj[t], :][:, :, conj[t]]
         assert dist(moved, stack) < 1e-9
+
+
+def test_pair_orbits_invariants_on_the_sweep_groups():
+    for g in sweep_groups():
+        po = pair_orbits(g)
+        commuting = g.mul == g.mul.T
+        # one orbit per anyon, covering exactly the k(G) |G| commuting pairs
+        assert po.sizes.size == len(anyons(g)) == po.table.shape[1]
+        assert int(po.sizes.sum()) == len(conjugacy_data(g).classes) * g.order
+        assert np.array_equal(po.orbit_of >= 0, commuting)
+        assert np.array_equal(np.bincount(po.orbit_of[commuting]), po.sizes)
+        # every orbit id round-trips through its representative pair
+        assert np.array_equal(po.orbit_of[po.rep_g, po.rep_h], np.arange(po.sizes.size))
 
 
 def test_dg_decompose_recovers_basis_vectors():

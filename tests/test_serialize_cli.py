@@ -11,6 +11,7 @@ from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, wall_cocycle
 from artifact.condensation import boundary_character
+from artifact.errors import ConditionMismatch
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -124,6 +125,15 @@ def test_class_function_roundtrip():
     assert dist(back.values, chi.values) < 1e-12
 
 
+def test_class_function_from_obj_rejects_values_off_commuting_pairs():
+    g = symmetric(3)
+    obj = class_function_obj(boundary_character(g, full_subgroup(g)))
+    x, y = np.argwhere(g.mul != g.mul.T)[0]
+    obj["values"][x][y] = [1.0, 0.0]
+    with pytest.raises(ConditionMismatch):
+        class_function_from_obj(g, obj)
+
+
 def test_square_matrix_from_obj_accepts_pairs_and_scalars():
     plain = square_matrix_from_obj([[1, 0], [0, 1]])
     assert dist(plain, np.eye(2)) < 1e-12
@@ -176,6 +186,14 @@ def test_cli_tunnel_q2_wall():
     assert obj["targets"]["(c1,r0)"] == "(e,r1)"
 
 
+def test_cli_tunnel_members_file_named_like_a_field(tmp_path, monkeypatch):
+    (tmp_path / "q2").write_text(json.dumps({"members": [0, 3]}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["tunnel", "--group", "product:builtin:Z2xbuiltin:Z2", "--wall-u", "q2"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equivalence"
+
+
 def test_cli_tunnel_diagonal():
     code, out, _ = run_cli(["tunnel", "--wall-u", "diagonal", "--group", "builtin:S3"])
     assert code == 0
@@ -219,6 +237,17 @@ def test_cli_lattice_character():
     obj = json.loads(out)
     grid = square_matrix_from_obj(obj["values"])
     assert dist(grid, np.ones((2, 2))) < 1e-6
+
+
+def test_cli_tol_and_seed_only_where_read():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["chartable", "--group", "builtin:S3", "--seed", "3"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(
+        ["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full", "--seed", "1"]
+    )
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_cli_group_file_roundtrip(tmp_path):
