@@ -97,11 +97,12 @@ def condense(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> Conde
     chi = boundary_character(g, k, phi)
     mult = dg_decompose(chi)
     objs = anyons(g)
-    assert mult.min() >= 0, "boundary multiplicities must be non-negative"
-    assert mult[0] == 1, "the vacuum must condense with multiplicity one"
-    assert int(sum(m * x.dim for m, x in zip(mult, objs))) == g.order, (
-        "dimension-weighted multiplicities must total |G|"
-    )
+    if mult.min() < 0:
+        raise ConditionMismatch("boundary multiplicities must be non-negative")
+    if mult[0] != 1:
+        raise ConditionMismatch("the vacuum must condense with multiplicity one")
+    if int(sum(m * x.dim for m, x in zip(mult, objs))) != g.order:
+        raise ConditionMismatch("dimension-weighted multiplicities must total |G|")
     condensed = tuple(x for m, x in zip(mult, objs) if m > 0)
     return CondensationReport(g, k, phi, chi, mult, condensed)
 
@@ -118,7 +119,8 @@ def fold(ga: GroupTable, gb: GroupTable) -> tuple[GroupTable, np.ndarray]:
     for i, x in enumerate(ax):
         for j, y in enumerate(bx):
             pair_index[i, j] = target[product_anyon(gg, x, y)]
-    assert np.array_equal(np.sort(pair_index.ravel()), np.arange(len(target)))
+    if not np.array_equal(np.sort(pair_index.ravel()), np.arange(len(target))):
+        raise ConditionMismatch("product anyons must biject with pairs of factor anyons")
     return gg, pair_index
 
 
@@ -153,11 +155,14 @@ def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     folded = w * (gg.order / wall.u.order) / np.outer(pa.sizes, pb.sizes)
     back = pa.table.T @ n @ pb.table
     scale = max(1.0, float(np.abs(folded).max()))
-    assert np.abs(back - folded).max() <= REASSEMBLY_TOL * scale
-    assert n[0, 0] == 1, "the product vacuum must appear exactly once"
+    if not np.abs(back - folded).max() <= REASSEMBLY_TOL * scale:
+        raise ConditionMismatch("tunneling matrix must reassemble the wall character")
+    if n[0, 0] != 1:
+        raise ConditionMismatch("the product vacuum must appear exactly once")
     da = np.array([x.dim for x in anyons(ga)])
     db = np.array([y.dim for y in anyons(gb)])
-    assert int(da @ n @ db) == gg.order, "dimension-weighted total must be |G||G'|"
+    if int(da @ n @ db) != gg.order:
+        raise ConditionMismatch("dimension-weighted total must be |G||G'|")
     return TunnelingMatrix(ga, gb, n)
 
 
@@ -290,7 +295,8 @@ def verify_cf_symmetry(h: NearFieldSpec) -> CFSymmetryReport:
     u = wall_phi.subgroup
     gg = u.parent
     ga, gb = gg.meta["product_of"]
-    assert ga is gb, "the wall folds two copies of the same affine group"
+    if ga is not gb:
+        raise ConditionMismatch("the wall folds two copies of the same affine group")
     c, f = affine_cf_anyons(ga, h.q)
     eq = equivalence_check(ga, gb, UWallSpec(u, wall_phi))
     objs = anyons(ga)

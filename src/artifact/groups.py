@@ -26,6 +26,8 @@ from .errors import (
 
 FULL_ASSOC_LIMIT = 128
 ASSOC_SAMPLES = 10_000
+# Table entries sorted at a time by the Latin-square check (bounds its temporaries)
+LATIN_BLOCK_ENTRIES = 1 << 18
 
 
 class GroupTable:
@@ -82,11 +84,18 @@ def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
             if np.array_equal(mul[e], idx) and np.array_equal(mul[:, e], idx):
                 raise NoIdentity(f"identity element found at index {e}, expected index 0")
         raise NoIdentity("table has no identity element")
-    for i in range(n):
-        if np.unique(mul[i]).size != n:
-            raise NotLatinSquare("row", i)
-        if np.unique(mul[:, i]).size != n:
-            raise NotLatinSquare("column", i)
+    # entries lie in 0..n-1, so a line is a permutation iff it sorts to idx.
+    # Rows and columns i0.. are checked together, so the first bad line is the
+    # one a scan row 0, column 0, row 1, column 1, ... meets first.
+    step = max(1, LATIN_BLOCK_ENTRIES // n)
+    for i0 in range(0, n, step):
+        lines = slice(i0, i0 + step)
+        rows = np.flatnonzero((np.sort(mul[lines], axis=1) != idx).any(axis=1))
+        cols = np.flatnonzero((np.sort(mul[:, lines], axis=0) != idx[:, None]).any(axis=0))
+        if rows.size or cols.size:
+            r = int(rows[0]) if rows.size else n
+            c = int(cols[0]) if cols.size else n
+            raise NotLatinSquare("row", i0 + r) if r <= c else NotLatinSquare("column", i0 + c)
     if n <= FULL_ASSOC_LIMIT:
         lhs = mul[mul, :]
         rhs = mul[:, mul]
@@ -123,12 +132,14 @@ def cyclic(n: int) -> GroupTable:
 
 
 def _perm_table(perms: list[tuple[int, ...]], label: str) -> GroupTable:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[k] for k in q)]
+    """mul[i, j] = index of perms[i] o perms[j], i.e. of k -> perms[i][perms[j][k]]."""
+    p = np.array(perms, dtype=np.int64)
+    radix = p.shape[1] ** np.arange(p.shape[1])[::-1]
+    codes = p @ radix
+    # composed[i, j] = code of perms[i] o perms[j], one image position k at a time
+    composed = sum(p[:, col] * r for col, r in zip(p.T, radix))
+    order = np.argsort(codes)
+    mul = order[np.searchsorted(codes[order], composed)]
     g = _validate_table(mul, label)
     g.meta["permutations"] = perms
     return g

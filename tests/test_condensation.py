@@ -1,8 +1,16 @@
 """Boundary condensation characters, tunneling matrices, and wall reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import artifact
+from artifact import condensation
+from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, trivial_cocycle, wall_cocycle
 from artifact.condensation import (
     UWallSpec,
@@ -25,6 +33,7 @@ from artifact.groups import (
     symmetric,
     trivial_subgroup,
 )
+from artifact.errors import ConditionMismatch
 from artifact.modular import affine_cf_anyons
 from artifact.quantum_double import anyon_character, anyon_op, anyons, kind, s_matrix
 
@@ -193,3 +202,38 @@ def test_verify_cf_symmetry_dickson_flavor():
     assert rep.flavor == "near-field"
     assert rep.ok
     assert rep.equivalence is None
+
+
+def test_condense_invariants_are_typed_checks(monkeypatch, capsys):
+    decompose = condensation.dg_decompose
+
+    def broken(chi):
+        mult = decompose(chi).copy()
+        mult[0] = 0  # drop the vacuum
+        return mult
+
+    monkeypatch.setattr(condensation, "dg_decompose", broken)
+    g = symmetric(3)
+    with pytest.raises(ConditionMismatch, match="vacuum"):
+        condense(g, full_subgroup(g))
+    assert main(["condense", "--group", "builtin:S3", "--subgroup", "full"]) == 1
+    assert "vacuum must condense" in capsys.readouterr().err
+
+
+def test_condense_invariants_hold_under_python_O():
+    script = """
+import sys
+from artifact import condensation
+from artifact.cli import main
+decompose = condensation.dg_decompose
+def broken(chi):
+    mult = decompose(chi).copy()
+    mult[0] = 0
+    return mult
+condensation.dg_decompose = broken
+print(sys.flags.optimize, main(["condense", "--group", "builtin:S3", "--subgroup", "full"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(artifact.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["1", "1"], run.stderr
+    assert "check failed: the vacuum must condense" in run.stderr

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from artifact import groups
 from artifact.errors import (
     AxiomFailure,
     NotAField,
     NotAssociative,
+    NotLatinSquare,
     NotPrimePower,
     NotSubgroup,
 )
@@ -80,6 +82,36 @@ def test_from_cayley_roundtrip_and_rejects_bad_table():
     )
     with pytest.raises(NotAssociative):
         from_cayley(loop)
+
+
+@pytest.mark.parametrize(
+    "target, source, first",
+    [
+        # each copy breaks one row and one column; the scan is row 0, column 0, row 1, ...
+        ((2, 2), (2, 3), ("row", 2)),
+        ((3, 1), (2, 1), ("column", 1)),
+        ((1, 4), (1, 3), ("row", 1)),
+        ((4, 3), (4, 1), ("column", 3)),
+    ],
+)
+@pytest.mark.parametrize("block_entries", [None, 10])  # 10: lines checked two at a time
+def test_from_cayley_reports_the_first_bad_line(monkeypatch, target, source, first, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+    table = cyclic(5).mul.copy()
+    table[target] = table[source]
+    with pytest.raises(NotLatinSquare) as info:
+        from_cayley(table)
+    assert (info.value.kind, info.value.index) == first
+
+
+@pytest.mark.parametrize("build, n", [(symmetric, k) for k in range(1, 6)] + [(alternating, k) for k in range(1, 6)])
+def test_permutation_tables_match_tuple_composition(build, n):
+    g = build(n)
+    perms = g.meta["permutations"]
+    index = {p: i for i, p in enumerate(perms)}
+    expected = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
+    assert np.array_equal(g.mul, expected)
 
 
 def test_direct_product_structure():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from artifact.errors import GroupMismatch
+from artifact import quantum_double
+from artifact.errors import GroupMismatch, NegativeOrNonInteger
 from artifact.groups import (
     alternating,
     conjugacy_data,
@@ -233,6 +234,47 @@ def test_fusion_tensor_symmetries():
     # dimensions form a one dimensional representation of the fusion ring
     dims = np.array([x.dim for x in objs], dtype=float)
     assert dist(np.einsum("xyz,z->xy", n, dims), np.outer(dims, dims)) < 1e-7
+
+
+def einsum_fusion(g):
+    """Reference Verlinde sum as one three-operand einsum, rounded to integers."""
+    s = s_matrix(g)
+    raw = np.einsum("xu,yu,zu->xyz", s, s, np.conj(s) / s[0])
+    return np.rint(raw.real).astype(np.int64)
+
+
+# 110_000 bytes makes blocks of 5 rows for Z6 (36 anyons) and 11 for Z5 (25),
+# so both span several blocks and end in a partial one.
+@pytest.mark.parametrize("block_bytes", [None, 110_000])
+@pytest.mark.parametrize("build, n", [(cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3)])
+def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(quantum_double, "FUSION_BLOCK_BYTES", block_bytes)
+    g = build(n)
+    fusion = fusion_verlinde(g)
+    assert fusion.dtype == np.int64
+    assert np.array_equal(fusion, einsum_fusion(g))
+
+
+@pytest.mark.parametrize("offset", [0.1, np.nan])
+def test_fusion_rejects_a_non_integer_s_matrix(offset):
+    g = symmetric(3)
+    s = s_matrix(g).copy()
+    s[1, 2] += offset
+    g._cache["smatrix"] = s
+    with pytest.raises(NegativeOrNonInteger):
+        fusion_verlinde(g)
+
+
+def test_cached_s_matrix_and_fusion_are_read_only():
+    g = symmetric(3)
+    s, n = s_matrix(g).copy(), fusion_verlinde(g).copy()
+    with pytest.raises(ValueError):
+        s_matrix(g)[0, 0] = 9
+    with pytest.raises(ValueError):
+        fusion_verlinde(g)[0, 0, 0] = 5
+    assert np.array_equal(s_matrix(g), s)
+    assert np.array_equal(fusion_verlinde(g), n)
 
 
 def test_product_anyon_multiplicativity():

@@ -1,6 +1,7 @@
 """Serialization round trips and command line behavior."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -156,6 +157,20 @@ def test_cli_anyons_csv_and_determinism():
     assert len(out.strip().split("\n")) == 9
     code2, out2, _ = run_cli(["anyons", "--group", "builtin:S3", "--format", "csv"])
     assert out2 == out
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "711c0c25d7e4c19fab64efc09bc4ad250e573002d2e2a909059d42b9ce1647cb"),
+        ("json", "93cea4e485f3e2336ea514f332962394e375d1771b62f1fd5ac6d643c21f16b4"),
+    ],
+)
+def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
+    # SHA-256 of the output of the three-operand einsum implementation
+    code, out, _ = run_cli(["fusion", "--group", "builtin:S3", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_smatrix_csv():
