@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     CocycleIdentityFailure,
+    ConditionMismatch,
     NotAbelian,
     NotAField,
     NotBimultiplicative,
@@ -119,18 +120,20 @@ def normalize(phi: TwoCocycle) -> tuple[TwoCocycle, np.ndarray]:
     table = table * step[:, None] * step[None, :] / step[mul]
 
     residual, _ = _identity_residual(mul, table)
-    assert residual < 1e-8, "normalization must preserve the cocycle identity"
-    assert np.abs(table[0, :] - 1).max() < 1e-9, "phi(e, .) must be 1"
-    assert np.abs(table[:, 0] - 1).max() < 1e-9, "phi(., e) must be 1"
-    assert np.abs(table[np.arange(n), inv] - 1).max() < 1e-9, "phi(k, k^-1) must be 1"
-    assert np.abs(np.abs(table) - 1).max() < 1e-9, "values must be unit modulus"
-    assert (
-        np.abs(table[inv[:, None], inv[None, :]] * table.T - 1).max() < 1e-9
-    ), "phi(k^-1, l^-1) phi(l, k) must be 1"
-    mask = mul == mul.T
     out = TwoCocycle(phi.subgroup, table)
-    drift = np.abs(phase(out).values - phase(phi).values)[mask].max()
-    assert drift < 1e-9, "phi(.|.) must be gauge invariant on commuting pairs"
+    drift = np.abs(phase(out).values - phase(phi).values)[mul == mul.T].max()
+    for err, tol, what in (
+        (residual, 1e-8, "normalization must preserve the cocycle identity"),
+        (np.abs(table[0, :] - 1).max(), 1e-9, "phi(e, .) must be 1"),
+        (np.abs(table[:, 0] - 1).max(), 1e-9, "phi(., e) must be 1"),
+        (np.abs(table[np.arange(n), inv] - 1).max(), 1e-9, "phi(k, k^-1) must be 1"),
+        (np.abs(np.abs(table) - 1).max(), 1e-9, "values must be unit modulus"),
+        (np.abs(table[inv[:, None], inv[None, :]] * table.T - 1).max(), 1e-9,
+         "phi(k^-1, l^-1) phi(l, k) must be 1"),
+        (drift, 1e-9, "phi(.|.) must be gauge invariant on commuting pairs"),
+    ):
+        if not err < tol:
+            raise ConditionMismatch(what)
     return out, alpha
 
 
@@ -176,7 +179,8 @@ def absolute_trace(h: NearFieldSpec) -> np.ndarray:
         for _ in range(d):
             total = int(h.add[total, term])
             term = _pow_table(h.mul, term, p)
-        assert total < p, "trace must land in the prime subfield"
+        if total >= p:
+            raise ConditionMismatch("trace must land in the prime subfield")
         out[x] = total
     return out
 

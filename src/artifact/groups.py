@@ -97,11 +97,14 @@ def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
             c = int(cols[0]) if cols.size else n
             raise NotLatinSquare("row", i0 + r) if r <= c else NotLatinSquare("column", i0 + c)
     if n <= FULL_ASSOC_LIMIT:
-        lhs = mul[mul, :]
-        rhs = mul[:, mul]
-        if not np.array_equal(lhs, rhs):
-            x, y, z = np.argwhere(lhs != rhs)[0]
-            raise NotAssociative(int(x), int(y), int(z))
+        # (xy)z against x(yz) for a block of x at a time, in the same order
+        step = max(1, LATIN_BLOCK_ENTRIES // (n * n))
+        for x0 in range(0, n, step):
+            lhs = mul[mul[x0:x0 + step], :]
+            rhs = mul[x0:x0 + step][:, mul]
+            if not np.array_equal(lhs, rhs):
+                x, y, z = np.argwhere(lhs != rhs)[0]
+                raise NotAssociative(x0 + int(x), int(y), int(z))
     else:
         rng = np.random.default_rng(0)
         xs, ys, zs = rng.integers(0, n, size=(3, ASSOC_SAMPLES))

@@ -2,9 +2,12 @@
 
 The state lives on a small planar patch of a square lattice: one tensor axis
 per edge, bulk edges carrying the group algebra and wall edges carrying the
-algebra of the boundary subgroup.  Vertex, face and boundary operators act as
-local permutations, masks and cocycle phases on those axes; ribbon operators
-are built from elementary triangle actions and provide the independent
+algebra of the boundary subgroup.  Every vertex, face, wall and ribbon
+operator is monomial: on the few axes it touches it sends a configuration x to
+coef[x] * old[source(x)], a permutation times a cocycle phase or a 0/1 mask.
+Each (operator, site, label) is compiled once into a flat gather offset and a
+coefficient array, cached on the patch, and applied by one kernel.  Ribbon
+operators, composed of elementary triangle actions, provide the independent
 numeric route to the boundary algebra character.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
@@ -21,6 +24,7 @@ and a leading "w" move on a wall site crosses the site's solid wall edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,9 +69,6 @@ class LatticePatch:
     @property
     def size(self) -> int:
         return int(np.prod(self.dims))
-
-    def axis(self, tail, head) -> int:
-        return self._axis[(tuple(tail), tuple(head))]
 
     def star(self, v) -> list[tuple[int, int]]:
         """Incident edges as (axis, +1 out of v / -1 into v)."""
@@ -203,7 +204,9 @@ def minimal_boundary_patch(
 
 
 def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
-    amps = rng.standard_normal(patch.dims) + 1j * rng.standard_normal(patch.dims)
+    amps = np.empty(patch.dims, dtype=np.complex128)
+    amps.real = rng.standard_normal(patch.dims)
+    amps.imag = rng.standard_normal(patch.dims)
     amps /= np.linalg.norm(amps)
     return LatticeState(patch, amps)
 
@@ -211,14 +214,51 @@ def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
 # --- local operators ---------------------------------------------------------
 
 
-def _axis_take(amps: np.ndarray, axis: int, source: np.ndarray) -> np.ndarray:
-    return np.take(amps, source, axis=axis)
+def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
+    """Open grid of the local configurations on `axes`: per axis its values,
+    shaped to broadcast against the state."""
+    nd = len(patch.dims)
+    return {a: np.arange(patch.dims[a]).reshape([-1 if b == a else 1 for b in range(nd)])
+            for a in axes}
 
 
-def _axis_scale(amps: np.ndarray, axis: int, vec: np.ndarray) -> np.ndarray:
-    shape = [1] * amps.ndim
-    shape[axis] = len(vec)
-    return amps * vec.reshape(shape)
+def _freeze(patch: LatticePatch, x, source=None, coef=None):
+    """Compiled operator new[x] = coef[x] * old[source(x)] as (shift, coef).
+
+    `source` maps each moved axis to its source values on the grid `x`; shift
+    is the flat offset of source(x) from x (None: nothing moves), coef the
+    broadcast coefficient (None: all ones).  Both are frozen read-only."""
+    shift = None
+    if source is not None:
+        stride = np.cumprod((1,) + patch.dims[:0:-1])[::-1]
+        shift = sum((source[a] - x[a]) * int(stride[a]) for a in source)
+        shift.flags.writeable = False
+    if coef is not None:
+        coef = np.array(coef, dtype=np.complex128)
+        coef.flags.writeable = False
+    return shift, coef
+
+
+def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
+    """The one kernel behind every vertex, face, wall and ribbon operator.
+
+    build(patch, *key) compiles the operator on first use (cached on the
+    patch); a gather is one np.take on the flat state at the patch's
+    positions plus the operator's shift, a mask one broadcast multiply."""
+    cache = patch._cache
+    op = cache.get((build, *key))
+    if op is None:
+        op = cache[(build, *key)] = build(patch, *key)
+    shift, coef = op
+    if shift is None:
+        return LatticeState(patch, state.amplitudes * coef)
+    if "positions" not in cache:
+        cache["positions"] = np.arange(patch.size).reshape(patch.dims)
+        cache["positions"].flags.writeable = False
+    amps = np.take(state.amplitudes.reshape(-1), cache["positions"] + shift)
+    if coef is not None:
+        amps *= coef
+    return LatticeState(patch, amps)
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -246,32 +286,28 @@ def _edge_values(patch: LatticePatch, axis: int) -> np.ndarray:
     return np.arange(patch.group.order)
 
 
-def _holonomy_mask(patch: LatticePatch, face, base, h: int) -> np.ndarray:
-    key = ("holonomy", tuple(face), tuple(base))
-    cache = patch._cache
-    if key not in cache:
-        g = patch.group
-        cycle = _face_cycle(patch, face, base)
-        acc = None
-        for axis, sign in cycle:
-            vals = _edge_values(patch, axis)
-            vals = vals if sign == 1 else g.inv[vals]
-            acc = vals if acc is None else g.mul[acc[..., None], vals]
-        cache[key] = acc
-    hol = cache[key]
-    return hol == h
+def _act(gt: GroupTable, g, x, sign: int):
+    """Source values of the left action by g on an edge: new[z] = old[g^-1 z]
+    when the edge leaves the acting vertex, old[z g] when it enters."""
+    return gt.mul[gt.inv[g], x] if sign == 1 else gt.mul[x, g]
+
+
+def _face_op(patch: LatticePatch, face, base, h: int):
+    gt = patch.group
+    cycle = _face_cycle(patch, face, base)
+    x = _coords(patch, [a for a, _ in cycle])
+    hol = gt.identity
+    for axis, sign in cycle:
+        vals = _edge_values(patch, axis)[x[axis]]
+        hol = gt.mul[hol, vals if sign == 1 else gt.inv[vals]]
+    return _freeze(patch, x, coef=hol == h)
 
 
 def apply_face(patch: LatticePatch, state: LatticeState, site, h: int) -> LatticeState:
     """B_s^h: keep configurations whose face holonomy, based at the site's
     vertex, equals h."""
     base, face = site
-    cycle = _face_cycle(patch, face, base)
-    axes = [a for a, _ in cycle]
-    mask = _holonomy_mask(patch, face, base, int(h))
-    moved = np.moveaxis(state.amplitudes.copy(), axes, range(4))
-    moved *= mask.reshape(mask.shape + (1,) * (moved.ndim - 4))
-    return LatticeState(patch, np.moveaxis(moved, range(4), axes))
+    return _apply(patch, state, _face_op, tuple(face), tuple(base), int(h))
 
 
 def face_projector(patch: LatticePatch, state: LatticeState, face) -> LatticeState:
@@ -279,30 +315,30 @@ def face_projector(patch: LatticePatch, state: LatticeState, face) -> LatticeSta
     return apply_face(patch, state, (base, face), patch.group.identity)
 
 
+def _vertex_op(patch: LatticePatch, v, g: int):
+    star = patch.star(v)
+    if any(patch.edges[a].wall for a, _ in star):
+        raise NotInSubgroup("use apply_wall_vertex at wall vertices")
+    x = _coords(patch, [a for a, _ in star])
+    return _freeze(patch, x, {a: _act(patch.group, g, x[a], sign) for a, sign in star})
+
+
 def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> LatticeState:
     """A_v^g: left-multiply outgoing edges, right-divide incoming ones.
 
     Only bulk vertices; wall vertices use apply_wall_vertex."""
-    gt = patch.group
-    g = int(g)
-    amps = state.amplitudes
-    for axis, sign in patch.star(v):
-        if patch.edges[axis].wall:
-            raise NotInSubgroup("use apply_wall_vertex at wall vertices")
-        idx = np.arange(gt.order)
-        if sign == 1:
-            source = gt.mul[gt.inv[g], idx]  # new[z] = old[g^-1 z]
-        else:
-            source = gt.mul[idx, g]  # new[z] = old[z g]
-        amps = _axis_take(amps, axis, source)
-    return LatticeState(patch, amps)
+    return _apply(patch, state, _vertex_op, tuple(v), int(g))
+
+
+def _average(patch: LatticePatch, state: LatticeState, apply_op, v, order: int) -> LatticeState:
+    acc = np.zeros_like(state.amplitudes)
+    for g in range(order):
+        acc += apply_op(patch, state, v, g).amplitudes
+    return LatticeState(patch, acc / order)
 
 
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    acc = np.zeros_like(state.amplitudes)
-    for g in range(patch.group.order):
-        acc += apply_vertex(patch, state, v, g).amplitudes
-    return LatticeState(patch, acc / patch.group.order)
+    return _average(patch, state, apply_vertex, v, patch.group.order)
 
 
 def _wall_star(patch: LatticePatch, v):
@@ -320,47 +356,40 @@ def _wall_star(patch: LatticePatch, v):
     return solid, dotted, internal
 
 
+def _wall_vertex_op(patch: LatticePatch, v, k: int):
+    kg = patch.boundary.as_group
+    solid, dotted, (axis, sign) = _wall_star(patch, v)
+    x = _coords(patch, [solid[0], dotted[0], axis])
+    src = {axis: _act(patch.group, int(patch.boundary.members[k]), x[axis], sign)}
+    coef = 1.0
+    for (a, s), positive in ((solid, True), (dotted, False)):
+        src[a] = _act(kg, k, x[a], s)
+        # the phase reads the pre-action value; incoming edges read it inverted
+        phase = patch.cocycle.table[k, src[a] if s == 1 else kg.inv[src[a]]]
+        coef = coef * (phase if positive else 1 / phase)
+    return _freeze(patch, x, src, coef)
+
+
 def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
     """Boundary vertex operator: the subgroup action on all three edges with
     the cocycle phase attached positively on the solid edge and negatively on
     the dotted one (incoming edges read their value inverted)."""
-    kg = patch.boundary.as_group
-    phi = patch.cocycle.table
-    k = int(k)
-    solid, dotted, internal = _wall_star(patch, v)
-    amps = state.amplitudes
-    for (axis, sign), positive in ((solid, True), (dotted, False)):
-        idx = np.arange(kg.order)
-        if sign == 1:
-            source = kg.mul[kg.inv[k], idx]
-            vals = source  # pre-action value of slot z is k^-1 z
-        else:
-            source = kg.mul[idx, k]
-            vals = kg.inv[source]  # incoming edges act through the reversal rule
-        phase = phi[k, vals]
-        amps = _axis_scale(_axis_take(amps, axis, source), axis, phase if positive else 1 / phase)
-    axis, sign = internal
-    gt = patch.group
-    gk = int(patch.boundary.members[k])
-    idx = np.arange(gt.order)
-    source = gt.mul[gt.inv[gk], idx] if sign == 1 else gt.mul[idx, gk]
-    amps = _axis_take(amps, axis, source)
-    return LatticeState(patch, amps)
+    return _apply(patch, state, _wall_vertex_op, tuple(v), int(k))
 
 
 def wall_vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    acc = np.zeros_like(state.amplitudes)
-    for k in range(patch.boundary.order):
-        acc += apply_wall_vertex(patch, state, v, k).amplitudes
-    return LatticeState(patch, acc / patch.boundary.order)
+    return _average(patch, state, apply_wall_vertex, v, patch.boundary.order)
+
+
+def _wall_face_op(patch: LatticePatch, v, k: int):
+    (axis, _), _, _ = _wall_star(patch, v)
+    x = _coords(patch, [axis])
+    return _freeze(patch, x, coef=x[axis] == k)
 
 
 def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
     """B_s^k at a wall site: keep configurations whose solid edge reads k."""
-    (axis, _), _, _ = _wall_star(patch, v)
-    mask = np.zeros(patch.boundary.order)
-    mask[int(k)] = 1.0
-    return LatticeState(patch, _axis_scale(state.amplitudes, axis, mask))
+    return _apply(patch, state, _wall_face_op, tuple(v), int(k))
 
 
 def hamiltonian_terms(patch: LatticePatch):
@@ -499,59 +528,41 @@ def make_ribbon(patch: LatticePatch, start, moves: str) -> RibbonSpec:
     return RibbonSpec(tuple(sites), tuple(triangles))
 
 
+def _ribbon_op(patch: LatticePatch, spec: RibbonSpec, h: int, g: int):
+    gt = patch.group
+    x = _coords(patch, [t.axis for t in spec.triangles])
+    u, src, coef = gt.identity, {}, 1.0
+    for tri in spec.triangles:
+        a = tri.axis
+        if tri.kind == "direct":
+            vals = _edge_values(patch, a)[x[a]]
+            u = gt.mul[u, vals if tri.sign == 1 else gt.inv[vals]]
+            src[a] = x[a]
+        elif tri.kind == "dual":
+            src[a] = _act(gt, gt.mul[gt.mul[gt.inv[u], h], u], x[a], tri.sign)
+        else:
+            if patch.boundary is None:
+                raise InvalidRibbon("wall ribbon on a patch without boundary")
+            kk = int(patch.boundary.position[h])
+            if kk < 0:
+                raise NotInSubgroup(f"flux {h} is outside the boundary subgroup")
+            src[a] = patch.boundary.as_group.mul[x[a], kk]
+            coef = patch.cocycle.table[x[a], kk]
+    return _freeze(patch, x, src, coef * (u == g))
+
+
 def apply_ribbon(
     patch: LatticePatch, spec: RibbonSpec, state: LatticeState, h: int, g: int
 ) -> LatticeState:
-    """Ribbon operator with flux h and charge label g.
+    """Ribbon operator with flux h and charge label g, one monomial map on the
+    ribbon's edges.
 
-    Walks the triangles keeping per-prefix buckets: direct triangles split the
-    state by the walked edge value (accumulating the prefix product u), dual
-    triangles multiply the crossed edge at the vertex end by the conjugated
-    flux, and the wall triangle right-divides the solid edge by h with its
-    cocycle phase.  The final bucket u = g is the result."""
-    gt = patch.group
-    h, g = int(h), int(g)
-    wall_start = spec.triangles[0].kind == "wall"
-    if wall_start:
-        if patch.boundary is None:
-            raise InvalidRibbon("wall ribbon on a patch without boundary")
-        kk = int(patch.boundary.position[h])
-        if kk < 0:
-            raise NotInSubgroup(f"flux {h} is outside the boundary subgroup")
-    buckets = {gt.identity: state.amplitudes}
-    for tri in spec.triangles:
-        if tri.kind == "direct":
-            vals = _edge_values(patch, tri.axis)
-            vals = vals if tri.sign == 1 else gt.inv[vals]
-            new: dict[int, np.ndarray] = {}
-            for u, amps in buckets.items():
-                moved = np.moveaxis(amps, tri.axis, 0)
-                for z in range(patch.dims[tri.axis]):
-                    nu = int(gt.mul[u, vals[z]])
-                    if nu not in new:
-                        new[nu] = np.zeros_like(amps)
-                    np.moveaxis(new[nu], tri.axis, 0)[z] = moved[z]
-            buckets = new
-        elif tri.kind == "dual":
-            idx = np.arange(gt.order)
-            for u, amps in buckets.items():
-                m = int(gt.mul[gt.mul[gt.inv[u], h], u])
-                if tri.sign == 1:
-                    source = gt.mul[gt.inv[m], idx]  # new[z] = old[m^-1 z]
-                else:
-                    source = gt.mul[idx, m]  # new[z] = old[z m]
-                buckets[u] = _axis_take(amps, tri.axis, source)
-        else:  # wall crossing: solid edge x -> x k^-1 with phase
-            kg = patch.boundary.as_group
-            idx = np.arange(kg.order)
-            source = kg.mul[idx, kk]  # new[y] = old[y k]
-            phase = patch.cocycle.table[idx, kk]
-            for u, amps in buckets.items():
-                buckets[u] = _axis_scale(_axis_take(amps, tri.axis, source), tri.axis, phase)
-    result = buckets.get(g)
-    if result is None:
-        result = np.zeros_like(state.amplitudes)
-    return LatticeState(patch, result)
+    Along the triangles, u is the prefix product of the walked (direct) edge
+    values.  A dual triangle multiplies its crossed edge at the vertex end by
+    the conjugated flux u^-1 h u; the wall triangle right-divides the solid
+    edge by h and carries its cocycle phase.  Configurations with final
+    u != g are projected out."""
+    return _apply(patch, state, _ribbon_op, spec, int(h), int(g))
 
 
 def apply_invariant_op(
@@ -620,8 +631,15 @@ def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
     return float(np.linalg.norm(a.amplitudes - scale * b.amplitudes))
 
 
-def _draw(rng, n: int) -> int:
-    return int(rng.integers(n))
+def _probe(checks, patch: LatticePatch, rng, states: int, name: str, fn, *dims) -> None:
+    """Append (name, worst residual of fn) over `states` seeded random states,
+    with one label drawn per entry of `dims` for each state."""
+    err = 0.0
+    for _ in range(states):
+        psi = random_state(patch, rng)
+        labels = [int(rng.integers(d)) for d in dims]
+        err = max(err, fn(psi, *labels))
+    checks.append((name, err))
 
 
 def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
@@ -657,14 +675,7 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
         return apply_ribbon(patch, spec, st, h, gg)
 
     checks = []
-
-    def probe(name, fn, *dims):
-        err = 0.0
-        for _ in range(states):
-            psi = random_state(patch, rng)
-            labels = [_draw(rng, d) for d in dims]
-            err = max(err, fn(psi, *labels))
-        checks.append((name, err))
+    probe = partial(_probe, checks, patch, rng, states)
 
     probe(
         "A_v^g A_v^h = A_v^{gh}",
@@ -849,14 +860,7 @@ def wall_relation_report(
         return apply_invariant_op(patch, rib, st, int(mem[k]), gg)
 
     checks = []
-
-    def probe(name, fn, *dims):
-        err = 0.0
-        for _ in range(states):
-            psi = random_state(patch, rng)
-            labels = [_draw(rng, d) for d in dims]
-            err = max(err, fn(psi, *labels))
-        checks.append((name, err))
+    probe = partial(_probe, checks, patch, rng, states)
 
     probe(
         "wall A^k A^l = A^{kl}",

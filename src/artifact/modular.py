@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table, induced_character, inner_product
-from .errors import SizeMismatch
+from .errors import ConditionMismatch, SizeMismatch
 from .groups import (
     GroupTable,
     NearFieldSpec,
@@ -134,7 +134,8 @@ def affine_cf_anyons(g: GroupTable, q: int) -> tuple[Anyon, Anyon]:
         for p in range(tab.n_rows)
         if tab.dims[p] == q - 1 and abs(tab.table[p, cls] + 1) < 1e-6
     ]
-    assert len(rows) == 1, "the induced irrep must be unique"
+    if len(rows) != 1:
+        raise ConditionMismatch("the induced irrep must be unique")
     chargeon = anyon_by(g, 0, rows[0])
     fluxion = anyon_by(g, int(data.reps[cls]), 0)
     return chargeon, fluxion
@@ -167,7 +168,8 @@ def verify_theorem_b1(h: NearFieldSpec) -> TheoremB1Report:
 
     k = subgroup(g, [a * (q - 1) for a in range(q)], label="K")
     ind = induced_character(g, k, character_table(k.as_group).row(1))
-    assert abs(inner_product(ind, ind) - 1) < 1e-8, "induced character must be irreducible"
+    if not abs(inner_product(ind, ind) - 1) < 1e-8:
+        raise ConditionMismatch("induced character must be irreducible")
     pi = tab.match_row(ind.values)
 
     a_elem = q - 1

@@ -1,8 +1,16 @@
 """Two-cocycles on boundary subgroups: validation, gauge, and wall data."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import artifact
+from artifact import cocycles
+from artifact.cli import main
 from artifact.cocycles import (
     absolute_trace,
     bicharacter_cocycle,
@@ -13,7 +21,12 @@ from artifact.cocycles import (
     wall_cocycle,
     wall_subgroup,
 )
-from artifact.errors import CocycleIdentityFailure, NotAbelian, NotBimultiplicative
+from artifact.errors import (
+    CocycleIdentityFailure,
+    ConditionMismatch,
+    NotAbelian,
+    NotBimultiplicative,
+)
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -153,3 +166,27 @@ def test_wall_cocycle_q2_is_real_bicharacter():
     phi = wall_cocycle(near_field(2))
     assert set(np.unique(np.round(phi.table.real))) == {-1.0, 1.0}
     assert dist(phi.table.imag, np.zeros_like(phi.table.real)) < 1e-12
+
+
+def test_normalize_invariants_are_typed_checks(monkeypatch, capsys):
+    monkeypatch.setattr(cocycles, "_identity_residual", lambda mul, table: (1.0, (0, 0, 0)))
+    with pytest.raises(ConditionMismatch, match="preserve the cocycle identity"):
+        normalize(trivial_cocycle(z22_full()))
+    argv = ["lattice", "character", "--group", "builtin:Z2", "--subgroup", "full"]
+    assert main(argv) == 1
+    assert "normalization must preserve the cocycle identity" in capsys.readouterr().err
+
+
+def test_normalize_invariants_hold_under_python_O():
+    script = """
+import sys
+from artifact import cocycles
+from artifact.cli import main
+cocycles._identity_residual = lambda mul, table: (1.0, (0, 0, 0))
+argv = ["lattice", "character", "--group", "builtin:Z2", "--subgroup", "full"]
+print(sys.flags.optimize, main(argv))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(artifact.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["1", "1"], run.stderr
+    assert "check failed: normalization must preserve the cocycle identity" in run.stderr

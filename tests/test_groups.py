@@ -62,6 +62,18 @@ def test_alternating_group_orders():
     assert {alternating(4).element_order(x) for x in range(12)} == {1, 2, 3}
 
 
+# A Latin square with identity 0 that is not associative: the octonion-like 5-loop
+FIVE_LOOP = np.array(
+    [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+)
+
+
 def test_from_cayley_roundtrip_and_rejects_bad_table():
     g = cyclic(5)
     h = from_cayley(g.mul, label="Z5-copy")
@@ -70,18 +82,21 @@ def test_from_cayley_roundtrip_and_rejects_bad_table():
     bad = np.array([[0, 1], [1, 1]])
     with pytest.raises(Exception):
         from_cayley(bad)
-    # associativity failure with valid latin rows: the octonion-like 5-loop
-    loop = np.array(
-        [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-    )
+    # associativity failure with valid latin rows
     with pytest.raises(NotAssociative):
+        from_cayley(FIVE_LOOP)
+
+
+@pytest.mark.parametrize("block_entries", [None, 25])  # 25: one x at a time on the 5-loop
+def test_from_cayley_reports_the_first_non_associative_triple(monkeypatch, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+    loop = FIVE_LOOP
+    first = tuple(int(i) for i in np.argwhere(loop[loop, :] != loop[:, loop])[0])
+    assert first[0] > 0
+    with pytest.raises(NotAssociative) as err:
         from_cayley(loop)
+    assert err.value.triple == first
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from artifact.cocycles import bicharacter_cocycle
+from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup
 from artifact.groups import (
     cyclic,
+    direct_product,
     full_subgroup,
     generated_subgroup,
     symmetric,
@@ -12,6 +15,12 @@ from artifact.groups import (
 )
 from artifact.lattice import (
     LatticeState,
+    apply_face,
+    apply_invariant_op,
+    apply_ribbon,
+    apply_vertex,
+    apply_wall_face,
+    apply_wall_vertex,
     build_patch,
     bulk_relation_report,
     disk_state,
@@ -158,3 +167,265 @@ def test_lattice_boundary_character_z2_frozen_values():
         for seed in (0, 3):
             chi = lattice_boundary_character(patch, rib, seed=seed)
             assert dist(chi.values, expected) < 1e-6
+
+
+# --- per-axis reference kernels ------------------------------------------------------
+# The simulator's operators before they were compiled into one monomial gather:
+# one np.take per edge, moveaxis masks, and per-prefix ribbon buckets.
+
+
+def _ref_take(amps, axis, source):
+    return np.take(amps, source, axis=axis)
+
+
+def _ref_scale(amps, axis, vec):
+    shape = [1] * amps.ndim
+    shape[axis] = len(vec)
+    return amps * vec.reshape(shape)
+
+
+def _ref_face_cycle(patch, face, base):
+    i, j = face
+    cs = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+    k = cs.index(tuple(base))
+    cs = cs[k:] + cs[:k]
+    out = []
+    for t in range(4):
+        a, b = cs[t], cs[(t + 1) % 4]
+        if (a, b) in patch._axis:
+            out.append((patch._axis[(a, b)], 1))
+        else:
+            out.append((patch._axis[(b, a)], -1))
+    return out
+
+
+def _ref_edge_values(patch, axis):
+    if patch.edges[axis].wall:
+        return patch.boundary.members
+    return np.arange(patch.group.order)
+
+
+def _ref_wall_star(patch, v):
+    marks = {}
+    for axis, sign in patch.star(v):
+        marks[patch.edges[axis].mark] = (axis, sign)
+    return marks["solid"], marks["dotted"], marks[None]
+
+
+def ref_face(patch, amps, site, h):
+    base, face = site
+    g = patch.group
+    cycle = _ref_face_cycle(patch, face, base)
+    acc = None
+    for axis, sign in cycle:
+        vals = _ref_edge_values(patch, axis)
+        vals = vals if sign == 1 else g.inv[vals]
+        acc = vals if acc is None else g.mul[acc[..., None], vals]
+    axes = [a for a, _ in cycle]
+    moved = np.moveaxis(amps.copy(), axes, range(4))
+    mask = acc == h
+    moved *= mask.reshape(mask.shape + (1,) * (moved.ndim - 4))
+    return np.moveaxis(moved, range(4), axes)
+
+
+def ref_vertex(patch, amps, v, g):
+    gt = patch.group
+    for axis, sign in patch.star(v):
+        idx = np.arange(gt.order)
+        source = gt.mul[gt.inv[g], idx] if sign == 1 else gt.mul[idx, g]
+        amps = _ref_take(amps, axis, source)
+    return amps
+
+
+def ref_wall_vertex(patch, amps, v, k):
+    kg = patch.boundary.as_group
+    phi = patch.cocycle.table
+    solid, dotted, internal = _ref_wall_star(patch, v)
+    for (axis, sign), positive in ((solid, True), (dotted, False)):
+        idx = np.arange(kg.order)
+        if sign == 1:
+            source = kg.mul[kg.inv[k], idx]
+            vals = source
+        else:
+            source = kg.mul[idx, k]
+            vals = kg.inv[source]
+        phase = phi[k, vals]
+        amps = _ref_scale(_ref_take(amps, axis, source), axis, phase if positive else 1 / phase)
+    axis, sign = internal
+    gt = patch.group
+    gk = int(patch.boundary.members[k])
+    idx = np.arange(gt.order)
+    source = gt.mul[gt.inv[gk], idx] if sign == 1 else gt.mul[idx, gk]
+    return _ref_take(amps, axis, source)
+
+
+def ref_wall_face(patch, amps, v, k):
+    (axis, _), _, _ = _ref_wall_star(patch, v)
+    mask = np.zeros(patch.boundary.order)
+    mask[k] = 1.0
+    return _ref_scale(amps, axis, mask)
+
+
+def ref_ribbon(patch, spec, amps, h, g):
+    gt = patch.group
+    buckets = {gt.identity: amps}
+    for tri in spec.triangles:
+        if tri.kind == "direct":
+            vals = _ref_edge_values(patch, tri.axis)
+            vals = vals if tri.sign == 1 else gt.inv[vals]
+            new = {}
+            for u, a in buckets.items():
+                moved = np.moveaxis(a, tri.axis, 0)
+                for z in range(patch.dims[tri.axis]):
+                    nu = int(gt.mul[u, vals[z]])
+                    if nu not in new:
+                        new[nu] = np.zeros_like(a)
+                    np.moveaxis(new[nu], tri.axis, 0)[z] = moved[z]
+            buckets = new
+        elif tri.kind == "dual":
+            idx = np.arange(gt.order)
+            for u, a in buckets.items():
+                m = int(gt.mul[gt.mul[gt.inv[u], h], u])
+                source = gt.mul[gt.inv[m], idx] if tri.sign == 1 else gt.mul[idx, m]
+                buckets[u] = _ref_take(a, tri.axis, source)
+        else:
+            kk = int(patch.boundary.position[h])
+            kg = patch.boundary.as_group
+            idx = np.arange(kg.order)
+            phase = patch.cocycle.table[idx, kk]
+            for u, a in buckets.items():
+                buckets[u] = _ref_scale(_ref_take(a, tri.axis, kg.mul[idx, kk]), tri.axis, phase)
+    return buckets.get(g, np.zeros_like(amps))
+
+
+def _s3_z3():
+    g = symmetric(3)
+    return g, generated_subgroup(g, [next(x for x in range(6) if g.element_order(x) == 3)])
+
+
+def _z22_bilinear():
+    g = direct_product(cyclic(2), cyclic(2))
+    k = full_subgroup(g)
+    b = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)],
+                 dtype=complex)
+    return g, k, bicharacter_cocycle(k, b)
+
+
+def _equivalence_cases():
+    """(label, patch, ribbons) for the patches of the criterion-8 suites."""
+    s3 = symmetric(3)
+    bulk_s3 = build_patch(s3, 3, 2)
+    z2 = cyclic(2)
+    bulk_z2 = build_patch(z2, 4, 3)
+    g, k = _s3_z3()
+    wall_s3 = minimal_boundary_patch(g, k)
+    z22, kf, phi = _z22_bilinear()
+    wall_z22 = minimal_boundary_patch(z22, kf, phi)
+    return [
+        ("bulk S3", bulk_s3, [make_ribbon(bulk_s3, ((1, 0), (1, 0)), "fv")]),
+        ("bulk Z2", bulk_z2, [make_ribbon(bulk_z2, ((3, 1), (2, 1)), "vfv"),
+                              make_ribbon(bulk_z2, ((3, 1), (2, 1)), "fvvfvvf")]),
+        ("wall S3 / Z3", wall_s3, [make_ribbon(wall_s3, ((1, 0), None), "wv")]),
+        ("wall Z2xZ2 / bilinear", wall_z22, [make_ribbon(wall_z22, ((1, 0), None), "wv")]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_compiled_operators_match_per_axis_kernels(case):
+    label, patch, ribbons = _equivalence_cases()[case]
+    n = patch.group.order
+    psi = random_state(patch, np.random.default_rng(case))
+    amps = psi.amplitudes
+
+    def close(new, ref):
+        assert new.amplitudes.flags.c_contiguous, label
+        assert new.amplitudes.shape == patch.dims
+        assert dist(new.amplitudes, ref) <= 1e-14, label
+
+    wall_vs = set(patch.ham_wall_vertices)
+    for v in sorted(patch._star):
+        if v in wall_vs:
+            for k in range(patch.boundary.order):
+                close(apply_wall_vertex(patch, psi, v, k), ref_wall_vertex(patch, amps, v, k))
+                close(apply_wall_face(patch, psi, v, k), ref_wall_face(patch, amps, v, k))
+        elif not any(patch.edges[a].wall for a, _ in patch.star(v)):
+            for g in range(n):
+                close(apply_vertex(patch, psi, v, g), ref_vertex(patch, amps, v, g))
+    for i, j in patch.faces:
+        for base in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            for h in range(n):
+                close(apply_face(patch, psi, (base, (i, j)), h),
+                      ref_face(patch, amps, (base, (i, j)), h))
+    fluxes = range(n) if patch.boundary is None else patch.boundary.members
+    for spec in ribbons:
+        for h in fluxes:
+            for g in range(n):
+                close(apply_ribbon(patch, spec, psi, int(h), g),
+                      ref_ribbon(patch, spec, amps, int(h), g))
+    if len(ribbons) == 2:
+        # same start, different paths: a cache key without the spec would alias them
+        rib, alt = ribbons
+        assert rib.start == alt.start
+        assert max(dist(apply_ribbon(patch, rib, psi, h, g).amplitudes,
+                        apply_ribbon(patch, alt, psi, h, g).amplitudes)
+                   for h in range(n) for g in range(n)) > 1e-3
+    if patch.boundary is not None:
+        gt, sub, phi = patch.group, patch.boundary, patch.cocycle.table
+        kg = sub.as_group
+        for k in range(sub.order):
+            for g in range(n):
+                ref = 0
+                for l in range(sub.order):
+                    lg = sub.members[l]
+                    flux = int(gt.mul[gt.mul[lg, sub.members[k]], gt.inv[lg]])
+                    charge = int(gt.mul[lg, gt.inv[g]])
+                    ref = ref + phi[l, k] * phi[kg.mul[l, k], kg.inv[l]] * ref_ribbon(
+                        patch, ribbons[0], amps, flux, charge)
+                close(apply_invariant_op(patch, ribbons[0], psi, int(sub.members[k]), g), ref)
+
+    # every compiled array cached on the patch is frozen
+    arrays = [a for op in patch._cache.values()
+              for a in (op if isinstance(op, tuple) else (op,)) if isinstance(a, np.ndarray)]
+    assert len(arrays) > len(ribbons)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+
+
+@pytest.mark.parametrize("group, width, height", [(symmetric(3), 3, 2), (cyclic(2), 4, 3)])
+def test_random_state_matches_the_complex_sum_formula(group, width, height):
+    patch = build_patch(group, width, height)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(patch.dims) + 1j * rng.standard_normal(patch.dims)
+        ref /= np.linalg.norm(ref)
+        amps = random_state(patch, np.random.default_rng(seed)).amplitudes
+        assert np.array_equal(amps, ref)
+        assert amps.flags.c_contiguous
+
+
+def test_lattice_error_paths_cache_nothing():
+    g, k = _s3_z3()
+    wall = minimal_boundary_patch(g, k)
+    rib = make_ribbon(wall, ((1, 0), None), "wv")
+    bulk = build_patch(cyclic(2), 3, 2)
+    bulk_rib = make_ribbon(bulk, ((1, 0), (1, 0)), "fv")
+    psi = random_state(wall, np.random.default_rng(0))
+    chi = random_state(bulk, np.random.default_rng(0))
+    apply_wall_vertex(wall, psi, (1, 0), 1)  # warm the caches with valid operators
+    apply_ribbon(bulk, bulk_rib, chi, 1, 0)
+    before = {id(p): set(p._cache) for p in (wall, bulk)}
+    transposition = next(x for x in range(6) if g.element_order(x) == 2)
+    with pytest.raises(NotInSubgroup):
+        apply_vertex(wall, psi, (1, 0), 1)
+    with pytest.raises(NotInSubgroup):
+        apply_ribbon(wall, rib, psi, transposition, 0)
+    with pytest.raises(InvalidRibbon):
+        apply_invariant_op(bulk, bulk_rib, chi, 0, 0)
+    for moves in ("fq", "wv", "ff" * 4, "v"):
+        with pytest.raises(InvalidRibbon):
+            make_ribbon(bulk, ((1, 0), (1, 0)), moves)
+    with pytest.raises(DimensionCap):
+        build_patch(symmetric(4), 3, 2)
+    assert {id(p): set(p._cache) for p in (wall, bulk)} == before

@@ -173,6 +173,22 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
+         "7be6eaf69d5ec81b8fedea78fabfb6755557c9ca7ca8f31bcff7ac78d63ecc97"),
+        (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
+         "8a597cb26e88b40f2581f669c6af9a90b8e84163e0d9bb08befc463d5e3ef6b2"),
+    ],
+)
+def test_cli_lattice_bytes_are_frozen(argv, digest):
+    # SHA-256 of the output of the per-axis kernel implementation
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_smatrix_csv():
     code, out, _ = run_cli(["smatrix", "--group", "builtin:Z4", "--format", "csv"])
     assert code == 0
