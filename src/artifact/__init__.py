@@ -1,115 +1,8 @@
-"""Exact anyon data for quantum doubles of finite groups, cross-checked on a lattice."""
+"""Exact anyon data for quantum doubles of finite groups, cross-checked on a lattice.
 
-from .characters import (
-    CharacterTable,
-    ClassFunction,
-    character_table,
-    conjugate_character,
-    induced_character,
-    inner_product,
-    regular_character,
-    restricted_character,
-    snap_value,
-    trivial_character,
-)
-from .cocycles import (
-    CommutingPairPhase,
-    TwoCocycle,
-    absolute_trace,
-    bicharacter_cocycle,
-    normalize,
-    phase,
-    trivial_cocycle,
-    validate,
-    wall_cocycle,
-    wall_subgroup,
-)
-from .condensation import (
-    CFSymmetryReport,
-    CondensationReport,
-    EquivalenceReport,
-    TunnelingMatrix,
-    UWallSpec,
-    boundary_character,
-    condense,
-    diagonal_wall,
-    equivalence_check,
-    fold,
-    reference_characters,
-    tunnel,
-    verify_cf_symmetry,
-)
-from .errors import ArtifactError
-from .groups import (
-    GroupTable,
-    NearFieldSpec,
-    Subgroup,
-    affine_group,
-    alternating,
-    centralizer_members,
-    conjugacy_data,
-    cosets,
-    cyclic,
-    direct_product,
-    from_cayley,
-    full_subgroup,
-    generated_subgroup,
-    is_right_distributive,
-    near_field,
-    subgroup,
-    symmetric,
-    trivial_subgroup,
-    validate_near_field,
-)
-from .lattice import (
-    LatticePatch,
-    LatticeState,
-    RibbonSpec,
-    apply_face,
-    apply_ribbon,
-    apply_vertex,
-    build_patch,
-    bulk_relation_report,
-    disk_state,
-    face_projector,
-    ground_state,
-    hamiltonian_terms,
-    inner,
-    lattice_boundary_character,
-    make_ribbon,
-    minimal_boundary_patch,
-    random_state,
-    vertex_projector,
-    wall_relation_report,
-)
-from .modular import (
-    InvariantVerdict,
-    ModularData,
-    TheoremB1Report,
-    TranspositionHit,
-    affine_cf_anyons,
-    charge_conjugation_matrix,
-    is_modular_invariant,
-    modular_data,
-    search_transposition_invariants,
-    transposition_matrix,
-    verify_theorem_b1,
-)
-from .quantum_double import (
-    Anyon,
-    DGClassFunction,
-    anyon_by,
-    anyon_character,
-    anyon_dual,
-    anyon_op,
-    anyons,
-    centralizer,
-    dg_decompose,
-    dg_inner_product,
-    fusion_verlinde,
-    kind,
-    product_anyon,
-    s_matrix,
-    t_vector,
-    tensor_character,
-)
+Names live in the submodules, e.g. `from artifact.groups import symmetric`.
+Importing the package loads the library modules below; `artifact.serialize`
+and `artifact.cli` (the `qdouble` front end) load when imported.
+"""
+
+from . import characters, cocycles, condensation, errors, groups, lattice, modular, quantum_double

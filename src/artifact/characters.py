@@ -2,13 +2,15 @@
 
 A random real combination of the class-sum matrices is diagonalized once;
 its joint eigenvectors give the central characters, which are rescaled to
-ordinary characters. Everything is complex floating point with post-hoc
-orthogonality assertions; exact cyclotomic arithmetic is deliberately out.
+ordinary characters, with post-hoc orthogonality checks.  The table is
+complex floating point.  Its exact values come from `root_multiplicities`:
+chi(g) is the sum of the eigenvalues of rho(g), e-th roots of unity for e
+the group exponent, and Dixon's formula reads their integer multiplicities
+off chi(g^j), j = 0..e-1, with one discrete Fourier transform.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +20,6 @@ from .errors import GroupMismatch, NotSubgroup, NumericalDegeneracy
 from .groups import GroupTable, Subgroup, conjugacy_data
 
 EQ_TOL = 1e-8
-SNAP_TOL = 1e-6
-SNAP_BUDGET = 200_000
 MAX_ATTEMPTS = 8
 
 
@@ -53,13 +53,6 @@ class CharacterTable:
 
     def row(self, i: int) -> ClassFunction:
         return ClassFunction(self.group, self.table[i])
-
-    def trivial_row(self) -> int:
-        """Index of the all-ones row (always 0 under the canonical sort)."""
-        for i in range(self.n_rows):
-            if np.allclose(self.table[i], 1.0, atol=EQ_TOL):
-                return i
-        raise NumericalDegeneracy("no trivial row found")
 
     def match_row(self, values: np.ndarray, tol: float = 1e-6) -> int:
         """Row index whose values match the given class vector."""
@@ -141,7 +134,7 @@ def character_table_generic(g: GroupTable) -> CharacterTable:
             continue
         order = _row_sort_order(table, dims)
         table, dims = table[order], dims[order]
-        if _orthonormality_residual(g, table) > EQ_TOL:
+        if not _orthonormality_residual(g, table) <= EQ_TOL:
             continue
         _assert_column_orthogonality(g, table)
         return CharacterTable(g, table, dims)
@@ -154,7 +147,7 @@ def _assert_column_orthogonality(g: GroupTable, table: np.ndarray) -> None:
     sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
     gram = table.conj().T @ table
     expected = np.diag(g.order / sizes)
-    if np.max(np.abs(gram - expected)) > EQ_TOL * g.order:
+    if not np.max(np.abs(gram - expected)) <= EQ_TOL * g.order:
         raise NumericalDegeneracy("column orthogonality violated")
 
 
@@ -180,7 +173,7 @@ def _product_character_table(g: GroupTable) -> CharacterTable:
     order = _row_sort_order(table, dims)
     table, dims = table[order], dims[order]
     out = CharacterTable(g, table, dims)
-    if _orthonormality_residual(g, table) > EQ_TOL:
+    if not _orthonormality_residual(g, table) <= EQ_TOL:
         raise NumericalDegeneracy("tensor-product table lost orthonormality")
     g._cache["chartable_row_of_pair"] = {
         pair_of_row[old]: new for new, old in enumerate(order)
@@ -258,35 +251,21 @@ def induced_character(g: GroupTable, k: Subgroup, chi: ClassFunction) -> ClassFu
     return ClassFunction(g, values)
 
 
-# --- cyclotomic snapping -----------------------------------------------------------
+# --- exact values ----------------------------------------------------------------
 
-def snap_value(value: complex, root_order: int, degree: int):
-    """Nearest sum of `degree` root_order-th roots of unity, if within SNAP_TOL.
+def root_multiplicities(values: np.ndarray) -> np.ndarray:
+    """Dixon's formula: integer c[..., k] with f = sum_k c_k z^k, z = exp(2 pi i / e),
+    from values[..., j] = f evaluated with every group element raised to the j-th
+    power, j = 0..e-1 (so values[..., j] = sum_k c_k z^(jk)).
 
-    Returns (rendered string, exact complex) or None when no candidate fits or
-    the enumeration budget is exceeded.
-    """
-    if degree < 1 or math.comb(root_order + degree - 1, degree) > SNAP_BUDGET:
-        return None
-    roots = np.exp(2j * np.pi * np.arange(root_order) / root_order)
-    best = None
-    for combo in itertools.combinations_with_replacement(range(root_order), degree):
-        s = complex(np.sum(roots[list(combo)]))
-        err = abs(s - value)
-        if best is None or err < best[0]:
-            best = (err, combo, s)
-    if best is None or best[0] > SNAP_TOL:
-        return None
-    _, combo, s = best
-    counts: dict[int, int] = {}
-    for e in combo:
-        counts[e] = counts.get(e, 0) + 1
-    const = counts.pop(0, 0)
-    terms = []
-    if const or not counts:
-        terms.append(str(const))
-    for e in sorted(counts):
-        c = counts[e]
-        prefix = f"{c}*" if c > 1 else ""
-        terms.append(f"{prefix}z{root_order}^{e}")
-    return " + ".join(terms), s
+    c is the inverse discrete Fourier transform along the last axis.  Raises
+    NumericalDegeneracy when it is off integers by more than EQ_TOL, negative,
+    or NaN."""
+    raw = np.fft.fft(values, axis=-1) / values.shape[-1]
+    c = np.rint(raw.real)
+    err = float(np.max(np.abs(raw - c)))
+    if not err <= EQ_TOL:  # NaN fails too
+        raise NumericalDegeneracy(f"root multiplicities off integers by {err:.3e}")
+    if c.min() < 0:
+        raise NumericalDegeneracy("negative root multiplicity")
+    return c.astype(np.int64)

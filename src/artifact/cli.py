@@ -185,8 +185,7 @@ def cmd_chartable(args) -> int:
         w = _csv.writer(out, lineterminator="\n")
         w.writerow(["irrep", *obj["classes"]])
         for i, row in enumerate(obj["rows"]):
-            cells = [c if isinstance(c, str) else serialize.format_complex(complex(*c)) for c in row]
-            w.writerow([f"r{i}", *cells])
+            w.writerow([f"r{i}", *row])
         _emit(out.getvalue())
     else:
         _emit(serialize.render_json(obj))

@@ -57,15 +57,18 @@ class CommutingPairPhase:
 
 
 def _identity_residual(mul: np.ndarray, table: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Worst violation of phi(kl,m) phi(k,l) = phi(k,lm) phi(l,m) and its triple."""
+    """Worst violation of phi(kl,m) phi(k,l) = phi(k,lm) phi(l,m) and its triple;
+    the first NaN, if any, is the worst."""
     worst, where = 0.0, (0, 0, 0)
     for k in range(table.shape[0]):
         lhs = table[mul[k], :] * table[k, :][:, None]
         rhs = table[k, mul] * table
         diff = np.abs(lhs - rhs)
-        l, m = np.unravel_index(np.argmax(diff), diff.shape)
-        if diff[l, m] > worst:
+        l, m = np.unravel_index(np.argmax(diff), diff.shape)  # argmax stops at a NaN
+        if not diff[l, m] <= worst:
             worst, where = float(diff[l, m]), (k, int(l), int(m))
+            if np.isnan(worst):
+                break
     return worst, where
 
 
@@ -76,7 +79,7 @@ def validate(table: np.ndarray, k: Subgroup) -> TwoCocycle:
     if table.shape != (n, n):
         raise SizeMismatch(f"table shape {table.shape} does not match |K| = {n}")
     residual, (a, b, c) = _identity_residual(k.as_group.mul, table)
-    if residual > IDENT_TOL:
+    if not residual <= IDENT_TOL:  # NaN fails too
         raise CocycleIdentityFailure(a, b, c, f"residual {residual:.3e}")
     return TwoCocycle(k, table)
 
@@ -153,7 +156,7 @@ def bicharacter_cocycle(k: Subgroup, b: np.ndarray) -> TwoCocycle:
     b = np.asarray(b, dtype=np.complex128)
     left = np.abs(b[g.mul, :] - b[:, None, :] * b[None, :, :]).max()
     right = np.abs(b[:, g.mul] - b[:, :, None] * b[:, None, :]).max()
-    if max(left, right) > IDENT_TOL:
+    if not (left <= IDENT_TOL and right <= IDENT_TOL):  # NaN fails too
         raise NotBimultiplicative(f"slot residuals {left:.3e}, {right:.3e}")
     return validate(b, k)
 

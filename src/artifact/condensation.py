@@ -148,10 +148,11 @@ def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     w = _scatter(ia[inside] * mb + ib[inside], phase(wall.phi).values[inside], ma * mb)
     w = w.reshape(ma, mb)
     raw = np.conj(pa.table) @ w @ np.conj(pb.table).T / wall.u.order
-    n = np.rint(raw.real).astype(np.int64)
+    n = np.rint(raw.real)
     err = float(np.abs(raw - n).max())
-    if err > MULT_TOL or n.min() < 0:
+    if not err <= MULT_TOL or n.min() < 0:  # NaN fails too
         raise ConditionMismatch(f"wall character is not a sum of product anyons (err={err:.2e})")
+    n = n.astype(np.int64)
     folded = w * (gg.order / wall.u.order) / np.outer(pa.sizes, pb.sizes)
     back = pa.table.T @ n @ pb.table
     scale = max(1.0, float(np.abs(folded).max()))

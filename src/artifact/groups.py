@@ -61,6 +61,17 @@ class GroupTable:
             self._cache["conj"] = t
         return self._cache["conj"]
 
+    def power_table(self) -> np.ndarray:
+        """e x n table with entry [j, x] = x^j, j = 0..e-1; its length e is the exponent."""
+        if "powers" not in self._cache:
+            rows = [np.zeros(self.order, dtype=np.int64)]
+            while (step := self.mul[rows[-1], np.arange(self.order)]).any():
+                rows.append(step)
+            t = np.stack(rows)
+            t.flags.writeable = False
+            self._cache["powers"] = t
+        return self._cache["powers"]
+
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 

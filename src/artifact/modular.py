@@ -57,18 +57,18 @@ def is_modular_invariant(m: np.ndarray, data: ModularData, tol: float = EQ_TOL) 
     m = np.asarray(m)
     if m.shape != data.s.shape:
         raise SizeMismatch(f"candidate shape {m.shape} does not match {data.s.shape}")
-    reasons = []
-    if np.abs(m - np.rint(np.real(m))).max() > tol:
+    reasons = []  # every test reads "not ... <=" so that NaN fails it
+    if not np.abs(m - np.rint(np.real(m))).max() <= tol:
         reasons.append("entries not integers")
-    if np.real(m).min() < -tol:
+    if not np.real(m).min() >= -tol:
         reasons.append("negative entry")
-    if abs(m[0, 0] - 1) > tol:
+    if not abs(m[0, 0] - 1) <= tol:
         reasons.append("vacuum entry not 1")
     s_res = float(np.abs(m @ data.s - data.s @ m).max())
     t_res = float(np.abs(m * data.t[None, :] - data.t[:, None] * m).max())
-    if s_res > tol:
+    if not s_res <= tol:
         reasons.append("does not commute with S")
-    if t_res > tol:
+    if not t_res <= tol:
         reasons.append("does not commute with T")
     return InvariantVerdict(not reasons, s_res, t_res, tuple(reasons))
 

@@ -76,7 +76,7 @@ class DGClassFunction:
         chi = cls(g, grid[po.rep_g, po.rep_h])
         scale = max(1.0, float(np.max(np.abs(grid))))
         residual = float(np.max(np.abs(chi.values - grid)))
-        if residual > REASSEMBLY_TOL * scale:
+        if not residual <= REASSEMBLY_TOL * scale:  # NaN fails too
             raise ConditionMismatch(
                 f"grid is not a class function on commuting pairs (residual {residual:.3e})"
             )
@@ -213,13 +213,14 @@ def dg_decompose(chi: DGClassFunction, tol: float = MULT_TOL) -> np.ndarray:
     g = chi.group
     po = pair_orbits(g)
     raw = np.conj(po.table) @ (po.sizes * chi.orbit_values) / g.order
-    mult = np.rint(raw.real).astype(np.int64)
+    mult = np.rint(raw.real)
     err = float(np.max(np.abs(raw - mult)))
-    if err > tol:
+    if not err <= tol:  # NaN fails too
         raise NonIntegerMultiplicity(f"projection off nearest integer by {err:.3e}")
+    mult = mult.astype(np.int64)
     scale = max(1.0, float(np.max(np.abs(chi.orbit_values))))
     residual = float(np.max(np.abs(mult @ po.table - chi.orbit_values)))
-    if residual > REASSEMBLY_TOL * scale:
+    if not residual <= REASSEMBLY_TOL * scale:
         raise NonIntegerMultiplicity(f"reassembly residual {residual:.3e}")
     return mult
 
@@ -237,20 +238,35 @@ def tensor_character(chi1: DGClassFunction, chi2: DGClassFunction) -> DGClassFun
     return DGClassFunction(g, np.sum(first * second, axis=1))
 
 
-def s_matrix(g: GroupTable) -> np.ndarray:
-    """Modular S: S_XY = (1/|G|) sum over commuting (g, h) of chi_X(h g*)* chi_Y(g h*)*.
+def _s_power(g: GroupTable, j: int) -> np.ndarray:
+    """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*; j = 1 is S.
 
-    The swap (g, h) -> (h, g) permutes the orbits, so S is one product of the
-    double character table with its column-permuted conjugate."""
+    Both (g, h) -> (g^j, h) and (g, h) -> (h^j, g) map orbits to orbits, so this is
+    one product of two column gathers of the conjugate double character table."""
+    po = pair_orbits(g)
+    powers = g.power_table()
+    power = powers[j % len(powers)]  # x^j = x^(j mod e)
+    own = po.orbit_of[power[po.rep_g], po.rep_h]
+    swap = po.orbit_of[power[po.rep_h], po.rep_g]
+    x = np.conj(po.table)
+    return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
+
+
+def s_matrix(g: GroupTable) -> np.ndarray:
+    """Modular S: S_XY = (1/|G|) sum over commuting (g, h) of chi_X(h g*)* chi_Y(g h*)*."""
     if "smatrix" in g._cache:
         return g._cache["smatrix"]
-    po = pair_orbits(g)
-    swap = po.orbit_of[po.rep_h, po.rep_g]
-    x = np.conj(po.table)
-    s = (x[:, swap] * po.sizes) @ x.T / g.order
+    s = _s_power(g, 1)
     s.flags.writeable = False
     g._cache["smatrix"] = s
     return s
+
+
+def s_charge_powers(g: GroupTable) -> np.ndarray:
+    """S with every charge raised to the j-th power, j = 0..e-1 (e the exponent)
+    along the last axis.  Times |Z(a)||Z(b)| these are the values from which
+    root_multiplicities reads S_XY as a sum of roots of unity."""
+    return np.stack([_s_power(g, j) for j in range(len(g.power_table()))], axis=-1)
 
 
 def t_vector(g: GroupTable) -> np.ndarray:

@@ -15,36 +15,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, snap_value
+from .characters import CharacterTable, root_multiplicities
 from .cocycles import TwoCocycle, validate
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
 from .errors import SizeMismatch
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
-from .quantum_double import DGClassFunction, anyons, centralizer, kind
+from .quantum_double import DGClassFunction, anyons, centralizer, kind, s_charge_powers
 
 # Largest omega_order the cocycle writer will infer when factoring a table
 # into integer powers of one primitive root.
 MAX_ROOT_ORDER = 10_000
-
-# Degrees tried when snapping a value that is a sum of unknown length.
-SNAP_DEGREE_CAP = 12
 
 
 def render_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def complex_grid(values: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs."""
     arr = np.asarray(values)
-    if arr.ndim == 1:
-        return [complex_pair(z) for z in arr]
-    return [complex_grid(row) for row in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).astype(np.float64).tolist()
 
 
 def _pair_grid_to_array(rows) -> np.ndarray:
@@ -64,8 +55,35 @@ def format_complex(z) -> str:
 
 
 def group_exponent(g: GroupTable) -> int:
-    orders = [g.element_order(x) for x in range(g.order)]
-    return int(np.lcm.reduce(np.asarray(orders, dtype=np.int64)))
+    return len(g.power_table())
+
+
+def _cyclotomic_cells(c: np.ndarray, scale) -> list:
+    """Render the cells sum_k c[..., k] z_e^k / scale as nested lists of strings.
+
+    A coset k + (e/p)Z of exponents sums to zero for every prime p | e, so each
+    coset's minimum is cancelled, one prime at a time; entries only decrease,
+    so one pass per prime leaves no coset without a zero.  The coefficients
+    and the scale are then divided by their gcd.  A cell reads "2 + z6^1 +
+    3*z6^4", wrapped as "(...)/3" when the reduced scale is above 1."""
+    e = c.shape[-1]
+    c = c.copy()
+    for p in range(2, e + 1):
+        if e % p == 0 and all(p % q for q in range(2, p)):
+            cosets = c.reshape(*c.shape[:-1], p, e // p)
+            cosets -= cosets.min(axis=-2, keepdims=True)
+    common = np.gcd(np.gcd.reduce(c, axis=-1), scale)
+    c //= common[..., None]
+    scale = np.broadcast_to(scale // common, common.shape)
+    cells = np.empty(common.shape, dtype=object)
+    for at in np.ndindex(common.shape):
+        ks = np.flatnonzero(c[at]).tolist()
+        terms = [f"{n}*z{e}^{k}" if n > 1 else f"z{e}^{k}" for k, n in zip(ks, c[at][ks].tolist())]
+        if not ks or ks[0] == 0:  # the constant term, or the zero cell
+            terms[:1] = [str(c[at][0])]
+        body = " + ".join(terms)
+        cells[at] = f"({body})/{scale[at]}" if scale[at] > 1 else body
+    return cells.tolist()
 
 
 # --- groups, subgroups, cocycles ---------------------------------------------------
@@ -123,27 +141,16 @@ def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
 
 # --- character tables and anyon lists ----------------------------------------------
 
-def _snapped_cell(value: complex, root_order: int, degree: int):
-    hit = snap_value(value, root_order, degree)
-    return hit[0] if hit is not None else complex_pair(value)
-
-
-def chartable_obj(ct: CharacterTable, snap: bool = True) -> dict:
+def chartable_obj(ct: CharacterTable) -> dict:
+    """Every value rendered exactly: Dixon's multiplicities over chi(g^j)."""
     g = ct.group
-    reps = [int(r) for r in conjugacy_data(g).reps]
-    root = group_exponent(g)
-    rows = []
-    for i in range(ct.n_rows):
-        deg = int(ct.dims[i])
-        if snap:
-            rows.append([_snapped_cell(complex(v), root, deg) for v in ct.table[i]])
-        else:
-            rows.append([complex_pair(v) for v in ct.table[i]])
+    data = conjugacy_data(g)
+    values = ct.table[:, data.class_of[g.power_table()[:, data.reps].T]]
     return {
         "group": g.label,
-        "classes": reps,
+        "classes": [int(r) for r in data.reps],
         "dims": [int(d) for d in ct.dims],
-        "rows": rows,
+        "rows": _cyclotomic_cells(root_multiplicities(values), 1),
     }
 
 
@@ -172,44 +179,25 @@ def anyons_csv(g: GroupTable) -> str:
 
 # --- modular matrices ---------------------------------------------------------------
 
-def _snap_sum(value: complex, root_order: int, scale: int):
-    """Render scale*value as the shortest sum of root_order-th roots, if any."""
-    target = complex(value) * scale
-    for degree in range(1, SNAP_DEGREE_CAP + 1):
-        hit = snap_value(target, root_order, degree)
-        if hit is not None:
-            return f"({hit[0]})/{scale}" if scale != 1 else hit[0]
-    return None
-
-
 def s_matrix_obj(g: GroupTable, s: np.ndarray, snap: bool = False) -> dict:
+    """With snap, S_XY is rendered over the scale |Z(a)||Z(b)|, which makes it a
+    sum of roots of unity; its multiplicities come from s_charge_powers."""
     objs = anyons(g)
     labels = [x.label for x in objs]
     if not snap:
         return {"group": g.label, "objects": labels, "s": complex_grid(s)}
-    root = group_exponent(g)
-    zord = [centralizer(g, x.class_rep).order for x in objs]
-    rows = []
-    for i in range(len(objs)):
-        row = []
-        for j in range(len(objs)):
-            rendered = _snap_sum(s[i, j], root, zord[i] * zord[j])
-            row.append(rendered if rendered is not None else complex_pair(s[i, j]))
-        rows.append(row)
-    return {"group": g.label, "objects": labels, "s": rows}
+    zord = np.array([centralizer(g, x.class_rep).order for x in objs])
+    scale = np.outer(zord, zord)
+    cells = root_multiplicities(scale[..., None] * s_charge_powers(g))
+    return {"group": g.label, "objects": labels, "s": _cyclotomic_cells(cells, scale)}
 
 
 def t_vector_obj(g: GroupTable, t: np.ndarray, snap: bool = False) -> dict:
-    objs = anyons(g)
-    labels = [x.label for x in objs]
+    labels = [x.label for x in anyons(g)]
     if not snap:
         return {"group": g.label, "objects": labels, "t": complex_grid(t)}
-    root = group_exponent(g)
-    cells = []
-    for j, x in enumerate(objs):
-        rendered = _snap_sum(t[j], root, 1)
-        cells.append(rendered if rendered is not None else complex_pair(t[j]))
-    return {"group": g.label, "objects": labels, "t": cells}
+    powers = np.asarray(t)[:, None] ** np.arange(group_exponent(g))
+    return {"group": g.label, "objects": labels, "t": _cyclotomic_cells(root_multiplicities(powers), 1)}
 
 
 def fusion_obj(g: GroupTable, n: np.ndarray) -> dict:

@@ -68,7 +68,7 @@ from artifact.quantum_double import (
 )
 from artifact.serialize import group_exponent
 
-from conftest import dist
+from conftest import dist, sweep_groups
 
 
 def stamp(num, elapsed, budget, detail):
@@ -429,22 +429,6 @@ def test_criterion_09_lattice_character_matches_algebra():
     assert dist(folded_mult, tm.n) < 1e-9
     elapsed = time.perf_counter() - t0
     stamp(9, elapsed, 300.0, "3 boundary configs at 1e-6 + folded-wall example")
-
-
-def sweep_groups():
-    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12):
-        yield cyclic(n)
-    yield symmetric(3)
-    yield symmetric(4)
-    yield alternating(4)
-    yield alternating(5)
-    yield direct_product(cyclic(2), cyclic(2))
-    yield direct_product(cyclic(2), cyclic(4))
-    yield direct_product(cyclic(3), cyclic(3))
-    yield direct_product(cyclic(2), symmetric(3))
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        yield affine_group(near_field(q))
-    yield affine_group(near_field(9, kind="dickson9"))
 
 
 def test_criterion_10_property_sweep():

@@ -1,6 +1,7 @@
-"""Ordinary character tables, induction, restriction, and root snapping."""
+"""Ordinary character tables, induction, restriction, and exact root multiplicities."""
 
 import numpy as np
+import pytest
 
 from artifact.characters import (
     character_table,
@@ -9,11 +10,13 @@ from artifact.characters import (
     inner_product,
     regular_character,
     restricted_character,
-    snap_value,
+    root_multiplicities,
     trivial_character,
 )
+from artifact.errors import NumericalDegeneracy
 from artifact.groups import (
     alternating,
+    conjugacy_data,
     cyclic,
     direct_product,
     generated_subgroup,
@@ -126,10 +129,44 @@ def test_restriction_is_pointwise():
         assert abs(res.on_element(i) - chi.on_element(int(m))) < 1e-10
 
 
-def test_snap_value_roots_of_unity():
-    rendered, exact = snap_value(2 * np.exp(2j * np.pi / 8), 8, 2)
-    assert "z8" in rendered
-    assert abs(exact - 2 * np.exp(2j * np.pi / 8)) < 1e-9
-    assert snap_value(0.123456789 + 0.5j, 4, 1) is None
-    rendered, exact = snap_value(W3 + np.conj(W3), 3, 2)
-    assert abs(exact + 1) < 1e-9
+def _powers(value: complex, e: int) -> np.ndarray:
+    """value^j for j = 0..e-1: the Dixon input of one root of unity."""
+    return value ** np.arange(e)
+
+
+def test_root_multiplicities_of_roots_of_unity():
+    z8 = np.exp(2j * np.pi / 8)
+    assert root_multiplicities(2 * _powers(z8, 8)).tolist() == [0, 2, 0, 0, 0, 0, 0, 0]
+    # 2 cos(2 pi / 3) = -1 reads as z3 + z3^2, and a constant as its multiplicity at k = 0
+    assert root_multiplicities(_powers(W3, 3) + _powers(np.conj(W3), 3)).tolist() == [0, 1, 1]
+    assert root_multiplicities(np.full(4, 3.0)).tolist() == [3, 0, 0, 0]
+    # the last axis is j; leading axes are cells
+    both = root_multiplicities(np.stack([_powers(1j, 4), _powers(-1j, 4)]))
+    assert both.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.full(4, 0.123456789 + 0.5j),  # off integers
+        np.full(4, -1.0),  # a negative multiplicity
+        np.array([1.0, np.nan, 1.0, 1.0]),  # NaN
+    ],
+)
+def test_root_multiplicities_reject_non_multiplicities(values):
+    with pytest.raises(NumericalDegeneracy):
+        root_multiplicities(values)
+
+
+def test_character_values_are_sums_of_eigenvalue_roots():
+    # chi(x^j), j = 0..e-1, gives the eigenvalue multiplicities of rho(x): they
+    # count dim rho eigenvalues and sum back to chi(x)
+    for g in (symmetric(4), alternating(5), direct_product(cyclic(3), symmetric(3))):
+        ct = character_table(g)
+        data = conjugacy_data(g)
+        powers = g.power_table()
+        c = root_multiplicities(ct.table[:, data.class_of[powers[:, data.reps].T]])
+        e = len(powers)
+        assert c.shape == (ct.n_rows, len(data.reps), e)
+        assert np.array_equal(c.sum(axis=-1), np.repeat(ct.dims[:, None], len(data.reps), 1))
+        assert dist(c @ np.exp(2j * np.pi * np.arange(e) / e), ct.table) < 1e-12

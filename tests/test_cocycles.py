@@ -67,6 +67,16 @@ def test_validate_rejects_broken_identity():
         validate(table, k)
 
 
+def test_validate_and_bicharacter_reject_nan_tables():
+    k = z22_full()
+    table = np.ones((4, 4), dtype=complex)
+    table[2, 3] = np.nan
+    with pytest.raises(CocycleIdentityFailure):
+        validate(table, k)
+    with pytest.raises(NotBimultiplicative):
+        bicharacter_cocycle(k, table)
+
+
 def test_bicharacter_is_a_cocycle():
     k = z22_full()
     phi = bicharacter_cocycle(k, nondegenerate_form(k))

@@ -55,6 +55,17 @@ def test_symmetric_group_basics():
     assert orders == [1, 2, 3, 4]
 
 
+def test_power_table_lists_powers_up_to_the_exponent():
+    for g in (cyclic(1), cyclic(12), symmetric(4), alternating(5), affine_group(near_field(9))):
+        powers = g.power_table()
+        orders = [g.element_order(x) for x in range(g.order)]
+        assert len(powers) == int(np.lcm.reduce(orders))
+        assert np.array_equal(powers[0], np.zeros(g.order))
+        for j in range(1, len(powers)):
+            assert np.array_equal(powers[j], g.mul[powers[j - 1], np.arange(g.order)])
+        assert not powers.flags.writeable and g.power_table() is powers
+
+
 def test_alternating_group_orders():
     assert alternating(4).order == 12
     assert alternating(5).order == 60

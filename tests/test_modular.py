@@ -75,6 +75,16 @@ def test_invariant_rejects_bad_candidates():
         is_modular_invariant(np.eye(7), data)
 
 
+def test_invariant_rejects_a_nan_matrix():
+    data = modular_data(symmetric(3))
+    for where in ((0, 0), (3, 4)):
+        m = np.eye(8)
+        m[where] = np.nan
+        verdict = is_modular_invariant(m, data)
+        assert not verdict.ok
+        assert "entries not integers" in verdict.reasons
+
+
 def test_s3_search_finds_the_chargeon_fluxion_swap():
     g = symmetric(3)
     hits = search_transposition_invariants(g)

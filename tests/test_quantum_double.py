@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from artifact import quantum_double
-from artifact.errors import GroupMismatch, NegativeOrNonInteger
+from artifact.errors import (
+    ConditionMismatch,
+    GroupMismatch,
+    NegativeOrNonInteger,
+    NonIntegerMultiplicity,
+)
 from artifact.groups import (
     alternating,
     conjugacy_data,
@@ -13,6 +18,7 @@ from artifact.groups import (
     symmetric,
 )
 from artifact.quantum_double import (
+    DGClassFunction,
     anyon_by,
     anyon_character,
     anyon_dual,
@@ -25,13 +31,13 @@ from artifact.quantum_double import (
     kind,
     pair_orbits,
     product_anyon,
+    s_charge_powers,
     s_matrix,
     t_vector,
     tensor_character,
 )
 
-from conftest import dist
-from test_acceptance import sweep_groups
+from conftest import dist, sweep_groups
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -300,3 +306,25 @@ def test_anyon_by_and_group_mismatch():
     chi2 = anyon_character(other, anyons(other)[0])
     with pytest.raises(GroupMismatch):
         _ = chi + chi2
+
+
+def test_nan_class_functions_are_rejected():
+    g = symmetric(3)
+    values = np.array(anyon_character(g, anyons(g)[2]).orbit_values)
+    values[1] = np.nan
+    with pytest.raises(NonIntegerMultiplicity):
+        dg_decompose(DGClassFunction(g, values))
+    grid = np.array(anyon_character(g, anyons(g)[2]).values)
+    grid[0, 0] = np.nan
+    with pytest.raises(ConditionMismatch):
+        DGClassFunction.from_dense(g, grid)
+
+
+def test_s_charge_powers_start_at_the_identity_and_hold_s():
+    for g in (cyclic(1), symmetric(3), alternating(4)):
+        stack = s_charge_powers(g)
+        assert stack.shape == s_matrix(g).shape + (len(g.power_table()),)
+        assert np.array_equal(stack[..., 1 % stack.shape[-1]], s_matrix(g))
+        # j = 0 sends every charge to the identity: d_X d_Y / |G| times the flux overlap
+        dims = np.array([x.dim for x in anyons(g)])
+        assert dist(stack[0, :, 0], dims / g.order) < 1e-12

@@ -4,15 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from artifact import serialize
 from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, wall_cocycle
 from artifact.condensation import boundary_character
-from artifact.errors import ConditionMismatch
+from artifact.errors import ConditionMismatch, NumericalDegeneracy
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -20,7 +22,7 @@ from artifact.groups import (
     near_field,
     symmetric,
 )
-from artifact.quantum_double import anyons, fusion_verlinde, s_matrix
+from artifact.quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
 from artifact.serialize import (
     anyons_csv,
     chartable_obj,
@@ -35,9 +37,10 @@ from artifact.serialize import (
     render_json,
     s_matrix_obj,
     square_matrix_from_obj,
+    t_vector_obj,
 )
 
-from conftest import dist
+from conftest import dist, sweep_groups
 
 
 def run_cli(argv):
@@ -104,6 +107,81 @@ def test_s_matrix_obj_structure():
     assert isinstance(raw["s"][0][0], list) and len(raw["s"][0][0]) == 2
 
 
+# The cell grammar of `--snap` output, as the benchmark parses it: integers and
+# [c*]z{e}^{k} terms joined by " + ", wrapped as "(body)/scale" when scale > 1.
+TERM = re.compile(r"(?:(\d+)\*)?z(\d+)\^(\d+)|(\d+)")
+CELL = re.compile(r"\((.*)\)/(\d+)|(.*)")
+
+
+def cell_value(cell: str) -> complex:
+    wrapped, scale, bare = CELL.fullmatch(cell).groups()
+    assert scale is None or int(scale) > 1
+    total = 0j
+    for term in (wrapped or bare).split(" + "):
+        coeff, order, power, integer = TERM.fullmatch(term).groups()
+        if integer is not None:
+            total += int(integer)
+        else:
+            total += int(coeff or 1) * np.exp(2j * np.pi * int(power) / int(order))
+    return total / int(scale or 1)
+
+
+def rendered_values(cells) -> np.ndarray:
+    arr = np.array(cells, dtype=object)
+    return np.array([cell_value(c) for c in arr.ravel()]).reshape(arr.shape)
+
+
+def test_every_cell_renders_exactly_on_the_sweep_groups():
+    for g in sweep_groups():
+        ct = character_table(g)
+        chartable = chartable_obj(ct)["rows"]
+        s = s_matrix_obj(g, s_matrix(g), snap=True)["s"]
+        t = t_vector_obj(g, t_vector(g), snap=True)["t"]
+        for cells, ref in ((chartable, ct.table), (s, s_matrix(g)), (t, t_vector(g))):
+            assert dist(rendered_values(cells), ref) < 1e-9, g.label
+            assert not any("-" in c for c in np.ravel(cells))
+
+
+def test_s3_cells_cancel_vanishing_sums_and_reduce_fractions():
+    g = symmetric(3)
+    # chi_2(transposition) = 1 + z6^3 = 0, and S[(e,r2),(e,r2)] = 24/36 = 2/3
+    assert chartable_obj(character_table(g))["rows"][2][1] == "0"
+    assert s_matrix_obj(g, s_matrix(g), snap=True)["s"][2][2] == "(2)/3"
+
+
+@pytest.mark.parametrize("defect", [np.nan, 0.25])
+def test_snapped_cells_reject_non_multiplicities(monkeypatch, defect):
+    exact = serialize.s_charge_powers
+
+    def broken(g):
+        stack = np.array(exact(g))
+        stack[1, 1, 0] += defect
+        return stack
+
+    monkeypatch.setattr(serialize, "s_charge_powers", broken)
+    with pytest.raises(NumericalDegeneracy):
+        s_matrix_obj(symmetric(3), s_matrix(symmetric(3)), snap=True)
+    code, out, err = run_cli(["smatrix", "--snap", "--group", "builtin:S3"])
+    assert code == 1 and out == ""
+    assert "root multiplicities off integers" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["smatrix", "--snap", "--group", "builtin:A4"],
+         "f2ddd56cc8646a87018f061941ccf2c027943f5a301b883520d851b4acb1e439"),
+        (["chartable", "--group", "builtin:A5"],
+         "e0c2c4a6e0821edcd4c1f3ce226321c3cc73a9b06490e82c4f598f9c6ddc81af"),
+    ],
+)
+def test_cli_rendered_bytes_are_frozen(argv, digest):
+    # SHA-256 of the output rendered from root multiplicities
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_matrix_and_fusion_csv_shapes():
     g = symmetric(3)
     labels = [x.label for x in anyons(g)]
@@ -131,6 +209,14 @@ def test_class_function_from_obj_rejects_values_off_commuting_pairs():
     obj = class_function_obj(boundary_character(g, full_subgroup(g)))
     x, y = np.argwhere(g.mul != g.mul.T)[0]
     obj["values"][x][y] = [1.0, 0.0]
+    with pytest.raises(ConditionMismatch):
+        class_function_from_obj(g, obj)
+
+
+def test_class_function_from_obj_rejects_nan_values():
+    g = symmetric(3)
+    obj = json.loads(render_json(class_function_obj(boundary_character(g, full_subgroup(g)))))
+    obj["values"][0][0] = [float("nan"), 0.0]
     with pytest.raises(ConditionMismatch):
         class_function_from_obj(g, obj)
 
