@@ -24,6 +24,7 @@ from .groups import (
     NearFieldSpec,
     Subgroup,
     _factor_prime_power,
+    _light_test,
     affine_group,
     direct_product,
     is_right_distributive,
@@ -73,7 +74,15 @@ def _identity_residual(mul: np.ndarray, table: np.ndarray) -> tuple[float, tuple
 
 
 def validate(table: np.ndarray, k: Subgroup) -> TwoCocycle:
-    """Check the cocycle identity on every triple of K."""
+    """Check a float table against the cocycle identity on every triple of K.
+
+    Every input that arrives as floats (bicharacters, cocycle files, the output
+    of normalize) takes this full |K|^3 scan within IDENT_TOL.  Light's test
+    would not do: the identity rebuilds a triple from four others,
+    psi(x,ac,y) = psi(xa,c,y) - psi(a,c,y) + psi(x,a,cy) - psi(x,a,c) for
+    psi = log phi, so a tolerance met on generator triples doubles with each
+    step of closure depth.  wall_cocycle, whose exponents are exact integers,
+    takes the exact route instead."""
     table = np.asarray(table, dtype=np.complex128)
     n = k.as_group.order
     if table.shape != (n, n):
@@ -144,7 +153,8 @@ def phase(phi: TwoCocycle) -> CommutingPairPhase:
     """Gauge-invariant combination entering the condensation character."""
     g = phi.subgroup.as_group
     conj = g.conj_table()
-    values = phi.table / phi.table[conj, np.arange(g.order)[:, None]]
+    values = phi.table[conj, np.arange(g.order)[:, None]]
+    np.divide(phi.table, values, out=values)
     return CommutingPairPhase(phi.subgroup, values)
 
 
@@ -208,10 +218,30 @@ def wall_subgroup(h: NearFieldSpec) -> Subgroup:
     return subgroup(gg, members, label=f"U({h.label})")
 
 
+def _exponent_identity_failure(mul: np.ndarray, e: np.ndarray, p: int) -> tuple[int, int, int] | None:
+    """First (x, a, y) with e(x,a) + e(xa,y) != e(a,y) + e(x,ay) (mod p), for a over
+    the generators of Light's test on the group table mul; None if there is none.
+
+    The a that pass for every x, y are closed under products, and in a group the
+    identity is itself a right-normed product a(a(...a)), so when every
+    generator passes, omega**e is a 2-cocycle: exact, at |U|^2 per generator.
+    Entries of e lie in 0..p-1."""
+
+    def defect(a: int) -> np.ndarray:
+        d = e[mul[:, a]] + e[:, a, None]
+        d -= e[a]
+        d -= e[:, mul[a]]
+        return (d != 0) & (d != p) & (d != -p)  # d lies strictly between -2p and 2p
+
+    return _light_test(mul, defect)
+
+
 def wall_cocycle(h: NearFieldSpec) -> TwoCocycle:
     """phi(g, h) = omega^tr(alpha a2 b1) on U, with omega a primitive p-th root.
 
-    g supplies alpha and a2, h supplies b1; validated on all |U|^3 triples."""
+    g supplies alpha and a2, h supplies b1.  The exponents e stay integers mod
+    p and pass the exact identity check of _exponent_identity_failure (|U|^2
+    per generator of U, not |U|^3); the complex table is omega**e."""
     u = wall_subgroup(h)
     q = h.q
     n1 = q * (q - 1)
@@ -223,5 +253,9 @@ def wall_cocycle(h: NearFieldSpec) -> TwoCocycle:
     alpha = first % (q - 1) + 1
     b1 = first // (q - 1)
     omega = -1.0 + 0.0j if p == 2 else np.exp(2j * np.pi / p)
-    exponents = tr[h.mul[h.mul[alpha, a2][:, None], b1[None, :]]]
-    return validate(omega**exponents, u)
+    e = tr[h.mul[h.mul[alpha, a2][:, None], b1[None, :]]]
+    e = e.astype(np.int16 if 4 * p < 1 << 15 else np.int64)
+    bad = _exponent_identity_failure(u.as_group.mul, e, p)
+    if bad is not None:
+        raise CocycleIdentityFailure(*bad, f"exponents differ mod {p}")
+    return TwoCocycle(u, omega**e)

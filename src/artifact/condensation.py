@@ -27,7 +27,6 @@ from .quantum_double import (
     REASSEMBLY_TOL,
     Anyon,
     DGClassFunction,
-    anyon_character,
     anyon_dual,
     anyon_op,
     anyons,
@@ -228,35 +227,6 @@ def equivalence_check(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> Equiva
         bool(nondeg),
         targets,
     )
-
-
-def reference_characters(
-    g: GroupTable, c: Anyon, f: Anyon, product: GroupTable | None = None
-) -> dict[str, DGClassFunction]:
-    """The three folded comparison characters on G x G.
-
-    "identity" sums X (x) op(X) over all anyons, "dual" sums X (x) op(X dual),
-    and "swap" is the rank-one correction built from the chargeon c and the
-    fluxion f whose transposition the wall is expected to implement."""
-    gg = direct_product(g, g) if product is None else product
-    factors = gg.meta.get("product_of")
-    if factors is None or factors[0] is not g or factors[1] is not g:
-        raise GroupMismatch("product group must fold two copies of g")
-    n = g.order
-    ident = np.zeros((n * n, n * n), dtype=np.complex128)
-    dual = np.zeros_like(ident)
-    for x in anyons(g):
-        xv = anyon_character(g, x).values
-        ident += np.kron(xv, anyon_character(g, anyon_op(g, x)).values)
-        dual += np.kron(xv, anyon_character(g, anyon_op(g, anyon_dual(g, x))).values)
-    cv = anyon_character(g, c).values
-    fv = anyon_character(g, f).values
-    swap = np.kron(cv - fv, cv - fv)
-    return {
-        "identity": DGClassFunction.from_dense(gg, ident),
-        "dual": DGClassFunction.from_dense(gg, dual),
-        "swap": DGClassFunction.from_dense(gg, swap),
-    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,27 +24,36 @@ from .errors import (
     SizeExceeded,
 )
 
-FULL_ASSOC_LIMIT = 128
-ASSOC_SAMPLES = 10_000
 # Table entries sorted at a time by the Latin-square check (bounds its temporaries)
 LATIN_BLOCK_ENTRIES = 1 << 18
 
 
 class GroupTable:
-    """A finite group on 0..n-1. mul[x, y] = xy, inv[x] = x^-1, identity = 0."""
+    """A finite group on 0..n-1. mul[x, y] = xy, inv[x] = x^-1, identity = 0.
 
-    __slots__ = ("order", "mul", "inv", "identity", "label", "meta", "_cache")
+    The table may be given as a function that builds it on first use of mul."""
 
-    def __init__(self, mul: np.ndarray, inv: np.ndarray, label: str, meta: dict | None = None):
-        self.order = int(mul.shape[0])
-        self.mul = mul
+    __slots__ = ("order", "_mul", "inv", "identity", "label", "meta", "_cache")
+
+    def __init__(self, mul, inv: np.ndarray, label: str, meta: dict | None = None):
+        self.order = int(inv.shape[0])
+        self._mul = mul
         self.inv = inv
         self.identity = 0
         self.label = label
         self.meta = meta or {}
         self._cache: dict = {}
-        mul.flags.writeable = False
+        if not callable(mul):
+            mul.flags.writeable = False
         inv.flags.writeable = False
+
+    @property
+    def mul(self) -> np.ndarray:
+        if callable(self._mul):
+            table = self._mul()
+            table.flags.writeable = False
+            self._mul = table
+        return self._mul
 
     def __repr__(self) -> str:
         return f"GroupTable({self.label}, order={self.order})"
@@ -83,6 +92,38 @@ class GroupTable:
         return k
 
 
+def _light_test(mul: np.ndarray, defect) -> tuple[int, int, int] | None:
+    """Light's associativity test, over greedy generators by right-normed closure.
+
+    Each generator a is the least element that is not yet a right-normed product
+    a1 (a2 (... ak)) of earlier ones (or the identity 0), and defect(a) is the
+    n x n mask of the (x, y) where a fails its law; returns the first failing
+    (x, a, y), or None.  For defect(a) = [(xa)y != x(ay)], the a that pass are
+    closed under products (x(ac))y = ((xa)c)y = (xa)(cy) = x(a(cy)) = x((ac)y),
+    so when every generator passes, every element does: the table is
+    associative, exactly.  While they pass, each new generator at least doubles
+    the reached set of a Latin square, so at most log2(n) + 1 are ever drawn and
+    the cost is O(n^2 log n).  The same closure argument holds for any law of
+    this shape that passes to products, such as the 2-cocycle identity."""
+    n = mul.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        a = int(np.argmin(reached))
+        bad = defect(a)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return int(x), a, int(y)
+        gens.append(a)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.unique(mul[np.ix_(gens, frontier)])
+            frontier = new[~reached[new]]
+            reached[frontier] = True
+    return None
+
+
 def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
     n = mul.shape[0]
     if mul.ndim != 2 or mul.shape != (n, n):
@@ -107,8 +148,8 @@ def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
             r = int(rows[0]) if rows.size else n
             c = int(cols[0]) if cols.size else n
             raise NotLatinSquare("row", i0 + r) if r <= c else NotLatinSquare("column", i0 + c)
-    if n <= FULL_ASSOC_LIMIT:
-        # (xy)z against x(yz) for a block of x at a time, in the same order
+    if _light_test(mul, lambda a: mul[mul[:, a]] != mul[:, mul[a]]) is not None:
+        # name the first failing (x, y, z), comparing (xy)z with x(yz) a block of x at a time
         step = max(1, LATIN_BLOCK_ENTRIES // (n * n))
         for x0 in range(0, n, step):
             lhs = mul[mul[x0:x0 + step], :]
@@ -116,12 +157,6 @@ def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
             if not np.array_equal(lhs, rhs):
                 x, y, z = np.argwhere(lhs != rhs)[0]
                 raise NotAssociative(x0 + int(x), int(y), int(z))
-    else:
-        rng = np.random.default_rng(0)
-        xs, ys, zs = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
-        if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
-            bad = np.nonzero(mul[mul[xs, ys], zs] != mul[xs, mul[ys, zs]])[0][0]
-            raise NotAssociative(int(xs[bad]), int(ys[bad]), int(zs[bad]))
     inv = np.argmax(mul == 0, axis=1).astype(np.int64)
     two_sided = mul[inv, idx] == 0
     if not two_sided.all():
@@ -179,14 +214,17 @@ def alternating(n: int) -> GroupTable:
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Componentwise product on index pairs, encoded as i*|b| + j."""
-    nb = b.order
-    mul = (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(
-        a.order * nb, a.order * nb
-    )
-    g = _validate_table(mul, f"{a.label}x{b.label}")
-    g.meta["product_of"] = (a, b)
-    return g
+    """Componentwise product on index pairs, encoded as i*|b| + j.
+
+    A product of groups is a group, so nothing is re-validated, and the table
+    is built on first use of mul; subgroups are assembled from the factors."""
+    n, nb = a.order * b.order, b.order
+
+    def table() -> np.ndarray:
+        return (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
+
+    inv = (a.inv[:, None] * nb + b.inv[None, :]).ravel()
+    return GroupTable(table, inv, f"{a.label}x{b.label}", {"product_of": (a, b)})
 
 
 # --- fields and near-fields ----------------------------------------------------
@@ -367,15 +405,14 @@ def affine_group(h: NearFieldSpec) -> GroupTable:
 
 @dataclass
 class ConjugacyData:
-    """Classes, minimal-index representatives, transversal k_b (k_b a k_b^-1 = b,
-    k_a = e), and centralizers of the representatives."""
+    """Classes, minimal-index representatives, and transversal k_b
+    (k_b a k_b^-1 = b, k_a = e)."""
 
     group: GroupTable
     classes: list[np.ndarray]
     class_of: np.ndarray
     reps: np.ndarray
     transversal: np.ndarray
-    centralizers: list[np.ndarray]
 
 
 def conjugacy_data(g: GroupTable) -> ConjugacyData:
@@ -387,7 +424,6 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
     classes: list[np.ndarray] = []
     reps: list[int] = []
     transversal = np.zeros(n, dtype=np.int64)
-    centralizers: list[np.ndarray] = []
     for x in range(n):
         if class_of[x] >= 0:
             continue
@@ -398,18 +434,9 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         reps.append(x)
         for b in orbit:
             transversal[b] = np.argmax(conj[:, x] == b)
-        centralizers.append(np.nonzero(conj[:, x] == x)[0])
-    data = ConjugacyData(
-        g, classes, class_of, np.array(reps, dtype=np.int64), transversal, centralizers
-    )
+    data = ConjugacyData(g, classes, class_of, np.array(reps, dtype=np.int64), transversal)
     g._cache["conjugacy"] = data
     return data
-
-
-def centralizer_members(g: GroupTable, x: int) -> np.ndarray:
-    """Sorted elements commuting with x."""
-    conj = g.conj_table()
-    return np.nonzero(conj[:, x] == x)[0]
 
 
 # --- subgroups and cosets --------------------------------------------------------
@@ -440,20 +467,25 @@ def subgroup(g: GroupTable, members, label: str | None = None) -> Subgroup:
         raise NotSubgroup("subgroup must contain the identity 0")
     if members.min() < 0 or members.max() >= g.order:
         raise NotSubgroup("member index out of range")
-    inside = np.zeros(g.order, dtype=bool)
-    inside[members] = True
-    sub_mul = g.mul[np.ix_(members, members)]
-    if not inside[sub_mul].all():
-        i, j = np.argwhere(~inside[sub_mul])[0]
-        raise NotSubgroup(
-            f"not closed: {members[i]} * {members[j]} = {sub_mul[i, j]} is outside"
-        )
-    if not inside[g.inv[members]].all():
-        bad = members[~inside[g.inv[members]]][0]
-        raise NotSubgroup(f"not closed under inverse: {bad}")
     position = np.full(g.order, -1, dtype=np.int64)
     position[members] = np.arange(members.size)
-    table = _validate_table(position[sub_mul], label or f"{g.label}|sub{members.size}")
+    if "product_of" in g.meta:
+        # the products' mixed-radix codes i*|b| + j, from the factor tables
+        ga, gb = g.meta["product_of"]
+        i, j = np.divmod(members, gb.order)
+        codes = ga.mul[np.ix_(i, i)] * gb.order
+        codes += gb.mul[np.ix_(j, j)]
+    else:
+        codes = g.mul[np.ix_(members, members)]
+    local = position[codes]
+    if (local < 0).any():
+        i, j = np.argwhere(local < 0)[0]
+        raise NotSubgroup(f"not closed: {members[i]} * {members[j]} = {codes[i, j]} is outside")
+    del codes
+    outside = position[g.inv[members]] < 0
+    if outside.any():
+        raise NotSubgroup(f"not closed under inverse: {members[outside][0]}")
+    table = _validate_table(local, label or f"{g.label}|sub{members.size}")
     return Subgroup(g, members, table, position)
 
 

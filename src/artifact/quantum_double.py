@@ -238,35 +238,45 @@ def tensor_character(chi1: DGClassFunction, chi2: DGClassFunction) -> DGClassFun
     return DGClassFunction(g, np.sum(first * second, axis=1))
 
 
-def _s_power(g: GroupTable, j: int) -> np.ndarray:
-    """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*; j = 1 is S.
-
-    Both (g, h) -> (g^j, h) and (g, h) -> (h^j, g) map orbits to orbits, so this is
-    one product of two column gathers of the conjugate double character table."""
-    po = pair_orbits(g)
-    powers = g.power_table()
-    power = powers[j % len(powers)]  # x^j = x^(j mod e)
-    own = po.orbit_of[power[po.rep_g], po.rep_h]
-    swap = po.orbit_of[power[po.rep_h], po.rep_g]
-    x = np.conj(po.table)
-    return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
-
-
 def s_matrix(g: GroupTable) -> np.ndarray:
-    """Modular S: S_XY = (1/|G|) sum over commuting (g, h) of chi_X(h g*)* chi_Y(g h*)*."""
+    """Modular S: S_XY = (1/|G|) sum over commuting (g, h) of chi_X(h g*)* chi_Y(g h*)*.
+
+    (g, h) -> (h, g) maps orbits to orbits, so this is one product of a column
+    gather of the conjugate double character table with the table itself."""
     if "smatrix" in g._cache:
         return g._cache["smatrix"]
-    s = _s_power(g, 1)
+    po = pair_orbits(g)
+    swap = po.orbit_of[po.rep_h, po.rep_g]
+    x = np.conj(po.table)
+    s = (x[:, swap] * po.sizes) @ x.T / g.order
     s.flags.writeable = False
     g._cache["smatrix"] = s
     return s
 
 
-def s_charge_powers(g: GroupTable) -> np.ndarray:
-    """S with every charge raised to the j-th power, j = 0..e-1 (e the exponent)
-    along the last axis.  Times |Z(a)||Z(b)| these are the values from which
-    root_multiplicities reads S_XY as a sum of roots of unity."""
-    return np.stack([_s_power(g, j) for j in range(len(g.power_table()))], axis=-1)
+def s_charge_powers(g: GroupTable, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of S with every charge raised to the j-th power, j = 0..e-1
+    (e the exponent) along the last axis.  Times |Z(a)||Z(b)| these are the
+    values from which root_multiplicities reads S_XY as a sum of roots of unity.
+
+    S_XY with charges to the j-th power pairs orbit (h^j, g) of X with orbit
+    (g^j, h) of Y; the X side is summed onto the orbits of (g^j, h), so a row
+    block is one GEMM against the conjugate table for every j at once, and
+    j = 1 gives s_matrix bit for bit."""
+    po = pair_orbits(g)
+    powers = g.power_table()
+    e, m = len(powers), po.sizes.size
+    x = np.conj(po.table)
+    swap = po.orbit_of[powers[:, po.rep_h], po.rep_g]
+    own = po.orbit_of[powers[:, po.rep_g], po.rep_h]
+    left = x[rows][:, swap] * po.sizes  # [X, j, orbit]
+    r = left.shape[0]
+    bins = (np.arange(r * e).reshape(r, e, 1) * m + own).ravel()  # row (X, j), column own
+    summed = np.bincount(bins, left.real.ravel(), r * e * m) + 1j * np.bincount(
+        bins, left.imag.ravel(), r * e * m
+    )
+    out = summed.reshape(r * e, m) @ x.T / g.order
+    return out.reshape(r, e, m).transpose(0, 2, 1)
 
 
 def t_vector(g: GroupTable) -> np.ndarray:

@@ -21,7 +21,14 @@ from .condensation import CFSymmetryReport, CondensationReport, EquivalenceRepor
 from .errors import SizeMismatch
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
-from .quantum_double import DGClassFunction, anyons, centralizer, kind, s_charge_powers
+from .quantum_double import (
+    FUSION_BLOCK_BYTES,
+    DGClassFunction,
+    anyons,
+    centralizer,
+    kind,
+    s_charge_powers,
+)
 
 # Largest omega_order the cocycle writer will infer when factoring a table
 # into integer powers of one primitive root.
@@ -188,8 +195,14 @@ def s_matrix_obj(g: GroupTable, s: np.ndarray, snap: bool = False) -> dict:
         return {"group": g.label, "objects": labels, "s": complex_grid(s)}
     zord = np.array([centralizer(g, x.class_rep).order for x in objs])
     scale = np.outer(zord, zord)
-    cells = root_multiplicities(scale[..., None] * s_charge_powers(g))
-    return {"group": g.label, "objects": labels, "s": _cyclotomic_cells(cells, scale)}
+    # one row block of anyons at a time, its complex stack about FUSION_BLOCK_BYTES
+    step = max(1, FUSION_BLOCK_BYTES // (16 * len(objs) * group_exponent(g)))
+    cells = []
+    for x0 in range(0, len(objs), step):
+        rows = slice(x0, x0 + step)
+        c = root_multiplicities(scale[rows, :, None] * s_charge_powers(g, rows))
+        cells += _cyclotomic_cells(c, scale[rows])
+    return {"group": g.label, "objects": labels, "s": cells}
 
 
 def t_vector_obj(g: GroupTable, t: np.ndarray, snap: bool = False) -> dict:

@@ -20,7 +20,6 @@ from artifact.condensation import (
     condense,
     diagonal_wall,
     equivalence_check,
-    reference_characters,
     tunnel,
 )
 from artifact.groups import (
@@ -68,7 +67,7 @@ from artifact.quantum_double import (
 )
 from artifact.serialize import group_exponent
 
-from conftest import dist, sweep_groups
+from conftest import dist, reference_characters, sweep_groups
 
 
 def stamp(num, elapsed, budget, detail):

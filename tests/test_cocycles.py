@@ -200,3 +200,76 @@ print(sys.flags.optimize, main(argv))
     run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert run.stdout.split() == ["1", "1"], run.stderr
     assert "check failed: normalization must preserve the cocycle identity" in run.stderr
+
+
+def wall_exponents(q, p):
+    """U's table and the wall cocycle's exponents: phi = omega**e, omega = exp(2 pi i / p)."""
+    phi = wall_cocycle(near_field(q))
+    e = np.rint(np.angle(phi.table) * p / (2 * np.pi)).astype(np.int64) % p
+    assert dist(np.exp(2j * np.pi * e / p), phi.table) < 1e-9
+    return phi.subgroup.as_group.mul, e
+
+
+def reference_failures(mul, e, p):
+    """Test-only |U|^3 reference: the identity on every triple (x, a, y) of the
+    clean table, and, since the identity is linear in e, fails[d, k, l] = whether
+    adding d to e[k, l] breaks it at some triple (one pass over all triples)."""
+    n = len(mul)
+    x, a, y = np.indices((n, n, n), dtype=np.int32).reshape(3, -1)
+    cells = np.stack([x * n + a, mul[x, a] * n + y, a * n + y, x * n + mul[a, y]])
+    signs = np.array([1, 1, -1, -1])[:, None]
+    assert not ((signs * e.ravel()[cells]).sum(axis=0) % p).any()
+    count = sum(signs[j] * (cells == cells[j]) for j in range(4))  # of each cell in its triple
+    fails = np.zeros((p, n * n), dtype=bool)
+    for d in range(1, p):
+        fails[d, cells[(count * d) % p != 0]] = True
+    return fails.reshape(p, n, n)
+
+
+@pytest.mark.parametrize("q, p", [(3, 3), (4, 2), (5, 5)])
+def test_exact_exponent_test_agrees_with_the_full_scan_on_every_corruption(q, p):
+    # every entry is corrupted once, by a shift d that cycles through 1..p-1
+    mul, e = wall_exponents(q, p)
+    assert cocycles._exponent_identity_failure(mul, e, p) is None
+    fails = reference_failures(mul, e, p)
+    n = len(mul)
+    for k in range(n):
+        for l in range(n):
+            d = 1 + (k * n + l) % (p - 1)
+            bad = e.copy()
+            bad[k, l] = (bad[k, l] + d) % p
+            got = cocycles._exponent_identity_failure(mul, bad, p)
+            assert (got is not None) == fails[d, k, l], (d, k, l)
+            if got is not None:
+                x, a, y = got
+                assert (bad[x, a] + bad[mul[x, a], y] - bad[a, y] - bad[x, mul[a, y]]) % p
+
+
+def test_wall_cocycle_never_runs_the_float_scan(monkeypatch):
+    def refuse(mul, table):
+        raise AssertionError("the |U|^3 float scan ran on the wall cocycle")
+
+    monkeypatch.setattr(cocycles, "_identity_residual", refuse)
+    for q in (2, 3, 4, 5, 7):
+        wall_cocycle(near_field(q))
+
+
+def test_wall_cocycle_reports_a_failing_triple(monkeypatch):
+    trace, check, seen = cocycles.absolute_trace, cocycles._exponent_identity_failure, []
+
+    def skewed(h):
+        tr = trace(h).copy()
+        tr[2] = (tr[2] + 1) % 3  # no longer additive, so no longer a cocycle
+        return tr
+
+    def spy(mul, e, p):
+        seen.append((mul, e))
+        return check(mul, e, p)
+
+    monkeypatch.setattr(cocycles, "absolute_trace", skewed)
+    monkeypatch.setattr(cocycles, "_exponent_identity_failure", spy)
+    with pytest.raises(CocycleIdentityFailure, match="exponents differ mod 3") as err:
+        wall_cocycle(near_field(3))
+    (mul, e), = seen
+    x, a, y = err.value.triple
+    assert (e[x, a] + e[mul[x, a], y] - e[a, y] - e[x, mul[a, y]]) % 3

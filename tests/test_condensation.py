@@ -19,7 +19,6 @@ from artifact.condensation import (
     diagonal_wall,
     equivalence_check,
     fold,
-    reference_characters,
     tunnel,
     verify_cf_symmetry,
 )
@@ -37,7 +36,7 @@ from artifact.errors import ConditionMismatch
 from artifact.modular import affine_cf_anyons
 from artifact.quantum_double import anyon_character, anyon_op, anyons, kind, s_matrix
 
-from conftest import dist
+from conftest import dist, reference_characters
 
 
 def test_boundary_character_frozen_z2_values():
@@ -161,6 +160,20 @@ def test_tunnel_builds_nothing_on_the_product_group():
     ga, gb = phi.subgroup.parent.meta["product_of"]
     tunnel(ga, gb, UWallSpec(phi.subgroup, phi))
     assert phi.subgroup.parent._cache == {}
+
+
+def test_verify_cf_never_builds_the_product_table(monkeypatch):
+    walls = []
+
+    def spy(h):
+        walls.append(wall_cocycle(h))
+        return walls[-1]
+
+    monkeypatch.setattr(condensation, "wall_cocycle", spy)
+    assert verify_cf_symmetry(near_field(5)).ok
+    gg = walls[0].subgroup.parent
+    assert callable(gg._mul) and gg._cache == {}
+    assert gg.mul.shape == (400, 400)  # built on first use
 
 
 def test_partial_wall_is_not_an_equivalence():

@@ -15,7 +15,6 @@ from artifact.errors import (
 from artifact.groups import (
     affine_group,
     alternating,
-    centralizer_members,
     conjugacy_data,
     cosets,
     cyclic,
@@ -30,8 +29,15 @@ from artifact.groups import (
     trivial_subgroup,
     validate_near_field,
 )
+from artifact.cocycles import wall_subgroup
 
 from conftest import dist
+
+
+def centralizer_members(g, x):
+    """Sorted elements commuting with x."""
+    conj = g.conj_table()
+    return np.nonzero(conj[:, x] == x)[0]
 
 
 def test_cyclic_is_modular_addition():
@@ -108,6 +114,57 @@ def test_from_cayley_reports_the_first_non_associative_triple(monkeypatch, block
     with pytest.raises(NotAssociative) as err:
         from_cayley(loop)
     assert err.value.triple == first
+
+
+def first_non_associative(mul):
+    """First (x, y, z) in scan order with (xy)z != x(yz), one x at a time."""
+    for x in range(len(mul)):
+        bad = np.argwhere(mul[mul[x]] != mul[x][mul])
+        if bad.size:
+            return (x, int(bad[0, 0]), int(bad[0, 1]))
+    return None
+
+
+@pytest.mark.parametrize("block_entries", [None, 360 * 360])  # 360^2: one x per block
+def test_from_cayley_rejects_a6_with_an_intercalate_swapped(monkeypatch, block_entries):
+    # mul[1, 1] = mul[5, 10] and mul[1, 10] = mul[5, 1]: swapping the 2x2
+    # subsquare keeps every line a permutation and breaks associativity
+    table = alternating(6).mul.copy()
+    (r1, r5), (c1, c10) = (1, 5), (1, 10)
+    assert table[r1, c1] == table[r5, c10] and table[r1, c10] == table[r5, c1]
+    table[[r1, r1, r5, r5], [c1, c10, c1, c10]] = table[[r1, r1, r5, r5], [c10, c1, c10, c1]]
+    idx = np.arange(360)
+    assert (np.sort(table, axis=0) == idx[:, None]).all() and (np.sort(table, axis=1) == idx).all()
+    if block_entries is not None:
+        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+    first = first_non_associative(table)
+    assert first is not None
+    with pytest.raises(NotAssociative) as err:
+        from_cayley(table)
+    assert err.value.triple == first
+
+
+def test_light_test_checks_every_generator():
+    # Z2 x FIVE_LOOP with the Z2 digit last: the first generator 1 = (e, 1) lies in
+    # the nucleus and passes, so only a later generator can expose the loop
+    z2 = np.array([[0, 1], [1, 0]])
+    mul = (FIVE_LOOP[:, None, :, None] * 2 + z2[None, :, None, :]).reshape(10, 10)
+    x, a, y = groups._light_test(mul, lambda a: mul[mul[:, a]] != mul[:, mul[a]])
+    assert a > 1 and mul[mul[x, a], y] != mul[x, mul[a, y]]
+    assert not (mul[mul[:, 1]] != mul[:, mul[1]]).any()
+    with pytest.raises(NotAssociative) as err:
+        from_cayley(mul)
+    assert err.value.triple == first_non_associative(mul)
+
+
+def test_light_test_passes_groups_with_few_generators():
+    for g in (cyclic(12), symmetric(5), alternating(6), affine_group(near_field(9))):
+        mul = g.mul
+        assert groups._light_test(mul, lambda a: mul[mul[:, a]] != mul[:, mul[a]]) is None
+    # the generators drawn are exactly the ones a failing law is asked about
+    asked = []
+    assert groups._light_test(symmetric(4).mul, lambda a: asked.append(a) or np.zeros((24, 24), bool)) is None
+    assert 1 <= len(asked) <= 1 + np.log2(24) and asked == sorted(asked)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +260,40 @@ def test_subgroup_as_group_matches_parent_multiplication():
             parent = g.mul[k.members[i], k.members[j]]
             assert k.members[k.as_group.mul[i, j]] == parent
     assert k.as_group.is_abelian()
+
+
+def product_subgroup_cases():
+    s3z4 = direct_product(symmetric(3), cyclic(4))
+    # (transposition, 1), (transposition, 2) generate Z2 x Z4; (3-cycle, 1) generates Z12
+    yield s3z4, generated_subgroup(s3z4, [1 * 4 + 1, 1 * 4 + 2]).members
+    yield s3z4, generated_subgroup(s3z4, [3 * 4 + 1]).members
+    yield s3z4, np.arange(24)
+    a4a4 = direct_product(alternating(4), alternating(4))
+    yield a4a4, np.arange(12) * 12 + np.arange(12)
+    for q in (2, 3, 4, 5):
+        u = wall_subgroup(near_field(q))
+        yield u.parent, u.members
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_product_subgroups_are_assembled_from_the_factor_tables(case):
+    built, members = list(product_subgroup_cases())[case]
+    a, b = built.meta["product_of"]
+    gg = direct_product(a, b)
+    k = subgroup(gg, members)
+    assert callable(gg._mul)  # the product table was never built
+    expected = np.searchsorted(k.members, built.mul[np.ix_(k.members, k.members)])
+    assert np.array_equal(k.as_group.mul, expected)
+    assert np.array_equal(k.as_group.inv, np.searchsorted(k.members, built.inv[k.members]))
+
+
+def test_product_subgroup_rejects_what_the_table_rejects():
+    gg = direct_product(symmetric(3), cyclic(4))
+    with pytest.raises(NotSubgroup, match="not closed: 5 \\* 5 = 2 is outside"):
+        subgroup(gg, [0, 5])  # (e, 1) + (e, 1) = (e, 2)
+    assert callable(gg._mul)
+    with pytest.raises(NotSubgroup, match="not closed: 5 \\* 5 = 2 is outside"):
+        subgroup(from_cayley(gg.mul), [0, 5])
 
 
 def test_field_near_field_tables():

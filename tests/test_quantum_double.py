@@ -328,3 +328,24 @@ def test_s_charge_powers_start_at_the_identity_and_hold_s():
         # j = 0 sends every charge to the identity: d_X d_Y / |G| times the flux overlap
         dims = np.array([x.dim for x in anyons(g)])
         assert dist(stack[0, :, 0], dims / g.order) < 1e-12
+
+
+def reference_s_power(g, j):
+    """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*, one j at a time."""
+    po = pair_orbits(g)
+    power = g.power_table()[j]
+    own = po.orbit_of[power[po.rep_g], po.rep_h]
+    swap = po.orbit_of[power[po.rep_h], po.rep_g]
+    x = np.conj(po.table)
+    return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
+
+
+def test_s_charge_power_row_blocks_match_the_per_power_reference():
+    for g in (symmetric(3), alternating(4), direct_product(cyclic(2), symmetric(3)), cyclic(6)):
+        e, m = len(g.power_table()), len(anyons(g))
+        reference = np.stack([reference_s_power(g, j) for j in range(e)], axis=-1)
+        assert dist(s_charge_powers(g), reference) < 1e-13
+        for x0 in range(0, m, 3):
+            rows = slice(x0, x0 + 3)
+            assert np.array_equal(s_charge_powers(g, rows), s_charge_powers(g)[rows])
+

@@ -16,6 +16,7 @@ from artifact.cocycles import bicharacter_cocycle, wall_cocycle
 from artifact.condensation import boundary_character
 from artifact.errors import ConditionMismatch, NumericalDegeneracy
 from artifact.groups import (
+    affine_group,
     cyclic,
     direct_product,
     full_subgroup,
@@ -149,12 +150,20 @@ def test_s3_cells_cancel_vanishing_sums_and_reduce_fractions():
     assert s_matrix_obj(g, s_matrix(g), snap=True)["s"][2][2] == "(2)/3"
 
 
+def test_snapped_s_cells_do_not_depend_on_the_row_block(monkeypatch):
+    g = affine_group(near_field(5))  # 22 anyons, exponent 20
+    whole = s_matrix_obj(g, s_matrix(g), snap=True)
+    for rows in (1, 3):  # one row, and blocks of 3 ending in a partial one
+        monkeypatch.setattr(serialize, "FUSION_BLOCK_BYTES", 16 * 22 * 20 * rows)
+        assert s_matrix_obj(g, s_matrix(g), snap=True) == whole
+
+
 @pytest.mark.parametrize("defect", [np.nan, 0.25])
 def test_snapped_cells_reject_non_multiplicities(monkeypatch, defect):
     exact = serialize.s_charge_powers
 
-    def broken(g):
-        stack = np.array(exact(g))
+    def broken(g, rows=slice(None)):
+        stack = np.array(exact(g, rows))
         stack[1, 1, 0] += defect
         return stack
 
