@@ -182,13 +182,12 @@ def _product_character_table(g: GroupTable) -> CharacterTable:
 
 
 def character_table(g: GroupTable) -> CharacterTable:
-    """Canonical character table: rows sorted by degree, then value order."""
+    """Canonical character table: rows by degree, then value order; cached as (table, dims)."""
     if "chartable" not in g._cache:
-        if "product_of" in g.meta:
-            g._cache["chartable"] = _product_character_table(g)
-        else:
-            g._cache["chartable"] = character_table_generic(g)
-    return g._cache["chartable"]
+        build = _product_character_table if "product_of" in g.meta else character_table_generic
+        ct = build(g)
+        g._cache["chartable"] = ct.table, ct.dims
+    return CharacterTable(g, *g._cache["chartable"])
 
 
 def product_row_of_pair(g: GroupTable, u: int, v: int) -> int:

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import serialize
-from .characters import character_table
+from .characters import EQ_TOL, character_table
 from .cocycles import wall_cocycle
 from .condensation import UWallSpec, condense, diagonal_wall, equivalence_check, verify_cf_symmetry
 from .errors import (
@@ -344,7 +344,7 @@ def _add_common(p, group=True, fmt=False, snap=False, boundary=False, tol=False,
         p.add_argument("--subgroup", help="'trivial', 'full', comma list, or members file")
         p.add_argument("--cocycle", help="cocycle JSON file (root-of-unity exponents)")
     if tol:
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=EQ_TOL)
     if seed:
         p.add_argument("--seed", type=int, default=0)
 

@@ -206,7 +206,8 @@ def equivalence_check(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> Equiva
     proj_right = np.unique(mem % nb).size == gb.order
     left_slice = np.nonzero(mem % nb == 0)[0]
     right_slice = np.nonzero(mem // nb == 0)[0]
-    block = np.round(phase(wall.phi).values[np.ix_(left_slice, right_slice)], 9)
+    t = wall.phi.table  # U cap (G x e) commutes with U cap (e x G'): phase phi(k, l) / phi(l, k)
+    block = np.round(t[np.ix_(left_slice, right_slice)] / t[np.ix_(right_slice, left_slice)].T, 9)
     nondeg = (
         left_slice.size == right_slice.size
         and len({tuple(r) for r in block}) == left_slice.size

@@ -125,9 +125,9 @@ def _light_test(mul: np.ndarray, defect) -> tuple[int, int, int] | None:
 
 
 def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
-    n = mul.shape[0]
-    if mul.ndim != 2 or mul.shape != (n, n):
+    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise ValueError("multiplication table must be square")
+    n = mul.shape[0]
     if mul.min() < 0 or mul.max() >= n:
         raise ValueError("table entries must lie in 0..n-1")
     idx = np.arange(n)
@@ -408,7 +408,6 @@ class ConjugacyData:
     """Classes, minimal-index representatives, and transversal k_b
     (k_b a k_b^-1 = b, k_a = e)."""
 
-    group: GroupTable
     classes: list[np.ndarray]
     class_of: np.ndarray
     reps: np.ndarray
@@ -434,7 +433,7 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         reps.append(x)
         for b in orbit:
             transversal[b] = np.argmax(conj[:, x] == b)
-    data = ConjugacyData(g, classes, class_of, np.array(reps, dtype=np.int64), transversal)
+    data = ConjugacyData(classes, class_of, np.array(reps, dtype=np.int64), transversal)
     g._cache["conjugacy"] = data
     return data
 
@@ -443,7 +442,8 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
 
 @dataclass
 class Subgroup:
-    """A validated subgroup re-indexed as its own GroupTable.
+    """A subgroup re-indexed as its own GroupTable, unvalidated: a subset holding e
+    and closed under products and inverses is a group.
 
     embed maps local indices to parent indices; position maps parent to local
     (-1 outside)."""
@@ -482,10 +482,10 @@ def subgroup(g: GroupTable, members, label: str | None = None) -> Subgroup:
         i, j = np.argwhere(local < 0)[0]
         raise NotSubgroup(f"not closed: {members[i]} * {members[j]} = {codes[i, j]} is outside")
     del codes
-    outside = position[g.inv[members]] < 0
-    if outside.any():
-        raise NotSubgroup(f"not closed under inverse: {members[outside][0]}")
-    table = _validate_table(local, label or f"{g.label}|sub{members.size}")
+    inv = position[g.inv[members]]
+    if (inv < 0).any():
+        raise NotSubgroup(f"not closed under inverse: {members[inv < 0][0]}")
+    table = GroupTable(local, inv, label or f"{g.label}|sub{members.size}")
     return Subgroup(g, members, table, position)
 
 

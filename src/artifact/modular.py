@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import character_table, induced_character, inner_product
+from .characters import EQ_TOL, character_table, induced_character, inner_product
 from .errors import ConditionMismatch, SizeMismatch
 from .groups import (
     GroupTable,
@@ -28,8 +28,6 @@ from .quantum_double import (
     s_matrix,
     t_vector,
 )
-
-EQ_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,9 +31,8 @@ FUSION_BLOCK_BYTES = 1 << 19
 
 @dataclass(frozen=True)
 class Anyon:
-    """Simple object: conjugacy class of class_rep paired with centralizer irrep pi."""
+    """Simple object: class of class_rep and centralizer irrep pi, a label within its group."""
 
-    group: GroupTable = field(repr=False)
     class_rep: int
     pi: int
     dim: int
@@ -105,24 +104,24 @@ def centralizer(g: GroupTable, a: int) -> Subgroup:
 
     In a direct product the centralizer of (a, b) factorizes; the factor
     structure is recorded on the re-indexed table so its character table is
-    assembled from the factor tables instead of rerunning the generic solver."""
+    assembled from the factor tables instead of rerunning the generic solver.
+    The cache holds (members, as_group, position), never g itself."""
     cache = g._cache.setdefault("centralizers", {})
     a = int(a)
-    if a in cache:
-        return cache[a]
-    if "product_of" in g.meta:
-        ga, gb = g.meta["product_of"]
-        nb = gb.order
-        za = centralizer(ga, a // nb)
-        zb = centralizer(gb, a % nb)
-        members = (za.members[:, None] * nb + zb.members[None, :]).ravel()
-        sub = subgroup(g, members, label=f"Z[{g.label}:{a}]")
-        sub.as_group.meta["product_of"] = (za.as_group, zb.as_group)
-    else:
-        conj = g.conj_table()
-        sub = subgroup(g, np.nonzero(conj[:, a] == a)[0], label=f"Z[{g.label}:{a}]")
-    cache[a] = sub
-    return sub
+    if a not in cache:
+        label = f"Z[{g.label}:{a}]"
+        if "product_of" in g.meta:
+            ga, gb = g.meta["product_of"]
+            nb = gb.order
+            za = centralizer(ga, a // nb)
+            zb = centralizer(gb, a % nb)
+            members = (za.members[:, None] * nb + zb.members[None, :]).ravel()
+            sub = subgroup(g, members, label)
+            sub.as_group.meta["product_of"] = (za.as_group, zb.as_group)
+        else:
+            sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], label)
+        cache[a] = sub.members, sub.as_group, sub.position
+    return Subgroup(g, *cache[a])
 
 
 def anyons(g: GroupTable) -> list[Anyon]:
@@ -140,7 +139,7 @@ def anyons(g: GroupTable) -> list[Anyon]:
         cl = "e" if a == 0 else f"c{a}"
         for p in range(tab.n_rows):
             index[(int(a), p)] = len(out)
-            out.append(Anyon(g, int(a), p, size * int(tab.dims[p]), f"({cl},r{p})"))
+            out.append(Anyon(int(a), p, size * int(tab.dims[p]), f"({cl},r{p})"))
     if sum(x.dim**2 for x in out) != g.order**2:
         raise ConditionMismatch("squared dims must total |G|^2")
     g._cache["anyons"] = out
@@ -350,7 +349,7 @@ def product_anyon(g: GroupTable, x: Anyon, y: Anyon) -> Anyon:
     if "product_of" not in g.meta:
         raise GroupMismatch("not a direct product group")
     ga, gb = g.meta["product_of"]
-    if x.group is not ga or y.group is not gb:
+    if x not in anyons(ga) or y not in anyons(gb):
         raise GroupMismatch("factor anyons do not match the product factors")
     from .characters import product_row_of_pair
 

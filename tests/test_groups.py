@@ -30,6 +30,7 @@ from artifact.groups import (
     validate_near_field,
 )
 from artifact.cocycles import wall_subgroup
+from artifact.quantum_double import centralizer
 
 from conftest import dist
 
@@ -99,6 +100,8 @@ def test_from_cayley_roundtrip_and_rejects_bad_table():
     bad = np.array([[0, 1], [1, 1]])
     with pytest.raises(Exception):
         from_cayley(bad)
+    with pytest.raises(ValueError, match="square"):
+        from_cayley(5)  # a 0-d table
     # associativity failure with valid latin rows
     with pytest.raises(NotAssociative):
         from_cayley(FIVE_LOOP)
@@ -260,6 +263,26 @@ def test_subgroup_as_group_matches_parent_multiplication():
             parent = g.mul[k.members[i], k.members[j]]
             assert k.members[k.as_group.mul[i, j]] == parent
     assert k.as_group.is_abelian()
+
+
+def test_subgroups_are_not_revalidated(monkeypatch):
+    """A subset holding e and closed under products and inverses is a group as it
+    stands: subgroup() checks that much and builds no table through _validate_table."""
+    g, gg, h = alternating(4), direct_product(symmetric(3), cyclic(4)), near_field(5)
+    validated = []
+    real = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table", lambda mul, label: validated.append(label) or real(mul, label))
+    subs = [
+        generated_subgroup(g, [x for x in range(12) if g.element_order(x) == 2]),
+        subgroup(gg, np.arange(24)),
+        centralizer(g, 1),
+        centralizer(gg, 5),
+        wall_subgroup(h),
+    ]
+    assert validated == ["Aff(F5)"]  # only the affine group wall_subgroup builds from scratch
+    for k in subs:
+        assert np.array_equal(k.as_group.inv, np.argmax(k.as_group.mul == 0, axis=1))
+        assert np.array_equal(k.members[k.as_group.mul], k.parent.mul[np.ix_(k.members, k.members)])
 
 
 def product_subgroup_cases():

@@ -1,9 +1,14 @@
 """Anyon data of the double: labels, characters, S, T, and fusion."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from artifact import quantum_double
+from artifact.characters import character_table
+from artifact.condensation import verify_cf_symmetry
 from artifact.errors import (
     ConditionMismatch,
     GroupMismatch,
@@ -11,10 +16,12 @@ from artifact.errors import (
     NonIntegerMultiplicity,
 )
 from artifact.groups import (
+    affine_group,
     alternating,
     conjugacy_data,
     cyclic,
     direct_product,
+    near_field,
     symmetric,
 )
 from artifact.quantum_double import (
@@ -295,6 +302,8 @@ def test_product_anyon_multiplicativity():
             p = product_anyon(g, x, y)
             assert p.dim == x.dim * y.dim
             assert abs(tg[index[p.label]] - ta[i] * tb[j]) < 1e-10
+    with pytest.raises(GroupMismatch):
+        product_anyon(g, anyons(b)[2], anyons(b)[0])  # a 2-dimensional anyon is not one of Z2's
 
 
 def test_anyon_by_and_group_mismatch():
@@ -349,3 +358,37 @@ def test_s_charge_power_row_blocks_match_the_per_power_reference():
             rows = slice(x0, x0 + 3)
             assert np.array_equal(s_charge_powers(g, rows), s_charge_powers(g)[rows])
 
+
+def test_dropped_groups_are_freed_without_the_garbage_collector():
+    """Cached per-group data holds no reference back to its group, so reference
+    counting alone frees a dropped group and its S matrix and fusion tensor."""
+    builds = (
+        lambda: cyclic(12),
+        lambda: direct_product(cyclic(2), symmetric(3)),
+        lambda: affine_group(near_field(7)),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builds:
+            g = build()
+            conjugacy_data(g)
+            character_table(g)
+            centralizer(g, int(anyons(g)[-1].class_rep))
+            refs = [weakref.ref(a) for a in (fusion_verlinde(g), s_matrix(g), pair_orbits(g).orbit_of)]
+            del g
+            assert [r() is None for r in refs] == [True, True, True]
+        report = verify_cf_symmetry(near_field(4))
+        assert report.ok
+        factor = report.equivalence.tunneling.left
+        ref = weakref.ref(pair_orbits(factor).orbit_of)
+        del report, factor
+        assert ref() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic_garbage = {type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("artifact")}
+        assert cyclic_garbage == set()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
