@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, NotSubgroup, NumericalDegeneracy
+from .errors import TOL, GroupMismatch, NotSubgroup, NumericalDegeneracy, _check, _integers
 from .groups import GroupTable, Subgroup, conjugacy_data
 
-EQ_TOL = 1e-8
 MAX_ATTEMPTS = 8
 
 
@@ -54,10 +53,10 @@ class CharacterTable:
     def row(self, i: int) -> ClassFunction:
         return ClassFunction(self.group, self.table[i])
 
-    def match_row(self, values: np.ndarray, tol: float = 1e-6) -> int:
+    def match_row(self, values: np.ndarray) -> int:
         """Row index whose values match the given class vector."""
         for i in range(self.n_rows):
-            if np.max(np.abs(self.table[i] - values)) < tol:
+            if np.max(np.abs(self.table[i] - values)) <= TOL["match"]:
                 return i
         raise NumericalDegeneracy("no matching irreducible row")
 
@@ -92,63 +91,57 @@ def _orthonormality_residual(g: GroupTable, table: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(table.shape[0]))))
 
 
+def _attempt(g: GroupTable, mats: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, dims) from the joint eigenvectors of one seeded random combination
+    of the class matrices; raises NumericalDegeneracy when they fall short."""
+    k = mats.shape[0]
+    sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
+    norms = np.abs(mats).max(axis=(1, 2))
+    combo = np.tensordot(np.random.default_rng(seed).standard_normal(k), mats, axes=1)
+    _, vecs = np.linalg.eig(combo)
+    table = np.empty((k, k), dtype=np.complex128)
+    for col in range(k):
+        v = vecs[:, col]
+        # reads tol <= |v[0]|: a pivot below TOL["nonzero"] fails
+        _check("eigenvector pivot", TOL["nonzero"], abs(v[0]), NumericalDegeneracy)
+        omega = v / v[0]
+        scale = max(1.0, float(np.max(np.abs(omega))))
+        omvals = np.empty(k, dtype=np.complex128)
+        for i in range(k):
+            image = mats[i] @ omega
+            omvals[i] = image[0]
+            bound = TOL["eigenvector"] * max(1.0, norms[i] * scale)
+            _check("class matrix eigen equation", np.max(np.abs(image - omvals[i] * omega)), bound,
+                   NumericalDegeneracy)
+        d = math.sqrt(g.order / float(np.sum(np.abs(omvals) ** 2 / sizes)))
+        dim = np.rint(d)
+        _check("degree off integer", abs(d - dim), TOL["match"], NumericalDegeneracy)
+        if dim < 1:
+            raise NumericalDegeneracy("degree below one")
+        table[col] = dim * omvals / sizes
+    dims = np.real(table[:, 0]).round().astype(np.int64)
+    if int(np.sum(dims**2)) != g.order:
+        raise NumericalDegeneracy("squared degrees must total |G|")
+    order = _row_sort_order(table, dims)
+    table, dims = table[order], dims[order]
+    _check("row orthonormality", _orthonormality_residual(g, table), TOL["character"], NumericalDegeneracy)
+    return table, dims
+
+
 def character_table_generic(g: GroupTable) -> CharacterTable:
     """Class-sum algorithm on any group, ignoring product structure."""
-    data = conjugacy_data(g)
-    k = len(data.classes)
-    sizes = np.array([c.size for c in data.classes], dtype=np.float64)
     mats = _class_structure_constants(g)
-    norms = np.array([np.max(np.abs(mats[i])) for i in range(k)])
     for attempt in range(MAX_ATTEMPTS):
-        rng = np.random.default_rng(1000 + attempt)
-        combo = np.tensordot(rng.standard_normal(k), mats, axes=1)
-        _, vecs = np.linalg.eig(combo)
-        table = np.empty((k, k), dtype=np.complex128)
-        ok = True
-        for col in range(k):
-            v = vecs[:, col]
-            if abs(v[0]) < 1e-12:
-                ok = False
-                break
-            omega = v / v[0]
-            scale = max(1.0, float(np.max(np.abs(omega))))
-            omvals = np.empty(k, dtype=np.complex128)
-            for i in range(k):
-                omvals[i] = (mats[i] @ omega)[0]
-                if np.max(np.abs(mats[i] @ omega - omvals[i] * omega)) > 1e-7 * max(
-                    1.0, norms[i] * scale
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-            d = math.sqrt(g.order / float(np.sum(np.abs(omvals) ** 2 / sizes)))
-            if abs(d - round(d)) > 1e-6 or round(d) < 1:
-                ok = False
-                break
-            table[col] = round(d) * omvals / sizes
-        if not ok:
+        try:
+            table, dims = _attempt(g, mats, 1000 + attempt)
+        except NumericalDegeneracy:
             continue
-        dims = np.real(table[:, 0]).round().astype(np.int64)
-        if int(np.sum(dims**2)) != g.order:
-            continue
-        order = _row_sort_order(table, dims)
-        table, dims = table[order], dims[order]
-        if not _orthonormality_residual(g, table) <= EQ_TOL:
-            continue
-        _assert_column_orthogonality(g, table)
+        sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
+        gram = table.conj().T @ table
+        _check("column orthogonality violated", np.max(np.abs(gram - np.diag(g.order / sizes))),
+               TOL["character"] * g.order, NumericalDegeneracy)
         return CharacterTable(g, table, dims)
-    raise NumericalDegeneracy(
-        f"character table of {g.label} failed after {MAX_ATTEMPTS} attempts"
-    )
-
-
-def _assert_column_orthogonality(g: GroupTable, table: np.ndarray) -> None:
-    sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
-    gram = table.conj().T @ table
-    expected = np.diag(g.order / sizes)
-    if not np.max(np.abs(gram - expected)) <= EQ_TOL * g.order:
-        raise NumericalDegeneracy("column orthogonality violated")
+    raise NumericalDegeneracy(f"character table of {g.label} failed after {MAX_ATTEMPTS} attempts")
 
 
 def _product_character_table(g: GroupTable) -> CharacterTable:
@@ -173,8 +166,8 @@ def _product_character_table(g: GroupTable) -> CharacterTable:
     order = _row_sort_order(table, dims)
     table, dims = table[order], dims[order]
     out = CharacterTable(g, table, dims)
-    if not _orthonormality_residual(g, table) <= EQ_TOL:
-        raise NumericalDegeneracy("tensor-product table lost orthonormality")
+    _check("tensor-product table lost orthonormality", _orthonormality_residual(g, table),
+           TOL["character"], NumericalDegeneracy)
     g._cache["chartable_row_of_pair"] = {
         pair_of_row[old]: new for new, old in enumerate(order)
     }
@@ -186,6 +179,7 @@ def character_table(g: GroupTable) -> CharacterTable:
     if "chartable" not in g._cache:
         build = _product_character_table if "product_of" in g.meta else character_table_generic
         ct = build(g)
+        ct.table.flags.writeable = ct.dims.flags.writeable = False
         g._cache["chartable"] = ct.table, ct.dims
     return CharacterTable(g, *g._cache["chartable"])
 
@@ -258,13 +252,10 @@ def root_multiplicities(values: np.ndarray) -> np.ndarray:
     power, j = 0..e-1 (so values[..., j] = sum_k c_k z^(jk)).
 
     c is the inverse discrete Fourier transform along the last axis.  Raises
-    NumericalDegeneracy when it is off integers by more than EQ_TOL, negative,
-    or NaN."""
+    NumericalDegeneracy when it is off integers by more than TOL["character"],
+    negative, or NaN."""
     raw = np.fft.fft(values, axis=-1) / values.shape[-1]
-    c = np.rint(raw.real)
-    err = float(np.max(np.abs(raw - c)))
-    if not err <= EQ_TOL:  # NaN fails too
-        raise NumericalDegeneracy(f"root multiplicities off integers by {err:.3e}")
+    c = _integers(raw, "root multiplicities off integers", TOL["character"], NumericalDegeneracy)
     if c.min() < 0:
         raise NumericalDegeneracy("negative root multiplicity")
-    return c.astype(np.int64)
+    return c

@@ -14,10 +14,11 @@ import re
 import sys
 
 from . import serialize
-from .characters import EQ_TOL, character_table
+from .characters import character_table
 from .cocycles import wall_cocycle
 from .condensation import UWallSpec, condense, diagonal_wall, equivalence_check, verify_cf_symmetry
 from .errors import (
+    TOL,
     ArtifactError,
     ConditionMismatch,
     NegativeOrNonInteger,
@@ -50,7 +51,7 @@ from .modular import (
     search_transposition_invariants,
     transposition_matrix,
 )
-from .quantum_double import anyons, fusion_verlinde
+from .quantum_double import fusion_verlinde
 
 # Failures of a mathematical condition on otherwise valid input; everything
 # else raised by the library is treated as an input problem.
@@ -344,7 +345,7 @@ def _add_common(p, group=True, fmt=False, snap=False, boundary=False, tol=False,
         p.add_argument("--subgroup", help="'trivial', 'full', comma list, or members file")
         p.add_argument("--cocycle", help="cocycle JSON file (root-of-unity exponents)")
     if tol:
-        p.add_argument("--tol", type=float, default=EQ_TOL)
+        p.add_argument("--tol", type=float, default=TOL["character"])
     if seed:
         p.add_argument("--seed", type=int, default=0)
 

@@ -7,20 +7,22 @@ condensation swaps the distinguished chargeon and fluxion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (
+    TOL,
     CocycleIdentityFailure,
     ConditionMismatch,
     NotAbelian,
     NotAField,
     NotBimultiplicative,
     SizeMismatch,
+    _check,
 )
 from .groups import (
-    GroupTable,
     NearFieldSpec,
     Subgroup,
     _factor_prime_power,
@@ -30,8 +32,6 @@ from .groups import (
     is_right_distributive,
     subgroup,
 )
-
-IDENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,7 @@ def validate(table: np.ndarray, k: Subgroup) -> TwoCocycle:
     """Check a float table against the cocycle identity on every triple of K.
 
     Every input that arrives as floats (bicharacters, cocycle files, the output
-    of normalize) takes this full |K|^3 scan within IDENT_TOL.  Light's test
+    of normalize) takes this full |K|^3 scan within TOL["phase"].  Light's test
     would not do: the identity rebuilds a triple from four others,
     psi(x,ac,y) = psi(xa,c,y) - psi(a,c,y) + psi(x,a,cy) - psi(x,a,c) for
     psi = log phi, so a tolerance met on generator triples doubles with each
@@ -88,8 +88,7 @@ def validate(table: np.ndarray, k: Subgroup) -> TwoCocycle:
     if table.shape != (n, n):
         raise SizeMismatch(f"table shape {table.shape} does not match |K| = {n}")
     residual, (a, b, c) = _identity_residual(k.as_group.mul, table)
-    if not residual <= IDENT_TOL:  # NaN fails too
-        raise CocycleIdentityFailure(a, b, c, f"residual {residual:.3e}")
+    _check("identity residual", residual, TOL["phase"], partial(CocycleIdentityFailure, a, b, c))
     return TwoCocycle(k, table)
 
 
@@ -134,18 +133,16 @@ def normalize(phi: TwoCocycle) -> tuple[TwoCocycle, np.ndarray]:
     residual, _ = _identity_residual(mul, table)
     out = TwoCocycle(phi.subgroup, table)
     drift = np.abs(phase(out).values - phase(phi).values)[mul == mul.T].max()
-    for err, tol, what in (
-        (residual, 1e-8, "normalization must preserve the cocycle identity"),
-        (np.abs(table[0, :] - 1).max(), 1e-9, "phi(e, .) must be 1"),
-        (np.abs(table[:, 0] - 1).max(), 1e-9, "phi(., e) must be 1"),
-        (np.abs(table[np.arange(n), inv] - 1).max(), 1e-9, "phi(k, k^-1) must be 1"),
-        (np.abs(np.abs(table) - 1).max(), 1e-9, "values must be unit modulus"),
-        (np.abs(table[inv[:, None], inv[None, :]] * table.T - 1).max(), 1e-9,
-         "phi(k^-1, l^-1) phi(l, k) must be 1"),
-        (drift, 1e-9, "phi(.|.) must be gauge invariant on commuting pairs"),
+    _check("normalization must preserve the cocycle identity", residual, TOL["normalized"])
+    for what, err in (
+        ("phi(e, .) must be 1", np.abs(table[0, :] - 1).max()),
+        ("phi(., e) must be 1", np.abs(table[:, 0] - 1).max()),
+        ("phi(k, k^-1) must be 1", np.abs(table[np.arange(n), inv] - 1).max()),
+        ("values must be unit modulus", np.abs(np.abs(table) - 1).max()),
+        ("phi(k^-1, l^-1) phi(l, k) must be 1", np.abs(table[inv[:, None], inv[None, :]] * table.T - 1).max()),
+        ("phi(.|.) must be gauge invariant on commuting pairs", drift),
     ):
-        if not err < tol:
-            raise ConditionMismatch(what)
+        _check(what, err, TOL["phase"])
     return out, alpha
 
 
@@ -166,8 +163,8 @@ def bicharacter_cocycle(k: Subgroup, b: np.ndarray) -> TwoCocycle:
     b = np.asarray(b, dtype=np.complex128)
     left = np.abs(b[g.mul, :] - b[:, None, :] * b[None, :, :]).max()
     right = np.abs(b[:, g.mul] - b[:, :, None] * b[:, None, :]).max()
-    if not (left <= IDENT_TOL and right <= IDENT_TOL):  # NaN fails too
-        raise NotBimultiplicative(f"slot residuals {left:.3e}, {right:.3e}")
+    _check("first slot residual", left, TOL["phase"], NotBimultiplicative)
+    _check("second slot residual", right, TOL["phase"], NotBimultiplicative)
     return validate(b, k)
 
 

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import TwoCocycle, phase, trivial_cocycle, wall_cocycle
-from .errors import ConditionMismatch, GroupMismatch, SubgroupMismatch
+from .cocycles import TwoCocycle, trivial_cocycle, wall_cocycle
+from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _reassembles
 from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, subgroup
 from .quantum_double import (
-    MULT_TOL,
-    REASSEMBLY_TOL,
     Anyon,
     DGClassFunction,
+    _scatter,
     anyon_dual,
     anyon_op,
     anyons,
@@ -61,9 +60,12 @@ class TunnelingMatrix:
     n: np.ndarray  # n[x, y] = multiplicity of x (x) y in the wall character
 
 
-def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Complex weights summed into n bins by id."""
-    return np.bincount(ids, weights.real, n) + 1j * np.bincount(ids, weights.imag, n)
+def _commuting_phase(phi: TwoCocycle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Commuting pairs (k, l) of phi's subgroup, local indices in row-major order,
+    and the commuting-pair phase phi(k, l) / phi(l, k) on each."""
+    mul = phi.subgroup.as_group.mul
+    k, l = np.nonzero(mul == mul.T)
+    return k, l, phi.table[k, l] / phi.table[l, k]
 
 
 def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> DGClassFunction:
@@ -81,9 +83,8 @@ def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None
     ):
         raise SubgroupMismatch("cocycle is not defined on this boundary subgroup")
     po = pair_orbits(g)
-    ids = po.orbit_of[np.ix_(k.members, k.members)]
-    inside = ids >= 0
-    sums = _scatter(ids[inside], phase(phi).values[inside], po.sizes.size)
+    i, j, ph = _commuting_phase(phi)
+    sums = _scatter(po.orbit_of[k.members[i], k.members[j]], ph, po.sizes.size)
     return DGClassFunction(g, sums * g.order / (k.order * po.sizes))
 
 
@@ -140,23 +141,16 @@ def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     gg = _wall_factors(ga, gb, wall)
     pa, pb = pair_orbits(ga), pair_orbits(gb)
     left, right = wall.u.members // gb.order, wall.u.members % gb.order
-    ia = pa.orbit_of[np.ix_(left, left)]
-    ib = pb.orbit_of[np.ix_(right, right)]
-    inside = (ia >= 0) & (ib >= 0)
+    i, j, ph = _commuting_phase(wall.phi)
     ma, mb = pa.sizes.size, pb.sizes.size
-    w = _scatter(ia[inside] * mb + ib[inside], phase(wall.phi).values[inside], ma * mb)
-    w = w.reshape(ma, mb)
+    ids = pa.orbit_of[left[i], left[j]] * mb + pb.orbit_of[right[i], right[j]]
+    w = _scatter(ids, ph, ma * mb).reshape(ma, mb)
     raw = np.conj(pa.table) @ w @ np.conj(pb.table).T / wall.u.order
-    n = np.rint(raw.real)
-    err = float(np.abs(raw - n).max())
-    if not err <= MULT_TOL or n.min() < 0:  # NaN fails too
-        raise ConditionMismatch(f"wall character is not a sum of product anyons (err={err:.2e})")
-    n = n.astype(np.int64)
+    n = _integers(raw, "wall character is not a sum of product anyons", TOL["multiplicity"], ConditionMismatch)
+    if n.min() < 0:
+        raise ConditionMismatch("wall character has a negative multiplicity")
     folded = w * (gg.order / wall.u.order) / np.outer(pa.sizes, pb.sizes)
-    back = pa.table.T @ n @ pb.table
-    scale = max(1.0, float(np.abs(folded).max()))
-    if not np.abs(back - folded).max() <= REASSEMBLY_TOL * scale:
-        raise ConditionMismatch("tunneling matrix must reassemble the wall character")
+    _reassembles("tunneling matrix must reassemble the wall character", pa.table.T @ n @ pb.table, folded)
     if n[0, 0] != 1:
         raise ConditionMismatch("the product vacuum must appear exactly once")
     da = np.array([x.dim for x in anyons(ga)])

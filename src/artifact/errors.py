@@ -1,8 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its numerical checks.
 
 Every validation failure carries enough context (indices, names) to locate
-the first offending element, triple, or axiom.
+the first offending element, triple, or axiom.  A numerical check raises
+through _check, against an entry of TOL, and fails on NaN.
 """
+
+import numpy as np
+
+# Every numerical tolerance of the package, keyed by the quantity it bounds.
+TOL = {
+    "character": 1e-8,  # float character values and modular invariance; default of --tol
+    "match": 1e-6,  # a computed value taken for a known one: a table row, a degree
+    "nonzero": 1e-12,  # least magnitude counted as nonzero: eigenvector pivot, state norm
+    "eigenvector": 1e-7,  # eigen equation, relative to max(1, |class matrix| |eigenvector|)
+    "multiplicity": 1e-4,  # anyon multiplicities off integers
+    "fusion": 1e-6,  # Verlinde fusion entries off integers
+    "phase": 1e-9,  # unit phases: cocycle identity and gauge, twists, roots of unity
+    "normalized": 1e-8,  # the cocycle identity after gauge normalization
+    "reassembly": 1e-8,  # relative to max(1, max |target|)
+}
 
 
 class ArtifactError(Exception):
@@ -121,3 +137,26 @@ class InvalidRibbon(ArtifactError):
 
 class NotInSubgroup(ArtifactError):
     pass
+
+
+# --- numerical checks -----------------------------------------------------------
+
+def _check(what: str, residual, tol: float, error=ConditionMismatch) -> None:
+    """Raise error unless residual <= tol; NaN fails."""
+    if not residual <= tol:
+        raise error(f"{what} (residual {residual:.3e}, tol {tol:.1e})")
+
+
+def _integers(raw: np.ndarray, what: str, tol: float, error) -> np.ndarray:
+    """Nearest integers to raw as int64, checked within tol.  raw is overwritten
+    with its off-integer part (no temporary of its size)."""
+    n = np.rint(raw.real)
+    raw.real -= n
+    _check(what, float(np.max(np.abs(raw))), tol, error)
+    return n.astype(np.int64)
+
+
+def _reassembles(what: str, back: np.ndarray, target: np.ndarray, error=ConditionMismatch) -> None:
+    """back must equal target within TOL["reassembly"] times max(1, max |target|)."""
+    scale = max(1.0, float(np.max(np.abs(target))))
+    _check(what, float(np.max(np.abs(back - target))), TOL["reassembly"] * scale, error)

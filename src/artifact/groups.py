@@ -434,6 +434,8 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         for b in orbit:
             transversal[b] = np.argmax(conj[:, x] == b)
     data = ConjugacyData(classes, class_of, np.array(reps, dtype=np.int64), transversal)
+    for arr in (*classes, class_of, data.reps, transversal):
+        arr.flags.writeable = False
     g._cache["conjugacy"] = data
     return data
 

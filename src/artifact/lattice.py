@@ -30,6 +30,7 @@ import numpy as np
 
 from .cocycles import TwoCocycle, normalize, trivial_cocycle
 from .errors import (
+    TOL,
     DimensionCap,
     GroupMismatch,
     InvalidRibbon,
@@ -410,7 +411,7 @@ def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
         for proj in terms:
             state = proj(state)
         n = state.norm()
-        if n > 1e-12:
+        if n > TOL["nonzero"]:
             state.amplitudes /= n
             return state
     raise ZeroProjection("random state projected to numerical zero repeatedly")

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import EQ_TOL, character_table, induced_character, inner_product
-from .errors import ConditionMismatch, SizeMismatch
+from .characters import character_table, induced_character, inner_product
+from .errors import TOL, ConditionMismatch, SizeMismatch, _check
 from .groups import (
     GroupTable,
     NearFieldSpec,
-    Subgroup,
     affine_group,
     conjugacy_data,
     subgroup,
@@ -50,7 +49,7 @@ class InvariantVerdict:
     reasons: tuple[str, ...]
 
 
-def is_modular_invariant(m: np.ndarray, data: ModularData, tol: float = EQ_TOL) -> InvariantVerdict:
+def is_modular_invariant(m: np.ndarray, data: ModularData, tol: float = TOL["character"]) -> InvariantVerdict:
     """Non-negative integer matrix commuting with S and T, with unit vacuum entry."""
     m = np.asarray(m)
     if m.shape != data.s.shape:
@@ -87,7 +86,7 @@ class TranspositionHit:
     kinds: tuple[str, str]
 
 
-def search_transposition_invariants(g: GroupTable, tol: float = EQ_TOL) -> list[TranspositionHit]:
+def search_transposition_invariants(g: GroupTable, tol: float = TOL["character"]) -> list[TranspositionHit]:
     """All unordered anyon pairs whose transposition commutes with S and T.
 
     Pairs touching the vacuum are excluded up front (their candidate loses the
@@ -130,7 +129,7 @@ def affine_cf_anyons(g: GroupTable, q: int) -> tuple[Anyon, Anyon]:
     rows = [
         p
         for p in range(tab.n_rows)
-        if tab.dims[p] == q - 1 and abs(tab.table[p, cls] + 1) < 1e-6
+        if tab.dims[p] == q - 1 and abs(tab.table[p, cls] + 1) <= TOL["match"]
     ]
     if len(rows) != 1:
         raise ConditionMismatch("the induced irrep must be unique")
@@ -166,8 +165,7 @@ def verify_theorem_b1(h: NearFieldSpec) -> TheoremB1Report:
 
     k = subgroup(g, [a * (q - 1) for a in range(q)], label="K")
     ind = induced_character(g, k, character_table(k.as_group).row(1))
-    if not abs(inner_product(ind, ind) - 1) < 1e-8:
-        raise ConditionMismatch("induced character must be irreducible")
+    _check("induced character must be irreducible", abs(inner_product(ind, ind) - 1), TOL["character"])
     pi = tab.match_row(ind.values)
 
     a_elem = q - 1
@@ -184,14 +182,14 @@ def verify_theorem_b1(h: NearFieldSpec) -> TheoremB1Report:
         "b_dim_pi_equals_class_size": int(tab.dims[pi]) == members.size,
         "c_class_plus_identity_is_subgroup": _is_closed(g, closure),
         "d_other_irreps_constant_on_class": all(
-            abs(tab.table[p, cls] - tab.dims[p]) < 1e-8
+            abs(tab.table[p, cls] - tab.dims[p]) <= TOL["character"]
             for p in range(tab.n_rows)
             if p != pi
         ),
         "e_pi_vanishes_off_closure_and_is_minus_one_on_class": (
-            abs(tab.table[pi, cls] + 1) < 1e-8
+            abs(tab.table[pi, cls] + 1) <= TOL["character"]
             and all(
-                abs(tab.table[pi, c]) < 1e-8
+                abs(tab.table[pi, c]) <= TOL["character"]
                 for c in range(len(data.classes))
                 if c not in (0, cls)
             )

@@ -17,12 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .characters import character_table
-from .errors import ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
+from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
+from .errors import _check, _integers, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
-MULT_TOL = 1e-4
-FUSION_TOL = 1e-6
-REASSEMBLY_TOL = 1e-8
 # Complex bytes of one row block of the Verlinde product; at this size a
 # block's few temporaries stay in a core's L2 cache.  A block is never less
 # than one row x, so past 181 anyons a block is one row.
@@ -73,12 +71,7 @@ class DGClassFunction:
         grid = np.asarray(grid, dtype=np.complex128)
         po = pair_orbits(g)
         chi = cls(g, grid[po.rep_g, po.rep_h])
-        scale = max(1.0, float(np.max(np.abs(grid))))
-        residual = float(np.max(np.abs(chi.values - grid)))
-        if not residual <= REASSEMBLY_TOL * scale:  # NaN fails too
-            raise ConditionMismatch(
-                f"grid is not a class function on commuting pairs (residual {residual:.3e})"
-            )
+        _reassembles("grid is not a class function on commuting pairs", chi.values, grid)
         return chi
 
     @cached_property
@@ -120,6 +113,7 @@ def centralizer(g: GroupTable, a: int) -> Subgroup:
             sub.as_group.meta["product_of"] = (za.as_group, zb.as_group)
         else:
             sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], label)
+        sub.members.flags.writeable = sub.position.flags.writeable = False
         cache[a] = sub.members, sub.as_group, sub.position
     return Subgroup(g, *cache[a])
 
@@ -186,10 +180,16 @@ def pair_orbits(g: GroupTable) -> PairOrbits:
         rep_h[block] = a
         table[block, block] = character_table(zc.as_group).table
         at = block.stop
-    table.flags.writeable = False
+    for arr in (orbit_of, sizes, rep_g, rep_h, table):
+        arr.flags.writeable = False
     out = PairOrbits(orbit_of, sizes, rep_g, rep_h, table)
     g._cache["pair_orbits"] = out
     return out
+
+
+def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Complex weights summed into n bins by id."""
+    return np.bincount(ids, weights.real, n) + 1j * np.bincount(ids, weights.imag, n)
 
 
 def anyon_character(g: GroupTable, x: Anyon) -> DGClassFunction:
@@ -204,7 +204,7 @@ def dg_inner_product(chi1: DGClassFunction, chi2: DGClassFunction) -> complex:
     return complex(np.sum(sizes * np.conj(chi1.orbit_values) * chi2.orbit_values) / chi1.group.order)
 
 
-def dg_decompose(chi: DGClassFunction, tol: float = MULT_TOL) -> np.ndarray:
+def dg_decompose(chi: DGClassFunction) -> np.ndarray:
     """Integer multiplicities against anyons(group), by orthonormality.
 
     Raises NonIntegerMultiplicity when the projections are not integers or the
@@ -212,15 +212,8 @@ def dg_decompose(chi: DGClassFunction, tol: float = MULT_TOL) -> np.ndarray:
     g = chi.group
     po = pair_orbits(g)
     raw = np.conj(po.table) @ (po.sizes * chi.orbit_values) / g.order
-    mult = np.rint(raw.real)
-    err = float(np.max(np.abs(raw - mult)))
-    if not err <= tol:  # NaN fails too
-        raise NonIntegerMultiplicity(f"projection off nearest integer by {err:.3e}")
-    mult = mult.astype(np.int64)
-    scale = max(1.0, float(np.max(np.abs(chi.orbit_values))))
-    residual = float(np.max(np.abs(mult @ po.table - chi.orbit_values)))
-    if not residual <= REASSEMBLY_TOL * scale:
-        raise NonIntegerMultiplicity(f"reassembly residual {residual:.3e}")
+    mult = _integers(raw, "projection off nearest integer", TOL["multiplicity"], NonIntegerMultiplicity)
+    _reassembles("reassembly", mult @ po.table, chi.orbit_values, NonIntegerMultiplicity)
     return mult
 
 
@@ -271,10 +264,7 @@ def s_charge_powers(g: GroupTable, rows: slice = slice(None)) -> np.ndarray:
     left = x[rows][:, swap] * po.sizes  # [X, j, orbit]
     r = left.shape[0]
     bins = (np.arange(r * e).reshape(r, e, 1) * m + own).ravel()  # row (X, j), column own
-    summed = np.bincount(bins, left.real.ravel(), r * e * m) + 1j * np.bincount(
-        bins, left.imag.ravel(), r * e * m
-    )
-    out = summed.reshape(r * e, m) @ x.T / g.order
+    out = _scatter(bins, left.ravel(), r * e * m).reshape(r * e, m) @ x.T / g.order
     return out.reshape(r, e, m).transpose(0, 2, 1)
 
 
@@ -284,8 +274,7 @@ def t_vector(g: GroupTable) -> np.ndarray:
     a = np.array([x.class_rep for x in anyons(g)])
     rows = np.arange(a.size)
     out = po.table[rows, po.orbit_of[a, a]] / po.table[rows, po.orbit_of[0, a]]
-    if not float(np.max(np.abs(np.abs(out) - 1.0))) < 1e-9:
-        raise ConditionMismatch("twists must be unit modulus")
+    _check("twists must be unit modulus", float(np.max(np.abs(np.abs(out) - 1.0))), TOL["phase"])
     return out
 
 
@@ -294,7 +283,7 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
 
     One complex GEMM, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu) / S_0u,
     taken in row blocks of x; every entry of every block must round to a
-    non-negative integer within FUSION_TOL.  The result is read-only."""
+    non-negative integer within TOL["fusion"].  The result is read-only."""
     if "fusion" in g._cache:
         return g._cache["fusion"]
     s = s_matrix(g)
@@ -304,11 +293,7 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
     out = np.empty((m, m, m), dtype=np.int64)
     for x0 in range(0, m, rows):
         raw = (s[x0 : x0 + rows, None, :] * s[None, :, :]).reshape(-1, m) @ right
-        n = np.rint(raw.real)
-        raw.real -= n  # raw is now the off-integer part
-        err = float(np.max(np.abs(raw)))
-        if not err <= FUSION_TOL:  # NaN fails too
-            raise NegativeOrNonInteger(f"fusion entries off integers by {err:.3e}")
+        n = _integers(raw, "fusion entries off integers", TOL["fusion"], NegativeOrNonInteger)
         if n.min() < 0:
             raise NegativeOrNonInteger("negative fusion multiplicity")
         out[x0 : x0 + rows] = n.reshape(-1, m, m)

@@ -18,7 +18,7 @@ import numpy as np
 from .characters import CharacterTable, root_multiplicities
 from .cocycles import TwoCocycle, validate
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
-from .errors import SizeMismatch
+from .errors import TOL, SizeMismatch, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
 from .quantum_double import (
@@ -125,8 +125,8 @@ def cocycle_to_obj(phi: TwoCocycle) -> dict:
     p = int(np.lcm.reduce(np.asarray([f.denominator for f in fracs], dtype=np.int64)))
     exps = np.asarray([int(f * p) % p for f in fracs], dtype=np.int64).reshape(turns.shape)
     rebuilt = np.exp(2j * np.pi * exps / p)
-    if not np.allclose(rebuilt, phi.table, atol=1e-9):
-        raise SizeMismatch("cocycle entries are not roots of unity of a common order")
+    _check("cocycle entries are not roots of unity of a common order",
+           float(np.max(np.abs(rebuilt - phi.table))), TOL["phase"], SizeMismatch)
     return {
         "subgroup": [int(m) for m in phi.subgroup.members],
         "omega_order": p,

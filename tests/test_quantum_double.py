@@ -288,6 +288,28 @@ def test_cached_s_matrix_and_fusion_are_read_only():
         fusion_verlinde(g)[0, 0, 0] = 5
     assert np.array_equal(s_matrix(g), s)
     assert np.array_equal(fusion_verlinde(g), n)
+    # every other cached per-group array is shared by later calls, so it is read-only too
+    data, po, z = conjugacy_data(g), pair_orbits(g), centralizer(g, 1)
+    cached = {
+        "character_table.table": character_table(g).table,
+        "character_table.dims": character_table(g).dims,
+        "conjugacy_data.class_of": data.class_of,
+        "conjugacy_data.reps": data.reps,
+        "conjugacy_data.transversal": data.transversal,
+        **{f"conjugacy_data.classes[{i}]": c for i, c in enumerate(data.classes)},
+        "pair_orbits.orbit_of": po.orbit_of,
+        "pair_orbits.sizes": po.sizes,
+        "pair_orbits.rep_g": po.rep_g,
+        "pair_orbits.rep_h": po.rep_h,
+        "centralizer.members": z.members,
+        "centralizer.position": z.position,
+    }
+    for name, arr in cached.items():
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr.flat[0] = 5
+        assert np.array_equal(arr, before), name
+    assert character_table(g).table[0, 0] == 1
 
 
 def test_product_anyon_multiplicativity():

@@ -12,9 +12,9 @@ import pytest
 from artifact import serialize
 from artifact.characters import character_table
 from artifact.cli import main
-from artifact.cocycles import bicharacter_cocycle, wall_cocycle
+from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
 from artifact.condensation import boundary_character
-from artifact.errors import ConditionMismatch, NumericalDegeneracy
+from artifact.errors import ConditionMismatch, NumericalDegeneracy, SizeMismatch
 from artifact.groups import (
     affine_group,
     cyclic,
@@ -84,6 +84,17 @@ def test_cocycle_roundtrip_is_exact():
         assert dist(back.table, phi.table) < 1e-12
         # writer output is stable through a full round trip
         assert cocycle_to_obj(back) == obj
+
+
+def test_cocycle_to_obj_rejects_phases_that_are_not_roots_of_unity():
+    # a coboundary whose phases exp(2 pi i sqrt(2) k) are no roots of unity: it
+    # validates, but limit_denominator would write it with omega_order 4620 and
+    # read it back 3.5e-8 off, which breaks the exact round trip
+    g = cyclic(3)
+    a = np.exp(2j * np.pi * np.sqrt(2) * np.arange(3))
+    phi = validate(a[:, None] * a[None, :] / a[g.mul], full_subgroup(g))
+    with pytest.raises(SizeMismatch, match="not roots of unity"):
+        cocycle_to_obj(phi)
 
 
 def test_chartable_obj_snaps_roots():

@@ -1,0 +1,132 @@
+"""Every numerical tolerance of the package is an entry of errors.TOL, and every
+entry is read by the check it names."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import artifact
+from artifact.characters import character_table, character_table_generic, root_multiplicities
+from artifact.cocycles import normalize, trivial_cocycle, validate
+from artifact.errors import (
+    TOL,
+    CocycleIdentityFailure,
+    ConditionMismatch,
+    NegativeOrNonInteger,
+    NonIntegerMultiplicity,
+    NumericalDegeneracy,
+    ZeroProjection,
+    _check,
+)
+from artifact.groups import cyclic, from_cayley, full_subgroup, symmetric
+from artifact.lattice import build_patch, ground_state
+from artifact.quantum_double import DGClassFunction, anyon_character, anyons, dg_decompose, fusion_verlinde
+
+SRC = Path(artifact.__file__).parent
+LITERAL = re.compile(r"\d(\.\d+)?e-\d+")
+
+
+def _table_lines() -> range:
+    """Line numbers of the TOL assignment in errors.py."""
+    for node in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TOL"]:
+            return range(node.lineno, node.end_lineno + 1)
+    raise AssertionError("errors.py defines no TOL table")
+
+
+def test_no_tolerance_literal_outside_the_table():
+    table = _table_lines()
+    stray = [
+        f"{path.name}:{no}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for no, line in enumerate(path.read_text().splitlines(), 1)
+        if LITERAL.search(line) and not (path.name == "errors.py" and no in table)
+    ]
+    assert not stray, "\n".join(stray)
+
+
+def _fresh(g):
+    """The same table as a new group, with empty caches."""
+    return from_cayley(g.mul, label=g.label)
+
+
+def _row_match():
+    tab = character_table(symmetric(3))
+    return lambda: tab.match_row(tab.table[1])
+
+
+def _ground_state():
+    patch = build_patch(cyclic(2), 2, 2)
+    return lambda: ground_state(patch)
+
+
+def _eigensolve():
+    g = cyclic(3)
+    return lambda: character_table_generic(g)
+
+
+def _decompose():
+    g = symmetric(3)
+    chi = anyon_character(g, anyons(g)[2])
+    return lambda: dg_decompose(chi)
+
+
+def _fusion():
+    g = cyclic(3)
+    return lambda: fusion_verlinde(_fresh(g))  # fusion is cached per group
+
+
+def _validate():
+    k = full_subgroup(cyclic(2))
+    return lambda: validate(np.ones((2, 2)), k)
+
+
+def _normalize():
+    phi = trivial_cocycle(full_subgroup(cyclic(2)))
+    return lambda: normalize(phi)
+
+
+def _from_dense():
+    g = symmetric(3)
+    grid = anyon_character(g, anyons(g)[2]).values
+    return lambda: DGClassFunction.from_dense(g, grid)
+
+
+# entry -> (error raised once the entry fails, builder of the call that reads it)
+READERS = {
+    "character": (NumericalDegeneracy, lambda: lambda: root_multiplicities(np.ones((1, 2)))),
+    "match": (NumericalDegeneracy, _row_match),
+    "nonzero": (ZeroProjection, _ground_state),
+    "eigenvector": (NumericalDegeneracy, _eigensolve),
+    "multiplicity": (NonIntegerMultiplicity, _decompose),
+    "fusion": (NegativeOrNonInteger, _fusion),
+    "phase": (CocycleIdentityFailure, _validate),
+    "normalized": (ConditionMismatch, _normalize),
+    "reassembly": (ConditionMismatch, _from_dense),
+}
+
+
+def test_every_entry_has_a_reader():
+    assert set(READERS) == set(TOL)
+
+
+@pytest.mark.parametrize("entry", sorted(READERS))
+def test_each_entry_is_read(entry, monkeypatch):
+    error, build = READERS[entry]
+    call = build()
+    call()  # passes at the table's value
+    monkeypatch.setitem(TOL, entry, math.nan)  # NaN fails every comparison
+    with pytest.raises(error):
+        call()
+
+
+def test_check_fails_on_nan_and_reports_residual_and_tol():
+    _check("exact", 0.0, 0.0)
+    with pytest.raises(ConditionMismatch, match=r"^off \(residual 2\.000e-03, tol 1\.0e-03\)$"):
+        _check("off", 2e-3, 1e-3)
+    with pytest.raises(NumericalDegeneracy, match="residual nan"):
+        _check("nan", math.nan, 1.0, NumericalDegeneracy)
