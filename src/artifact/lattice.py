@@ -5,8 +5,11 @@ per edge, bulk edges carrying the group algebra and wall edges carrying the
 algebra of the boundary subgroup.  Every vertex, face, wall and ribbon
 operator is monomial: on the few axes it touches it sends a configuration x to
 coef[x] * old[source(x)], a permutation times a cocycle phase or a 0/1 mask.
-Each (operator, site, label) is compiled once into a flat gather offset and a
-coefficient array, cached on the patch, and applied by one kernel.  Ribbon
+Each (operator, site, label) is compiled once into a gather offset and a
+coefficient array, cached on the patch, and applied by one kernel.  The
+offset is flat within the span of axes from the operator's first to its last
+moved axis, so a gather takes whole blocks of the state along that span and
+its index has one entry per span configuration, not one per amplitude.  Ribbon
 operators, composed of elementary triangle actions, provide the independent
 numeric route to the boundary algebra character.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from math import prod
 
 import numpy as np
 
@@ -43,6 +47,9 @@ from .quantum_double import DGClassFunction
 
 AMPLITUDE_CAP = 2**22
 GROUND_RETRIES = 8
+# Complex bytes of the stacked amplitude chunks behind one GEMM of _gram; a
+# chunk is never less than one amplitude.
+GRAM_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -224,39 +231,50 @@ def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
 
 
 def _freeze(patch: LatticePatch, x, source=None, coef=None):
-    """Compiled operator new[x] = coef[x] * old[source(x)] as (shift, coef).
+    """Compiled operator new[x] = coef[x] * old[source(x)] as (first, last, shift, coef).
 
-    `source` maps each moved axis to its source values on the grid `x`; shift
-    is the flat offset of source(x) from x (None: nothing moves), coef the
-    broadcast coefficient (None: all ones).  Both are frozen read-only."""
-    shift = None
+    `source` maps each moved axis to its source values on the grid `x`;
+    axes first..last are the contiguous span from the first to the last of
+    them, and shift is the flat offset of source(x) from x within that span,
+    shaped over the span's axes (all None: nothing moves).  coef is the
+    broadcast coefficient (None: all ones).  Arrays are frozen read-only."""
+    first = last = shift = None
     if source is not None:
-        stride = np.cumprod((1,) + patch.dims[:0:-1])[::-1]
-        shift = sum((source[a] - x[a]) * int(stride[a]) for a in source)
+        first, last = min(source), max(source)
+        span = patch.dims[first:last + 1]
+        stride = np.cumprod((1,) + span[:0:-1])[::-1]
+        shift = sum((source[a] - x[a]) * int(stride[a - first]) for a in source)
+        shift = shift.reshape(shift.shape[first:last + 1])
         shift.flags.writeable = False
     if coef is not None:
         coef = np.array(coef, dtype=np.complex128)
         coef.flags.writeable = False
-    return shift, coef
+    return first, last, shift, coef
 
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
     """The one kernel behind every vertex, face, wall and ribbon operator.
 
     build(patch, *key) compiles the operator on first use (cached on the
-    patch); a gather is one np.take on the flat state at the patch's
-    positions plus the operator's shift, a mask one broadcast multiply."""
+    patch).  A gather views the state as (lead, span, trail) blocks around
+    the operator's span of axes and takes along the span at the span's
+    positions plus the shift; the positions are one arange per span, cached
+    on the patch, so no index of the state's size is ever built.  A mask is
+    one broadcast multiply."""
     cache = patch._cache
     op = cache.get((build, *key))
     if op is None:
         op = cache[(build, *key)] = build(patch, *key)
-    shift, coef = op
+    first, last, shift, coef = op
     if shift is None:
         return LatticeState(patch, state.amplitudes * coef)
-    if "positions" not in cache:
-        cache["positions"] = np.arange(patch.size).reshape(patch.dims)
-        cache["positions"].flags.writeable = False
-    amps = np.take(state.amplitudes.reshape(-1), cache["positions"] + shift)
+    span = cache.get(("span", first, last))
+    if span is None:
+        span = cache[("span", first, last)] = np.arange(
+            prod(patch.dims[first:last + 1])).reshape(patch.dims[first:last + 1])
+        span.flags.writeable = False
+    blocks = state.amplitudes.reshape(prod(patch.dims[:first]), span.size, -1)
+    amps = np.take(blocks, (span + shift).reshape(-1), axis=1).reshape(patch.dims)
     if coef is not None:
         amps *= coef
     return LatticeState(patch, amps)
@@ -632,6 +650,26 @@ def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
     return float(np.linalg.norm(a.amplitudes - scale * b.amplitudes))
 
 
+def _gram(left, right) -> np.ndarray:
+    """Matrix of the inner products <l|r>, l in `left`, r in `right`.
+
+    Accumulates conj(L) @ R.T over chunks of amplitudes, L and R the stacked
+    chunks of the two lists, in one buffer of at most GRAM_BLOCK_BYTES: one
+    GEMM per chunk instead of one pass over memory per pair."""
+    rows = [s.amplitudes.reshape(-1) for s in (*left, *right)]
+    size, nl = rows[0].size, len(left)
+    step = max(1, GRAM_BLOCK_BYTES // (16 * len(rows)))
+    buf = np.empty((len(rows), min(step, size)), dtype=np.complex128)
+    out = np.zeros((nl, len(right)), dtype=np.complex128)
+    for start in range(0, size, step):
+        chunk = buf[:, :min(step, size - start)]
+        for row, amps in zip(chunk, rows):
+            row[...] = amps[start:start + step]
+        np.conjugate(chunk[:nl], out=chunk[:nl])
+        out += chunk[:nl] @ chunk[nl:].T
+    return out
+
+
 def _probe(checks, patch: LatticePatch, rng, states: int, name: str, fn, *dims) -> None:
     """Append (name, worst residual of fn) over `states` seeded random states,
     with one label drawn per entry of `dims` for each state."""
@@ -810,22 +848,16 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
         )
 
     disk = disk_state(patch, seed=seed)
+    labels = [(h, gg) for h in range(n) for gg in range(n)]
+    exc = [frib(disk, h, gg) for h, gg in labels]
     if alt is not None:
-        err = max(
-            _dist(frib(disk, h, gg), frib(disk, h, gg, alt))
-            for h in range(n) for gg in range(n)
-        )
+        err = max(_dist(e, frib(disk, h, gg, alt)) for (h, gg), e in zip(labels, exc))
         checks.append(("ribbon deformation on the disk state", err))
-    err = max(
-        abs(inner(disk, frib(disk, h, gg)) - (1.0 if h == 0 else 0.0) / n)
-        for h in range(n) for gg in range(n)
-    )
+    gram = _gram([disk, *exc], exc)
+    vacuum = np.array([1.0 if h == 0 else 0.0 for h, _ in labels]) / n
+    err = float(np.max(np.abs(gram[0] - vacuum)))
     checks.append(("<F^{h,g}> = delta_{h,e}/|G| on the disk state", err))
-    exc = {(h, gg): frib(disk, h, gg) for h in range(n) for gg in range(n)}
-    err = max(
-        abs(inner(a, b) - (1.0 if ka == kb else 0.0) / n)
-        for ka, a in exc.items() for kb, b in exc.items()
-    )
+    err = float(np.max(np.abs(gram[1:] - np.eye(n * n) / n)))
     checks.append(("<psi^{h,g}|psi^{h',g'}> = delta delta / |G|", err))
     return checks
 

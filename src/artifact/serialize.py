@@ -359,7 +359,7 @@ def square_matrix_from_obj(obj) -> np.ndarray:
 
 def relation_report_obj(label: str, checks, tol: float) -> dict:
     rows = [
-        {"name": name, "residual": float(res), "ok": bool(res < tol)}
+        {"name": name, "residual": float(res), "ok": bool(res <= tol)}
         for name, res in checks
     ]
     return {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from artifact import lattice
 from artifact.cocycles import bicharacter_cocycle
 from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup
 from artifact.groups import (
@@ -15,6 +16,7 @@ from artifact.groups import (
 )
 from artifact.lattice import (
     LatticeState,
+    _gram,
     apply_face,
     apply_invariant_op,
     apply_ribbon,
@@ -153,6 +155,43 @@ def test_wall_relation_report_small():
     checks = wall_relation_report(g, k, states=3, seed=5)
     worst = max(r for _, r in checks)
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("block_bytes", [lattice.GRAM_BLOCK_BYTES, 16 * 5 * 10])
+def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
+    # 16 * 5 * 10 bytes: chunks of 10 of the 128 amplitudes, the last one ragged
+    monkeypatch.setattr(lattice, "GRAM_BLOCK_BYTES", block_bytes)
+    patch = build_patch(cyclic(2), 3, 2)
+    assert patch.size == 128
+    rng = np.random.default_rng(4)
+    left = [random_state(patch, rng) for _ in range(3)]
+    right = [random_state(patch, rng) for _ in range(2)]
+    gram = _gram(left, right)
+    assert gram.shape == (3, 2)
+    ref = np.array([[inner(a, b) for b in right] for a in left])
+    assert dist(gram, ref) <= 1e-15
+
+
+def _cached_arrays(patch):
+    return [a for op in patch._cache.values()
+            for a in (op if isinstance(op, tuple) else (op,)) if isinstance(a, np.ndarray)]
+
+
+def test_compiled_gathers_cache_no_state_sized_index():
+    g = symmetric(3)
+    patch = build_patch(g, 3, 2)
+    psi = random_state(patch, np.random.default_rng(0))
+    rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
+    for v in sorted(patch._star):
+        for a in range(g.order):
+            apply_vertex(patch, psi, v, a)
+    for h in range(g.order):
+        for a in range(g.order):
+            apply_ribbon(patch, rib, psi, h, a)
+    arrays = _cached_arrays(patch)
+    assert arrays
+    assert max(a.size for a in arrays) < patch.size
+    assert sum(a.nbytes for a in arrays) < psi.amplitudes.nbytes == 4_478_976
 
 
 def test_lattice_boundary_character_z2_frozen_values():
@@ -384,8 +423,7 @@ def test_compiled_operators_match_per_axis_kernels(case):
                 close(apply_invariant_op(patch, ribbons[0], psi, int(sub.members[k]), g), ref)
 
     # every compiled array cached on the patch is frozen
-    arrays = [a for op in patch._cache.values()
-              for a in (op if isinstance(op, tuple) else (op,)) if isinstance(a, np.ndarray)]
+    arrays = _cached_arrays(patch)
     assert len(arrays) > len(ribbons)
     for arr in arrays:
         assert not arr.flags.writeable

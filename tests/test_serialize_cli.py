@@ -295,6 +295,17 @@ def test_cli_lattice_bytes_are_frozen(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_lattice_verify_passes_residuals_equal_to_the_tolerance():
+    # a residual passes at residual <= tol, as every other check does
+    code, out, _ = run_cli(
+        ["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full", "--tol", "0"])
+    rows = json.loads(out)["checks"]
+    exact = [r for r in rows if r["residual"] == 0.0]
+    assert exact and all(r["ok"] for r in exact)
+    assert all(not r["ok"] for r in rows if r["residual"] > 0.0)
+    assert code == 1  # rounding leaves some residuals above zero
+
+
 def test_cli_smatrix_csv():
     code, out, _ = run_cli(["smatrix", "--group", "builtin:Z4", "--format", "csv"])
     assert code == 0
