@@ -1,12 +1,16 @@
-"""Irreducible characters of finite groups by the numeric class-sum method.
+"""Irreducible characters of finite groups, exact by Dixon-Schneider modulo p.
 
-A random real combination of the class-sum matrices is diagonalized once;
-its joint eigenvectors give the central characters, which are rescaled to
-ordinary characters, with post-hoc orthogonality checks.  The table is
-complex floating point.  Its exact values come from `root_multiplicities`:
-chi(g) is the sum of the eigenvalues of rho(g), e-th roots of unity for e
-the group exponent, and Dixon's formula reads their integer multiplicities
-off chi(g^j), j = 0..e-1, with one discrete Fourier transform.
+p is the least prime p = 1 (mod e) above |G|, e the group exponent, so F_p
+holds the e-th roots of unity and every character value reduces into it.  The
+class matrices a[i] commute; their joint eigenvectors are the central characters
+omega_chi(K_l) = |C_l| chi(z_l) / chi(1).  The identity-class vector e_0 =
+sum_chi (chi(1)^2 / |G|) omega_chi is split by the eigenprojectors of successive
+class matrices into k vectors, whose first entries give the degrees.  The checks
+(k components, sum of squared degrees, row and column orthogonality, root
+multiplicities counting the degree) are exact in F_p.  Dixon's formula reads the
+multiplicity of each root z^t in rho(g) off chi(g^j), j = 0..e-1, with one
+discrete Fourier transform mod p; the complex table is the multiplicities times
+exp(2 pi i t / e).  `root_multiplicities` is the same formula on float values.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import numpy as np
 
 from .errors import TOL, GroupMismatch, NotSubgroup, NumericalDegeneracy, _check, _integers
 from .groups import GroupTable, Subgroup, conjugacy_data
-
-MAX_ATTEMPTS = 8
 
 
 @dataclass
@@ -62,86 +64,79 @@ class CharacterTable:
 
 
 def _row_sort_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    keys = []
-    for i in range(table.shape[0]):
-        value_key = tuple(
-            (round(-v.real, 9) + 0.0, round(-v.imag, 9) + 0.0) for v in table[i]
-        )
-        keys.append((int(dims[i]), value_key, i))
-    keys.sort()
-    return np.array([k[-1] for k in keys], dtype=np.int64)
+    """Rows by degree, then by (-re, -im) of each value rounded to 9 places, then index."""
+    keys = np.round(-table, 9)
+    cols = np.stack([keys.real, keys.imag], axis=-1).reshape(len(dims), -1)
+    return np.lexsort((*cols.T[::-1], dims))
 
 
 def _class_structure_constants(g: GroupTable) -> np.ndarray:
+    """a[i, j, l] = #{x in class i : x^-1 z_l in class j}, z_l the representative of
+    class l: the class sums multiply as K_i K_j = sum_l a[i, j, l] K_l."""
     data = conjugacy_data(g)
-    k = len(data.classes)
-    sizes = np.array([c.size for c in data.classes], dtype=np.int64)
-    cls = data.class_of
-    counts = np.zeros((k, k, k), dtype=np.int64)
-    ci = np.broadcast_to(cls[:, None], g.mul.shape).ravel()
-    cj = np.broadcast_to(cls[None, :], g.mul.shape).ravel()
-    ck = cls[g.mul].ravel()
-    np.add.at(counts, (ci, cj, ck), 1)
-    return counts / sizes[None, None, :]
+    k = len(data.reps)
+    right = data.class_of[g.mul[g.inv[:, None], data.reps[None, :]]]
+    flat = (data.class_of[:, None] * k + right) * k + np.arange(k)
+    return np.bincount(flat.ravel(), minlength=k**3).reshape(k, k, k)
 
 
-def _orthonormality_residual(g: GroupTable, table: np.ndarray) -> float:
-    sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
-    gram = (table * sizes[None, :]) @ table.conj().T / g.order
-    return float(np.max(np.abs(gram - np.eye(table.shape[0]))))
-
-
-def _attempt(g: GroupTable, mats: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, dims) from the joint eigenvectors of one seeded random combination
-    of the class matrices; raises NumericalDegeneracy when they fall short."""
-    k = mats.shape[0]
-    sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
-    norms = np.abs(mats).max(axis=(1, 2))
-    combo = np.tensordot(np.random.default_rng(seed).standard_normal(k), mats, axes=1)
-    _, vecs = np.linalg.eig(combo)
-    table = np.empty((k, k), dtype=np.complex128)
-    for col in range(k):
-        v = vecs[:, col]
-        # reads tol <= |v[0]|: a pivot below TOL["nonzero"] fails
-        _check("eigenvector pivot", TOL["nonzero"], abs(v[0]), NumericalDegeneracy)
-        omega = v / v[0]
-        scale = max(1.0, float(np.max(np.abs(omega))))
-        omvals = np.empty(k, dtype=np.complex128)
-        for i in range(k):
-            image = mats[i] @ omega
-            omvals[i] = image[0]
-            bound = TOL["eigenvector"] * max(1.0, norms[i] * scale)
-            _check("class matrix eigen equation", np.max(np.abs(image - omvals[i] * omega)), bound,
-                   NumericalDegeneracy)
-        d = math.sqrt(g.order / float(np.sum(np.abs(omvals) ** 2 / sizes)))
-        dim = np.rint(d)
-        _check("degree off integer", abs(d - dim), TOL["match"], NumericalDegeneracy)
-        if dim < 1:
-            raise NumericalDegeneracy("degree below one")
-        table[col] = dim * omvals / sizes
-    dims = np.real(table[:, 0]).round().astype(np.int64)
-    if int(np.sum(dims**2)) != g.order:
-        raise NumericalDegeneracy("squared degrees must total |G|")
-    order = _row_sort_order(table, dims)
-    table, dims = table[order], dims[order]
-    _check("row orthonormality", _orthonormality_residual(g, table), TOL["character"], NumericalDegeneracy)
-    return table, dims
+def _eigenvalues(m: np.ndarray, p: int) -> np.ndarray:
+    """The roots in F_p of det(x - m): the characteristic polynomial by
+    Faddeev-LeVerrier, then Horner at every x."""
+    coef, acc, x = [1], np.zeros_like(m), np.arange(p)
+    for j in range(1, len(m) + 1):
+        acc = (m @ acc + coef[-1] * np.eye(len(m), dtype=np.int64)) % p
+        coef.append(-int(np.trace(m @ acc)) * pow(j, -1, p) % p)
+    values = np.zeros(p, dtype=np.int64)
+    for c in coef:
+        values = (values * x + c) % p
+    return np.flatnonzero(values == 0)
 
 
 def character_table_generic(g: GroupTable) -> CharacterTable:
-    """Class-sum algorithm on any group, ignoring product structure."""
-    mats = _class_structure_constants(g)
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            table, dims = _attempt(g, mats, 1000 + attempt)
-        except NumericalDegeneracy:
-            continue
-        sizes = np.array([c.size for c in conjugacy_data(g).classes], dtype=np.float64)
-        gram = table.conj().T @ table
-        _check("column orthogonality violated", np.max(np.abs(gram - np.diag(g.order / sizes))),
-               TOL["character"] * g.order, NumericalDegeneracy)
-        return CharacterTable(g, table, dims)
-    raise NumericalDegeneracy(f"character table of {g.label} failed after {MAX_ATTEMPTS} attempts")
+    """Dixon-Schneider modulo p on any group, ignoring product structure."""
+    data = conjugacy_data(g)
+    n, k = g.order, len(data.reps)
+    sizes = np.array([c.size for c in data.classes], dtype=np.int64)
+    powers = data.class_of[g.power_table()[:, data.reps]]  # [j, l]: class of z_l^j
+    e = len(powers)
+    p = e * (n // e) + 1
+    while p <= n or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += e
+    vecs = np.eye(k, 1, dtype=np.int64)  # e_0 = sum_chi (chi(1)^2 / |G|) omega_chi
+    for m in _class_structure_constants(g)[1:]:
+        if vecs.shape[1] >= k:
+            break
+        roots = [int(r) for r in _eigenvalues(m, p)]
+        parts = [vecs[:, :0]]
+        for lam in roots:
+            proj = vecs
+            for mu in roots:
+                if mu != lam:
+                    proj = (m @ proj - mu * proj) % p * pow(lam - mu, -1, p) % p
+            parts.append(proj[:, proj.any(axis=0)])
+        vecs = np.concatenate(parts, axis=1)
+    _check("class matrices split e_0 into other than k components", abs(vecs.shape[1] - k), 0)
+    squares = vecs[0] * n % p  # chi(1)^2 mod p
+    dims = np.array([math.isqrt(int(s)) for s in squares], dtype=np.int64)
+    _check("degrees squared off positive squares", np.count_nonzero((dims**2 != squares) | (dims < 1)), 0)
+    _check("squared degrees must total |G|", abs(int(np.sum(dims**2)) - n), 0)
+    # each component is (chi(1)^2 / |G|) omega_chi, so chi(z_l) = |G| v_l / (chi(1) |C_l|)
+    chi = vecs.T * n % p * np.array([[pow(int(d * h), -1, p) for h in sizes] for d in dims]) % p
+    dual = chi[:, data.class_of[g.inv[data.reps]]]  # chi(z_l^-1)
+    rows = (chi * sizes % p) @ dual.T % p  # |G| <chi, psi>
+    _check("row orthogonality mod p", np.count_nonzero(rows != n * np.eye(k, dtype=np.int64)), 0)
+    _check("column orthogonality mod p", np.count_nonzero(chi.T @ dual % p != np.diag(n // sizes)), 0)
+    for x in range(1, p):
+        zp = np.array([pow(x, (p - 1) // e * s, p) for s in range(e)], dtype=np.int64)
+        if 1 not in zp[1:]:  # z = zp[1] has order e
+            break
+    dft = zp[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p  # [j, t] = z^-jt / e
+    mult = chi[:, powers].transpose(0, 2, 1) @ dft % p  # [chi, l, t]: multiplicity of z^t in rho(z_l)
+    _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
+    table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
+    order = _row_sort_order(table, dims)
+    return CharacterTable(g, table[order], dims[order])
 
 
 def _product_character_table(g: GroupTable) -> CharacterTable:
@@ -166,7 +161,8 @@ def _product_character_table(g: GroupTable) -> CharacterTable:
     order = _row_sort_order(table, dims)
     table, dims = table[order], dims[order]
     out = CharacterTable(g, table, dims)
-    _check("tensor-product table lost orthonormality", _orthonormality_residual(g, table),
+    gram = (table * np.array([c.size for c in data.classes])) @ table.conj().T / g.order
+    _check("tensor-product table lost orthonormality", float(np.max(np.abs(gram - np.eye(len(dims))))),
            TOL["character"], NumericalDegeneracy)
     g._cache["chartable_row_of_pair"] = {
         pair_of_row[old]: new for new, old in enumerate(order)

@@ -10,9 +10,8 @@ import numpy as np
 # Every numerical tolerance of the package, keyed by the quantity it bounds.
 TOL = {
     "character": 1e-8,  # float character values and modular invariance; default of --tol
-    "match": 1e-6,  # a computed value taken for a known one: a table row, a degree
-    "nonzero": 1e-12,  # least magnitude counted as nonzero: eigenvector pivot, state norm
-    "eigenvector": 1e-7,  # eigen equation, relative to max(1, |class matrix| |eigenvector|)
+    "match": 1e-6,  # a computed value taken for a known one: a table row, the chargeon's -1
+    "nonzero": 1e-12,  # least magnitude counted as nonzero: a projected lattice state's norm
     "multiplicity": 1e-4,  # anyon multiplicities off integers
     "fusion": 1e-6,  # Verlinde fusion entries off integers
     "phase": 1e-9,  # unit phases: cocycle identity and gauge, twists, roots of unity

@@ -7,6 +7,7 @@ from artifact.groups import (
     GroupTable,
     affine_group,
     alternating,
+    conjugacy_data,
     cyclic,
     direct_product,
     near_field,
@@ -71,3 +72,39 @@ def reference_characters(
         "dual": DGClassFunction.from_dense(gg, dual),
         "swap": DGClassFunction.from_dense(gg, swap),
     }
+
+
+def tuple_key_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Row order by the tuple key (degree, ((-re, -im) of each value rounded to
+    9 places), index), one Python key per row: the reference for the package's
+    lexsort."""
+    keys = sorted(
+        (int(dims[i]), tuple((round(-v.real, 9) + 0.0, round(-v.imag, 9) + 0.0) for v in row), i)
+        for i, row in enumerate(table)
+    )
+    return np.array([key[-1] for key in keys], dtype=np.int64)
+
+
+def eigensolve_character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(table, dims) by the float class-sum method, the reference for the exact
+    Dixon-Schneider tables.
+
+    The class matrices M_i[j, l] = |{(x, y) in C_i x C_j : xy = z_l}| share the
+    eigenvectors omega_chi(K_l) = |C_l| chi(z_l) / chi(1); one seeded random real
+    combination of them is diagonalized, each eigenvector is scaled to omega[0] = 1,
+    and chi(1) = sqrt(|G| / sum_l |omega_l|^2 / |C_l|) turns omega into chi."""
+    data = conjugacy_data(g)
+    k = len(data.classes)
+    sizes = np.array([c.size for c in data.classes], dtype=np.float64)
+    cls = data.class_of
+    counts = np.zeros((k, k, k))
+    np.add.at(counts, (cls[:, None], cls[None, :], cls[g.mul]), 1)
+    mats = counts / sizes
+    combo = np.tensordot(np.random.default_rng(1000).standard_normal(k), mats, axes=1)
+    vecs = np.linalg.eig(combo)[1]
+    omegas = (vecs / vecs[0]).T  # row 0 of M_i is the i-th unit vector: omega_i = (M_i omega)_0
+    degrees = np.rint(np.sqrt(g.order / np.sum(np.abs(omegas) ** 2 / sizes, axis=1)))
+    table = degrees[:, None] * omegas / sizes
+    dims = np.rint(table[:, 0].real).astype(np.int64)
+    order = tuple_key_order(table, dims)
+    return table[order], dims[order]

@@ -1,10 +1,21 @@
 """Ordinary character tables, induction, restriction, and exact root multiplicities."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import artifact
+from artifact import characters
 from artifact.characters import (
+    _row_sort_order,
     character_table,
+    character_table_generic,
     conjugate_character,
     induced_character,
     inner_product,
@@ -13,17 +24,20 @@ from artifact.characters import (
     root_multiplicities,
     trivial_character,
 )
-from artifact.errors import NumericalDegeneracy
+from artifact.cli import main
+from artifact.errors import ConditionMismatch, NumericalDegeneracy
 from artifact.groups import (
+    affine_group,
     alternating,
     conjugacy_data,
     cyclic,
     direct_product,
     generated_subgroup,
+    near_field,
     symmetric,
 )
 
-from conftest import dist
+from conftest import dist, eigensolve_character_table, sweep_groups, tuple_key_order
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -170,3 +184,81 @@ def test_character_values_are_sums_of_eigenvalue_roots():
         assert c.shape == (ct.n_rows, len(data.reps), e)
         assert np.array_equal(c.sum(axis=-1), np.repeat(ct.dims[:, None], len(data.reps), 1))
         assert dist(c @ np.exp(2j * np.pi * np.arange(e) / e), ct.table) < 1e-12
+
+
+def _reference_groups():
+    """The sweep groups, then S5, A6, S6 (|G| = 720) and Aff(F_q) for q = 11, 13, 16."""
+    yield from sweep_groups()
+    yield from (symmetric(5), alternating(6), symmetric(6))
+    yield from (affine_group(near_field(q)) for q in (11, 13, 16))
+
+
+@pytest.mark.parametrize("g", list(_reference_groups()), ids=lambda g: g.label)
+def test_exact_table_matches_the_float_eigensolve(g):
+    ct = character_table_generic(g)
+    table, dims = eigensolve_character_table(g)
+    assert ct.dims.tolist() == dims.tolist()
+    assert dist(ct.table, table) <= 1e-9  # same rows in the same order
+
+
+def test_product_groups_give_the_same_table_through_either_path():
+    for a, b in [(cyclic(2), symmetric(3)), (symmetric(3), symmetric(3)), (cyclic(4), alternating(4)),
+                 (affine_group(near_field(5)), cyclic(3))]:
+        g = direct_product(a, b)
+        ct, generic = character_table(g), character_table_generic(g)
+        assert ct.dims.tolist() == generic.dims.tolist()
+        assert dist(ct.table, generic.table) <= 1e-9
+
+
+def test_row_sort_order_matches_the_tuple_key_on_shuffled_rows():
+    rng = np.random.default_rng(7)
+    for g in (*sweep_groups(), symmetric(5), alternating(6), direct_product(symmetric(3), symmetric(3))):
+        ct = character_table(g)
+        for _ in range(3):
+            rows = rng.permutation(ct.n_rows)
+            table, dims = ct.table[rows], ct.dims[rows]
+            assert _row_sort_order(table, dims).tolist() == tuple_key_order(table, dims).tolist()
+        assert _row_sort_order(ct.table, ct.dims).tolist() == list(range(ct.n_rows))
+
+
+def _drop_last_root(monkeypatch):
+    eigenvalues = characters._eigenvalues
+    monkeypatch.setattr(characters, "_eigenvalues", lambda m, p: eigenvalues(m, p)[:-1])
+
+
+def _corrupt_one_class_constant(monkeypatch):
+    constants = characters._class_structure_constants
+
+    def corrupt(g):
+        a = constants(g).copy()
+        a[1, 1, 0] += 1  # one more transposition pair multiplying to e
+        return a
+
+    monkeypatch.setattr(characters, "_class_structure_constants", corrupt)
+
+
+@pytest.mark.parametrize("fault", [_drop_last_root, _corrupt_one_class_constant])
+def test_exact_checks_reject_a_faulty_split(fault, monkeypatch):
+    fault(monkeypatch)
+    with pytest.raises(ConditionMismatch):
+        character_table_generic(symmetric(3))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["chartable", "--group", "builtin:S3"])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("check failed: ")
+
+
+def test_exact_checks_hold_under_python_O():
+    script = """
+import sys
+from artifact import characters
+from artifact.cli import main
+eigenvalues = characters._eigenvalues
+characters._eigenvalues = lambda m, p: eigenvalues(m, p)[:-1]
+print(sys.flags.optimize, main(["chartable", "--group", "builtin:S3"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(artifact.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert run.stdout.split() == ["1", "1"], run.stderr
+    assert "check failed: " in run.stderr

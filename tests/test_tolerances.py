@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact.characters import character_table, character_table_generic, root_multiplicities
+from artifact.characters import character_table, root_multiplicities
 from artifact.cocycles import normalize, trivial_cocycle, validate
 from artifact.errors import (
     TOL,
@@ -64,11 +64,6 @@ def _ground_state():
     return lambda: ground_state(patch)
 
 
-def _eigensolve():
-    g = cyclic(3)
-    return lambda: character_table_generic(g)
-
-
 def _decompose():
     g = symmetric(3)
     chi = anyon_character(g, anyons(g)[2])
@@ -101,7 +96,6 @@ READERS = {
     "character": (NumericalDegeneracy, lambda: lambda: root_multiplicities(np.ones((1, 2)))),
     "match": (NumericalDegeneracy, _row_match),
     "nonzero": (ZeroProjection, _ground_state),
-    "eigenvector": (NumericalDegeneracy, _eigensolve),
     "multiplicity": (NonIntegerMultiplicity, _decompose),
     "fusion": (NegativeOrNonInteger, _fusion),
     "phase": (CocycleIdentityFailure, _validate),
