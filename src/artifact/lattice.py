@@ -252,32 +252,42 @@ def _freeze(patch: LatticePatch, x, source=None, coef=None):
     return first, last, shift, coef
 
 
-def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
-    """The one kernel behind every vertex, face, wall and ribbon operator.
-
-    build(patch, *key) compiles the operator on first use (cached on the
-    patch).  A gather views the state as (lead, span, trail) blocks around
-    the operator's span of axes and takes along the span at the span's
-    positions plus the shift; the positions are one arange per span, cached
-    on the patch, so no index of the state's size is ever built.  A mask is
-    one broadcast multiply."""
-    cache = patch._cache
-    op = cache.get((build, *key))
+def _op(patch: LatticePatch, build, *key):
+    """build(patch, *key), compiled on first use and cached on the patch."""
+    op = patch._cache.get((build, *key))
     if op is None:
-        op = cache[(build, *key)] = build(patch, *key)
+        op = patch._cache[(build, *key)] = build(patch, *key)
+    return op
+
+
+def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
+    """The one gather kernel: coef * amps[source] for a compiled gather `op`.
+
+    `amps` runs over axes 0..last, then one trailing extent of any size (the
+    rest of the state, or a slice of it); so does the result.  Blocks
+    (lead, span, trailing) are taken along the span at its positions plus the
+    shift, one arange per span cached on the patch: no state-sized index."""
     first, last, shift, coef = op
-    if shift is None:
-        return LatticeState(patch, state.amplitudes * coef)
-    span = cache.get(("span", first, last))
+    span = patch._cache.get(("span", first, last))
     if span is None:
-        span = cache[("span", first, last)] = np.arange(
+        span = patch._cache[("span", first, last)] = np.arange(
             prod(patch.dims[first:last + 1])).reshape(patch.dims[first:last + 1])
         span.flags.writeable = False
-    blocks = state.amplitudes.reshape(prod(patch.dims[:first]), span.size, -1)
-    amps = np.take(blocks, (span + shift).reshape(-1), axis=1).reshape(patch.dims)
+    blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
+    new = np.take(blocks, (span + shift).reshape(-1), axis=1)
+    new = new.reshape(*patch.dims[:last + 1], -1)
     if coef is not None:
-        amps *= coef
-    return LatticeState(patch, amps)
+        new *= coef.reshape(*coef.shape[:last + 1], 1)  # coef lives on the span
+    return new
+
+
+def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
+    """The one entry behind every vertex, face, wall and ribbon operator: a
+    mask is one broadcast multiply, anything else one `_gather`."""
+    op = _op(patch, build, *key)
+    if op[2] is None:
+        return LatticeState(patch, state.amplitudes * op[3])
+    return LatticeState(patch, _gather(patch, op, state.amplitudes).reshape(patch.dims))
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -353,7 +363,8 @@ def _average(patch: LatticePatch, state: LatticeState, apply_op, v, order: int) 
     acc = np.zeros_like(state.amplitudes)
     for g in range(order):
         acc += apply_op(patch, state, v, g).amplitudes
-    return LatticeState(patch, acc / order)
+    acc /= order
+    return LatticeState(patch, acc)
 
 
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
@@ -605,7 +616,8 @@ def apply_invariant_op(
         lg = int(sub.members[l])
         flux = int(gt.mul[gt.mul[lg, sub.members[kk]], gt.inv[lg]])
         charge = int(gt.mul[lg, g_inv])
-        acc += phase * apply_ribbon(patch, spec, state, flux, charge).amplitudes
+        amps = apply_ribbon(patch, spec, state, flux, charge).amplitudes
+        acc += np.multiply(phase, amps, out=amps)  # phase first: the bits of phase * amps
     return LatticeState(patch, acc)
 
 
@@ -628,20 +640,16 @@ def lattice_boundary_character(
     reps = cosets(gt, sub)
     r = len(reps)
     psi = ground_state(patch, seed=seed)
-    basis = [
-        apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
-        for k in range(sub.order)
-        for gi in reps
-    ]
     values = np.zeros((gt.order, gt.order), dtype=np.complex128)
-    for h in range(gt.order):
-        masked = [apply_face(patch, b, (v1, f1), h) for b in basis]
-        for g in range(gt.order):
-            total = 0.0 + 0.0j
-            for b, mb in zip(basis, masked):
-                total += inner(b, apply_vertex(patch, mb, v1, g))
-            values[g, h] = r * total
-    return DGClassFunction.from_dense(gt, values)
+    # one basis state at a time; each entry still sums over the basis in order
+    for k in range(sub.order):
+        for gi in reps:
+            b = apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
+            for h in range(gt.order):
+                mb = apply_face(patch, b, (v1, f1), h)
+                for g in range(gt.order):
+                    values[g, h] += inner(b, apply_vertex(patch, mb, v1, g))
+    return DGClassFunction.from_dense(gt, r * values)
 
 
 # --- relation suite -----------------------------------------------------------------
@@ -650,24 +658,33 @@ def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
     return float(np.linalg.norm(a.amplitudes - scale * b.amplitudes))
 
 
-def _gram(left, right) -> np.ndarray:
-    """Matrix of the inner products <l|r>, l in `left`, r in `right`.
+def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
+    """(gram, deformation): gram[0, j] = <state|F_j state> and gram[1 + i, j] =
+    <F_i state|F_j state>, F_j = F^{h,g} in row-major (h, g) order.
 
-    Accumulates conj(L) @ R.T over chunks of amplitudes, L and R the stacked
-    chunks of the two lists, in one buffer of at most GRAM_BLOCK_BYTES: one
-    GEMM per chunk instead of one pass over memory per pair."""
-    rows = [s.amplitudes.reshape(-1) for s in (*left, *right)]
-    size, nl = rows[0].size, len(left)
-    step = max(1, GRAM_BLOCK_BYTES // (16 * len(rows)))
-    buf = np.empty((len(rows), min(step, size)), dtype=np.complex128)
-    out = np.zeros((nl, len(right)), dtype=np.complex128)
-    for start in range(0, size, step):
-        chunk = buf[:, :min(step, size - start)]
-        for row, amps in zip(chunk, rows):
-            row[...] = amps[start:start + step]
-        np.conjugate(chunk[:nl], out=chunk[:nl])
-        out += chunk[:nl] @ chunk[nl:].T
-    return out
+    The axes after every ribbon's span never move, so the Gram adds up one
+    trailing slice at a time: all n² ribbons gather the slice into one
+    (n² + 1) x slice buffer behind it, and conj(chunk) @ chunk[1:].T runs
+    over column chunks of GRAM_BLOCK_BYTES.  deformation is the largest
+    ||F_j state - F_alt,j state||, summed in squares per slice (None without `alt`)."""
+    labels = [(h, g) for h in range(patch.group.order) for g in range(patch.group.order)]
+    ops = [_op(patch, _ribbon_op, spec, h, g) for h, g in labels]
+    alts = [_op(patch, _ribbon_op, alt, h, g) for h, g in labels if alt is not None]
+    amps = state.amplitudes.reshape(prod(patch.dims[:max(op[1] for op in ops + alts) + 1]), -1)
+    buf = np.empty((len(ops) + 1, amps.shape[0]), dtype=np.complex128)
+    step = max(1, GRAM_BLOCK_BYTES // (16 * len(buf)))
+    gram = np.zeros((len(buf), len(ops)), dtype=np.complex128)
+    squares = np.zeros(len(alts))
+    for t in range(amps.shape[1]):
+        buf[0] = amps[:, t]
+        for row, op in zip(buf[1:], ops):
+            row[...] = _gather(patch, op, buf[0]).ravel()
+        for i, op in enumerate(alts):
+            squares[i] += np.linalg.norm(buf[1 + i] - _gather(patch, op, buf[0]).ravel()) ** 2
+        for start in range(0, buf.shape[1], step):
+            chunk = buf[:, start:start + step]
+            gram += np.conj(chunk) @ chunk[1:].T
+    return gram, (float(np.sqrt(squares.max())) if alts else None)
 
 
 def _probe(checks, patch: LatticePatch, rng, states: int, name: str, fn, *dims) -> None:
@@ -687,7 +704,8 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     Each identity is probed on `states` seeded random states with labels
     redrawn per state; the reported residual is the max over probes.  Vacuum
     and Gram statements are evaluated once on the smooth disk state with a
-    full label sweep.  The patch is 4x3 when the amplitude cap allows,
+    full label sweep; `_gram` runs in slices, so memory stays bounded (n² + 1
+    slices, not n² states).  The patch is 4x3 when the amplitude cap allows,
     otherwise 3x2; only the larger patch admits two ribbons with shared
     endpoints, so the deformation check is emitted only there."""
     rng = np.random.default_rng(seed)
@@ -847,14 +865,10 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
             len(mid_faces), n, n,
         )
 
-    disk = disk_state(patch, seed=seed)
-    labels = [(h, gg) for h in range(n) for gg in range(n)]
-    exc = [frib(disk, h, gg) for h, gg in labels]
+    gram, err = _gram(patch, disk_state(patch, seed=seed), rib, alt)
     if alt is not None:
-        err = max(_dist(e, frib(disk, h, gg, alt)) for (h, gg), e in zip(labels, exc))
         checks.append(("ribbon deformation on the disk state", err))
-    gram = _gram([disk, *exc], exc)
-    vacuum = np.array([1.0 if h == 0 else 0.0 for h, _ in labels]) / n
+    vacuum = np.array([1.0 if h == 0 else 0.0 for h in range(n) for _ in range(n)]) / n
     err = float(np.max(np.abs(gram[0] - vacuum)))
     checks.append(("<F^{h,g}> = delta_{h,e}/|G| on the disk state", err))
     err = float(np.max(np.abs(gram[1:] - np.eye(n * n) / n)))

@@ -8,10 +8,18 @@ from artifact.groups import (
     affine_group,
     alternating,
     conjugacy_data,
+    cosets,
     cyclic,
     direct_product,
     near_field,
     symmetric,
+)
+from artifact.lattice import (
+    apply_face,
+    apply_invariant_op,
+    apply_vertex,
+    ground_state,
+    inner,
 )
 from artifact.quantum_double import (
     Anyon,
@@ -72,6 +80,30 @@ def reference_characters(
         "dual": DGClassFunction.from_dense(gg, dual),
         "swap": DGClassFunction.from_dense(gg, swap),
     }
+
+
+def list_boundary_character(patch, spec, seed: int = 0) -> DGClassFunction:
+    """Lattice boundary character with the whole invariant basis held at once,
+    each entry a Python sum over the basis: the reference for the streamed
+    `lattice_boundary_character`."""
+    gt, sub = patch.group, patch.boundary
+    v1, f1 = spec.end
+    reps = cosets(gt, sub)
+    psi = ground_state(patch, seed=seed)
+    basis = [
+        apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
+        for k in range(sub.order)
+        for gi in reps
+    ]
+    values = np.zeros((gt.order, gt.order), dtype=np.complex128)
+    for h in range(gt.order):
+        masked = [apply_face(patch, b, (v1, f1), h) for b in basis]
+        for g in range(gt.order):
+            total = 0.0 + 0.0j
+            for b, mb in zip(basis, masked):
+                total += inner(b, apply_vertex(patch, mb, v1, g))
+            values[g, h] = len(reps) * total
+    return DGClassFunction.from_dense(gt, values)
 
 
 def tuple_key_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exact state-vector checks for the lattice model and its boundary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from artifact.lattice import (
     wall_relation_report,
 )
 
-from conftest import dist
+from conftest import dist, list_boundary_character
 
 
 def dense_operator(patch, apply_fn):
@@ -157,19 +159,77 @@ def test_wall_relation_report_small():
     assert worst < 1e-8
 
 
-@pytest.mark.parametrize("block_bytes", [lattice.GRAM_BLOCK_BYTES, 16 * 5 * 10])
+@pytest.mark.parametrize("block_bytes", [lattice.GRAM_BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
-    # 16 * 5 * 10 bytes: chunks of 10 of the 128 amplitudes, the last one ragged
+    # 16 * 37 * 7 bytes: chunks of 7 columns for S3's 37 rows and of 51 for
+    # Z2's 5 rows, ragged against both slice widths (46,656 and 64)
     monkeypatch.setattr(lattice, "GRAM_BLOCK_BYTES", block_bytes)
-    patch = build_patch(cyclic(2), 3, 2)
-    assert patch.size == 128
-    rng = np.random.default_rng(4)
-    left = [random_state(patch, rng) for _ in range(3)]
-    right = [random_state(patch, rng) for _ in range(2)]
-    gram = _gram(left, right)
-    assert gram.shape == (3, 2)
-    ref = np.array([[inner(a, b) for b in right] for a in left])
-    assert dist(gram, ref) <= 1e-15
+    for group, slices in ((cyclic(2), 2), (symmetric(3), 6)):
+        n = group.order
+        patch = build_patch(group, 3, 2)
+        rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
+        last = max(lattice._op(patch, lattice._ribbon_op, rib, h, g)[1]
+                   for h in range(n) for g in range(n))
+        assert patch.size // int(np.prod(patch.dims[:last + 1])) == slices
+        psi = random_state(patch, np.random.default_rng(4))
+        gram, deformation = _gram(patch, psi, rib)
+        assert deformation is None
+        exc = [apply_ribbon(patch, rib, psi, h, g) for h in range(n) for g in range(n)]
+        ref = np.array([[inner(a, b) for b in exc] for a in (psi, *exc)])
+        assert gram.shape == (n * n + 1, n * n)
+        assert dist(gram, ref) <= 1e-15
+
+
+def test_gram_deformation_is_the_largest_state_distance():
+    z2 = cyclic(2)
+    patch = build_patch(z2, 4, 3)
+    rib = make_ribbon(patch, ((3, 1), (2, 1)), "vfv")
+    alt = make_ribbon(patch, ((3, 1), (2, 1)), "fvvfvvf")
+    psi = random_state(patch, np.random.default_rng(7))
+    _, deformation = _gram(patch, psi, rib, alt)
+    ref = max(np.linalg.norm(apply_ribbon(patch, rib, psi, h, g).amplitudes
+                             - apply_ribbon(patch, alt, psi, h, g).amplitudes)
+              for h in range(2) for g in range(2))
+    assert ref > 0.1  # a random state is not deformation invariant
+    assert abs(deformation - ref) <= 1e-14
+
+
+STATE_BYTES_S3_3X2 = 16 * 6**7  # one state vector on the 3x2 and the minimal S3 patch
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_s3_report_holds_at_most_ten_states():
+    peak = _traced_peak(lambda: bulk_relation_report(symmetric(3), states=1))
+    assert peak <= 10 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+
+
+def test_s3_full_lattice_character_holds_at_most_ten_states():
+    s3 = symmetric(3)
+    patch = minimal_boundary_patch(s3, full_subgroup(s3))
+    assert patch.size * 16 == STATE_BYTES_S3_3X2
+    rib = make_ribbon(patch, ((1, 0), None), "wv")
+    peak = _traced_peak(lambda: lattice_boundary_character(patch, rib))
+    assert peak <= 10 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+
+
+@pytest.mark.parametrize("boundary", ["full", "Z3"])
+def test_streamed_character_equals_the_list_based_loop(boundary):
+    s3 = symmetric(3)
+    k = full_subgroup(s3) if boundary == "full" else generated_subgroup(
+        s3, [next(x for x in range(6) if s3.element_order(x) == 3)])
+    patch = minimal_boundary_patch(s3, k)
+    rib = make_ribbon(patch, ((1, 0), None), "wv")
+    chi = lattice_boundary_character(patch, rib, seed=3)
+    ref = list_boundary_character(patch, rib, seed=3)
+    assert np.array_equal(chi.orbit_values, ref.orbit_values)
 
 
 def _cached_arrays(patch):
