@@ -38,9 +38,6 @@ class ClassFunction:
         """Length-|G| vector of values per element."""
         return self.values[conjugacy_data(self.group).class_of]
 
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, np.conj(self.values))
-
 
 @dataclass
 class CharacterTable:
@@ -197,7 +194,7 @@ def inner_product(chi1: ClassFunction, chi2: ClassFunction) -> complex:
 
 
 def conjugate_character(chi: ClassFunction) -> ClassFunction:
-    return chi.conjugate()
+    return ClassFunction(chi.group, np.conj(chi.values))
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:

@@ -45,9 +45,6 @@ class TwoCocycle:
     def order(self) -> int:
         return int(self.table.shape[0])
 
-    def value(self, k: int, l: int) -> complex:
-        return complex(self.table[k, l])
-
 
 @dataclass(frozen=True, eq=False)
 class CommutingPairPhase:

@@ -2,7 +2,8 @@
 
 Every validation failure carries enough context (indices, names) to locate
 the first offending element, triple, or axiom.  A numerical check raises
-through _check, against an entry of TOL, and fails on NaN.
+through _check, against an entry of TOL, and fails on NaN.  A loop whose
+temporaries grow with its input runs over the slices of _blocks.
 """
 
 import numpy as np
@@ -18,6 +19,9 @@ TOL = {
     "normalized": 1e-8,  # the cocycle identity after gauge normalization
     "reassembly": 1e-8,  # relative to max(1, max |target|)
 }
+
+# Bytes of temporaries per block of every blocked loop; a block this size stays in a core's L2.
+BLOCK_BYTES = 1 << 19
 
 
 class ArtifactError(Exception):
@@ -159,3 +163,11 @@ def _reassembles(what: str, back: np.ndarray, target: np.ndarray, error=Conditio
     """back must equal target within TOL["reassembly"] times max(1, max |target|)."""
     scale = max(1.0, float(np.max(np.abs(target))))
     _check(what, float(np.max(np.abs(back - target))), TOL["reassembly"] * scale, error)
+
+
+# --- blocked loops -------------------------------------------------------------
+
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """Slices covering range(n), each of at most BLOCK_BYTES // item_bytes items and at least one."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]

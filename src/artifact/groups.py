@@ -22,10 +22,8 @@ from .errors import (
     NotPrimePower,
     NotSubgroup,
     SizeExceeded,
+    _blocks,
 )
-
-# Table entries sorted at a time by the Latin-square check (bounds its temporaries)
-LATIN_BLOCK_ENTRIES = 1 << 18
 
 
 class GroupTable:
@@ -137,26 +135,23 @@ def _validate_table(mul: np.ndarray, label: str) -> GroupTable:
                 raise NoIdentity(f"identity element found at index {e}, expected index 0")
         raise NoIdentity("table has no identity element")
     # entries lie in 0..n-1, so a line is a permutation iff it sorts to idx.
-    # Rows and columns i0.. are checked together, so the first bad line is the
-    # one a scan row 0, column 0, row 1, column 1, ... meets first.
-    step = max(1, LATIN_BLOCK_ENTRIES // n)
-    for i0 in range(0, n, step):
-        lines = slice(i0, i0 + step)
+    # A block's rows and columns are checked together, so the first bad line is
+    # the one a scan row 0, column 0, row 1, column 1, ... meets first.
+    for lines in _blocks(n, 8 * n):
         rows = np.flatnonzero((np.sort(mul[lines], axis=1) != idx).any(axis=1))
         cols = np.flatnonzero((np.sort(mul[:, lines], axis=0) != idx[:, None]).any(axis=0))
         if rows.size or cols.size:
             r = int(rows[0]) if rows.size else n
             c = int(cols[0]) if cols.size else n
-            raise NotLatinSquare("row", i0 + r) if r <= c else NotLatinSquare("column", i0 + c)
+            raise NotLatinSquare("row", lines.start + r) if r <= c else NotLatinSquare("column", lines.start + c)
     if _light_test(mul, lambda a: mul[mul[:, a]] != mul[:, mul[a]]) is not None:
         # name the first failing (x, y, z), comparing (xy)z with x(yz) a block of x at a time
-        step = max(1, LATIN_BLOCK_ENTRIES // (n * n))
-        for x0 in range(0, n, step):
-            lhs = mul[mul[x0:x0 + step], :]
-            rhs = mul[x0:x0 + step][:, mul]
+        for xs in _blocks(n, 8 * n * n):
+            lhs = mul[mul[xs], :]
+            rhs = mul[xs][:, mul]
             if not np.array_equal(lhs, rhs):
                 x, y, z = np.argwhere(lhs != rhs)[0]
-                raise NotAssociative(x0 + int(x), int(y), int(z))
+                raise NotAssociative(xs.start + int(x), int(y), int(z))
     inv = np.argmax(mul == 0, axis=1).astype(np.int64)
     two_sided = mul[inv, idx] == 0
     if not two_sided.all():

@@ -41,15 +41,13 @@ from .errors import (
     NotInSubgroup,
     SubgroupMismatch,
     ZeroProjection,
+    _blocks,
 )
 from .groups import GroupTable, Subgroup, cosets
 from .quantum_double import DGClassFunction
 
 AMPLITUDE_CAP = 2**22
 GROUND_RETRIES = 8
-# Complex bytes of the stacked amplitude chunks behind one GEMM of _gram; a
-# chunk is never less than one amplitude.
-GRAM_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -665,14 +663,13 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     The axes after every ribbon's span never move, so the Gram adds up one
     trailing slice at a time: all n² ribbons gather the slice into one
     (n² + 1) x slice buffer behind it, and conj(chunk) @ chunk[1:].T runs
-    over column chunks of GRAM_BLOCK_BYTES.  deformation is the largest
+    over column blocks of the buffer.  deformation is the largest
     ||F_j state - F_alt,j state||, summed in squares per slice (None without `alt`)."""
     labels = [(h, g) for h in range(patch.group.order) for g in range(patch.group.order)]
     ops = [_op(patch, _ribbon_op, spec, h, g) for h, g in labels]
     alts = [_op(patch, _ribbon_op, alt, h, g) for h, g in labels if alt is not None]
     amps = state.amplitudes.reshape(prod(patch.dims[:max(op[1] for op in ops + alts) + 1]), -1)
     buf = np.empty((len(ops) + 1, amps.shape[0]), dtype=np.complex128)
-    step = max(1, GRAM_BLOCK_BYTES // (16 * len(buf)))
     gram = np.zeros((len(buf), len(ops)), dtype=np.complex128)
     squares = np.zeros(len(alts))
     for t in range(amps.shape[1]):
@@ -681,8 +678,8 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
             row[...] = _gather(patch, op, buf[0]).ravel()
         for i, op in enumerate(alts):
             squares[i] += np.linalg.norm(buf[1 + i] - _gather(patch, op, buf[0]).ravel()) ** 2
-        for start in range(0, buf.shape[1], step):
-            chunk = buf[:, start:start + step]
+        for cols in _blocks(buf.shape[1], 16 * len(buf)):
+            chunk = buf[:, cols]
             gram += np.conj(chunk) @ chunk[1:].T
     return gram, (float(np.sqrt(squares.max())) if alts else None)
 
@@ -709,8 +706,10 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     otherwise 3x2; only the larger patch admits two ribbons with shared
     endpoints, so the deformation check is emitted only there."""
     rng = np.random.default_rng(seed)
-    wide = g.order ** 17 <= AMPLITUDE_CAP
-    patch = build_patch(g, 4, 3) if wide else build_patch(g, 3, 2)
+    try:
+        patch, wide = build_patch(g, 4, 3), True
+    except DimensionCap:
+        patch, wide = build_patch(g, 3, 2), False
     n = g.order
     mul, inv = g.mul, g.inv
     site = ((1, 0), (1, 0))

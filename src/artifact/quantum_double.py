@@ -18,13 +18,8 @@ import numpy as np
 
 from .characters import character_table
 from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
-from .errors import _check, _integers, _reassembles
+from .errors import _blocks, _check, _integers, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
-
-# Complex bytes of one row block of the Verlinde product; at this size a
-# block's few temporaries stay in a core's L2 cache.  A block is never less
-# than one row x, so past 181 anyons a block is one row.
-FUSION_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -289,14 +284,13 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
     s = s_matrix(g)
     m = s.shape[0]
     right = np.conj(s).T / s[0][:, None]
-    rows = max(1, FUSION_BLOCK_BYTES // (16 * m * m))
     out = np.empty((m, m, m), dtype=np.int64)
-    for x0 in range(0, m, rows):
-        raw = (s[x0 : x0 + rows, None, :] * s[None, :, :]).reshape(-1, m) @ right
+    for rows in _blocks(m, 16 * m * m):
+        raw = (s[rows, None, :] * s[None, :, :]).reshape(-1, m) @ right
         n = _integers(raw, "fusion entries off integers", TOL["fusion"], NegativeOrNonInteger)
         if n.min() < 0:
             raise NegativeOrNonInteger("negative fusion multiplicity")
-        out[x0 : x0 + rows] = n.reshape(-1, m, m)
+        out[rows] = n.reshape(-1, m, m)
     out.flags.writeable = False
     g._cache["fusion"] = out
     return out

@@ -18,11 +18,10 @@ import numpy as np
 from .characters import CharacterTable, root_multiplicities
 from .cocycles import TwoCocycle, validate
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
-from .errors import TOL, SizeMismatch, _check
+from .errors import TOL, SizeMismatch, _blocks, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
 from .quantum_double import (
-    FUSION_BLOCK_BYTES,
     DGClassFunction,
     anyons,
     centralizer,
@@ -103,15 +102,23 @@ def group_to_obj(g: GroupTable) -> dict:
     }
 
 
+def _ints(raw, what: str) -> np.ndarray:
+    """raw read as int64; an entry that is not a JSON integer raises SizeMismatch."""
+    arr = np.asarray(raw)
+    if arr.size and arr.dtype.kind != "i":
+        raise SizeMismatch(f"{what} must be integers")
+    return arr.astype(np.int64)
+
+
 def group_from_obj(obj) -> GroupTable:
-    mul = np.asarray(obj["mul"], dtype=np.int64)
-    if mul.shape != (int(obj["order"]),) * 2:
+    mul = _ints(obj["mul"], "mul entries")
+    if mul.shape != (_ints(obj["order"], "order").item(),) * 2:
         raise SizeMismatch("mul table shape disagrees with order")
     return from_cayley(mul, label=str(obj.get("label", "custom")))
 
 
 def subgroup_from_obj(g: GroupTable, obj) -> Subgroup:
-    return subgroup(g, np.asarray(obj["members"], dtype=np.int64))
+    return subgroup(g, _ints(obj["members"], "subgroup members"))
 
 
 def cocycle_to_obj(phi: TwoCocycle) -> dict:
@@ -135,9 +142,11 @@ def cocycle_to_obj(phi: TwoCocycle) -> dict:
 
 
 def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
-    k = subgroup(g, np.asarray(obj["subgroup"], dtype=np.int64))
-    p = int(obj["omega_order"])
-    exps = np.asarray(obj["exponents"], dtype=np.int64)
+    k = subgroup(g, _ints(obj["subgroup"], "subgroup members"))
+    p = _ints(obj["omega_order"], "omega_order")
+    if p.shape or p < 1:
+        raise SizeMismatch("omega_order must be one integer, at least 1")
+    exps = _ints(obj["exponents"], "exponents")
     if exps.shape != (k.order, k.order):
         raise SizeMismatch("exponent table shape disagrees with subgroup order")
     table = np.exp(2j * np.pi * (exps % p) / p)
@@ -195,11 +204,8 @@ def s_matrix_obj(g: GroupTable, s: np.ndarray, snap: bool = False) -> dict:
         return {"group": g.label, "objects": labels, "s": complex_grid(s)}
     zord = np.array([centralizer(g, x.class_rep).order for x in objs])
     scale = np.outer(zord, zord)
-    # one row block of anyons at a time, its complex stack about FUSION_BLOCK_BYTES
-    step = max(1, FUSION_BLOCK_BYTES // (16 * len(objs) * group_exponent(g)))
     cells = []
-    for x0 in range(0, len(objs), step):
-        rows = slice(x0, x0 + step)
+    for rows in _blocks(len(objs), 16 * len(objs) * group_exponent(g)):
         c = root_multiplicities(scale[rows, :, None] * s_charge_powers(g, rows))
         cells += _cyclotomic_cells(c, scale[rows])
     return {"group": g.label, "objects": labels, "s": cells}

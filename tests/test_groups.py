@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from artifact import groups
+from artifact import errors, groups
 from artifact.errors import (
     AxiomFailure,
     NotAField,
@@ -107,10 +107,11 @@ def test_from_cayley_roundtrip_and_rejects_bad_table():
         from_cayley(FIVE_LOOP)
 
 
+# the block tests below count int64 table entries, 8 bytes each
 @pytest.mark.parametrize("block_entries", [None, 25])  # 25: one x at a time on the 5-loop
 def test_from_cayley_reports_the_first_non_associative_triple(monkeypatch, block_entries):
     if block_entries is not None:
-        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * block_entries)
     loop = FIVE_LOOP
     first = tuple(int(i) for i in np.argwhere(loop[loop, :] != loop[:, loop])[0])
     assert first[0] > 0
@@ -139,7 +140,7 @@ def test_from_cayley_rejects_a6_with_an_intercalate_swapped(monkeypatch, block_e
     idx = np.arange(360)
     assert (np.sort(table, axis=0) == idx[:, None]).all() and (np.sort(table, axis=1) == idx).all()
     if block_entries is not None:
-        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * block_entries)
     first = first_non_associative(table)
     assert first is not None
     with pytest.raises(NotAssociative) as err:
@@ -183,7 +184,7 @@ def test_light_test_passes_groups_with_few_generators():
 @pytest.mark.parametrize("block_entries", [None, 10])  # 10: lines checked two at a time
 def test_from_cayley_reports_the_first_bad_line(monkeypatch, target, source, first, block_entries):
     if block_entries is not None:
-        monkeypatch.setattr(groups, "LATIN_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * block_entries)
     table = cyclic(5).mul.copy()
     table[target] = table[source]
     with pytest.raises(NotLatinSquare) as info:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from artifact import lattice
+from artifact import errors, lattice
 from artifact.cocycles import bicharacter_cocycle
 from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup
 from artifact.groups import (
@@ -159,11 +159,11 @@ def test_wall_relation_report_small():
     assert worst < 1e-8
 
 
-@pytest.mark.parametrize("block_bytes", [lattice.GRAM_BLOCK_BYTES, 16 * 37 * 7])
+@pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
     # 16 * 37 * 7 bytes: chunks of 7 columns for S3's 37 rows and of 51 for
     # Z2's 5 rows, ragged against both slice widths (46,656 and 64)
-    monkeypatch.setattr(lattice, "GRAM_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
     for group, slices in ((cyclic(2), 2), (symmetric(3), 6)):
         n = group.order
         patch = build_patch(group, 3, 2)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from artifact import quantum_double
+from artifact import errors
 from artifact.characters import character_table
 from artifact.condensation import verify_cf_symmetry
 from artifact.errors import (
@@ -262,7 +262,7 @@ def einsum_fusion(g):
 @pytest.mark.parametrize("build, n", [(cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3)])
 def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes):
     if block_bytes is not None:
-        monkeypatch.setattr(quantum_double, "FUSION_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
     g = build(n)
     fusion = fusion_verlinde(g)
     assert fusion.dtype == np.int64

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from artifact import serialize
+from artifact import errors, serialize
 from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
@@ -38,6 +38,7 @@ from artifact.serialize import (
     render_json,
     s_matrix_obj,
     square_matrix_from_obj,
+    subgroup_from_obj,
     t_vector_obj,
 )
 
@@ -95,6 +96,34 @@ def test_cocycle_to_obj_rejects_phases_that_are_not_roots_of_unity():
     phi = validate(a[:, None] * a[None, :] / a[g.mul], full_subgroup(g))
     with pytest.raises(SizeMismatch, match="not roots of unity"):
         cocycle_to_obj(phi)
+
+
+Z2_COCYCLE = {"subgroup": [0, 1], "omega_order": 2, "exponents": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "option, obj, message",
+    [
+        # each was read by truncation to an integer, or (omega_order 0) failed late with NaN
+        ("--group", {"order": 2, "mul": [[0, 1], [1, 0.9]]}, "mul entries must be integers"),
+        ("--cocycle", {**Z2_COCYCLE, "exponents": [[0, 0], [0, 0.7]]}, "exponents must be integers"),
+        ("--subgroup", {"members": [0, 1.2]}, "subgroup members must be integers"),
+        ("--cocycle", {**Z2_COCYCLE, "omega_order": 0}, "omega_order must be one integer, at least 1"),
+        ("--cocycle", {**Z2_COCYCLE, "omega_order": -2}, "omega_order must be one integer, at least 1"),
+    ],
+    ids=["mul", "exponent", "member", "omega_order_zero", "omega_order_negative"],
+)
+def test_json_readers_reject_non_integers(tmp_path, option, obj, message):
+    read = {"--group": group_from_obj, "--subgroup": lambda o: subgroup_from_obj(cyclic(2), o),
+            "--cocycle": lambda o: cocycle_from_obj(cyclic(2), o)}[option]
+    with pytest.raises(SizeMismatch, match=message):
+        read(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    argv = ["group", "info", "--group", f"file:{path}"] if option == "--group" else \
+        ["condense", "--group", "builtin:Z2", option, str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and message in err
 
 
 def test_chartable_obj_snaps_roots():
@@ -165,7 +194,7 @@ def test_snapped_s_cells_do_not_depend_on_the_row_block(monkeypatch):
     g = affine_group(near_field(5))  # 22 anyons, exponent 20
     whole = s_matrix_obj(g, s_matrix(g), snap=True)
     for rows in (1, 3):  # one row, and blocks of 3 ending in a partial one
-        monkeypatch.setattr(serialize, "FUSION_BLOCK_BYTES", 16 * 22 * 20 * rows)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 16 * 22 * 20 * rows)
         assert s_matrix_obj(g, s_matrix(g), snap=True) == whole
 
 
