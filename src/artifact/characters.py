@@ -90,8 +90,11 @@ def _eigenvalues(m: np.ndarray, p: int) -> np.ndarray:
     return np.flatnonzero(values == 0)
 
 
-def character_table_generic(g: GroupTable) -> CharacterTable:
-    """Dixon-Schneider modulo p on any group, ignoring product structure."""
+def character_table(g: GroupTable) -> CharacterTable:
+    """Canonical character table by Dixon-Schneider modulo p: rows by degree, then
+    value order; cached as (table, dims)."""
+    if "chartable" in g._cache:
+        return CharacterTable(g, *g._cache["chartable"])
     data = conjugacy_data(g)
     n, k = g.order, len(data.reps)
     sizes = np.array([c.size for c in data.classes], dtype=np.int64)
@@ -133,54 +136,10 @@ def character_table_generic(g: GroupTable) -> CharacterTable:
     _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
     table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
     order = _row_sort_order(table, dims)
-    return CharacterTable(g, table[order], dims[order])
-
-
-def _product_character_table(g: GroupTable) -> CharacterTable:
-    ga, gb = g.meta["product_of"]
-    ta, tb = character_table(ga), character_table(gb)
-    data = conjugacy_data(g)
-    ca = conjugacy_data(ga).class_of
-    cb = conjugacy_data(gb).class_of
-    nb = gb.order
-    rep_pairs = [(ca[r // nb], cb[r % nb]) for r in data.reps]
-    k = len(data.classes)
-    ka, kb = ta.n_rows, tb.n_rows
-    table = np.empty((ka * kb, k), dtype=np.complex128)
-    dims = np.empty(ka * kb, dtype=np.int64)
-    pair_of_row = []
-    for u in range(ka):
-        for v in range(kb):
-            r = u * kb + v
-            table[r] = [ta.table[u, i] * tb.table[v, j] for i, j in rep_pairs]
-            dims[r] = ta.dims[u] * tb.dims[v]
-            pair_of_row.append((u, v))
-    order = _row_sort_order(table, dims)
     table, dims = table[order], dims[order]
-    out = CharacterTable(g, table, dims)
-    gram = (table * np.array([c.size for c in data.classes])) @ table.conj().T / g.order
-    _check("tensor-product table lost orthonormality", float(np.max(np.abs(gram - np.eye(len(dims))))),
-           TOL["character"], NumericalDegeneracy)
-    g._cache["chartable_row_of_pair"] = {
-        pair_of_row[old]: new for new, old in enumerate(order)
-    }
-    return out
-
-
-def character_table(g: GroupTable) -> CharacterTable:
-    """Canonical character table: rows by degree, then value order; cached as (table, dims)."""
-    if "chartable" not in g._cache:
-        build = _product_character_table if "product_of" in g.meta else character_table_generic
-        ct = build(g)
-        ct.table.flags.writeable = ct.dims.flags.writeable = False
-        g._cache["chartable"] = ct.table, ct.dims
-    return CharacterTable(g, *g._cache["chartable"])
-
-
-def product_row_of_pair(g: GroupTable, u: int, v: int) -> int:
-    """Row of the product-group table carrying factor rows (u, v)."""
-    character_table(g)
-    return g._cache["chartable_row_of_pair"][(u, v)]
+    table.flags.writeable = dims.flags.writeable = False
+    g._cache["chartable"] = table, dims
+    return CharacterTable(g, table, dims)
 
 
 # --- class function operations ---------------------------------------------------

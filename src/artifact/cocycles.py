@@ -73,13 +73,13 @@ def _identity_residual(mul: np.ndarray, table: np.ndarray) -> tuple[float, tuple
 def validate(table: np.ndarray, k: Subgroup) -> TwoCocycle:
     """Check a float table against the cocycle identity on every triple of K.
 
-    Every input that arrives as floats (bicharacters, cocycle files, the output
-    of normalize) takes this full |K|^3 scan within TOL["phase"].  Light's test
-    would not do: the identity rebuilds a triple from four others,
+    Every input that arrives as floats (bicharacters, the output of normalize)
+    takes this full |K|^3 scan within TOL["phase"].  Light's test would not do:
+    the identity rebuilds a triple from four others,
     psi(x,ac,y) = psi(xa,c,y) - psi(a,c,y) + psi(x,a,cy) - psi(x,a,c) for
     psi = log phi, so a tolerance met on generator triples doubles with each
-    step of closure depth.  wall_cocycle, whose exponents are exact integers,
-    takes the exact route instead."""
+    step of closure depth.  wall_cocycle and cocycle files, whose exponents are
+    exact integers, take the exact route instead."""
     table = np.asarray(table, dtype=np.complex128)
     n = k.as_group.order
     if table.shape != (n, n):

@@ -42,12 +42,12 @@ from .errors import (
     SubgroupMismatch,
     ZeroProjection,
     _blocks,
+    _check,
 )
 from .groups import GroupTable, Subgroup, cosets
 from .quantum_double import DGClassFunction
 
 AMPLITUDE_CAP = 2**22
-GROUND_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -433,15 +433,16 @@ def hamiltonian_terms(patch: LatticePatch):
 
 
 def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
-    for _ in range(GROUND_RETRIES):
-        state = random_state(patch, rng)
-        for proj in terms:
-            state = proj(state)
-        n = state.norm()
-        if n > TOL["nonzero"]:
-            state.amplitudes /= n
-            return state
-    raise ZeroProjection("random state projected to numerical zero repeatedly")
+    """One random state through every projector, normalized.  The projectors
+    commute, so a Gaussian state projects to zero only when their joint +1
+    space is empty, and a second draw would fail as well."""
+    state = random_state(patch, rng)
+    for proj in terms:
+        state = proj(state)
+    n = state.norm()
+    _check("random state projected to numerical zero", TOL["nonzero"] - n, 0.0, ZeroProjection)
+    state.amplitudes /= n
+    return state
 
 
 def ground_state(patch: LatticePatch, seed: int = 0) -> LatticeState:

@@ -88,26 +88,14 @@ class DGClassFunction:
 
 
 def centralizer(g: GroupTable, a: int) -> Subgroup:
-    """Centralizer of an element, memoized per group.
+    """Centralizer of an element, memoized per group; its character table comes
+    from the same Dixon-Schneider routine as every other group's.
 
-    In a direct product the centralizer of (a, b) factorizes; the factor
-    structure is recorded on the re-indexed table so its character table is
-    assembled from the factor tables instead of rerunning the generic solver.
     The cache holds (members, as_group, position), never g itself."""
     cache = g._cache.setdefault("centralizers", {})
     a = int(a)
     if a not in cache:
-        label = f"Z[{g.label}:{a}]"
-        if "product_of" in g.meta:
-            ga, gb = g.meta["product_of"]
-            nb = gb.order
-            za = centralizer(ga, a // nb)
-            zb = centralizer(gb, a % nb)
-            members = (za.members[:, None] * nb + zb.members[None, :]).ravel()
-            sub = subgroup(g, members, label)
-            sub.as_group.meta["product_of"] = (za.as_group, zb.as_group)
-        else:
-            sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], label)
+        sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], f"Z[{g.label}:{a}]")
         sub.members.flags.writeable = sub.position.flags.writeable = False
         cache[a] = sub.members, sub.as_group, sub.position
     return Subgroup(g, *cache[a])
@@ -324,14 +312,17 @@ def kind(x: Anyon) -> str:
 
 
 def product_anyon(g: GroupTable, x: Anyon, y: Anyon) -> Anyon:
-    """Anyon of a direct product built from factor anyons; character is the kron."""
+    """Anyon of a direct product built from factor anyons: the class of (a, b) and
+    the irrep of Z((a, b)) = Z(a) x Z(b) whose character is chi_u(x) chi_v(y)."""
     if "product_of" not in g.meta:
         raise GroupMismatch("not a direct product group")
     ga, gb = g.meta["product_of"]
     if x not in anyons(ga) or y not in anyons(gb):
         raise GroupMismatch("factor anyons do not match the product factors")
-    from .characters import product_row_of_pair
-
     rep = x.class_rep * gb.order + y.class_rep
     z = centralizer(g, rep)
-    return anyon_by(g, rep, product_row_of_pair(z.as_group, x.pi, y.pi))
+    za, zb = centralizer(ga, x.class_rep), centralizer(gb, y.class_rep)
+    i, j = np.divmod(z.members[conjugacy_data(z.as_group).reps], gb.order)
+    u = character_table(za.as_group).row(x.pi).on_elements()[za.position[i]]
+    v = character_table(zb.as_group).row(y.pi).on_elements()[zb.position[j]]
+    return anyon_by(g, rep, character_table(z.as_group).match_row(u * v))

@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import CharacterTable, root_multiplicities
-from .cocycles import TwoCocycle, validate
+from .cocycles import TwoCocycle, _exponent_identity_failure
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
-from .errors import TOL, SizeMismatch, _blocks, _check
+from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _blocks, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
 from .quantum_double import (
@@ -142,17 +142,27 @@ def cocycle_to_obj(phi: TwoCocycle) -> dict:
 
 
 def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
+    """The cocycle omega**exponents, omega = exp(2 pi i / omega_order), after the
+    exact identity check on the exponents mod omega_order (Light's test, as for
+    the wall cocycle); that check adds two exponents in int64, so omega_order
+    stays below 2^62."""
     k = subgroup(g, _ints(obj["subgroup"], "subgroup members"))
     p = _ints(obj["omega_order"], "omega_order")
     if p.shape or p < 1:
         raise SizeMismatch("omega_order must be one integer, at least 1")
+    if p >= 1 << 62:
+        raise SizeMismatch("omega_order must be below 2^62")
     exps = _ints(obj["exponents"], "exponents")
     if exps.shape != (k.order, k.order):
         raise SizeMismatch("exponent table shape disagrees with subgroup order")
-    table = np.exp(2j * np.pi * (exps % p) / p)
+    exps %= p
+    bad = _exponent_identity_failure(k.as_group.mul, exps, int(p))
+    if bad is not None:
+        raise CocycleIdentityFailure(*bad, f"exponents differ mod {p}")
+    table = np.exp(2j * np.pi * exps / p)
     if p in (1, 2, 4):
         table = np.round(table.real) + 1j * np.round(table.imag)
-    return validate(table, k)
+    return TwoCocycle(k, table)
 
 
 # --- character tables and anyon lists ----------------------------------------------

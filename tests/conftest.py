@@ -140,3 +140,20 @@ def eigensolve_character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     dims = np.rint(table[:, 0].real).astype(np.int64)
     order = tuple_key_order(table, dims)
     return table[order], dims[order]
+
+
+def tensor_product_character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(table, dims) of a direct product as the tensor product of its factors'
+    tables, rows in the tuple-key order: the reference for the product tables
+    that character_table computes by Dixon-Schneider like any other group's."""
+    from artifact.characters import character_table
+
+    ga, gb = g.meta["product_of"]
+    ta, tb = character_table(ga), character_table(gb)
+    i, j = np.divmod(conjugacy_data(g).reps, gb.order)
+    left = ta.table[:, conjugacy_data(ga).class_of[i]]
+    right = tb.table[:, conjugacy_data(gb).class_of[j]]
+    table = (left[:, None, :] * right[None, :, :]).reshape(-1, i.size)
+    dims = np.outer(ta.dims, tb.dims).ravel()
+    order = tuple_key_order(table, dims)
+    return table[order], dims[order]

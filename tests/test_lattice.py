@@ -1,5 +1,6 @@
 """Exact state-vector checks for the lattice model and its boundary."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from artifact import errors, lattice
 from artifact.cocycles import bicharacter_cocycle
-from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup
+from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup, ZeroProjection
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -123,6 +124,22 @@ def test_wall_ground_state_is_stabilized():
         assert abs(gs.norm() - 1) < 1e-12
         for _, _, fn in terms:
             assert dist(fn(gs).amplitudes, gs.amplitudes) < 1e-10
+
+
+def test_ground_state_draws_one_random_state_before_it_raises(monkeypatch):
+    # the projectors commute: a state that projects to zero once would on every draw
+    patch = build_patch(cyclic(2), 2, 2)
+    draws = []
+
+    def counted(patch, rng):
+        draws.append(rng)
+        return random_state(patch, rng)
+
+    monkeypatch.setattr(lattice, "random_state", counted)
+    monkeypatch.setitem(errors.TOL, "nonzero", math.nan)  # NaN fails every comparison
+    with pytest.raises(ZeroProjection):
+        ground_state(patch)
+    assert len(draws) == 1
 
 
 def test_random_state_is_seed_deterministic():

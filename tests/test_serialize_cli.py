@@ -14,7 +14,7 @@ from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
 from artifact.condensation import boundary_character
-from artifact.errors import ConditionMismatch, NumericalDegeneracy, SizeMismatch
+from artifact.errors import CocycleIdentityFailure, ConditionMismatch, NumericalDegeneracy, SizeMismatch
 from artifact.groups import (
     affine_group,
     cyclic,
@@ -124,6 +124,26 @@ def test_json_readers_reject_non_integers(tmp_path, option, obj, message):
         ["condense", "--group", "builtin:Z2", option, str(path)]
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "") and message in err
+
+
+def test_cocycle_files_are_checked_exactly_at_large_omega_order(tmp_path):
+    # omega^(e(1,1)) with omega_order 10^10 misses the identity by 2 pi / 10^10,
+    # under the float scan's TOL["phase"]; the exact test names the triple
+    obj = {"subgroup": [0, 1, 2], "omega_order": 10**10, "exponents": [[0, 0, 0], [0, 1, 0], [0, 0, 0]]}
+    with pytest.raises(CocycleIdentityFailure, match="exponents differ mod 10000000000") as err:
+        cocycle_from_obj(cyclic(3), obj)
+    assert err.value.triple == (1, 1, 2)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["condense", "--group", "builtin:Z3", "--cocycle", str(path)])
+    assert (code, out) == (2, "") and "(1, 1, 2)" in err
+
+
+def test_cocycle_files_reject_an_omega_order_the_exact_test_cannot_add():
+    obj = {**Z2_COCYCLE, "omega_order": 2**62, "exponents": [[0, 0], [0, 2**61]]}
+    with pytest.raises(SizeMismatch, match="omega_order must be below 2"):
+        cocycle_from_obj(cyclic(2), obj)
+    assert cocycle_from_obj(cyclic(2), {**obj, "omega_order": 2**62 - 1, "exponents": [[0, 0], [0, 0]]})
 
 
 def test_chartable_obj_snaps_roots():
