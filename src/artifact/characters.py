@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, GroupMismatch, NotSubgroup, NumericalDegeneracy, _check, _integers
+from .errors import TOL, GroupMismatch, NotSubgroup, NumericalDegeneracy, _cached, _check, _integers
 from .groups import GroupTable, Subgroup, conjugacy_data
 
 
@@ -93,8 +93,10 @@ def _eigenvalues(m: np.ndarray, p: int) -> np.ndarray:
 def character_table(g: GroupTable) -> CharacterTable:
     """Canonical character table by Dixon-Schneider modulo p: rows by degree, then
     value order; cached as (table, dims)."""
-    if "chartable" in g._cache:
-        return CharacterTable(g, *g._cache["chartable"])
+    return CharacterTable(g, *_cached(g._cache, "chartable", _character_table, g))
+
+
+def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     data = conjugacy_data(g)
     n, k = g.order, len(data.reps)
     sizes = np.array([c.size for c in data.classes], dtype=np.int64)
@@ -136,10 +138,7 @@ def character_table(g: GroupTable) -> CharacterTable:
     _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
     table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
     order = _row_sort_order(table, dims)
-    table, dims = table[order], dims[order]
-    table.flags.writeable = dims.flags.writeable = False
-    g._cache["chartable"] = table, dims
-    return CharacterTable(g, table, dims)
+    return table[order], dims[order]
 
 
 # --- class function operations ---------------------------------------------------

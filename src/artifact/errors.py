@@ -3,8 +3,11 @@
 Every validation failure carries enough context (indices, names) to locate
 the first offending element, triple, or axiom.  A numerical check raises
 through _check, against an entry of TOL, and fails on NaN.  A loop whose
-temporaries grow with its input runs over the slices of _blocks.
+temporaries grow with its input runs over the slices of _blocks, and every
+per-group or per-patch memo is read and written by _cached.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -165,9 +168,31 @@ def _reassembles(what: str, back: np.ndarray, target: np.ndarray, error=Conditio
     _check(what, float(np.max(np.abs(back - target))), TOL["reassembly"] * scale, error)
 
 
-# --- blocked loops -------------------------------------------------------------
+# --- blocked loops and memos -----------------------------------------------------
 
 def _blocks(n: int, item_bytes: int) -> list[slice]:
     """Slices covering range(n), each of at most BLOCK_BYTES // item_bytes items and at least one."""
     step = max(1, BLOCK_BYTES // item_bytes)
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _cached(cache: dict, key, build, *args):
+    """cache[key], built as build(*args) on first use and shared by every later call,
+    so every array in it is made read-only.  A cached value never holds the cache's
+    owner (group or patch), so a dropped owner frees its cache by reference counting."""
+    if key not in cache:
+        cache[key] = _read_only(build(*args))
+    return cache[key]
+
+
+def _read_only(value):
+    """value, with every array in it, through tuples, lists and dataclass fields, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    return value

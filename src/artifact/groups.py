@@ -23,6 +23,7 @@ from .errors import (
     NotSubgroup,
     SizeExceeded,
     _blocks,
+    _cached,
 )
 
 
@@ -62,22 +63,16 @@ class GroupTable:
 
     def conj_table(self) -> np.ndarray:
         """n x n table with entry [g, x] = g x g^-1."""
-        if "conj" not in self._cache:
-            t = self.mul[self.mul, self.inv[:, None]]
-            t.flags.writeable = False
-            self._cache["conj"] = t
-        return self._cache["conj"]
+        return _cached(self._cache, "conj", lambda: self.mul[self.mul, self.inv[:, None]])
 
     def power_table(self) -> np.ndarray:
         """e x n table with entry [j, x] = x^j, j = 0..e-1; its length e is the exponent."""
-        if "powers" not in self._cache:
+        def build():
             rows = [np.zeros(self.order, dtype=np.int64)]
             while (step := self.mul[rows[-1], np.arange(self.order)]).any():
                 rows.append(step)
-            t = np.stack(rows)
-            t.flags.writeable = False
-            self._cache["powers"] = t
-        return self._cache["powers"]
+            return np.stack(rows)
+        return _cached(self._cache, "powers", build)
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -403,15 +398,17 @@ class ConjugacyData:
     """Classes, minimal-index representatives, and transversal k_b
     (k_b a k_b^-1 = b, k_a = e)."""
 
-    classes: list[np.ndarray]
+    classes: tuple[np.ndarray, ...]
     class_of: np.ndarray
     reps: np.ndarray
     transversal: np.ndarray
 
 
 def conjugacy_data(g: GroupTable) -> ConjugacyData:
-    if "conjugacy" in g._cache:
-        return g._cache["conjugacy"]
+    return _cached(g._cache, "conjugacy", _conjugacy_data, g)
+
+
+def _conjugacy_data(g: GroupTable) -> ConjugacyData:
     n = g.order
     conj = g.conj_table()
     class_of = np.full(n, -1, dtype=np.int64)
@@ -428,11 +425,7 @@ def conjugacy_data(g: GroupTable) -> ConjugacyData:
         reps.append(x)
         for b in orbit:
             transversal[b] = np.argmax(conj[:, x] == b)
-    data = ConjugacyData(classes, class_of, np.array(reps, dtype=np.int64), transversal)
-    for arr in (*classes, class_of, data.reps, transversal):
-        arr.flags.writeable = False
-    g._cache["conjugacy"] = data
-    return data
+    return ConjugacyData(tuple(classes), class_of, np.array(reps, dtype=np.int64), transversal)
 
 
 # --- subgroups and cosets --------------------------------------------------------

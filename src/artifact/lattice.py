@@ -42,6 +42,7 @@ from .errors import (
     SubgroupMismatch,
     ZeroProjection,
     _blocks,
+    _cached,
     _check,
 )
 from .groups import GroupTable, Subgroup, cosets
@@ -228,14 +229,14 @@ def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
             for a in axes}
 
 
-def _freeze(patch: LatticePatch, x, source=None, coef=None):
+def _compile(patch: LatticePatch, x, source=None, coef=None):
     """Compiled operator new[x] = coef[x] * old[source(x)] as (first, last, shift, coef).
 
     `source` maps each moved axis to its source values on the grid `x`;
     axes first..last are the contiguous span from the first to the last of
     them, and shift is the flat offset of source(x) from x within that span,
     shaped over the span's axes (all None: nothing moves).  coef is the
-    broadcast coefficient (None: all ones).  Arrays are frozen read-only."""
+    broadcast coefficient (None: all ones)."""
     first = last = shift = None
     if source is not None:
         first, last = min(source), max(source)
@@ -243,19 +244,14 @@ def _freeze(patch: LatticePatch, x, source=None, coef=None):
         stride = np.cumprod((1,) + span[:0:-1])[::-1]
         shift = sum((source[a] - x[a]) * int(stride[a - first]) for a in source)
         shift = shift.reshape(shift.shape[first:last + 1])
-        shift.flags.writeable = False
     if coef is not None:
         coef = np.array(coef, dtype=np.complex128)
-        coef.flags.writeable = False
     return first, last, shift, coef
 
 
 def _op(patch: LatticePatch, build, *key):
     """build(patch, *key), compiled on first use and cached on the patch."""
-    op = patch._cache.get((build, *key))
-    if op is None:
-        op = patch._cache[(build, *key)] = build(patch, *key)
-    return op
+    return _cached(patch._cache, (build, *key), build, patch, *key)
 
 
 def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
@@ -266,11 +262,8 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
     (lead, span, trailing) are taken along the span at its positions plus the
     shift, one arange per span cached on the patch: no state-sized index."""
     first, last, shift, coef = op
-    span = patch._cache.get(("span", first, last))
-    if span is None:
-        span = patch._cache[("span", first, last)] = np.arange(
-            prod(patch.dims[first:last + 1])).reshape(patch.dims[first:last + 1])
-        span.flags.writeable = False
+    dims = patch.dims[first:last + 1]
+    span = _cached(patch._cache, ("span", first, last), lambda: np.arange(prod(dims)).reshape(dims))
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
     new = np.take(blocks, (span + shift).reshape(-1), axis=1)
     new = new.reshape(*patch.dims[:last + 1], -1)
@@ -327,7 +320,7 @@ def _face_op(patch: LatticePatch, face, base, h: int):
     for axis, sign in cycle:
         vals = _edge_values(patch, axis)[x[axis]]
         hol = gt.mul[hol, vals if sign == 1 else gt.inv[vals]]
-    return _freeze(patch, x, coef=hol == h)
+    return _compile(patch, x, coef=hol == h)
 
 
 def apply_face(patch: LatticePatch, state: LatticeState, site, h: int) -> LatticeState:
@@ -347,7 +340,7 @@ def _vertex_op(patch: LatticePatch, v, g: int):
     if any(patch.edges[a].wall for a, _ in star):
         raise NotInSubgroup("use apply_wall_vertex at wall vertices")
     x = _coords(patch, [a for a, _ in star])
-    return _freeze(patch, x, {a: _act(patch.group, g, x[a], sign) for a, sign in star})
+    return _compile(patch, x, {a: _act(patch.group, g, x[a], sign) for a, sign in star})
 
 
 def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> LatticeState:
@@ -395,7 +388,7 @@ def _wall_vertex_op(patch: LatticePatch, v, k: int):
         # the phase reads the pre-action value; incoming edges read it inverted
         phase = patch.cocycle.table[k, src[a] if s == 1 else kg.inv[src[a]]]
         coef = coef * (phase if positive else 1 / phase)
-    return _freeze(patch, x, src, coef)
+    return _compile(patch, x, src, coef)
 
 
 def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
@@ -412,7 +405,7 @@ def wall_vertex_projector(patch: LatticePatch, state: LatticeState, v) -> Lattic
 def _wall_face_op(patch: LatticePatch, v, k: int):
     (axis, _), _, _ = _wall_star(patch, v)
     x = _coords(patch, [axis])
-    return _freeze(patch, x, coef=x[axis] == k)
+    return _compile(patch, x, coef=x[axis] == k)
 
 
 def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
@@ -577,7 +570,7 @@ def _ribbon_op(patch: LatticePatch, spec: RibbonSpec, h: int, g: int):
                 raise NotInSubgroup(f"flux {h} is outside the boundary subgroup")
             src[a] = patch.boundary.as_group.mul[x[a], kk]
             coef = patch.cocycle.table[x[a], kk]
-    return _freeze(patch, x, src, coef * (u == g))
+    return _compile(patch, x, src, coef * (u == g))
 
 
 def apply_ribbon(
@@ -1050,21 +1043,21 @@ def wall_relation_report(
         for k in range(nk) for gg in range(n)
     )
     checks.append(("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err))
-    basis = {(k, i): tt(gs, k, gi) for k in range(nk) for i, gi in enumerate(reps)}
+    # one basis state T~^{k,gi}|gs> held at a time; the other side of the Gram is rebuilt
+    basis = [(k, gi) for k in range(nk) for gi in reps]
     scale = nk / n
-    err = max(
-        abs(inner(a, b) - (scale if ka == kb else 0.0))
-        for ka, a in basis.items() for kb, b in basis.items()
-    )
-    checks.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta", err))
-    err = 0.0
-    for (k, i), st in basis.items():
-        gi = reps[i]
+    gram, err = [], 0.0
+    for ka in basis:
+        k, gi = ka
+        st = tt(gs, k, gi)
+        gram += [abs(inner(st, st if kb == ka else tt(gs, *kb)) - (scale if kb == ka else 0.0))
+                 for kb in basis]
         for m in range(n):
             err = max(err, _dist(apply_vertex(patch, st, v1, m),
                                  tt(gs, k, int(mul[m, gi]))))
             flux = int(mul[mul[gi, mem[k]], inv[gi]])
             err = max(err, _dist(apply_face(patch, st, (v1, f1), m), st,
                                  scale=1.0 if m == flux else 0.0))
+    checks.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta", max(gram)))
     checks.append(("basis carries charge g and flux gkg^-1 at s1", err))
     return checks

@@ -18,7 +18,7 @@ import numpy as np
 
 from .characters import character_table
 from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
-from .errors import _blocks, _check, _integers, _reassembles
+from .errors import _blocks, _cached, _check, _integers, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 
@@ -92,21 +92,24 @@ def centralizer(g: GroupTable, a: int) -> Subgroup:
     from the same Dixon-Schneider routine as every other group's.
 
     The cache holds (members, as_group, position), never g itself."""
-    cache = g._cache.setdefault("centralizers", {})
     a = int(a)
-    if a not in cache:
-        sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], f"Z[{g.label}:{a}]")
-        sub.members.flags.writeable = sub.position.flags.writeable = False
-        cache[a] = sub.members, sub.as_group, sub.position
-    return Subgroup(g, *cache[a])
+    return Subgroup(g, *_cached(g._cache, ("centralizer", a), _centralizer, g, a))
 
 
-def anyons(g: GroupTable) -> list[Anyon]:
+def _centralizer(g: GroupTable, a: int) -> tuple[np.ndarray, GroupTable, np.ndarray]:
+    sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], f"Z[{g.label}:{a}]")
+    return sub.members, sub.as_group, sub.position
+
+
+def anyons(g: GroupTable) -> tuple[Anyon, ...]:
     """All simple objects, ordered by (class representative, irrep row).
 
     Index 0 is always the vacuum (identity class, trivial irrep)."""
-    if "anyons" in g._cache:
-        return g._cache["anyons"]
+    return _cached(g._cache, "anyons", _anyons, g)[0]
+
+
+def _anyons(g: GroupTable) -> tuple[tuple[Anyon, ...], dict[tuple[int, int], int]]:
+    """The anyons and the index of each (class_rep, pi) among them."""
     data = conjugacy_data(g)
     out: list[Anyon] = []
     index: dict[tuple[int, int], int] = {}
@@ -119,14 +122,11 @@ def anyons(g: GroupTable) -> list[Anyon]:
             out.append(Anyon(int(a), p, size * int(tab.dims[p]), f"({cl},r{p})"))
     if sum(x.dim**2 for x in out) != g.order**2:
         raise ConditionMismatch("squared dims must total |G|^2")
-    g._cache["anyons"] = out
-    g._cache["anyon_index"] = index
-    return out
+    return tuple(out), index
 
 
 def _index(g: GroupTable, class_rep: int, pi: int) -> int:
-    anyons(g)
-    return g._cache["anyon_index"][(int(class_rep), int(pi))]
+    return _cached(g._cache, "anyons", _anyons, g)[1][(int(class_rep), int(pi))]
 
 
 def anyon_by(g: GroupTable, class_rep: int, pi: int) -> Anyon:
@@ -139,8 +139,10 @@ def pair_orbits(g: GroupTable) -> PairOrbits:
 
     chi_x(g h*) = [h in class][gh = hg] tr_pi(k_h^-1 g k_h), so the table is
     the centralizer character tables placed along the diagonal."""
-    if "pair_orbits" in g._cache:
-        return g._cache["pair_orbits"]
+    return _cached(g._cache, "pair_orbits", _pair_orbits, g)
+
+
+def _pair_orbits(g: GroupTable) -> PairOrbits:
     data = conjugacy_data(g)
     conj = g.conj_table()
     n = len(anyons(g))
@@ -163,11 +165,7 @@ def pair_orbits(g: GroupTable) -> PairOrbits:
         rep_h[block] = a
         table[block, block] = character_table(zc.as_group).table
         at = block.stop
-    for arr in (orbit_of, sizes, rep_g, rep_h, table):
-        arr.flags.writeable = False
-    out = PairOrbits(orbit_of, sizes, rep_g, rep_h, table)
-    g._cache["pair_orbits"] = out
-    return out
+    return PairOrbits(orbit_of, sizes, rep_g, rep_h, table)
 
 
 def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -218,15 +216,14 @@ def s_matrix(g: GroupTable) -> np.ndarray:
 
     (g, h) -> (h, g) maps orbits to orbits, so this is one product of a column
     gather of the conjugate double character table with the table itself."""
-    if "smatrix" in g._cache:
-        return g._cache["smatrix"]
+    return _cached(g._cache, "smatrix", _s_matrix, g)
+
+
+def _s_matrix(g: GroupTable) -> np.ndarray:
     po = pair_orbits(g)
     swap = po.orbit_of[po.rep_h, po.rep_g]
     x = np.conj(po.table)
-    s = (x[:, swap] * po.sizes) @ x.T / g.order
-    s.flags.writeable = False
-    g._cache["smatrix"] = s
-    return s
+    return (x[:, swap] * po.sizes) @ x.T / g.order
 
 
 def s_charge_powers(g: GroupTable, rows: slice = slice(None)) -> np.ndarray:
@@ -267,8 +264,10 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
     One complex GEMM, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu) / S_0u,
     taken in row blocks of x; every entry of every block must round to a
     non-negative integer within TOL["fusion"].  The result is read-only."""
-    if "fusion" in g._cache:
-        return g._cache["fusion"]
+    return _cached(g._cache, "fusion", _fusion_verlinde, g)
+
+
+def _fusion_verlinde(g: GroupTable) -> np.ndarray:
     s = s_matrix(g)
     m = s.shape[0]
     right = np.conj(s).T / s[0][:, None]
@@ -279,8 +278,6 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
         if n.min() < 0:
             raise NegativeOrNonInteger("negative fusion multiplicity")
         out[rows] = n.reshape(-1, m, m)
-    out.flags.writeable = False
-    g._cache["fusion"] = out
     return out
 
 

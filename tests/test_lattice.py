@@ -237,6 +237,14 @@ def test_s3_full_lattice_character_holds_at_most_ten_states():
     assert peak <= 10 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
+def test_s3_full_wall_report_holds_at_most_eight_states():
+    # the Gram and charge/flux checks on the T~ basis run once whatever `states`;
+    # each basis state is rebuilt where it is read, so the report holds a few states
+    s3 = symmetric(3)
+    peak = _traced_peak(lambda: wall_relation_report(s3, full_subgroup(s3), states=1))
+    assert peak <= 8 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+
+
 @pytest.mark.parametrize("boundary", ["full", "Z3"])
 def test_streamed_character_equals_the_list_based_loop(boundary):
     s3 = symmetric(3)

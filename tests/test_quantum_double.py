@@ -1,5 +1,6 @@
 """Anyon data of the double: labels, characters, S, T, and fusion."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -16,6 +17,7 @@ from artifact.errors import (
     NonIntegerMultiplicity,
 )
 from artifact.groups import (
+    GroupTable,
     affine_group,
     alternating,
     conjugacy_data,
@@ -310,6 +312,33 @@ def test_cached_s_matrix_and_fusion_are_read_only():
             arr.flat[0] = 5
         assert np.array_equal(arr, before), name
     assert character_table(g).table[0, 0] == 1
+    # cached containers are tuples: an append would change every later anyons, _index and pair_orbits
+    objs = anyons(g)
+    with pytest.raises(AttributeError):
+        objs.append(objs[0])
+    assert anyons(g) is objs and len(objs) == 8
+    assert isinstance(data.classes, tuple)
+    # after a full run every array reachable from the cache, centralizers' caches included, is read-only
+    t_vector(g), anyon_dual(g, objs[3]), anyon_op(g, objs[5])
+    arrays = list(_reachable_arrays(g._cache))
+    assert len(arrays) > 30
+    assert not [a for a in arrays if a.flags.writeable]
+
+
+def _reachable_arrays(value):
+    """Arrays in value, through containers, dataclass fields and groups with their caches."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, GroupTable):
+        yield from _reachable_arrays((value.mul, value.inv, value._cache))
+    elif isinstance(value, dict):
+        yield from _reachable_arrays(list(value.values()))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _reachable_arrays(getattr(value, f.name))
 
 
 def test_product_anyon_multiplicativity():

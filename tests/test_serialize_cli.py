@@ -4,11 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artifact
 from artifact import errors, serialize
 from artifact.characters import character_table
 from artifact.cli import main
@@ -469,3 +474,38 @@ def test_cli_product_group():
     obj = json.loads(out)
     assert obj["order"] == 6
     assert obj["abelian"] is True
+
+
+HASH_SEED_COMMANDS = [
+    ["verify", "cf", "5"],
+    ["condense", "--group", "builtin:S4", "--subgroup", "full"],
+    ["tunnel", "--wall-u", "diagonal", "--group", "builtin:A4"],
+    ["tunnel", "--wall-u", "q=3"],
+    ["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
+    ["chartable", "--group", "builtin:A5"],
+    ["modinv", "search", "--group", "builtin:S3"],
+]
+
+
+def test_cli_stdout_does_not_depend_on_the_hash_seed():
+    # one interpreter per seed runs every command through the CLI entry point
+    script = """
+import contextlib, io, json, sys
+from artifact.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    sys.stdout.write(f"$ {' '.join(argv)} -> {code}\\n{out.getvalue()}")
+"""
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(HASH_SEED_COMMANDS)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(artifact.__file__).parents[1])),
+        )
+        for seed in ("0", "1")
+    ]
+    (zero, err), (one, _) = [run.communicate() for run in runs]
+    assert zero.count(b" -> 0\n") == len(HASH_SEED_COMMANDS), err.decode()
+    assert zero == one
