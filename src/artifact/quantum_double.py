@@ -88,16 +88,16 @@ class DGClassFunction:
 
 
 def centralizer(g: GroupTable, a: int) -> Subgroup:
-    """Centralizer of an element, memoized per group; its character table comes
-    from the same Dixon-Schneider routine as every other group's.
+    """Centralizer of an element, memoized per group under its member set: elements
+    with one centralizer share its subgroup table and so its Dixon-Schneider table.
 
     The cache holds (members, as_group, position), never g itself."""
-    a = int(a)
-    return Subgroup(g, *_cached(g._cache, ("centralizer", a), _centralizer, g, a))
+    members = np.flatnonzero(g.conj_table()[:, int(a)] == int(a))
+    return Subgroup(g, *_cached(g._cache, ("centralizer", members.tobytes()), _centralizer, g, members))
 
 
-def _centralizer(g: GroupTable, a: int) -> tuple[np.ndarray, GroupTable, np.ndarray]:
-    sub = subgroup(g, np.nonzero(g.conj_table()[:, a] == a)[0], f"Z[{g.label}:{a}]")
+def _centralizer(g: GroupTable, members: np.ndarray) -> tuple[np.ndarray, GroupTable, np.ndarray]:
+    sub = subgroup(g, members, f"Z[{g.label}:{members.size}]")
     return sub.members, sub.as_group, sub.position
 
 
@@ -262,8 +262,9 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
     """Fusion tensor N[x, y, z] = sum_u S_xu S_yu conj(S_zu) / S_0u (Verlinde).
 
     One complex GEMM, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu) / S_0u,
-    taken in row blocks of x; every entry of every block must round to a
-    non-negative integer within TOL["fusion"].  The result is read-only."""
+    taken in row blocks of x for y >= the block's first x and mirrored into N[y, x]
+    (rows (x, y) and (y, x) of L are the same bits); every entry of every block
+    must round to a non-negative integer within TOL["fusion"].  Read-only."""
     return _cached(g._cache, "fusion", _fusion_verlinde, g)
 
 
@@ -273,11 +274,14 @@ def _fusion_verlinde(g: GroupTable) -> np.ndarray:
     right = np.conj(s).T / s[0][:, None]
     out = np.empty((m, m, m), dtype=np.int64)
     for rows in _blocks(m, 16 * m * m):
-        raw = (s[rows, None, :] * s[None, :, :]).reshape(-1, m) @ right
+        y0 = rows.start
+        raw = (s[rows, None, :] * s[None, y0:, :]).reshape(-1, m) @ right
         n = _integers(raw, "fusion entries off integers", TOL["fusion"], NegativeOrNonInteger)
         if n.min() < 0:
             raise NegativeOrNonInteger("negative fusion multiplicity")
-        out[rows] = n.reshape(-1, m, m)
+        n = n.reshape(rows.stop - y0, m - y0, m)
+        out[rows, y0:] = n
+        out[y0:, rows] = n.transpose(1, 0, 2)
     return out
 
 

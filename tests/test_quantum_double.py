@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from artifact import errors
+from artifact import characters, errors
 from artifact.characters import character_table
 from artifact.condensation import verify_cf_symmetry
 from artifact.errors import (
@@ -258,10 +258,23 @@ def einsum_fusion(g):
     return np.rint(raw.real).astype(np.int64)
 
 
-# 110_000 bytes makes blocks of 5 rows for Z6 (36 anyons) and 11 for Z5 (25),
-# so both span several blocks and end in a partial one.
-@pytest.mark.parametrize("block_bytes", [None, 110_000])
-@pytest.mark.parametrize("build, n", [(cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3)])
+def affine(q):
+    return affine_group(near_field(q))
+
+
+def z2_times_symmetric(n):
+    return direct_product(cyclic(2), symmetric(n))
+
+
+# Fusion forms the y >= x half of each row block and mirrors it.  110_000 bytes
+# makes blocks of 5 rows for Z6 (36 anyons), 11 for Z5 (25), 14 for Aff(F5) (22)
+# and 6 for Z2 x S3 (32); 40_000 makes blocks of 1, 4, 5 and 2 rows, and 12 for
+# A4 (14).  Each block after the first starts inside the range that earlier
+# blocks mirrored, and most end in a partial one.
+@pytest.mark.parametrize("block_bytes", [None, 110_000, 40_000])
+@pytest.mark.parametrize("build, n", [
+    (cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3), (affine, 5), (z2_times_symmetric, 3),
+])
 def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
@@ -269,16 +282,44 @@ def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes
     fusion = fusion_verlinde(g)
     assert fusion.dtype == np.int64
     assert np.array_equal(fusion, einsum_fusion(g))
+    assert np.array_equal(fusion, fusion.transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("offset", [0.1, np.nan])
-def test_fusion_rejects_a_non_integer_s_matrix(offset):
+# the half tensor still reads every entry of S: a perturbed s[1, 2] fails, and
+# so does one in the last row, which is the last x and a y of every block
+PERTURBED = [
+    pytest.param(at, offset, id=f"{offset}{where}")
+    for at, where in [((1, 2), ""), ((-1, 0), "-last-first"), ((-1, -1), "-last-last")]
+    for offset in (0.1, np.nan)
+]
+
+
+@pytest.mark.parametrize("at, offset", PERTURBED)
+def test_fusion_rejects_a_non_integer_s_matrix(at, offset):
     g = symmetric(3)
     s = s_matrix(g).copy()
-    s[1, 2] += offset
+    s[at] += offset
     g._cache["smatrix"] = s
     with pytest.raises(NegativeOrNonInteger):
         fusion_verlinde(g)
+
+
+def test_elements_with_one_centralizer_share_its_table():
+    g = cyclic(6)
+    assert len({id(centralizer(g, a).as_group) for a in range(g.order)}) == 1
+
+
+# _character_table runs once per distinct centralizer of a class representative
+@pytest.mark.parametrize("build, n, tables", [
+    (cyclic, 12, 1), (affine, 13, 3), (z2_times_symmetric, 3, 3), (symmetric, 5, 6),
+])
+def test_anyons_build_one_character_table_per_distinct_centralizer(monkeypatch, build, n, tables):
+    g = build(n)
+    built = []
+    table = characters._character_table
+    monkeypatch.setattr(characters, "_character_table", lambda h: built.append(h) or table(h))
+    anyons(g), pair_orbits(g)
+    assert len(built) == tables
 
 
 def test_cached_s_matrix_and_fusion_are_read_only():
