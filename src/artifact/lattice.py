@@ -13,6 +13,12 @@ its index has one entry per span configuration, not one per amplitude.  Ribbon
 operators, composed of elementary triangle actions, provide the independent
 numeric route to the boundary algebra character.
 
+The relation suites probe each identity on seeded random states.  Their draws
+come from one generator in a fixed order (identity by identity, each state
+before its labels) and are made on one worker thread that stays one draw
+ahead of the checks, so the residuals are the same bits whatever the thread
+timing.
+
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
 boundary patch) point left.  Face (i, j) is the unit square with lower-left
@@ -26,6 +32,7 @@ and a leading "w" move on a wall site crosses the site's solid wall edge.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from math import prod
@@ -210,11 +217,25 @@ def minimal_boundary_patch(
     return _assemble(g, boundary, cocycle, edges)
 
 
+def _fill_gaussian(amps: np.ndarray, rng: np.random.Generator) -> None:
+    """Overwrite amps with a normalized complex Gaussian draw from rng: all real
+    parts, then all imaginary parts, then the normalization.  The standard
+    normals pass through one block-sized scratch buffer, so no temporary of
+    half the state's size is made."""
+    flat = amps.reshape(-1)
+    blocks = _blocks(flat.size, 8)
+    scratch = np.empty(blocks[0].stop)
+    for part in (flat.real, flat.imag):
+        for b in blocks:
+            x = scratch[:b.stop - b.start]
+            rng.standard_normal(out=x)
+            part[b] = x
+    amps /= np.linalg.norm(amps)
+
+
 def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
     amps = np.empty(patch.dims, dtype=np.complex128)
-    amps.real = rng.standard_normal(patch.dims)
-    amps.imag = rng.standard_normal(patch.dims)
-    amps /= np.linalg.norm(amps)
+    _fill_gaussian(amps, rng)
     return LatticeState(patch, amps)
 
 
@@ -647,7 +668,13 @@ def lattice_boundary_character(
 # --- relation suite -----------------------------------------------------------------
 
 def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
-    return float(np.linalg.norm(a.amplitudes - scale * b.amplitudes))
+    """||a - scale b||, with at most one temporary of the state's size."""
+    if scale == 0:
+        return float(np.linalg.norm(a.amplitudes))
+    if scale == 1:
+        return float(np.linalg.norm(a.amplitudes - b.amplitudes))
+    t = scale * b.amplitudes
+    return float(np.linalg.norm(np.subtract(a.amplitudes, t, out=t)))
 
 
 def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
@@ -678,15 +705,58 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     return gram, (float(np.sqrt(squares.max())) if alts else None)
 
 
-def _probe(checks, patch: LatticePatch, rng, states: int, name: str, fn, *dims) -> None:
-    """Append (name, worst residual of fn) over `states` seeded random states,
-    with one label drawn per entry of `dims` for each state."""
-    err = 0.0
-    for _ in range(states):
-        psi = random_state(patch, rng)
-        labels = [int(rng.integers(d)) for d in dims]
-        err = max(err, fn(psi, *labels))
-    checks.append((name, err))
+def _probe(probes: list, name: str, fn, *dims) -> None:
+    """Record the identity `name`: fn(psi, *labels) is its residual on a probe
+    state psi, with one label drawn below each entry of `dims`."""
+    probes.append((name, fn, dims))
+
+
+def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
+    """[(name, worst residual of fn over `states` probes), ...] for the recorded probes.
+
+    The draws come from `rng` alone, in a fixed order: identities in the order
+    recorded, `states` draws each, and each draw is a random_state (all real
+    parts, all imaginary parts, the normalization) followed by its labels.
+    One worker thread makes every draw and stays one draw ahead: while fn
+    checks draw t on this thread, the worker fills the other of two state
+    buffers with draw t + 1.  Only the worker touches `rng`, and it calls no
+    public function, so the residuals do not depend on thread timing.  An
+    exception on either thread stops the worker and is raised here."""
+    plan = [dims for _, _, dims in probes for _ in range(states)]
+    bufs = [np.empty(patch.dims, dtype=np.complex128) for _ in range(2)]
+    drawn = [None] * len(plan)  # labels of draw t, or the exception that stopped the worker
+    free, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+
+    def draw_all():
+        for t, dims in enumerate(plan):
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                _fill_gaussian(bufs[t % 2], rng)
+                drawn[t] = [int(rng.integers(d)) for d in dims]
+            except BaseException as exc:
+                drawn[t] = exc
+                return
+            finally:
+                ready.release()
+
+    worker = threading.Thread(target=draw_all, name="probe draws")
+    worker.start()
+    worst = [0.0] * len(probes)
+    try:
+        for t in range(len(plan)):
+            ready.acquire()
+            if isinstance(drawn[t], BaseException):
+                raise drawn[t]
+            i = t // states
+            worst[i] = max(worst[i], probes[i][1](LatticeState(patch, bufs[t % 2]), *drawn[t]))
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
+    return [(name, err) for (name, _, _), err in zip(probes, worst)]
 
 
 def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
@@ -699,7 +769,6 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     slices, not n² states).  The patch is 4x3 when the amplitude cap allows,
     otherwise 3x2; only the larger patch admits two ribbons with shared
     endpoints, so the deformation check is emitted only there."""
-    rng = np.random.default_rng(seed)
     try:
         patch, wide = build_patch(g, 4, 3), True
     except DimensionCap:
@@ -724,8 +793,8 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     def frib(st, h, gg, spec=rib):
         return apply_ribbon(patch, spec, st, h, gg)
 
-    checks = []
-    probe = partial(_probe, checks, patch, rng, states)
+    probes = []
+    probe = partial(_probe, probes)
 
     probe(
         "A_v^g A_v^h = A_v^{gh}",
@@ -858,15 +927,16 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
             len(mid_faces), n, n,
         )
 
+    # the disk-state statements run first, before the probe buffers exist,
+    # and are reported after the probes
     gram, err = _gram(patch, disk_state(patch, seed=seed), rib, alt)
-    if alt is not None:
-        checks.append(("ribbon deformation on the disk state", err))
+    tail = [] if alt is None else [("ribbon deformation on the disk state", err)]
     vacuum = np.array([1.0 if h == 0 else 0.0 for h in range(n) for _ in range(n)]) / n
-    err = float(np.max(np.abs(gram[0] - vacuum)))
-    checks.append(("<F^{h,g}> = delta_{h,e}/|G| on the disk state", err))
-    err = float(np.max(np.abs(gram[1:] - np.eye(n * n) / n)))
-    checks.append(("<psi^{h,g}|psi^{h',g'}> = delta delta / |G|", err))
-    return checks
+    tail.append(("<F^{h,g}> = delta_{h,e}/|G| on the disk state",
+                 float(np.max(np.abs(gram[0] - vacuum)))))
+    tail.append(("<psi^{h,g}|psi^{h',g'}> = delta delta / |G|",
+                 float(np.max(np.abs(gram[1:] - np.eye(n * n) / n)))))
+    return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail
 
 
 def wall_relation_report(
@@ -881,7 +951,6 @@ def wall_relation_report(
     Same probing scheme as the bulk report; the cocycle-phased identities use
     the patch's normalized table, and the Gram and vacuum statements run once
     on the ground state with a full label sweep."""
-    rng = np.random.default_rng(seed)
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     sub = patch.boundary
@@ -899,8 +968,8 @@ def wall_relation_report(
     def tt(st, k, gg):
         return apply_invariant_op(patch, rib, st, int(mem[k]), gg)
 
-    checks = []
-    probe = partial(_probe, checks, patch, rng, states)
+    probes = []
+    probe = partial(_probe, probes)
 
     probe(
         "wall A^k A^l = A^{kl}",
@@ -1037,12 +1106,14 @@ def wall_relation_report(
         nk, n,
     )
 
+    # the ground-state statements run first, before the probe buffers exist,
+    # and are reported after the probes
     gs = ground_state(patch, seed=seed)
     err = max(
         abs(inner(gs, ft(gs, k, gg)) - (1.0 if k == 0 else 0.0) / n)
         for k in range(nk) for gg in range(n)
     )
-    checks.append(("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err))
+    tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err)]
     # one basis state T~^{k,gi}|gs> held at a time; the other side of the Gram is rebuilt
     basis = [(k, gi) for k in range(nk) for gi in reps]
     scale = nk / n
@@ -1058,6 +1129,7 @@ def wall_relation_report(
             flux = int(mul[mul[gi, mem[k]], inv[gi]])
             err = max(err, _dist(apply_face(patch, st, (v1, f1), m), st,
                                  scale=1.0 if m == flux else 0.0))
-    checks.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta", max(gram)))
-    checks.append(("basis carries charge g and flux gkg^-1 at s1", err))
-    return checks
+    tail.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta", max(gram)))
+    tail.append(("basis carries charge g and flux gkg^-1 at s1", err))
+    del gs, st
+    return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail

@@ -1,6 +1,10 @@
 """Exact state-vector checks for the lattice model and its boundary."""
 
+import inspect
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -552,3 +556,172 @@ def test_lattice_error_paths_cache_nothing():
     with pytest.raises(DimensionCap):
         build_patch(symmetric(4), 3, 2)
     assert {id(p): set(p._cache) for p in (wall, bulk)} == before
+
+
+def test_random_state_does_not_depend_on_the_block_size(monkeypatch):
+    patch = build_patch(symmetric(3), 3, 2)
+    ref = random_state(patch, np.random.default_rng(1)).amplitudes
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * 6**5 + 8)  # ragged blocks in both parts
+    assert np.array_equal(random_state(patch, np.random.default_rng(1)).amplitudes, ref)
+
+
+# --- probe draws on the worker thread --------------------------------------------------
+
+
+def serial_probes(patch, rng, states, probes):
+    """Serial reference of `_run_probes`: per identity, per state, one
+    random_state and then its labels, all on the calling thread."""
+    checks = []
+    for name, fn, dims in probes:
+        err = 0.0
+        for _ in range(states):
+            psi = random_state(patch, rng)
+            labels = [int(rng.integers(d)) for d in dims]
+            err = max(err, fn(psi, *labels))
+        checks.append((name, err))
+    return checks
+
+
+def _criterion_8_suites():
+    z2 = cyclic(2)
+    s3, k3 = _s3_z3()
+    z22, kf, phi = _z22_bilinear()
+    return {
+        "bulk Z2": lambda: bulk_relation_report(z2, states=3, seed=0),
+        "bulk S3": lambda: bulk_relation_report(s3, states=3, seed=0),
+        "wall Z2 / K = Z2": lambda: wall_relation_report(z2, full_subgroup(z2), states=3, seed=0),
+        "wall S3 / K = Z3": lambda: wall_relation_report(s3, k3, states=3, seed=0),
+        "wall Z2xZ2 / bilinear": lambda: wall_relation_report(z22, kf, phi, states=3, seed=0),
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_reports():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_run_probes", serial_probes)
+        return {label: run() for label, run in _criterion_8_suites().items()}
+
+
+def _slowed(fn):
+    def slow(*args, **kwargs):
+        time.sleep(0.002)
+        return fn(*args, **kwargs)
+    return slow
+
+
+@pytest.mark.parametrize("slow", [None, "_fill_gaussian"])
+def test_threaded_probes_equal_the_serial_loop(monkeypatch, serial_reports, slow):
+    # with the fill slowed the checks wait on the worker, without it the worker
+    # mostly waits for a free buffer: neither may change a residual's bits
+    if slow is not None:
+        monkeypatch.setattr(lattice, slow, _slowed(getattr(lattice, slow)))
+    for label, run in _criterion_8_suites().items():
+        assert run() == serial_reports[label], label
+
+
+def test_a_report_leaves_no_thread_behind():
+    before = threading.active_count()
+    bulk_relation_report(cyclic(2), states=2, seed=1)
+    assert threading.active_count() == before
+
+
+def _boom(*args):
+    raise ZeroDivisionError("probe failed")
+
+
+def _run_within(seconds, fn, *args):
+    """Run fn(*args) on a fresh caller thread that must finish within `seconds`
+    and leave no thread behind; returns the caller's ident and what fn raised."""
+    out = {}
+
+    def call():
+        out["caller"] = threading.get_ident()
+        try:
+            fn(*args)
+        except ZeroDivisionError as exc:
+            out["raised"] = exc
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert not caller.is_alive(), "the probe loop hung"
+    assert threading.active_count() == before
+    return out
+
+
+def test_a_failing_check_stops_the_worker():
+    patch = build_patch(cyclic(2), 3, 2)
+    calls = []
+
+    def fails_on_the_third(psi, label):
+        calls.append(label)
+        return _boom() if len(calls) == 3 else 0.0
+
+    probes = [("ok", lambda psi: 0.0, ()), ("fails", fails_on_the_third, (2,)), ("never", _boom, ())]
+    out = _run_within(60, lattice._run_probes, patch, np.random.default_rng(0), 4, probes)
+    assert "raised" in out and len(calls) == 3
+
+
+def test_a_failing_draw_is_raised_on_the_calling_thread(monkeypatch):
+    fill, draws = lattice._fill_gaussian, []
+
+    def fails_on_the_third(amps, rng):
+        draws.append(threading.get_ident())
+        if len(draws) == 3:
+            _boom()
+        fill(amps, rng)
+
+    monkeypatch.setattr(lattice, "_fill_gaussian", fails_on_the_third)
+    patch = build_patch(cyclic(2), 3, 2)
+    probes = [("ok", lambda psi, a: 0.0, (2,))]
+    out = _run_within(60, lattice._run_probes, patch, np.random.default_rng(0), 8, probes)
+    assert "raised" in out and len(draws) == 3 and out["caller"] not in draws
+
+
+def test_probe_loops_on_more_threads_than_cores_see_the_serial_draws():
+    # four callers, each with its own worker, switching every microsecond:
+    # every check must see exactly the state and labels the serial loop gives it
+    patch = build_patch(cyclic(2), 3, 2)
+
+    def run(runner, seed, seen):
+        def record(i):
+            return lambda psi, *labels: seen.append((i, psi.amplitudes.tobytes(), labels)) or 0.0
+        probes = [(f"p{i}", record(i), (2,) * i) for i in range(3)]
+        runner(patch, np.random.default_rng(seed), 5, probes)
+
+    refs = [[] for _ in range(4)]
+    for seed, seen in enumerate(refs):
+        run(serial_probes, seed, seen)
+    results = [[] for _ in range(4)]
+    callers = [threading.Thread(target=run, args=(lattice._run_probes, seed, seen))
+               for seed, seen in enumerate(results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == refs and len(refs[0]) == 15
+
+
+def test_every_public_lattice_function_runs_on_the_calling_thread(monkeypatch):
+    # the benchmark's span recorder keeps one span stack, which a second thread would corrupt
+    threads = {}
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in list(vars(lattice).items()):
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == lattice.__name__:
+            monkeypatch.setattr(lattice, name, recorded(name, fn))
+    lattice.bulk_relation_report(symmetric(3), states=1)
+    assert {"apply_vertex", "apply_face", "apply_ribbon", "random_state"} <= set(threads)
+    assert set().union(*threads.values()) == {threading.get_ident()}
