@@ -16,27 +16,65 @@ exp(2 pi i t / e).  `root_multiplicities` is the same formula on float values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import TOL, GroupMismatch, NotSubgroup, NumericalDegeneracy, _cached, _check, _integers
+from .errors import TOL, GroupMismatch, NonIntegerMultiplicity, NotSubgroup, NumericalDegeneracy
+from .errors import _cached, _check, _integers, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """Orbits of a group acting on points: elements under conjugation
+    (`class_orbits`) or commuting pairs under simultaneous conjugation
+    (`quantum_double.pair_orbits`).  Points are index tuples into an array
+    over all points, and table[x, o] is irreducible character x on orbit o."""
+
+    orbit_of: np.ndarray  # point -> orbit id, -1 on points outside every orbit
+    sizes: np.ndarray  # points per orbit
+    reps: tuple[np.ndarray, ...]  # point (reps[0][o], ...) lies in orbit o
+    table: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """Complex values per conjugacy class, in conjugacy_data class order."""
+    """Function constant on orbits: orbit_values[o] on every point of orbit o,
+    zero on points outside every orbit; `values` expands it over all points."""
 
-    group: GroupTable
-    values: np.ndarray
+    group: GroupTable = field(repr=False)
+    orbit_values: np.ndarray
+    orbits: Orbits = field(repr=False)
 
-    def on_element(self, x: int) -> complex:
-        return complex(self.values[conjugacy_data(self.group).class_of[x]])
+    @classmethod
+    def from_dense(cls, g: GroupTable, dense, orbits: Orbits) -> ClassFunction:
+        """The class function whose `values` are dense; raises ConditionMismatch
+        unless dense is constant on orbits and zero outside them."""
+        dense = np.asarray(dense, dtype=np.complex128)
+        chi = cls(g, dense[orbits.reps], orbits)
+        _reassembles("values are not a class function on these orbits", chi.values, dense)
+        return chi
 
-    def on_elements(self) -> np.ndarray:
-        """Length-|G| vector of values per element."""
-        return self.values[conjugacy_data(self.group).class_of]
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Values over all points: per element, or the |G| x |G| grid on the double."""
+        return np.append(self.orbit_values, 0)[self.orbits.orbit_of]
+
+    def __add__(self, other: ClassFunction) -> ClassFunction:
+        _on_orbits(self.group, self.orbits, other)
+        return ClassFunction(self.group, self.orbit_values + other.orbit_values, self.orbits)
+
+    def __sub__(self, other: ClassFunction) -> ClassFunction:
+        _on_orbits(self.group, self.orbits, other)
+        return ClassFunction(self.group, self.orbit_values - other.orbit_values, self.orbits)
+
+
+def _on_orbits(g: GroupTable, orbits: Orbits, *chis: ClassFunction) -> None:
+    """Raise GroupMismatch unless every chi lives on g and on these orbits."""
+    if any(chi.group is not g or chi.orbits.orbit_of is not orbits.orbit_of for chi in chis):
+        raise GroupMismatch("class functions live on different groups or orbits")
 
 
 @dataclass
@@ -50,7 +88,7 @@ class CharacterTable:
         return int(self.table.shape[0])
 
     def row(self, i: int) -> ClassFunction:
-        return ClassFunction(self.group, self.table[i])
+        return ClassFunction(self.group, self.table[i], class_orbits(self.group))
 
     def match_row(self, values: np.ndarray) -> int:
         """Row index whose values match the given class vector."""
@@ -143,56 +181,68 @@ def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 
 # --- class function operations ---------------------------------------------------
 
+def class_orbits(g: GroupTable) -> Orbits:
+    """Conjugacy classes as orbits on elements, with the character table."""
+    data = conjugacy_data(g)
+    return Orbits(data.class_of, np.bincount(data.class_of), (data.reps,), character_table(g).table)
+
+
 def inner_product(chi1: ClassFunction, chi2: ClassFunction) -> complex:
-    """(1/|G|) sum_g chi1(g)* chi2(g)."""
-    if chi1.group is not chi2.group:
-        raise GroupMismatch("class functions live on different groups")
-    sizes = np.array([c.size for c in conjugacy_data(chi1.group).classes])
-    return complex(np.sum(sizes * np.conj(chi1.values) * chi2.values) / chi1.group.order)
+    """(1/|G|) sum over points of chi1* chi2: elements of G, or all pairs (g, h)."""
+    _on_orbits(chi1.group, chi1.orbits, chi2)
+    return complex(np.sum(chi1.orbits.sizes * np.conj(chi1.orbit_values) * chi2.orbit_values) / chi1.group.order)
+
+
+def decompose(chi: ClassFunction) -> np.ndarray:
+    """Integer multiplicities against the rows of chi.orbits.table, by orthonormality.
+
+    Raises NonIntegerMultiplicity when the projections are not integers or the
+    reassembled sum misses the input (the input was not in the character span)."""
+    orbits = chi.orbits
+    raw = np.conj(orbits.table) @ (orbits.sizes * chi.orbit_values) / chi.group.order
+    mult = _integers(raw, "projection off nearest integer", TOL["multiplicity"], NonIntegerMultiplicity)
+    _reassembles("reassembly", mult @ orbits.table, chi.orbit_values, NonIntegerMultiplicity)
+    return mult
 
 
 def conjugate_character(chi: ClassFunction) -> ClassFunction:
-    return ClassFunction(chi.group, np.conj(chi.values))
+    return ClassFunction(chi.group, np.conj(chi.orbit_values), chi.orbits)
 
 
 def trivial_character(g: GroupTable) -> ClassFunction:
     k = len(conjugacy_data(g).classes)
-    return ClassFunction(g, np.ones(k, dtype=np.complex128))
+    return ClassFunction(g, np.ones(k, dtype=np.complex128), class_orbits(g))
 
 
 def regular_character(g: GroupTable) -> ClassFunction:
     k = len(conjugacy_data(g).classes)
     values = np.zeros(k, dtype=np.complex128)
     values[0] = g.order
-    return ClassFunction(g, values)
+    return ClassFunction(g, values, class_orbits(g))
 
 
 def restricted_character(k: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Restriction of a parent-group class function to the subgroup."""
-    if chi.group is not k.parent:
-        raise GroupMismatch("class function does not live on the parent group")
-    data = conjugacy_data(k.as_group)
-    parent_values = chi.on_elements()
-    values = np.array([parent_values[k.members[r]] for r in data.reps])
-    return ClassFunction(k.as_group, values)
+    _on_orbits(k.parent, class_orbits(k.parent), chi)
+    sub = k.as_group
+    return ClassFunction(sub, chi.values[k.members[conjugacy_data(sub).reps]], class_orbits(sub))
 
 
 def induced_character(g: GroupTable, k: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Standard induction: Ind(x) = (1/|K|) sum over y with y^-1 x y in K."""
     if k.parent is not g:
         raise NotSubgroup("subgroup belongs to a different group")
-    if chi.group is not k.as_group:
-        raise GroupMismatch("class function does not live on the subgroup")
+    _on_orbits(k.as_group, class_orbits(k.as_group), chi)
     data = conjugacy_data(g)
     conj = g.conj_table()
-    sub_values = chi.on_elements()
+    sub_values = chi.values
     values = np.empty(len(data.classes), dtype=np.complex128)
     for ci, r in enumerate(data.reps):
         conjugates = conj[g.inv, r]
         local = k.position[conjugates]
         hit = local >= 0
         values[ci] = np.sum(sub_values[local[hit]]) / k.order
-    return ClassFunction(g, values)
+    return ClassFunction(g, values, class_orbits(g))
 
 
 # --- exact values ----------------------------------------------------------------

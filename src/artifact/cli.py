@@ -176,18 +176,9 @@ def cmd_group_info(args) -> int:
 
 def cmd_chartable(args) -> int:
     g = parse_group(args.group)
-    ct = character_table(g)
-    obj = serialize.chartable_obj(ct)
+    obj = serialize.chartable_obj(character_table(g))
     if args.format == "csv":
-        import csv as _csv
-        import io
-
-        out = io.StringIO()
-        w = _csv.writer(out, lineterminator="\n")
-        w.writerow(["irrep", *obj["classes"]])
-        for i, row in enumerate(obj["rows"]):
-            w.writerow([f"r{i}", *row])
-        _emit(out.getvalue())
+        _emit(serialize.chartable_csv(obj))
     else:
         _emit(serialize.render_json(obj))
     return 0

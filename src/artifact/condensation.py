@@ -7,10 +7,11 @@ condenses at that boundary.  A domain wall between the doubles of G and G'
 is the same datum on G x G' after folding, and when the wall is invertible
 the decomposition encodes a bijection between the two anyon sets.
 
-Characters are class functions on the double, stored per commuting-pair orbit
-(see quantum_double); `.values` is the expanded dense grid.  Boundary and
-wall characters are scattered straight from K x K (or U x U) onto orbits, so
-a wall never builds anything on G x G'.
+Characters are `characters.ClassFunction`s on the commuting-pair orbits of
+`quantum_double.pair_orbits`, one value per orbit; `.values` is the expanded
+dense grid, and `dg_decompose` is the one decomposition of `characters`.
+Boundary and wall characters are scattered straight from K x K (or U x U)
+onto orbits, so a wall never builds anything on G x G'.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import ClassFunction
 from .cocycles import TwoCocycle, trivial_cocycle, wall_cocycle
 from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _reassembles
 from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, subgroup
 from .quantum_double import (
     Anyon,
-    DGClassFunction,
     _scatter,
     anyon_dual,
     anyon_op,
@@ -40,7 +41,7 @@ class CondensationReport:
     group: GroupTable
     boundary: Subgroup
     cocycle: TwoCocycle
-    character: DGClassFunction
+    character: ClassFunction
     multiplicities: np.ndarray
     condensed: tuple[Anyon, ...]
 
@@ -68,7 +69,7 @@ def _commuting_phase(phi: TwoCocycle) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return k, l, phi.table[k, l] / phi.table[l, k]
 
 
-def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> DGClassFunction:
+def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> ClassFunction:
     """Character of the boundary algebra A(K, phi) as a function on the double.
 
     On the orbit O of commuting pairs, chi = |G| / (|K| |O|) times the sum of
@@ -85,7 +86,7 @@ def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None
     po = pair_orbits(g)
     i, j, ph = _commuting_phase(phi)
     sums = _scatter(po.orbit_of[k.members[i], k.members[j]], ph, po.sizes.size)
-    return DGClassFunction(g, sums * g.order / (k.order * po.sizes))
+    return ClassFunction(g, sums * g.order / (k.order * po.sizes), po)
 
 
 def condense(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> CondensationReport:

@@ -39,6 +39,7 @@ from math import prod
 
 import numpy as np
 
+from .characters import ClassFunction
 from .cocycles import TwoCocycle, normalize, trivial_cocycle
 from .errors import (
     TOL,
@@ -53,7 +54,7 @@ from .errors import (
     _check,
 )
 from .groups import GroupTable, Subgroup, cosets
-from .quantum_double import DGClassFunction
+from .quantum_double import pair_orbits
 
 AMPLITUDE_CAP = 2**22
 
@@ -636,7 +637,7 @@ def apply_invariant_op(
 
 def lattice_boundary_character(
     patch: LatticePatch, spec: RibbonSpec, seed: int = 0
-) -> DGClassFunction:
+) -> ClassFunction:
     """Boundary algebra character extracted numerically from the lattice.
 
     Applies the invariant ribbon operators to the ground state to span the
@@ -662,7 +663,7 @@ def lattice_boundary_character(
                 mb = apply_face(patch, b, (v1, f1), h)
                 for g in range(gt.order):
                     values[g, h] += inner(b, apply_vertex(patch, mb, v1, g))
-    return DGClassFunction.from_dense(gt, r * values)
+    return ClassFunction.from_dense(gt, r * values, pair_orbits(gt))
 
 
 # --- relation suite -----------------------------------------------------------------

@@ -166,7 +166,7 @@ def verify_theorem_b1(h: NearFieldSpec) -> TheoremB1Report:
     k = subgroup(g, [a * (q - 1) for a in range(q)], label="K")
     ind = induced_character(g, k, character_table(k.as_group).row(1))
     _check("induced character must be irreducible", abs(inner_product(ind, ind) - 1), TOL["character"])
-    pi = tab.match_row(ind.values)
+    pi = tab.match_row(ind.orbit_values)
 
     a_elem = q - 1
     cls = int(data.class_of[a_elem])

@@ -5,20 +5,21 @@ character of the centralizer of its representative.  Every derived quantity
 here (S and T matrices, fusion multiplicities, duality) is computed from the
 characters chi(g h*), which live on commuting pairs and are constant on
 orbits of simultaneous conjugation.  There are exactly as many orbits as
-anyons, so a class function on the double is stored as one value per orbit
-(`pair_orbits`); `DGClassFunction.values` is the expanded |G| x |G| grid.
+anyons, so a class function on the double is a `characters.ClassFunction` on
+the orbits of `pair_orbits`, one value per orbit; its `.values` is the expanded
+|G| x |G| grid.  Inner product and decomposition are the ones of
+`characters`, bound here as `dg_inner_product` and `dg_decompose`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import character_table
-from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger, NonIntegerMultiplicity
-from .errors import _blocks, _cached, _check, _integers, _reassembles
+from .characters import ClassFunction, Orbits, _on_orbits, character_table, decompose, inner_product
+from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger
+from .errors import _blocks, _cached, _check, _integers
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 
@@ -30,61 +31,6 @@ class Anyon:
     pi: int
     dim: int
     label: str
-
-
-@dataclass(frozen=True, eq=False)
-class PairOrbits:
-    """Orbits of commuting pairs (g, h) under simultaneous conjugation.
-
-    The orbit of (g, h) with h in class c is fixed by c and by the class of
-    k_h^-1 g k_h in Z(reps[c]).  Orbits are numbered class by class in anyon
-    order, so the double character table is block diagonal and its blocks are
-    the centralizer character tables."""
-
-    orbit_of: np.ndarray  # [g, h] -> orbit id, -1 off commuting pairs
-    sizes: np.ndarray  # |O| = |cl(a)| * |Z(a)-class|
-    rep_g: np.ndarray  # (rep_g[o], rep_h[o]) is a pair in orbit o
-    rep_h: np.ndarray
-    table: np.ndarray  # table[x, o] = chi_x on orbit o, anyons x in anyons() order
-
-
-@dataclass(frozen=True, eq=False)
-class DGClassFunction:
-    """Character-like function on the double: orbit_values[o] = chi(g h*) for
-    every commuting pair (g, h) in orbit o of pair_orbits(group).
-
-    Zero off commuting pairs; sums and differences stay in the span of anyon
-    characters."""
-
-    group: GroupTable = field(repr=False)
-    orbit_values: np.ndarray
-
-    @classmethod
-    def from_dense(cls, g: GroupTable, grid) -> "DGClassFunction":
-        """Orbit values of a dense grid[g, h]; raises ConditionMismatch unless the
-        grid is constant on orbits and zero off commuting pairs."""
-        grid = np.asarray(grid, dtype=np.complex128)
-        po = pair_orbits(g)
-        chi = cls(g, grid[po.rep_g, po.rep_h])
-        _reassembles("grid is not a class function on commuting pairs", chi.values, grid)
-        return chi
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Dense grid values[g, h] = chi(g h*)."""
-        return np.append(self.orbit_values, 0)[pair_orbits(self.group).orbit_of]
-
-    def _same_group(self, other: "DGClassFunction") -> None:
-        if self.group is not other.group:
-            raise GroupMismatch("class functions live on different doubles")
-
-    def __add__(self, other: "DGClassFunction") -> "DGClassFunction":
-        self._same_group(other)
-        return DGClassFunction(self.group, self.orbit_values + other.orbit_values)
-
-    def __sub__(self, other: "DGClassFunction") -> "DGClassFunction":
-        self._same_group(other)
-        return DGClassFunction(self.group, self.orbit_values - other.orbit_values)
 
 
 def centralizer(g: GroupTable, a: int) -> Subgroup:
@@ -134,15 +80,18 @@ def anyon_by(g: GroupTable, class_rep: int, pi: int) -> Anyon:
     return anyons(g)[_index(g, class_rep, pi)]
 
 
-def pair_orbits(g: GroupTable) -> PairOrbits:
-    """Commuting-pair orbits of g with the double character table, memoized.
+def pair_orbits(g: GroupTable) -> Orbits:
+    """Orbits of commuting pairs (g, h) under simultaneous conjugation, with
+    reps (rep_g, rep_h) and the double character table, memoized.
 
-    chi_x(g h*) = [h in class][gh = hg] tr_pi(k_h^-1 g k_h), so the table is
-    the centralizer character tables placed along the diagonal."""
+    The orbit of (g, h) with h in class c is fixed by c and by the class of
+    k_h^-1 g k_h in Z(reps[c]).  Orbits are numbered class by class in anyon
+    order, and chi_x(g h*) = [h in class][gh = hg] tr_pi(k_h^-1 g k_h), so the
+    table is the centralizer character tables placed along the diagonal."""
     return _cached(g._cache, "pair_orbits", _pair_orbits, g)
 
 
-def _pair_orbits(g: GroupTable) -> PairOrbits:
+def _pair_orbits(g: GroupTable) -> Orbits:
     data = conjugacy_data(g)
     conj = g.conj_table()
     n = len(anyons(g))
@@ -165,7 +114,7 @@ def _pair_orbits(g: GroupTable) -> PairOrbits:
         rep_h[block] = a
         table[block, block] = character_table(zc.as_group).table
         at = block.stop
-    return PairOrbits(orbit_of, sizes, rep_g, rep_h, table)
+    return Orbits(orbit_of, sizes, (rep_g, rep_h), table)
 
 
 def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -173,42 +122,28 @@ def _scatter(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(ids, weights.real, n) + 1j * np.bincount(ids, weights.imag, n)
 
 
-def anyon_character(g: GroupTable, x: Anyon) -> DGClassFunction:
+def anyon_character(g: GroupTable, x: Anyon) -> ClassFunction:
     """chi_x as a row of the double character table."""
-    return DGClassFunction(g, pair_orbits(g).table[_index(g, x.class_rep, x.pi)])
-
-
-def dg_inner_product(chi1: DGClassFunction, chi2: DGClassFunction) -> complex:
-    """(1/|G|) sum over all basis pairs of chi1(g h*)* chi2(g h*)."""
-    chi1._same_group(chi2)
-    sizes = pair_orbits(chi1.group).sizes
-    return complex(np.sum(sizes * np.conj(chi1.orbit_values) * chi2.orbit_values) / chi1.group.order)
-
-
-def dg_decompose(chi: DGClassFunction) -> np.ndarray:
-    """Integer multiplicities against anyons(group), by orthonormality.
-
-    Raises NonIntegerMultiplicity when the projections are not integers or the
-    reassembled sum misses the input (the input was not in the character span)."""
-    g = chi.group
     po = pair_orbits(g)
-    raw = np.conj(po.table) @ (po.sizes * chi.orbit_values) / g.order
-    mult = _integers(raw, "projection off nearest integer", TOL["multiplicity"], NonIntegerMultiplicity)
-    _reassembles("reassembly", mult @ po.table, chi.orbit_values, NonIntegerMultiplicity)
-    return mult
+    return ClassFunction(g, po.table[_index(g, x.class_rep, x.pi)], po)
 
 
-def tensor_character(chi1: DGClassFunction, chi2: DGClassFunction) -> DGClassFunction:
+dg_inner_product = inner_product
+dg_decompose = decompose
+
+
+def tensor_character(chi1: ClassFunction, chi2: ClassFunction) -> ClassFunction:
     """Product character via the coproduct: h splits over ordered pairs h1 h2 = h,
     evaluated at one pair (g, h) per orbit."""
-    chi1._same_group(chi2)
     g = chi1.group
     po = pair_orbits(g)
+    _on_orbits(g, po, chi1, chi2)
+    rep_g, rep_h = po.reps
     h1 = np.arange(g.order)[None, :]
-    g_col, h_col = po.rep_g[:, None], po.rep_h[:, None]
+    g_col, h_col = rep_g[:, None], rep_h[:, None]
     first = np.append(chi1.orbit_values, 0)[po.orbit_of[g_col, h1]]
     second = np.append(chi2.orbit_values, 0)[po.orbit_of[g_col, g.mul[g.inv[h1], h_col]]]
-    return DGClassFunction(g, np.sum(first * second, axis=1))
+    return ClassFunction(g, np.sum(first * second, axis=1), po)
 
 
 def s_matrix(g: GroupTable) -> np.ndarray:
@@ -221,7 +156,7 @@ def s_matrix(g: GroupTable) -> np.ndarray:
 
 def _s_matrix(g: GroupTable) -> np.ndarray:
     po = pair_orbits(g)
-    swap = po.orbit_of[po.rep_h, po.rep_g]
+    swap = po.orbit_of[po.reps[::-1]]  # orbit of (h, g) for each rep (g, h)
     x = np.conj(po.table)
     return (x[:, swap] * po.sizes) @ x.T / g.order
 
@@ -236,11 +171,12 @@ def s_charge_powers(g: GroupTable, rows: slice = slice(None)) -> np.ndarray:
     block is one GEMM against the conjugate table for every j at once, and
     j = 1 gives s_matrix bit for bit."""
     po = pair_orbits(g)
+    rep_g, rep_h = po.reps
     powers = g.power_table()
     e, m = len(powers), po.sizes.size
     x = np.conj(po.table)
-    swap = po.orbit_of[powers[:, po.rep_h], po.rep_g]
-    own = po.orbit_of[powers[:, po.rep_g], po.rep_h]
+    swap = po.orbit_of[powers[:, rep_h], rep_g]
+    own = po.orbit_of[powers[:, rep_g], rep_h]
     left = x[rows][:, swap] * po.sizes  # [X, j, orbit]
     r = left.shape[0]
     bins = (np.arange(r * e).reshape(r, e, 1) * m + own).ravel()  # row (X, j), column own
@@ -288,9 +224,10 @@ def _fusion_verlinde(g: GroupTable) -> np.ndarray:
 def anyon_dual(g: GroupTable, x: Anyon) -> Anyon:
     """Dual object: its character is chi_x(g^-1 h^-1*), located by decomposition."""
     po = pair_orbits(g)
-    inverse = po.orbit_of[g.inv[po.rep_g], g.inv[po.rep_h]]
+    rep_g, rep_h = po.reps
+    inverse = po.orbit_of[g.inv[rep_g], g.inv[rep_h]]
     row = po.table[_index(g, x.class_rep, x.pi), inverse]
-    return anyons(g)[int(np.argmax(dg_decompose(DGClassFunction(g, row))))]
+    return anyons(g)[int(np.argmax(decompose(ClassFunction(g, row, po))))]
 
 
 def anyon_op(g: GroupTable, x: Anyon) -> Anyon:
@@ -324,6 +261,6 @@ def product_anyon(g: GroupTable, x: Anyon, y: Anyon) -> Anyon:
     z = centralizer(g, rep)
     za, zb = centralizer(ga, x.class_rep), centralizer(gb, y.class_rep)
     i, j = np.divmod(z.members[conjugacy_data(z.as_group).reps], gb.order)
-    u = character_table(za.as_group).row(x.pi).on_elements()[za.position[i]]
-    v = character_table(zb.as_group).row(y.pi).on_elements()[zb.position[j]]
+    u = character_table(za.as_group).row(x.pi).values[za.position[i]]
+    v = character_table(zb.as_group).row(y.pi).values[zb.position[j]]
     return anyon_by(g, rep, character_table(z.as_group).match_row(u * v))

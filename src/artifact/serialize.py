@@ -15,17 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, root_multiplicities
+from .characters import CharacterTable, ClassFunction, root_multiplicities
 from .cocycles import TwoCocycle, _exponent_identity_failure
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
 from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _blocks, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
 from .quantum_double import (
-    DGClassFunction,
     anyons,
     centralizer,
     kind,
+    pair_orbits,
     s_charge_powers,
 )
 
@@ -58,6 +58,15 @@ def format_complex(z) -> str:
         return repr(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
+
+
+def _csv(header: list, rows) -> str:
+    """The header row and then every row of the iterable rows, as CSV text."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
 
 
 def group_exponent(g: GroupTable) -> int:
@@ -180,6 +189,11 @@ def chartable_obj(ct: CharacterTable) -> dict:
     }
 
 
+def chartable_csv(obj: dict) -> str:
+    """A chartable_obj as CSV: one row per irrep, one column per class representative."""
+    return _csv(["irrep", *obj["classes"]], ([f"r{i}", *row] for i, row in enumerate(obj["rows"])))
+
+
 def anyons_obj(g: GroupTable) -> dict:
     rows = [
         {
@@ -195,12 +209,8 @@ def anyons_obj(g: GroupTable) -> dict:
 
 
 def anyons_csv(g: GroupTable) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["label", "class_rep", "pi", "dim", "kind"])
-    for x in anyons(g):
-        w.writerow([x.label, int(x.class_rep), int(x.pi), int(x.dim), kind(x)])
-    return out.getvalue()
+    rows = ([x.label, int(x.class_rep), int(x.pi), int(x.dim), kind(x)] for x in anyons(g))
+    return _csv(["label", "class_rep", "pi", "dim", "kind"], rows)
 
 
 # --- modular matrices ---------------------------------------------------------------
@@ -236,39 +246,24 @@ def fusion_obj(g: GroupTable, n: np.ndarray) -> dict:
 
 
 def matrix_csv(labels, m: np.ndarray, corner: str = "") -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([corner, *labels])
     arr = np.asarray(m)
+    row_labels = labels
     if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-        row_labels = [corner or "value"]
-    else:
-        row_labels = labels
-    for name, row in zip(row_labels, arr):
-        if np.iscomplexobj(row):
-            w.writerow([name, *[format_complex(z) for z in row]])
-        else:
-            w.writerow([name, *[repr(float(v)) if isinstance(v, float) else int(v) for v in row]])
-    return out.getvalue()
+        arr, row_labels = arr.reshape(1, -1), [corner or "value"]
+    real = lambda v: repr(float(v)) if isinstance(v, float) else int(v)
+    cell = format_complex if np.iscomplexobj(arr) else real
+    return _csv([corner, *labels], ([name, *map(cell, row)] for name, row in zip(row_labels, arr)))
 
 
 def fusion_csv(g: GroupTable, n: np.ndarray) -> str:
     labels = [x.label for x in anyons(g)]
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["left", "right", "result", "multiplicity"])
-    for i, row_i in enumerate(n):
-        for j, row_ij in enumerate(row_i):
-            for k, v in enumerate(row_ij):
-                if v:
-                    w.writerow([labels[i], labels[j], labels[k], int(v)])
-    return out.getvalue()
+    rows = ([labels[i], labels[j], labels[k], int(n[i, j, k])] for i, j, k in zip(*np.nonzero(n)))
+    return _csv(["left", "right", "result", "multiplicity"], rows)
 
 
 # --- class functions on the double --------------------------------------------------
 
-def class_function_obj(chi: DGClassFunction) -> dict:
+def class_function_obj(chi: ClassFunction) -> dict:
     return {
         "group": chi.group.label,
         "order": int(chi.group.order),
@@ -276,11 +271,11 @@ def class_function_obj(chi: DGClassFunction) -> dict:
     }
 
 
-def class_function_from_obj(g: GroupTable, obj) -> DGClassFunction:
+def class_function_from_obj(g: GroupTable, obj) -> ClassFunction:
     values = _pair_grid_to_array(obj["values"])
     if values.shape != (g.order, g.order):
         raise SizeMismatch("class function grid shape disagrees with group order")
-    return DGClassFunction.from_dense(g, values)
+    return ClassFunction.from_dense(g, values, pair_orbits(g))
 
 
 # --- condensation and tunneling reports ---------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from artifact.characters import ClassFunction
 from artifact.errors import GroupMismatch
 from artifact.groups import (
     GroupTable,
@@ -23,11 +24,11 @@ from artifact.lattice import (
 )
 from artifact.quantum_double import (
     Anyon,
-    DGClassFunction,
     anyon_character,
     anyon_dual,
     anyon_op,
     anyons,
+    pair_orbits,
 )
 
 
@@ -55,7 +56,7 @@ def sweep_groups():
 
 def reference_characters(
     g: GroupTable, c: Anyon, f: Anyon, product: GroupTable | None = None
-) -> dict[str, DGClassFunction]:
+) -> dict[str, ClassFunction]:
     """The three folded comparison characters on G x G.
 
     "identity" sums X (x) op(X) over all anyons, "dual" sums X (x) op(X dual),
@@ -76,13 +77,13 @@ def reference_characters(
     fv = anyon_character(g, f).values
     swap = np.kron(cv - fv, cv - fv)
     return {
-        "identity": DGClassFunction.from_dense(gg, ident),
-        "dual": DGClassFunction.from_dense(gg, dual),
-        "swap": DGClassFunction.from_dense(gg, swap),
+        "identity": ClassFunction.from_dense(gg, ident, pair_orbits(gg)),
+        "dual": ClassFunction.from_dense(gg, dual, pair_orbits(gg)),
+        "swap": ClassFunction.from_dense(gg, swap, pair_orbits(gg)),
     }
 
 
-def list_boundary_character(patch, spec, seed: int = 0) -> DGClassFunction:
+def list_boundary_character(patch, spec, seed: int = 0) -> ClassFunction:
     """Lattice boundary character with the whole invariant basis held at once,
     each entry a Python sum over the basis: the reference for the streamed
     `lattice_boundary_character`."""
@@ -103,7 +104,7 @@ def list_boundary_character(patch, spec, seed: int = 0) -> DGClassFunction:
             for b, mb in zip(basis, masked):
                 total += inner(b, apply_vertex(patch, mb, v1, g))
             values[g, h] = len(reps) * total
-    return DGClassFunction.from_dense(gt, values)
+    return ClassFunction.from_dense(gt, values, pair_orbits(gt))
 
 
 def tuple_key_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:

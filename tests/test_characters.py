@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact import characters
+from artifact import characters, quantum_double
 from artifact.characters import (
+    ClassFunction,
     _row_sort_order,
     character_table,
+    class_orbits,
     conjugate_character,
+    decompose,
     induced_character,
     inner_product,
     regular_character,
@@ -24,7 +27,7 @@ from artifact.characters import (
     trivial_character,
 )
 from artifact.cli import main
-from artifact.errors import ConditionMismatch, NumericalDegeneracy
+from artifact.errors import ConditionMismatch, GroupMismatch, NumericalDegeneracy
 from artifact.groups import (
     affine_group,
     alternating,
@@ -115,9 +118,9 @@ def test_regular_character_contains_each_irrep_dim_times():
 def test_trivial_and_conjugate_characters():
     g = alternating(4)
     ct = character_table(g)
-    assert dist(trivial_character(g).values, np.ones(4)) < 1e-12
+    assert dist(trivial_character(g).orbit_values, np.ones(4)) < 1e-12
     # conjugating the omega row gives the omega-bar row
-    assert dist(conjugate_character(ct.row(1)).values, ct.table[2]) < 1e-8
+    assert dist(conjugate_character(ct.row(1)).orbit_values, ct.table[2]) < 1e-8
 
 
 def test_frobenius_reciprocity_s3():
@@ -146,7 +149,50 @@ def test_restriction_is_pointwise():
     chi = character_table(g).row(3)
     res = restricted_character(k, chi)
     for i, m in enumerate(k.members):
-        assert abs(res.on_element(i) - chi.on_element(int(m))) < 1e-10
+        assert abs(res.values[i] - chi.values[int(m)]) < 1e-10
+
+
+@pytest.mark.parametrize("g", [cyclic(3), symmetric(3)], ids=["Z3", "S3"])
+def test_class_and_double_functions_do_not_mix(g):
+    # Z3 has as many classes as rows of its 3 x 3 grid: without the guard the
+    # class vector broadcasts against the grid
+    chi = character_table(g).row(1)
+    psi = quantum_double.anyon_character(g, quantum_double.anyons(g)[1])
+    for a, b in ((chi, psi), (psi, chi)):
+        with pytest.raises(GroupMismatch):
+            inner_product(a, b)
+        with pytest.raises(GroupMismatch):
+            _ = a + b
+        with pytest.raises(GroupMismatch):
+            _ = a - b
+
+
+def test_one_inner_product_and_one_decomposition():
+    assert quantum_double.dg_inner_product is inner_product
+    assert quantum_double.dg_decompose is decompose
+
+
+@pytest.mark.parametrize("g", [symmetric(3), alternating(4), affine_group(near_field(5))], ids=["S3", "A4", "AffF5"])
+def test_decompose_ordinary_characters(g):
+    ct = character_table(g)
+    for i in range(ct.n_rows):
+        assert decompose(ct.row(i)).tolist() == np.eye(ct.n_rows, dtype=int)[i].tolist()
+    assert decompose(regular_character(g)).tolist() == ct.dims.tolist()
+    k = generated_subgroup(g, [1])
+    ct_k = character_table(k.as_group)
+    for i in range(ct_k.n_rows):
+        ind = decompose(induced_character(g, k, ct_k.row(i)))
+        res = [decompose(restricted_character(k, ct.row(j)))[i] for j in range(ct.n_rows)]
+        assert ind.tolist() == res  # Frobenius reciprocity
+
+
+def test_from_dense_on_classes_checks_constancy():
+    g = symmetric(3)
+    chi = character_table(g).row(2)
+    back = ClassFunction.from_dense(g, chi.values, class_orbits(g))
+    assert np.array_equal(back.orbit_values, chi.orbit_values)
+    with pytest.raises(ConditionMismatch):
+        ClassFunction.from_dense(g, np.arange(g.order), class_orbits(g))
 
 
 def _powers(value: complex, e: int) -> np.ndarray:
@@ -259,7 +305,7 @@ def test_exact_checks_reject_a_faulty_split(fault, monkeypatch):
 def test_exact_checks_hold_under_python_O():
     script = """
 import sys
-from artifact import characters
+from artifact import characters, quantum_double
 from artifact.cli import main
 eigenvalues = characters._eigenvalues
 characters._eigenvalues = lambda m, p: eigenvalues(m, p)[:-1]

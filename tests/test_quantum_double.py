@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from artifact import characters, errors
-from artifact.characters import character_table
+from artifact.characters import ClassFunction, character_table
 from artifact.condensation import verify_cf_symmetry
 from artifact.errors import (
     ConditionMismatch,
@@ -27,7 +27,6 @@ from artifact.groups import (
     symmetric,
 )
 from artifact.quantum_double import (
-    DGClassFunction,
     anyon_by,
     anyon_character,
     anyon_dual,
@@ -165,7 +164,7 @@ def test_pair_orbits_invariants_on_the_sweep_groups():
         assert np.array_equal(po.orbit_of >= 0, commuting)
         assert np.array_equal(np.bincount(po.orbit_of[commuting]), po.sizes)
         # every orbit id round-trips through its representative pair
-        assert np.array_equal(po.orbit_of[po.rep_g, po.rep_h], np.arange(po.sizes.size))
+        assert np.array_equal(po.orbit_of[po.reps], np.arange(po.sizes.size))
 
 
 def test_dg_decompose_recovers_basis_vectors():
@@ -342,8 +341,8 @@ def test_cached_s_matrix_and_fusion_are_read_only():
         **{f"conjugacy_data.classes[{i}]": c for i, c in enumerate(data.classes)},
         "pair_orbits.orbit_of": po.orbit_of,
         "pair_orbits.sizes": po.sizes,
-        "pair_orbits.rep_g": po.rep_g,
-        "pair_orbits.rep_h": po.rep_h,
+        "pair_orbits.rep_g": po.reps[0],
+        "pair_orbits.rep_h": po.reps[1],
         "centralizer.members": z.members,
         "centralizer.position": z.position,
     }
@@ -418,11 +417,11 @@ def test_nan_class_functions_are_rejected():
     values = np.array(anyon_character(g, anyons(g)[2]).orbit_values)
     values[1] = np.nan
     with pytest.raises(NonIntegerMultiplicity):
-        dg_decompose(DGClassFunction(g, values))
+        dg_decompose(ClassFunction(g, values, pair_orbits(g)))
     grid = np.array(anyon_character(g, anyons(g)[2]).values)
     grid[0, 0] = np.nan
     with pytest.raises(ConditionMismatch):
-        DGClassFunction.from_dense(g, grid)
+        ClassFunction.from_dense(g, grid, pair_orbits(g))
 
 
 def test_s_charge_powers_start_at_the_identity_and_hold_s():
@@ -439,8 +438,8 @@ def reference_s_power(g, j):
     """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*, one j at a time."""
     po = pair_orbits(g)
     power = g.power_table()[j]
-    own = po.orbit_of[power[po.rep_g], po.rep_h]
-    swap = po.orbit_of[power[po.rep_h], po.rep_g]
+    own = po.orbit_of[power[po.reps[0]], po.reps[1]]
+    swap = po.orbit_of[power[po.reps[1]], po.reps[0]]
     x = np.conj(po.table)
     return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact.characters import character_table, root_multiplicities
+from artifact.characters import ClassFunction, character_table, root_multiplicities
 from artifact.cocycles import normalize, trivial_cocycle, validate
 from artifact.errors import (
     TOL,
@@ -24,7 +24,7 @@ from artifact.errors import (
 )
 from artifact.groups import cyclic, from_cayley, full_subgroup, symmetric
 from artifact.lattice import build_patch, ground_state
-from artifact.quantum_double import DGClassFunction, anyon_character, anyons, dg_decompose, fusion_verlinde
+from artifact.quantum_double import anyon_character, anyons, dg_decompose, fusion_verlinde, pair_orbits
 
 SRC = Path(artifact.__file__).parent
 LITERAL = re.compile(r"\d(\.\d+)?e-\d+")
@@ -88,7 +88,7 @@ def _normalize():
 def _from_dense():
     g = symmetric(3)
     grid = anyon_character(g, anyons(g)[2]).values
-    return lambda: DGClassFunction.from_dense(g, grid)
+    return lambda: ClassFunction.from_dense(g, grid, pair_orbits(g))
 
 
 # entry -> (error raised once the entry fails, builder of the call that reads it)
