@@ -340,6 +340,8 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
          "7be6eaf69d5ec81b8fedea78fabfb6755557c9ca7ca8f31bcff7ac78d63ecc97"),
         (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
          "8a597cb26e88b40f2581f669c6af9a90b8e84163e0d9bb08befc463d5e3ef6b2"),
+        (["lattice", "verify", "--group", "builtin:Z2"],
+         "259eef1c33334414eec036f7c88590aa9ddee8b30e34d5a3e52642523fe9731b"),
     ],
 )
 def test_cli_lattice_bytes_are_frozen(argv, digest):
