@@ -17,7 +17,9 @@ The relation suites probe each identity on seeded random states.  Their draws
 come from one generator in a fixed order (identity by identity, each state
 before its labels) and are made on one worker thread that stays one draw
 ahead of the checks, so the residuals are the same bits whatever the thread
-timing.
+timing.  The bulk suite is the wall suite with K = G and phi = 1: the
+identities both state are written once, in `_shared_identities`, and each
+report keeps its own names and order for them.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from math import prod
 
 import numpy as np
@@ -706,14 +707,74 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     return gram, (float(np.sqrt(squares.max())) if alts else None)
 
 
-def _probe(probes: list, name: str, fn, *dims) -> None:
-    """Record the identity `name`: fn(psi, *labels) is its residual on a probe
-    state psi, with one label drawn below each entry of `dims`."""
-    probes.append((name, fn, dims))
+def _adjoint(psi: LatticeState, op_psi: LatticeState, dagger_psi: LatticeState,
+             scale: complex = 1.0) -> float:
+    """|<psi|X psi> - <Y psi|psi> / scale| for op_psi = X psi and dagger_psi =
+    Y psi: the residual of X^+ = Y / conj(scale) on psi."""
+    return abs(inner(psi, op_psi) - inner(dagger_psi, psi) / scale)
+
+
+def _shared_identities(patch: LatticePatch, rib: RibbonSpec, v) -> dict:
+    """The identities both relation suites state, written once: {key: (fn, dims)},
+    fn(psi, *labels) the residual on a probe state, one label drawn below each
+    entry of dims.
+
+    On a bulk patch labels k run over G with flux k, the start-site operators
+    are A and B of the ribbon's start, and every phase is 1.  On a boundary
+    patch k runs over the subgroup K with flux members[k], the start-site
+    operators are the wall vertex and wall face, and the phases come from the
+    patch's normalized cocycle: the bulk statements are the wall ones at
+    K = G, phi = 1.  `v` is the vertex of the A A = A pair."""
+    g, s0, s1 = patch.group, rib.start, rib.end
+    n, mul, inv = g.order, g.mul, g.inv
+    if patch.boundary is None:
+        kg, flux, phi = g, range(n), lambda a, b: 1.0
+        vertex, face0 = apply_vertex, lambda st, k: apply_face(patch, st, s0, k)
+    else:
+        table = patch.cocycle.table
+        kg, flux, phi = patch.boundary.as_group, patch.boundary.members, lambda a, b: table[a, b]
+        vertex, face0 = apply_wall_vertex, lambda st, k: apply_wall_face(patch, st, s0[0], k)
+    nk, kmul, kinv = kg.order, kg.mul, kg.inv
+
+    def f(st, k, gg):
+        return apply_ribbon(patch, rib, st, int(flux[k]), gg)
+
+    def a(st, w, k):
+        return vertex(patch, st, w, k)
+
+    return {
+        "A A": (lambda psi, k, l: _dist(a(a(psi, v, l), v, k), a(psi, v, int(kmul[k, l]))),
+                (nk, nk)),
+        "A^+": (lambda psi, k: _adjoint(psi, a(psi, v, k), a(psi, v, int(kinv[k]))), (nk,)),
+        "F F": (lambda psi, k, gg, k2, g2: _dist(
+            f(f(psi, k2, g2), k, gg), f(psi, int(kmul[k, k2]), gg),
+            scale=phi(k, k2) if gg == g2 else 0.0,
+        ), (nk, n, nk, n)),
+        "F^+": (lambda psi, k, gg: _adjoint(
+            psi, f(psi, k, gg), f(psi, int(kinv[k]), gg), np.conj(phi(k, kinv[k])),
+        ), (nk, n)),
+        "A_s0 F": (lambda psi, l, k, gg: _dist(
+            a(f(psi, k, gg), s0[0], l),
+            f(a(psi, s0[0], l), int(kmul[kmul[l, k], kinv[l]]), int(mul[flux[l], gg])),
+            scale=phi(l, k) * phi(kmul[l, k], kinv[l]),
+        ), (nk, nk, n)),
+        "B_s0 F": (lambda psi, m, k, gg: _dist(
+            face0(f(psi, k, gg), m), f(face0(psi, int(kmul[m, k])), k, gg),
+        ), (nk, nk, n)),
+        "A_s1 F": (lambda psi, m, k, gg: _dist(
+            apply_vertex(patch, f(psi, k, gg), s1[0], m),
+            f(apply_vertex(patch, psi, s1[0], m), k, int(mul[gg, inv[m]])),
+        ), (n, nk, n)),
+        "B_s1 F": (lambda psi, m, k, gg: _dist(
+            apply_face(patch, f(psi, k, gg), s1, m),
+            f(apply_face(patch, psi, s1, int(mul[mul[inv[gg], inv[flux[k]]], mul[gg, m]])),
+              k, gg),
+        ), (n, nk, n)),
+    }
 
 
 def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
-    """[(name, worst residual of fn over `states` probes), ...] for the recorded probes.
+    """[(name, worst residual of fn over `states` probes), ...] for the (name, fn, dims) probes.
 
     The draws come from `rng` alone, in a fixed order: identities in the order
     recorded, `states` draws each, and each draw is a random_state (all real
@@ -722,7 +783,11 @@ def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
     checks draw t on this thread, the worker fills the other of two state
     buffers with draw t + 1.  Only the worker touches `rng`, and it calls no
     public function, so the residuals do not depend on thread timing.  An
-    exception on either thread stops the worker and is raised here."""
+    exception on either thread stops the worker and is raised here.  With no
+    states no identity would be checked, so `states < 1` is refused before
+    the worker starts."""
+    if states < 1:
+        raise ValueError(f"a relation suite needs at least one probe state, got {states}")
     plan = [dims for _, _, dims in probes for _ in range(states)]
     bufs = [np.empty(patch.dims, dtype=np.complex128) for _ in range(2)]
     drawn = [None] * len(plan)  # labels of draw t, or the exception that stopped the worker
@@ -764,12 +829,13 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     """Residuals of the bulk operator identities, [(name, residual), ...].
 
     Each identity is probed on `states` seeded random states with labels
-    redrawn per state; the reported residual is the max over probes.  Vacuum
-    and Gram statements are evaluated once on the smooth disk state with a
-    full label sweep; `_gram` runs in slices, so memory stays bounded (n² + 1
-    slices, not n² states).  The patch is 4x3 when the amplitude cap allows,
-    otherwise 3x2; only the larger patch admits two ribbons with shared
-    endpoints, so the deformation check is emitted only there."""
+    redrawn per state; the reported residual is the max over probes.  The
+    statements the wall suite also makes come from `_shared_identities`.
+    Vacuum and Gram statements are evaluated once on the smooth disk state
+    with a full label sweep; `_gram` runs in slices, so memory stays bounded
+    (n² + 1 slices, not n² states).  The patch is 4x3 when the amplitude cap
+    allows, otherwise 3x2; only the larger patch admits two ribbons with
+    shared endpoints, so the deformation checks are emitted only there."""
     try:
         patch, wide = build_patch(g, 4, 3), True
     except DimensionCap:
@@ -781,152 +847,61 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     if wide:
         rib = make_ribbon(patch, ((3, 1), (2, 1)), "vfv")
         alt = make_ribbon(patch, ((3, 1), (2, 1)), "fvvfvvf")
-        mid_vertices = [(3, 0), (2, 0), (1, 0)]
-        mid_faces = [(2, 0), (1, 0)]
     else:
         rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
         alt = None
-        mid_vertices = []
-        mid_faces = []
-    s0v, s0 = rib.start[0], rib.start
-    s1v, s1 = rib.end[0], rib.end
+    shared = _shared_identities(patch, rib, (1, 1))
 
     def frib(st, h, gg, spec=rib):
         return apply_ribbon(patch, spec, st, h, gg)
 
-    probes = []
-    probe = partial(_probe, probes)
-
-    probe(
-        "A_v^g A_v^h = A_v^{gh}",
-        lambda psi, a, b: _dist(
-            apply_vertex(patch, apply_vertex(patch, psi, (1, 1), b), (1, 1), a),
-            apply_vertex(patch, psi, (1, 1), int(mul[a, b])),
-        ),
-        n, n,
-    )
-    probe(
-        "(A_v^g)^+ = A_v^{g^-1}",
-        lambda psi, a: abs(
-            inner(psi, apply_vertex(patch, psi, (1, 1), a))
-            - inner(apply_vertex(patch, psi, (1, 1), int(inv[a])), psi)
-        ),
-        n,
-    )
-    probe(
-        "B_s^h B_s^h' = delta B_s^h",
-        lambda psi, a, b: _dist(
+    probes = [
+        ("A_v^g A_v^h = A_v^{gh}", *shared["A A"]),
+        ("(A_v^g)^+ = A_v^{g^-1}", *shared["A^+"]),
+        ("B_s^h B_s^h' = delta B_s^h", lambda psi, a, b: _dist(
             apply_face(patch, apply_face(patch, psi, site, b), site, a),
             apply_face(patch, psi, site, a),
             scale=1.0 if a == b else 0.0,
-        ),
-        n, n,
-    )
-    probe(
-        "sum_h B_s^h = 1",
-        lambda psi: float(np.linalg.norm(
-            sum(apply_face(patch, psi, site, h).amplitudes for h in range(n))
-            - psi.amplitudes
-        )),
-    )
-    probe(
-        "A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)",
-        lambda psi, a, b: _dist(
+        ), (n, n)),
+        ("sum_h B_s^h = 1", lambda psi: float(np.linalg.norm(
+            sum(apply_face(patch, psi, site, h).amplitudes for h in range(n)) - psi.amplitudes
+        )), ()),
+        ("A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)", lambda psi, a, b: _dist(
             apply_vertex(patch, apply_face(patch, psi, site, b), (1, 0), a),
             apply_face(patch, apply_vertex(patch, psi, (1, 0), a), site,
                        int(mul[mul[a, b], inv[a]])),
-        ),
-        n, n,
-    )
-    probe(
-        "[A_w^g, B_s^h] = 0 (other corners)",
-        lambda psi, w, a, b: _dist(
+        ), (n, n)),
+        ("[A_w^g, B_s^h] = 0 (other corners)", lambda psi, w, a, b: _dist(
             apply_vertex(patch, apply_face(patch, psi, site, b), corners[w], a),
             apply_face(patch, apply_vertex(patch, psi, corners[w], a), site, b),
-        ),
-        len(corners), n, n,
-    )
-    probe(
-        "[A_v, A_w] = 0 (adjacent vertices)",
-        lambda psi, a, b: _dist(
+        ), (len(corners), n, n)),
+        ("[A_v, A_w] = 0 (adjacent vertices)", lambda psi, a, b: _dist(
             apply_vertex(patch, apply_vertex(patch, psi, (1, 0), b), (1, 1), a),
             apply_vertex(patch, apply_vertex(patch, psi, (1, 1), a), (1, 0), b),
-        ),
-        n, n,
-    )
-    probe(
-        "F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}",
-        lambda psi, h, gg, h2, g2: _dist(
-            frib(frib(psi, h2, g2), h, gg),
-            frib(psi, int(mul[h, h2]), gg),
-            scale=1.0 if gg == g2 else 0.0,
-        ),
-        n, n, n, n,
-    )
-    probe(
-        "(F^{h,g})^+ = F^{h^-1,g}",
-        lambda psi, h, gg: abs(
-            inner(psi, frib(psi, h, gg)) - inner(frib(psi, int(inv[h]), gg), psi)
-        ),
-        n, n,
-    )
-    probe(
-        "sum_g F^{e,g} = 1",
-        lambda psi: float(np.linalg.norm(
+        ), (n, n)),
+        ("F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}", *shared["F F"]),
+        ("(F^{h,g})^+ = F^{h^-1,g}", *shared["F^+"]),
+        ("sum_g F^{e,g} = 1", lambda psi: float(np.linalg.norm(
             sum(frib(psi, 0, gg).amplitudes for gg in range(n)) - psi.amplitudes
-        )),
-    )
-    probe(
-        "A_{s0}^k F^{h,g} = F^{khk^-1,kg} A_{s0}^k",
-        lambda psi, k, h, gg: _dist(
-            apply_vertex(patch, frib(psi, h, gg), s0v, k),
-            frib(apply_vertex(patch, psi, s0v, k),
-                 int(mul[mul[k, h], inv[k]]), int(mul[k, gg])),
-        ),
-        n, n, n,
-    )
-    probe(
-        "B_{s0}^k F^{h,g} = F^{h,g} B_{s0}^{kh}",
-        lambda psi, k, h, gg: _dist(
-            apply_face(patch, frib(psi, h, gg), s0, k),
-            frib(apply_face(patch, psi, s0, int(mul[k, h])), h, gg),
-        ),
-        n, n, n,
-    )
-    probe(
-        "A_{s1}^k F^{h,g} = F^{h,gk^-1} A_{s1}^k",
-        lambda psi, k, h, gg: _dist(
-            apply_vertex(patch, frib(psi, h, gg), s1v, k),
-            frib(apply_vertex(patch, psi, s1v, k), h, int(mul[gg, inv[k]])),
-        ),
-        n, n, n,
-    )
-    probe(
-        "B_{s1}^k F^{h,g} = F^{h,g} B_{s1}^{g^-1h^-1gk}",
-        lambda psi, k, h, gg: _dist(
-            apply_face(patch, frib(psi, h, gg), s1, k),
-            frib(apply_face(patch, psi, s1,
-                            int(mul[mul[inv[gg], inv[h]], mul[gg, k]])), h, gg),
-        ),
-        n, n, n,
-    )
+        )), ()),
+        ("A_{s0}^k F^{h,g} = F^{khk^-1,kg} A_{s0}^k", *shared["A_s0 F"]),
+        ("B_{s0}^k F^{h,g} = F^{h,g} B_{s0}^{kh}", *shared["B_s0 F"]),
+        ("A_{s1}^k F^{h,g} = F^{h,gk^-1} A_{s1}^k", *shared["A_s1 F"]),
+        ("B_{s1}^k F^{h,g} = F^{h,g} B_{s1}^{g^-1h^-1gk}", *shared["B_s1 F"]),
+    ]
     if alt is not None:
-        probe(
-            "[F, A_t^k] = 0 at intermediate vertices",
-            lambda psi, w, k, h, gg: _dist(
+        mid_vertices = [(3, 0), (2, 0), (1, 0)]
+        mid_faces = [(2, 0), (1, 0)]
+        probes += [
+            ("[F, A_t^k] = 0 at intermediate vertices", lambda psi, w, k, h, gg: _dist(
                 apply_vertex(patch, frib(psi, h, gg, alt), mid_vertices[w], k),
                 frib(apply_vertex(patch, psi, mid_vertices[w], k), h, gg, alt),
-            ),
-            len(mid_vertices), n, n, n,
-        )
-        probe(
-            "[F, B_t^e] = 0 at crossed faces",
-            lambda psi, w, h, gg: _dist(
+            ), (len(mid_vertices), n, n, n)),
+            ("[F, B_t^e] = 0 at crossed faces", lambda psi, w, h, gg: _dist(
                 face_projector(patch, frib(psi, h, gg, alt), mid_faces[w]),
                 frib(face_projector(patch, psi, mid_faces[w]), h, gg, alt),
-            ),
-            len(mid_faces), n, n,
-        )
+            ), (len(mid_faces), n, n)),
+        ]
 
     # the disk-state statements run first, before the probe buffers exist,
     # and are reported after the probes
@@ -949,9 +924,10 @@ def wall_relation_report(
 ):
     """Residuals of the boundary operator identities on the snowflake patch.
 
-    Same probing scheme as the bulk report; the cocycle-phased identities use
-    the patch's normalized table, and the Gram and vacuum statements run once
-    on the ground state with a full label sweep."""
+    Same probing scheme as the bulk report, and the statements both suites
+    make come from the same `_shared_identities`; the cocycle-phased
+    identities use the patch's normalized table, and the Gram and vacuum
+    statements run once on the ground state with a full label sweep."""
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     sub = patch.boundary
@@ -962,156 +938,58 @@ def wall_relation_report(
     mul, inv = g.mul, g.inv
     v0, v1, f1 = (1, 0), (1, 1), (1, 0)
     reps = [int(r) for r in cosets(g, sub)]
-
-    def ft(st, k, gg):
-        return apply_ribbon(patch, rib, st, int(mem[k]), gg)
+    shared = _shared_identities(patch, rib, v0)
 
     def tt(st, k, gg):
         return apply_invariant_op(patch, rib, st, int(mem[k]), gg)
 
-    probes = []
-    probe = partial(_probe, probes)
+    def coset_zero(psi, k, k2, i, m, m2, step):
+        ga = int(mul[reps[i], mem[m]])
+        gb = int(mul[reps[(i + 1 + step) % len(reps)], mem[m2]])
+        return float(np.linalg.norm(tt(tt(psi, k2, gb), k, ga).amplitudes))
 
-    probe(
-        "wall A^k A^l = A^{kl}",
-        lambda psi, a, b: _dist(
-            apply_wall_vertex(patch, apply_wall_vertex(patch, psi, v0, b), v0, a),
-            apply_wall_vertex(patch, psi, v0, int(kg.mul[a, b])),
-        ),
-        nk, nk,
-    )
-    probe(
-        "wall (A^k)^+ = A^{k^-1}",
-        lambda psi, a: abs(
-            inner(psi, apply_wall_vertex(patch, psi, v0, a))
-            - inner(apply_wall_vertex(patch, psi, v0, int(kg.inv[a])), psi)
-        ),
-        nk,
-    )
-    probe(
-        "wall B^l A^k = A^k B^{lk}",
-        lambda psi, a, b: _dist(
-            apply_wall_face(patch, apply_wall_vertex(patch, psi, v0, a), v0, b),
-            apply_wall_vertex(patch,
-                              apply_wall_face(patch, psi, v0, int(kg.mul[b, a])),
-                              v0, a),
-        ),
-        nk, nk,
-    )
     terms = hamiltonian_terms(patch)
-    probe(
-        "hamiltonian projectors commute",
-        lambda psi, i, j: _dist(
+    probes = [
+        ("wall A^k A^l = A^{kl}", *shared["A A"]),
+        ("wall (A^k)^+ = A^{k^-1}", *shared["A^+"]),
+        ("wall B^l A^k = A^k B^{lk}", lambda psi, a, b: _dist(
+            apply_wall_face(patch, apply_wall_vertex(patch, psi, v0, a), v0, b),
+            apply_wall_vertex(patch, apply_wall_face(patch, psi, v0, int(kg.mul[b, a])), v0, a),
+        ), (nk, nk)),
+        ("hamiltonian projectors commute", lambda psi, i, j: _dist(
             terms[i][2](terms[j][2](psi)), terms[j][2](terms[i][2](psi))
-        ),
-        len(terms), len(terms),
-    )
-    probe(
-        "wall A^l F~^{k,g} = phi(l,k)phi(lk,l^-1) F~^{lkl^-1,lg} A^l",
-        lambda psi, l, k, gg: _dist(
-            apply_wall_vertex(patch, ft(psi, k, gg), v0, l),
-            ft(apply_wall_vertex(patch, psi, v0, l),
-               int(kg.mul[kg.mul[l, k], kg.inv[l]]),
-               int(mul[mem[l], gg])),
-            scale=phit[l, k] * phit[kg.mul[l, k], kg.inv[l]],
-        ),
-        nk, nk, n,
-    )
-    probe(
-        "wall B^m F~^{k,g} = F~^{k,g} B^{mk}",
-        lambda psi, m, k, gg: _dist(
-            apply_wall_face(patch, ft(psi, k, gg), v0, m),
-            ft(apply_wall_face(patch, psi, v0, int(kg.mul[m, k])), k, gg),
-        ),
-        nk, nk, n,
-    )
-    probe(
-        "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}",
-        lambda psi, k, gg, k2, g2: _dist(
-            ft(ft(psi, k2, g2), k, gg),
-            ft(psi, int(kg.mul[k, k2]), gg),
-            scale=phit[k, k2] if gg == g2 else 0.0,
-        ),
-        nk, n, nk, n,
-    )
-    probe(
-        "(F~^{k,g})^+ = phi(k,k^-1)^-1 F~^{k^-1,g}",
-        lambda psi, k, gg: abs(
-            inner(psi, ft(psi, k, gg))
-            - inner(ft(psi, int(kg.inv[k]), gg), psi) / np.conj(phit[k, kg.inv[k]])
-        ),
-        nk, n,
-    )
-    probe(
-        "A_{s1}^m F~^{k,g} = F~^{k,gm^-1} A_{s1}^m",
-        lambda psi, m, k, gg: _dist(
-            apply_vertex(patch, ft(psi, k, gg), v1, m),
-            ft(apply_vertex(patch, psi, v1, m), k, int(mul[gg, inv[m]])),
-        ),
-        n, nk, n,
-    )
-    probe(
-        "B_{s1}^m F~^{k,g} = F~^{k,g} B_{s1}^{g^-1h^-1gm}",
-        lambda psi, m, k, gg: _dist(
-            apply_face(patch, ft(psi, k, gg), (v1, f1), m),
-            ft(apply_face(patch, psi, (v1, f1),
-                          int(mul[mul[inv[gg], inv[mem[k]]], mul[gg, m]])), k, gg),
-        ),
-        n, nk, n,
-    )
-    probe(
-        "[T~^{k,g}, wall A^m] = 0",
-        lambda psi, m, k, gg: _dist(
+        ), (len(terms), len(terms))),
+        ("wall A^l F~^{k,g} = phi(l,k)phi(lk,l^-1) F~^{lkl^-1,lg} A^l", *shared["A_s0 F"]),
+        ("wall B^m F~^{k,g} = F~^{k,g} B^{mk}", *shared["B_s0 F"]),
+        ("F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}", *shared["F F"]),
+        ("(F~^{k,g})^+ = phi(k,k^-1)^-1 F~^{k^-1,g}", *shared["F^+"]),
+        ("A_{s1}^m F~^{k,g} = F~^{k,gm^-1} A_{s1}^m", *shared["A_s1 F"]),
+        ("B_{s1}^m F~^{k,g} = F~^{k,g} B_{s1}^{g^-1h^-1gm}", *shared["B_s1 F"]),
+        ("[T~^{k,g}, wall A^m] = 0", lambda psi, m, k, gg: _dist(
             apply_wall_vertex(patch, tt(psi, k, gg), v0, m),
             tt(apply_wall_vertex(patch, psi, v0, m), k, gg),
-        ),
-        nk, nk, n,
-    )
-    probe(
-        "T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}",
-        lambda psi, m, k, gg: _dist(
+        ), (nk, nk, n)),
+        ("T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}", lambda psi, m, k, gg: _dist(
             tt(psi, k, int(mul[gg, mem[m]])),
             tt(psi, int(kg.mul[kg.mul[m, k], kg.inv[m]]), gg),
             scale=phit[m, k] * phit[kg.mul[m, k], kg.inv[m]],
-        ),
-        nk, nk, n,
-    )
-    probe(
-        "T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}",
-        lambda psi, k, k2, gg: _dist(
-            tt(tt(psi, k2, gg), k, gg),
-            tt(psi, int(kg.mul[k, k2]), gg),
-            scale=phit[k, k2],
-        ),
-        nk, nk, n,
-    )
-    if len(reps) > 1:
-        def coset_zero(psi, k, k2, i, j, m, m2):
-            ga = int(mul[reps[i], mem[m]])
-            gb = int(mul[reps[j], mem[m2]])
-            out = tt(tt(psi, k2, gb), k, ga)
-            return float(np.linalg.norm(out.amplitudes))
-
-        probe(
-            "T~^{k,g} T~^{k',g'} = 0 off the coset",
-            lambda psi, k, k2, i, m, m2, step: coset_zero(
-                psi, k, k2, i, (i + 1 + step) % len(reps), m, m2
-            ),
-            nk, nk, len(reps), nk, nk, len(reps) - 1,
-        )
-    probe(
-        "(T~^{k,g})^+ = T~^{k^-1,g}",
-        lambda psi, k, gg: abs(
-            inner(psi, tt(psi, k, gg)) - inner(tt(psi, int(kg.inv[k]), gg), psi)
-        ),
-        nk, n,
-    )
+        ), (nk, nk, n)),
+        ("T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}", lambda psi, k, k2, gg: _dist(
+            tt(tt(psi, k2, gg), k, gg), tt(psi, int(kg.mul[k, k2]), gg), scale=phit[k, k2],
+        ), (nk, nk, n)),
+        *([("T~^{k,g} T~^{k',g'} = 0 off the coset", coset_zero,
+            (nk, nk, len(reps), nk, nk, len(reps) - 1))] if len(reps) > 1 else []),
+        ("(T~^{k,g})^+ = T~^{k^-1,g}", lambda psi, k, gg: _adjoint(
+            psi, tt(psi, k, gg), tt(psi, int(kg.inv[k]), gg)
+        ), (nk, n)),
+    ]
 
     # the ground-state statements run first, before the probe buffers exist,
     # and are reported after the probes
     gs = ground_state(patch, seed=seed)
     err = max(
-        abs(inner(gs, ft(gs, k, gg)) - (1.0 if k == 0 else 0.0) / n)
+        abs(inner(gs, apply_ribbon(patch, rib, gs, int(mem[k]), gg))
+            - (1.0 if k == 0 else 0.0) / n)
         for k in range(nk) for gg in range(n)
     )
     tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err)]

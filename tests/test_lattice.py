@@ -180,6 +180,39 @@ def test_wall_relation_report_small():
     assert worst < 1e-8
 
 
+def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
+    # both suites read F F from the one shared record: make its right-hand side
+    # the false F^{k,g} F^{k,g} = F^{k,g}, and each suite's row fails while
+    # every other row keeps its bits
+    z2 = cyclic(2)
+    z22, kf, phi = _z22_bilinear()
+    suites = {
+        "F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}":
+            lambda: bulk_relation_report(z2, states=4, seed=0),
+        "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}":
+            lambda: wall_relation_report(z22, kf, phi, states=4, seed=0),
+    }
+    right = {row: run() for row, run in suites.items()}
+    shared = lattice._shared_identities
+
+    def wrong(patch, rib, v):
+        records = shared(patch, rib, v)
+        flux = range(patch.group.order) if patch.boundary is None else patch.boundary.members
+
+        def ff(psi, k, g, k2, g2):
+            f = lambda st: apply_ribbon(patch, rib, st, int(flux[k]), g)
+            return lattice._dist(f(f(psi)), f(psi))
+
+        records["F F"] = (ff, records["F F"][1])
+        return records
+
+    monkeypatch.setattr(lattice, "_shared_identities", wrong)
+    for row, run in suites.items():
+        checks = run()
+        moved = [name for (name, r), (_, r0) in zip(checks, right[row]) if r != r0]
+        assert moved == [row] and dict(checks)[row] > 1e-8, row
+
+
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
     # 16 * 37 * 7 bytes: chunks of 7 columns for S3's 37 rows and of 51 for
@@ -623,6 +656,18 @@ def test_a_report_leaves_no_thread_behind():
     before = threading.active_count()
     bulk_relation_report(cyclic(2), states=2, seed=1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("states", [0, -1])
+def test_a_report_without_probe_states_is_refused(states):
+    # with no probe state no identity is checked, so neither report may come out green
+    z2 = cyclic(2)
+    before = threading.active_count()
+    for run in (lambda: bulk_relation_report(z2, states=states),
+                lambda: wall_relation_report(z2, full_subgroup(z2), states=states)):
+        with pytest.raises(ValueError, match="at least one probe state"):
+            run()
+        assert threading.active_count() == before
 
 
 def _boom(*args):
