@@ -341,14 +341,82 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
         (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
          "8a597cb26e88b40f2581f669c6af9a90b8e84163e0d9bb08befc463d5e3ef6b2"),
         (["lattice", "verify", "--group", "builtin:Z2"],
-         "259eef1c33334414eec036f7c88590aa9ddee8b30e34d5a3e52642523fe9731b"),
+         "1e42c05afbdf9327455d22721cf6d6da1f5d6159f84701abd847968c731bb8be"),
     ],
 )
 def test_cli_lattice_bytes_are_frozen(argv, digest):
-    # SHA-256 of the output of the per-axis kernel implementation
-    code, out, _ = run_cli(argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # SHA-256 of the output of the per-axis kernel implementation, run at one
+    # BLAS thread as the benchmark runs: the bulk suite's np.vdot and Gram sum
+    # in the order of the thread split, so their last bits follow the count
+    one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    run = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", *argv], capture_output=True,
+        env=dict(os.environ, **one_thread, PYTHONPATH=str(Path(artifact.__file__).parents[1])),
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+# Input files of the contract pin, written into the working directory of the run.
+CONTRACT_FILES = {
+    "z22-bicharacter.json": {"subgroup": [0, 1, 2, 3], "omega_order": 2,
+                             "exponents": [[(x >> 1) * (y & 1) for y in range(4)] for x in range(4)]},
+    "members.json": {"members": [0, 3]},
+    "identity.json": np.eye(8, dtype=int).tolist(),
+    "not-invariant.json": [[2 if i == j == 0 else int(i == j) for j in range(8)] for i in range(8)],
+}
+
+# One fast invocation of every command path and format no other pin covers:
+# (argv, exit code, SHA-256 of stdout).
+CONTRACT = [
+    ("group info --group builtin:S3", 0,
+     "227c8af6072205a42c0e6c4013775d3a5a047b39f9c775a55f9ec5959234e9a4"),
+    ("chartable --group builtin:S3 --format csv", 0,
+     "32b9c3286e4d1f03a77ca34bd1cf32f0c45800d89f448fc7a84b789f89fe5227"),
+    ("anyons --group builtin:S3", 0,
+     "b2290b7f31f7923a3a0fd671eb7d15fd12656c59232005f27b34b9ac9ed3487a"),
+    ("anyons --group builtin:S3 --format csv", 0,
+     "a0cb6223491a867b09c5c6ed8005b8ad7aea48f7ab0a7add3d190e7dcf247702"),
+    ("smatrix --group builtin:S3", 0,
+     "bf17b22d038357688008039d925acf201b81c9ed9e044645084018c35d6cdcde"),
+    ("smatrix --group builtin:S3 --format csv", 0,
+     "83bfbefc673e705598594fbb4b772614a4c9f01f5f860823162c17e8c0950938"),
+    ("tmatrix --group builtin:S3", 0,
+     "b5bd0a66df770c01cba6ed80b77ead6a8f048ce97bddd861f283e52abbbdc35e"),
+    ("tmatrix --group builtin:S3 --format csv", 0,
+     "5e55b68888146e692d4765ad36b288be6c0f5363e1c902749b6354f1138ea2a4"),
+    ("tmatrix --snap --group builtin:S3", 0,
+     "a22d6f12c137bba6f4af8e934fafb9c680b2133dc6d94948d94ec8780b601225"),
+    ("condense --group builtin:S3 --subgroup 0,3,4", 0,
+     "448ac04fae0ba69b477d0d4f56f48f2e2f3800e321ca26a5145ac2878884c3df"),
+    ("condense --group product:builtin:Z2xbuiltin:Z2 --cocycle z22-bicharacter.json", 0,
+     "1897e00646ee69a95946607d233dfee84d333752285d08ce86420595e535c858"),
+    ("tunnel --wall-u diagonal --group builtin:S3", 0,
+     "417bb2a10c10b208ae6c40970b401f4ca1f229e25bf86b5e014157cb220fa594"),
+    ("tunnel --wall-u q=3", 0,
+     "bdfb7cbf3d9f8d9dfe2c729e610fcbe53d5135faec27af5c52c014de53dc6302"),
+    ("tunnel --group product:builtin:Z2xbuiltin:Z2 --wall-u members.json", 0,
+     "7d31157e120875a263c27acadbeda24123c844df389d827f3eda6a9edfa8a69f"),
+    ("modinv search --group builtin:S3", 0,
+     "3257f924dc4a1ec1162d5a2badfd8777c3daed085e65fe0536d331eec220b362"),
+    ("modinv check identity.json --group builtin:S3", 0,
+     "2904a2b4c2c23dc6c9c9ceef3e4cb2200327f37d643db8c1931cebc9812cdab7"),
+    ("modinv check not-invariant.json --group builtin:S3", 1,
+     "d4776d5d7f065763daece5ebfd0b8cbeb47e842040e858f0cb24a6495b44f6e7"),
+    ("verify cf 3", 0,
+     "85ca653b58906d4bfd8bc12fa3473d95b09f5585b20af5e5193519e7850fa4b5"),
+    ("lattice character --group builtin:Z2 --subgroup full", 0,
+     "a318728228860e036f2a90a1f0a5f28ea0626c37c01a9f87ee8786783959e5ae"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CONTRACT, ids=[argv.replace(" ", "_") for argv, _, _ in CONTRACT])
+def test_cli_contract_bytes_are_frozen(tmp_path, monkeypatch, argv, code, digest):
+    for name, obj in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    got, out, _ = run_cli(argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_cli_lattice_verify_passes_residuals_equal_to_the_tolerance():
