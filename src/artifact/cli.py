@@ -4,6 +4,14 @@ Exit codes: 0 on success, 1 when a verification subcommand finds a violated
 condition (or a library consistency check trips), 2 on unusable input.  All
 output is a pure function of the arguments and the seed, so repeated runs
 emit identical bytes.
+
+The two paragraphs above are the --help description; in detail: each
+subcommand body returns its document, a JSON tree or CSV text, and `main`
+writes it.  Exit code 1 means the document says "ok": false (modinv check,
+verify cf, lattice verify) or a check failed with an error.  --snap applies to
+JSON output only.  Bulk `lattice verify` output is byte-stable for a fixed BLAS
+thread count: its inner products and Gram matrices sum in the order of the
+thread split.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import sys
 
 from . import serialize
 from .characters import character_table
-from .cocycles import wall_cocycle
+from .cocycles import trivial_cocycle, wall_cocycle
 from .condensation import UWallSpec, condense, diagonal_wall, equivalence_check, verify_cf_symmetry
 from .errors import (
     TOL,
@@ -31,6 +39,7 @@ from .groups import (
     NearFieldSpec,
     affine_group,
     alternating,
+    conjugacy_data,
     cyclic,
     direct_product,
     full_subgroup,
@@ -51,7 +60,7 @@ from .modular import (
     search_transposition_invariants,
     transposition_matrix,
 )
-from .quantum_double import fusion_verlinde
+from .quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
 
 # Failures of a mathematical condition on otherwise valid input; everything
 # else raised by the library is treated as an input problem.
@@ -151,18 +160,12 @@ def _resolve_boundary(g: GroupTable, sub_text, coc_text):
     return parse_subgroup(g, sub_text), None
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+# --- subcommand bodies: each returns its document, a JSON tree or CSV text ------------
 
-
-# --- subcommand bodies ----------------------------------------------------------------
-
-def cmd_group_info(args) -> int:
+def cmd_group_info(args) -> dict:
     g = parse_group(args.group)
-    from .groups import conjugacy_data
-
     data = conjugacy_data(g)
-    obj = {
+    return {
         "label": g.label,
         "order": int(g.order),
         "abelian": bool(g.is_abelian()),
@@ -170,79 +173,54 @@ def cmd_group_info(args) -> int:
         "classes": len(data.reps),
         "class_sizes": [int(c.size) for c in data.classes],
     }
-    _emit(serialize.render_json(obj))
-    return 0
 
 
-def cmd_chartable(args) -> int:
+def cmd_chartable(args) -> dict | str:
+    obj = serialize.chartable_obj(character_table(parse_group(args.group)))
+    return serialize.chartable_csv(obj) if args.format == "csv" else obj
+
+
+def cmd_anyons(args) -> dict | str:
     g = parse_group(args.group)
-    obj = serialize.chartable_obj(character_table(g))
-    if args.format == "csv":
-        _emit(serialize.chartable_csv(obj))
-    else:
-        _emit(serialize.render_json(obj))
-    return 0
+    return serialize.anyons_csv(g) if args.format == "csv" else serialize.anyons_obj(g)
 
 
-def cmd_anyons(args) -> int:
-    g = parse_group(args.group)
-    if args.format == "csv":
-        _emit(serialize.anyons_csv(g))
-    else:
-        _emit(serialize.render_json(serialize.anyons_obj(g)))
-    return 0
+def _modular_matrix(corner, compute, to_obj):
+    """The body of smatrix (corner "S") and tmatrix (corner "T")."""
+    def body(args) -> dict | str:
+        if args.snap and args.format == "csv":
+            raise UsageError("--snap applies to JSON output only")
+        g = parse_group(args.group)
+        if args.format == "csv":
+            return serialize.matrix_csv([x.label for x in anyons(g)], compute(g), corner=corner)
+        return to_obj(g, compute(g), snap=args.snap)
+    return body
 
 
-def cmd_smatrix(args) -> int:
-    g = parse_group(args.group)
-    data = modular_data(g)
-    if args.format == "csv":
-        labels = [x.label for x in data.objects]
-        _emit(serialize.matrix_csv(labels, data.s, corner="S"))
-    else:
-        _emit(serialize.render_json(serialize.s_matrix_obj(g, data.s, snap=args.snap)))
-    return 0
-
-
-def cmd_tmatrix(args) -> int:
-    g = parse_group(args.group)
-    data = modular_data(g)
-    if args.format == "csv":
-        labels = [x.label for x in data.objects]
-        _emit(serialize.matrix_csv(labels, data.t, corner="T"))
-    else:
-        _emit(serialize.render_json(serialize.t_vector_obj(g, data.t, snap=args.snap)))
-    return 0
-
-
-def cmd_fusion(args) -> int:
+def cmd_fusion(args) -> dict | str:
     g = parse_group(args.group)
     n = fusion_verlinde(g)
-    if args.format == "csv":
-        _emit(serialize.fusion_csv(g, n))
-    else:
-        _emit(serialize.render_json(serialize.fusion_obj(g, n)))
-    return 0
+    return serialize.fusion_csv(g, n) if args.format == "csv" else serialize.fusion_obj(g, n)
 
 
-def cmd_condense(args) -> int:
+def cmd_condense(args) -> dict:
     g = parse_group(args.group)
-    k, phi = _resolve_boundary(g, args.subgroup, args.cocycle)
-    rep = condense(g, k, phi)
-    _emit(serialize.render_json(serialize.condensation_obj(rep)))
-    return 0
+    return serialize.condensation_obj(condense(g, *_resolve_boundary(g, args.subgroup, args.cocycle)))
 
 
-def cmd_tunnel(args) -> int:
+def cmd_tunnel(args) -> dict:
+    field = args.wall_u is not None and (args.wall_u == "dickson9" or args.wall_u.removeprefix("q=").isdigit())
+    if args.cocycle is not None and (field or args.wall_u == "diagonal"):
+        raise UsageError(f"--cocycle is read only with a members-file wall, not --wall-u {args.wall_u}")
+    if field and args.group is not None:
+        raise UsageError(f"--wall-u {args.wall_u} fixes the groups; --group is not read")
     if args.wall_u == "diagonal":
         if args.group is None:
             raise UsageError("--wall-u diagonal needs --group")
-        g = parse_group(args.group)
-        ga = gb = g
-        wall = diagonal_wall(g)
-    elif args.wall_u is not None and (args.wall_u == "dickson9" or args.wall_u.removeprefix("q=").isdigit()):
-        h = parse_near_field(args.wall_u)
-        phi = wall_cocycle(h)
+        ga = gb = parse_group(args.group)
+        wall = diagonal_wall(ga)
+    elif field:
+        phi = wall_cocycle(parse_near_field(args.wall_u))
         ga, gb = phi.subgroup.parent.meta["product_of"]
         wall = UWallSpec(phi.subgroup, phi)
     else:
@@ -260,16 +238,12 @@ def cmd_tunnel(args) -> int:
                 raise UsageError("--cocycle subgroup disagrees with --wall-u members")
             u = phi.subgroup
         else:
-            from .cocycles import trivial_cocycle
-
             phi = trivial_cocycle(u)
         wall = UWallSpec(u, phi)
-    rep = equivalence_check(ga, gb, wall)
-    _emit(serialize.render_json(serialize.equivalence_obj(rep)))
-    return 0
+    return serialize.equivalence_obj(equivalence_check(ga, gb, wall))
 
 
-def cmd_modinv_search(args) -> int:
+def cmd_modinv_search(args) -> dict:
     g = parse_group(args.group)
     data = modular_data(g)
     hits = search_transposition_invariants(g, tol=args.tol)
@@ -277,142 +251,99 @@ def cmd_modinv_search(args) -> int:
         is_modular_invariant(transposition_matrix(data, h.x, h.y), data, tol=args.tol)
         for h in hits
     ]
-    _emit(serialize.render_json(serialize.hits_obj(g, hits, verdicts)))
-    return 0
+    return serialize.hits_obj(g, hits, verdicts)
 
 
-def cmd_modinv_check(args) -> int:
-    g = parse_group(args.group)
-    data = modular_data(g)
+def cmd_modinv_check(args) -> dict:
+    data = modular_data(parse_group(args.group))
     m = serialize.square_matrix_from_obj(_read_json(args.matrix))
-    verdict = is_modular_invariant(m, data, tol=args.tol)
-    _emit(serialize.render_json(serialize.invariant_obj(verdict)))
-    return 0 if verdict.ok else 1
+    return serialize.invariant_obj(is_modular_invariant(m, data, tol=args.tol))
 
 
-def cmd_verify_cf(args) -> int:
-    h = parse_near_field(args.target)
-    rep = verify_cf_symmetry(h)
-    _emit(serialize.render_json(serialize.cf_report_obj(rep)))
-    return 0 if rep.ok else 1
+def cmd_verify_cf(args) -> dict:
+    return serialize.cf_report_obj(verify_cf_symmetry(parse_near_field(args.target)))
 
 
-def cmd_lattice_verify(args) -> int:
+def cmd_lattice_verify(args) -> dict:
     g = parse_group(args.group)
     if args.subgroup is None and args.cocycle is None:
-        checks = bulk_relation_report(g, seed=args.seed)
-        label = f"bulk:{g.label}"
-    else:
-        k, phi = _resolve_boundary(g, args.subgroup, args.cocycle)
-        checks = wall_relation_report(g, k, phi, seed=args.seed)
-        label = f"wall:{g.label}"
-    obj = serialize.relation_report_obj(label, checks, args.tol)
-    _emit(serialize.render_json(obj))
-    return 0 if obj["ok"] else 1
+        return serialize.relation_report_obj(f"bulk:{g.label}", bulk_relation_report(g, seed=args.seed), args.tol)
+    checks = wall_relation_report(g, *_resolve_boundary(g, args.subgroup, args.cocycle), seed=args.seed)
+    return serialize.relation_report_obj(f"wall:{g.label}", checks, args.tol)
 
 
-def cmd_lattice_character(args) -> int:
+def cmd_lattice_character(args) -> dict:
     g = parse_group(args.group)
     k, phi = _resolve_boundary(g, args.subgroup, args.cocycle)
     patch = minimal_boundary_patch(g, k, phi)
-    spec = make_ribbon(patch, ((1, 0), None), "wv")
-    chi = lattice_boundary_character(patch, spec, seed=args.seed)
-    obj = serialize.class_function_obj(chi)
-    obj["boundary"] = [int(m) for m in k.members]
-    _emit(serialize.render_json(obj))
-    return 0
+    chi = lattice_boundary_character(patch, make_ribbon(patch, ((1, 0), None), "wv"), seed=args.seed)
+    return {**serialize.class_function_obj(chi), "boundary": [int(m) for m in k.members]}
 
 
 # --- parser ----------------------------------------------------------------------------
 
-def _add_common(p, group=True, fmt=False, snap=False, boundary=False, tol=False, seed=False):
-    if group:
-        p.add_argument("--group", required=True, help="group URI or JSON file path")
-    if fmt:
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-    if snap:
-        p.add_argument("--snap", action="store_true", help="render cyclotomic entries exactly")
-    if boundary:
-        p.add_argument("--subgroup", help="'trivial', 'full', comma list, or members file")
-        p.add_argument("--cocycle", help="cocycle JSON file (root-of-unity exponents)")
-    if tol:
-        p.add_argument("--tol", type=float, default=TOL["character"])
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
+# The options several commands share, each defined once: (flag, add_argument keywords).
+GROUP = ("--group", {"required": True, "help": "group URI or JSON file path"})
+FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
+SNAP = ("--snap", {"action": "store_true", "help": "render cyclotomic entries exactly"})
+SUBGROUP = ("--subgroup", {"help": "'trivial', 'full', comma list, or members file"})
+COCYCLE = ("--cocycle", {"help": "cocycle JSON file (root-of-unity exponents)"})
+TOLERANCE = ("--tol", {"type": float, "default": TOL["character"]})
+SEED = ("--seed", {"type": int, "default": 0})
+
+# (command path, help, arguments, body); a path whose body is None takes subcommands.
+COMMANDS = [
+    ("group", "group utilities", (), None),
+    ("group info", "order, classes, exponent", (GROUP,), cmd_group_info),
+    ("chartable", "ordinary character table", (GROUP, FORMAT), cmd_chartable),
+    ("anyons", "simple objects of the double", (GROUP, FORMAT), cmd_anyons),
+    ("smatrix", "modular S-matrix", (GROUP, FORMAT, SNAP), _modular_matrix("S", s_matrix, serialize.s_matrix_obj)),
+    ("tmatrix", "modular T-matrix (twists)", (GROUP, FORMAT, SNAP),
+     _modular_matrix("T", t_vector, serialize.t_vector_obj)),
+    ("fusion", "Verlinde fusion multiplicities", (GROUP, FORMAT), cmd_fusion),
+    ("condense", "boundary condensation multiplicities", (GROUP, SUBGROUP, COCYCLE), cmd_condense),
+    ("tunnel", "domain-wall tunneling matrix", (
+        ("--group", {"help": "product:A<x>B for custom walls, any group for diagonal"}),
+        ("--wall-u", {"dest": "wall_u", "help": "'diagonal', 'q=N', 'dickson9', or members file"}),
+        ("--cocycle", {"help": "cocycle JSON file on the wall subgroup"}),
+    ), cmd_tunnel),
+    ("modinv", "modular invariant tools", (), None),
+    ("modinv search", "transposition-type invariants", (GROUP, TOLERANCE), cmd_modinv_search),
+    ("modinv check", "test a candidate matrix",
+     (("matrix", {"help": "JSON file with a square matrix"}), GROUP, TOLERANCE), cmd_modinv_check),
+    ("verify", "verification bundles", (), None),
+    ("verify cf", "chargeon-fluxion symmetry for an affine group",
+     (("target", {"help": "prime power q, 'q=N', or 'dickson9'"}),), cmd_verify_cf),
+    ("lattice", "exact simulator checks", (), None),
+    ("lattice verify", "operator relation suite", (GROUP, SUBGROUP, COCYCLE, TOLERANCE, SEED), cmd_lattice_verify),
+    ("lattice character", "boundary character from the lattice", (GROUP, SUBGROUP, COCYCLE, SEED),
+     cmd_lattice_character),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qdouble", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="group utilities")
-    gsub = p.add_subparsers(dest="subcommand", required=True)
-    gi = gsub.add_parser("info", help="order, classes, exponent")
-    _add_common(gi)
-    gi.set_defaults(fn=cmd_group_info)
-
-    p = sub.add_parser("chartable", help="ordinary character table")
-    _add_common(p, fmt=True)
-    p.set_defaults(fn=cmd_chartable)
-
-    p = sub.add_parser("anyons", help="simple objects of the double")
-    _add_common(p, fmt=True)
-    p.set_defaults(fn=cmd_anyons)
-
-    p = sub.add_parser("smatrix", help="modular S-matrix")
-    _add_common(p, fmt=True, snap=True)
-    p.set_defaults(fn=cmd_smatrix)
-
-    p = sub.add_parser("tmatrix", help="modular T-matrix (twists)")
-    _add_common(p, fmt=True, snap=True)
-    p.set_defaults(fn=cmd_tmatrix)
-
-    p = sub.add_parser("fusion", help="Verlinde fusion multiplicities")
-    _add_common(p, fmt=True)
-    p.set_defaults(fn=cmd_fusion)
-
-    p = sub.add_parser("condense", help="boundary condensation multiplicities")
-    _add_common(p, boundary=True)
-    p.set_defaults(fn=cmd_condense)
-
-    p = sub.add_parser("tunnel", help="domain-wall tunneling matrix")
-    p.add_argument("--group", help="product:A<x>B for custom walls, any group for diagonal")
-    p.add_argument("--wall-u", dest="wall_u", help="'diagonal', 'q=N', 'dickson9', or members file")
-    p.add_argument("--cocycle", help="cocycle JSON file on the wall subgroup")
-    p.set_defaults(fn=cmd_tunnel)
-
-    p = sub.add_parser("modinv", help="modular invariant tools")
-    msub = p.add_subparsers(dest="subcommand", required=True)
-    ms = msub.add_parser("search", help="transposition-type invariants")
-    _add_common(ms, tol=True)
-    ms.set_defaults(fn=cmd_modinv_search)
-    mc = msub.add_parser("check", help="test a candidate matrix")
-    mc.add_argument("matrix", help="JSON file with a square matrix")
-    _add_common(mc, tol=True)
-    mc.set_defaults(fn=cmd_modinv_check)
-
-    p = sub.add_parser("verify", help="verification bundles")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    vc = vsub.add_parser("cf", help="chargeon-fluxion symmetry for an affine group")
-    vc.add_argument("target", help="prime power q, 'q=N', or 'dickson9'")
-    vc.set_defaults(fn=cmd_verify_cf)
-
-    p = sub.add_parser("lattice", help="exact simulator checks")
-    lsub = p.add_subparsers(dest="subcommand", required=True)
-    lv = lsub.add_parser("verify", help="operator relation suite")
-    _add_common(lv, boundary=True, tol=True, seed=True)
-    lv.set_defaults(fn=cmd_lattice_verify)
-    lc = lsub.add_parser("character", help="boundary character from the lattice")
-    _add_common(lc, boundary=True, seed=True)
-    lc.set_defaults(fn=cmd_lattice_character)
-
+    ap = argparse.ArgumentParser(prog="qdouble", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    subparsers = {"": ap.add_subparsers(dest="command", required=True)}
+    for path, help_text, arguments, body in COMMANDS:
+        parent, _, name = path.rpartition(" ")
+        p = subparsers[parent].add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if body is None:
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+        else:
+            p.set_defaults(fn=body)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command, write its document to stdout, and return the exit code:
+    1 when the document says "ok": false, 0 otherwise, and 1 or 2 on an error."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        sys.stdout.write(doc if isinstance(doc, str) else serialize.render_json(doc))
+        return 1 if isinstance(doc, dict) and doc.get("ok") is False else 0
     except CHECK_FAILURES as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

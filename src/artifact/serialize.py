@@ -17,7 +17,7 @@ import numpy as np
 
 from .characters import CharacterTable, ClassFunction, root_multiplicities
 from .cocycles import TwoCocycle, _exponent_identity_failure
-from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport, TunnelingMatrix
+from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport
 from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _blocks, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
@@ -292,32 +292,19 @@ def condensation_obj(rep: CondensationReport) -> dict:
     }
 
 
-def tunneling_obj(tm: TunnelingMatrix, verdict: str) -> dict:
-    pairs = {}
-    for i, x in enumerate(anyons(tm.left)):
-        for j, y in enumerate(anyons(tm.right)):
-            v = int(tm.n[i, j])
-            if v:
-                pairs[f"{x.label} (x) {y.label}"] = v
+def equivalence_obj(rep: EquivalenceReport) -> dict:
+    left, right, n = anyons(rep.tunneling.left), anyons(rep.tunneling.right), rep.tunneling.n
+    pairs = {f"{left[i].label} (x) {right[j].label}": int(n[i, j]) for i, j in zip(*np.nonzero(n))}
+    targets = None if rep.targets is None else {left[i].label: right[j].label for i, j in enumerate(rep.targets)}
     return {
         "multiplicities": pairs,
         "condensed": list(pairs),
-        "verdict": verdict,
+        "verdict": rep.verdict,
+        "is_permutation": rep.is_permutation,
+        "projections_surjective": list(rep.projections_surjective),
+        "pairing_nondegenerate": rep.pairing_nondegenerate,
+        "targets": targets,
     }
-
-
-def equivalence_obj(rep: EquivalenceReport) -> dict:
-    out = tunneling_obj(rep.tunneling, rep.verdict)
-    out["is_permutation"] = rep.is_permutation
-    out["projections_surjective"] = list(rep.projections_surjective)
-    out["pairing_nondegenerate"] = rep.pairing_nondegenerate
-    if rep.targets is not None:
-        left = anyons(rep.tunneling.left)
-        right = anyons(rep.tunneling.right)
-        out["targets"] = {left[i].label: right[j].label for i, j in enumerate(rep.targets)}
-    else:
-        out["targets"] = None
-    return out
 
 
 def cf_report_obj(rep: CFSymmetryReport) -> dict:

@@ -522,6 +522,40 @@ def test_cli_tol_and_seed_only_where_read():
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("tunnel --wall-u diagonal --group builtin:Z2 --cocycle /nonexistent.json",
+         "--cocycle is read only with a members-file wall, not --wall-u diagonal"),
+        ("tunnel --wall-u q=2 --cocycle /nonexistent.json",
+         "--cocycle is read only with a members-file wall, not --wall-u q=2"),
+        ("tunnel --wall-u dickson9 --cocycle /nonexistent.json",
+         "--cocycle is read only with a members-file wall, not --wall-u dickson9"),
+        ("tunnel --wall-u q=2 --group builtin:S5", "--wall-u q=2 fixes the groups; --group is not read"),
+        ("tunnel --wall-u dickson9 --group builtin:S3", "--wall-u dickson9 fixes the groups; --group is not read"),
+        ("smatrix --snap --format csv --group builtin:S3", "--snap applies to JSON output only"),
+        ("tmatrix --snap --format csv --group builtin:S3", "--snap applies to JSON output only"),
+    ],
+    ids=["diagonal-cocycle", "field-cocycle", "dickson9-cocycle", "field-group", "dickson9-group",
+         "smatrix-snap-csv", "tmatrix-snap-csv"],
+)
+def test_cli_refuses_options_the_command_does_not_read(argv, message):
+    # each option was accepted and never read, the cocycle file never opened
+    code, out, err = run_cli(argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_a_document_with_nan_exits_2(tmp_path):
+    # the NaN candidate gives NaN residuals, which the JSON writer refuses
+    # inside main's error mapping, before anything is written
+    m = np.eye(8)
+    m[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(m.tolist()))
+    code, out, err = run_cli(["modinv", "check", str(path), "--group", "builtin:S3"])
+    assert (code, out) == (2, "") and err.startswith("input error: Out of range float values")
+
+
 def test_cli_group_file_roundtrip(tmp_path):
     path = tmp_path / "group.json"
     path.write_text(render_json(group_to_obj(symmetric(3))))
