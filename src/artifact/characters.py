@@ -10,7 +10,8 @@ class matrices into k vectors, whose first entries give the degrees.  The checks
 multiplicities counting the degree) are exact in F_p.  Dixon's formula reads the
 multiplicity of each root z^t in rho(g) off chi(g^j), j = 0..e-1, with one
 discrete Fourier transform mod p; the complex table is the multiplicities times
-exp(2 pi i t / e).  `root_multiplicities` is the same formula on float values.
+exp(2 pi i t / e), and `CharacterTable.mult` keeps them for exact use mod other
+primes.  `root_multiplicities` is the same formula on float values.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class CharacterTable:
     group: GroupTable
     table: np.ndarray  # rows = irreps, columns = classes
     dims: np.ndarray
+    mult: np.ndarray  # int16 [row, class l, t]: multiplicity of exp(2 pi i t / e) in rho(z_l)
 
     @property
     def n_rows(self) -> int:
@@ -130,19 +132,27 @@ def _eigenvalues(m: np.ndarray, p: int) -> np.ndarray:
 
 def character_table(g: GroupTable) -> CharacterTable:
     """Canonical character table by Dixon-Schneider modulo p: rows by degree, then
-    value order; cached as (table, dims)."""
+    value order; cached as (table, dims, mult)."""
     return CharacterTable(g, *_cached(g._cache, "chartable", _character_table, g))
 
 
-def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+def _prime_and_roots(n: int, e: int) -> tuple[int, np.ndarray]:
+    """The least prime p = 1 (mod e) above n, and z^s for s = 0..e-1, z of order e
+    the first power x^((p-1)/e) of x = 1, 2, ... that has it."""
+    p = e * (n // e) + 1
+    while p <= n or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += e
+    candidates = (np.array([pow(x, (p - 1) // e * s, p) for s in range(e)], dtype=np.int64) for x in range(1, p))
+    return p, next(zp for zp in candidates if 1 not in zp[1:])
+
+
+def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     data = conjugacy_data(g)
     n, k = g.order, len(data.reps)
     sizes = np.array([c.size for c in data.classes], dtype=np.int64)
     powers = data.class_of[g.power_table()[:, data.reps]]  # [j, l]: class of z_l^j
     e = len(powers)
-    p = e * (n // e) + 1
-    while p <= n or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        p += e
+    p, zp = _prime_and_roots(n, e)
     vecs = np.eye(k, 1, dtype=np.int64)  # e_0 = sum_chi (chi(1)^2 / |G|) omega_chi
     for m in _class_structure_constants(g)[1:]:
         if vecs.shape[1] >= k:
@@ -167,16 +177,12 @@ def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     rows = (chi * sizes % p) @ dual.T % p  # |G| <chi, psi>
     _check("row orthogonality mod p", np.count_nonzero(rows != n * np.eye(k, dtype=np.int64)), 0)
     _check("column orthogonality mod p", np.count_nonzero(chi.T @ dual % p != np.diag(n // sizes)), 0)
-    for x in range(1, p):
-        zp = np.array([pow(x, (p - 1) // e * s, p) for s in range(e)], dtype=np.int64)
-        if 1 not in zp[1:]:  # z = zp[1] has order e
-            break
     dft = zp[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p  # [j, t] = z^-jt / e
     mult = chi[:, powers].transpose(0, 2, 1) @ dft % p  # [chi, l, t]: multiplicity of z^t in rho(z_l)
     _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
     table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
     order = _row_sort_order(table, dims)
-    return table[order], dims[order]
+    return table[order], dims[order], mult[order].astype(np.int16)
 
 
 # --- class function operations ---------------------------------------------------

@@ -29,7 +29,6 @@ from .errors import (
     TOL,
     ArtifactError,
     ConditionMismatch,
-    NegativeOrNonInteger,
     NonIntegerMultiplicity,
     NumericalDegeneracy,
     ZeroProjection,
@@ -66,7 +65,6 @@ from .quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
 # else raised by the library is treated as an input problem.
 CHECK_FAILURES = (
     ConditionMismatch,
-    NegativeOrNonInteger,
     NonIntegerMultiplicity,
     NumericalDegeneracy,
     ZeroProjection,
@@ -209,7 +207,9 @@ def cmd_condense(args) -> dict:
 
 
 def cmd_tunnel(args) -> dict:
-    field = args.wall_u is not None and (args.wall_u == "dickson9" or args.wall_u.removeprefix("q=").isdigit())
+    if args.wall_u == "dickson9":
+        raise UsageError("--wall-u dickson9 has no wall; the Dickson near-field is checked by verify cf dickson9")
+    field = args.wall_u is not None and args.wall_u.removeprefix("q=").isdigit()
     if args.cocycle is not None and (field or args.wall_u == "diagonal"):
         raise UsageError(f"--cocycle is read only with a members-file wall, not --wall-u {args.wall_u}")
     if field and args.group is not None:
@@ -230,7 +230,7 @@ def cmd_tunnel(args) -> dict:
         ga, gb = parse_group(left), parse_group(right)
         prod = direct_product(ga, gb)
         if args.wall_u is None:
-            raise UsageError("--wall-u is required (diagonal, q=N, dickson9, or a members file)")
+            raise UsageError("--wall-u is required (diagonal, q=N, or a members file)")
         u = parse_subgroup(prod, args.wall_u)
         if args.cocycle is not None:
             phi = serialize.cocycle_from_obj(prod, _read_json(args.cocycle))
@@ -304,7 +304,7 @@ COMMANDS = [
     ("condense", "boundary condensation multiplicities", (GROUP, SUBGROUP, COCYCLE), cmd_condense),
     ("tunnel", "domain-wall tunneling matrix", (
         ("--group", {"help": "product:A<x>B for custom walls, any group for diagonal"}),
-        ("--wall-u", {"dest": "wall_u", "help": "'diagonal', 'q=N', 'dickson9', or members file"}),
+        ("--wall-u", {"dest": "wall_u", "help": "'diagonal', 'q=N', or members file"}),
         ("--cocycle", {"help": "cocycle JSON file on the wall subgroup"}),
     ), cmd_tunnel),
     ("modinv", "modular invariant tools", (), None),

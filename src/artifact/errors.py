@@ -17,7 +17,6 @@ TOL = {
     "match": 1e-6,  # a computed value taken for a known one: a table row, the chargeon's -1
     "nonzero": 1e-12,  # least magnitude counted as nonzero: a projected lattice state's norm
     "multiplicity": 1e-4,  # anyon multiplicities off integers
-    "fusion": 1e-6,  # Verlinde fusion entries off integers
     "phase": 1e-9,  # unit phases: cocycle identity and gauge, twists, roots of unity
     "normalized": 1e-8,  # the cocycle identity after gauge normalization
     "reassembly": 1e-8,  # relative to max(1, max |target|)
@@ -89,10 +88,6 @@ class NumericalDegeneracy(ArtifactError):
 
 
 class NonIntegerMultiplicity(ArtifactError):
-    pass
-
-
-class NegativeOrNonInteger(ArtifactError):
     pass
 
 

@@ -73,10 +73,7 @@ def is_modular_invariant(m: np.ndarray, data: ModularData, tol: float = TOL["cha
 def charge_conjugation_matrix(g: GroupTable) -> np.ndarray:
     """Permutation matrix J of the dual map; always a modular invariant."""
     objs = anyons(g)
-    j = np.zeros((len(objs), len(objs)), dtype=np.int64)
-    for i, x in enumerate(objs):
-        j[i, objs.index(anyon_dual(g, x))] = 1
-    return j
+    return np.eye(len(objs), dtype=np.int64)[[objs.index(anyon_dual(g, x)) for x in objs]]
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,10 @@ def search_transposition_invariants(g: GroupTable, tol: float = TOL["character"]
 
 
 def transposition_matrix(data: ModularData, x: Anyon, y: Anyon) -> np.ndarray:
-    m = len(data.objects)
     i, j = data.objects.index(x), data.objects.index(y)
-    p = np.eye(m, dtype=np.int64)
-    p[i, i] = p[j, j] = 0
-    p[i, j] = p[j, i] = 1
-    return p
+    p = np.arange(len(data.objects))
+    p[i], p[j] = j, i
+    return np.eye(len(p), dtype=np.int64)[p]
 
 
 def affine_cf_anyons(g: GroupTable, q: int) -> tuple[Anyon, Anyon]:

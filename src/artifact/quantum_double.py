@@ -8,7 +8,9 @@ orbits of simultaneous conjugation.  There are exactly as many orbits as
 anyons, so a class function on the double is a `characters.ClassFunction` on
 the orbits of `pair_orbits`, one value per orbit; its `.values` is the expanded
 |G| x |G| grid.  Inner product and decomposition are the ones of
-`characters`, bound here as `dg_inner_product` and `dg_decompose`.
+`characters`, bound here as `dg_inner_product` and `dg_decompose`.  Fusion is
+exact: it reads the same characters mod p, from the centralizers' root
+multiplicities, and certifies its integers over Z.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import ClassFunction, Orbits, _on_orbits, character_table, decompose, inner_product
-from .errors import TOL, ConditionMismatch, GroupMismatch, NegativeOrNonInteger
-from .errors import _blocks, _cached, _check, _integers
+from .characters import ClassFunction, Orbits, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
+from .errors import TOL, ConditionMismatch, GroupMismatch, SizeExceeded, _blocks, _cached, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 
@@ -194,28 +195,55 @@ def t_vector(g: GroupTable) -> np.ndarray:
     return out
 
 
-def fusion_verlinde(g: GroupTable) -> np.ndarray:
-    """Fusion tensor N[x, y, z] = sum_u S_xu S_yu conj(S_zu) / S_0u (Verlinde).
+def _s_residues(g: GroupTable) -> tuple[int, np.ndarray, np.ndarray]:
+    """(p, S mod p, conj(S) mod p), int32 as p < 2^18 by _gemm_mod's bound; p and z
+    are those of g's table, e its exponent.  Centralizer tables map by exp(2 pi i / e_Z)
+    -> z^(e/e_Z), conjugates by z^-(e/e_Z); then the gather and GEMM of _s_matrix."""
+    po = pair_orbits(g)
+    p, zp = _prime_and_roots(g.order, len(g.power_table()))
+    e, n, at = len(zp), po.sizes.size, 0
+    tables = np.zeros((2, n, n))  # the double character table mod p, and its conjugate
+    for a in conjugacy_data(g).reps:
+        mult = character_table(centralizer(g, int(a)).as_group).mult
+        t = np.arange(mult.shape[2]) * (e // mult.shape[2])
+        block = slice(at, at := at + len(mult))
+        tables[:, block, block] = (mult @ zp[np.stack([t, -t % e])].T % p).transpose(2, 0, 1)
+    swap = po.orbit_of[po.reps[::-1]]
+    back = pow(g.order, -1, p)
+    s, conj_s = ((_gemm_mod(x[:, swap] * po.sizes, x.T, p) * back % p).astype(np.int32) for x in tables[::-1])
+    return p, s, conj_s
 
-    One complex GEMM, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu) / S_0u,
-    taken in row blocks of x for y >= the block's first x and mirrored into N[y, x]
-    (rows (x, y) and (y, x) of L are the same bits); every entry of every block
-    must round to a non-negative integer within TOL["fusion"].  Read-only."""
+
+def _gemm_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact
+    while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
+    _check("residue GEMM beyond exact float64 integers", a.shape[-1] * (p - 1) ** 3, 2**53, SizeExceeded)
+    out = (a @ b).astype(np.int64)
+    out %= p
+    return out
+
+
+def fusion_verlinde(g: GroupTable) -> np.ndarray:
+    """Fusion tensor N[x, y, z] = sum_u S_xu S_yu conj(S_zu) / S_0u (Verlinde), in F_p.
+
+    One real GEMM of residues, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu)
+    |G| / d_u, in row blocks of x for y >= the block's first x, mirrored into
+    N[y, x].  Each block is certified over Z, sum_z r_xyz d_z = d_x d_y, else
+    ConditionMismatch: r = N mod p and N <= d_x < p, so r <= N and only r = N
+    passes.  No float is compared.  Read-only."""
     return _cached(g._cache, "fusion", _fusion_verlinde, g)
 
 
 def _fusion_verlinde(g: GroupTable) -> np.ndarray:
-    s = s_matrix(g)
-    m = s.shape[0]
-    right = np.conj(s).T / s[0][:, None]
+    p, s, conj_s = _cached(g._cache, "s_residues", _s_residues, g)
+    m, s = s.shape[0], s.astype(np.float64)
+    dims = np.array([x.dim for x in anyons(g)], dtype=np.int64)
+    right = (conj_s.T * np.array([g.order * pow(int(d), -1, p) % p for d in dims])[:, None] % p).astype(np.float64)
     out = np.empty((m, m, m), dtype=np.int64)
-    for rows in _blocks(m, 16 * m * m):
+    for rows in _blocks(m, 24 * m * m):
         y0 = rows.start
-        raw = (s[rows, None, :] * s[None, y0:, :]).reshape(-1, m) @ right
-        n = _integers(raw, "fusion entries off integers", TOL["fusion"], NegativeOrNonInteger)
-        if n.min() < 0:
-            raise NegativeOrNonInteger("negative fusion multiplicity")
-        n = n.reshape(rows.stop - y0, m - y0, m)
+        n = _gemm_mod((s[rows, None] * s[None, y0:]).reshape(-1, m), right, p).reshape(rows.stop - y0, m - y0, m)
+        _check("fusion residues: sum N d != d_x d_y", np.count_nonzero(n @ dims - np.outer(dims[rows], dims[y0:])), 0)
         out[rows, y0:] = n
         out[y0:, rows] = n.transpose(1, 0, 2)
     return out

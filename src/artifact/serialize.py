@@ -177,15 +177,12 @@ def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
 # --- character tables and anyon lists ----------------------------------------------
 
 def chartable_obj(ct: CharacterTable) -> dict:
-    """Every value rendered exactly: Dixon's multiplicities over chi(g^j)."""
-    g = ct.group
-    data = conjugacy_data(g)
-    values = ct.table[:, data.class_of[g.power_table()[:, data.reps].T]]
+    """Every value rendered exactly, from the root multiplicities the table keeps."""
     return {
-        "group": g.label,
-        "classes": [int(r) for r in data.reps],
+        "group": ct.group.label,
+        "classes": [int(r) for r in conjugacy_data(ct.group).reps],
         "dims": [int(d) for d in ct.dims],
-        "rows": _cyclotomic_cells(root_multiplicities(values), 1),
+        "rows": _cyclotomic_cells(ct.mult.astype(np.int64), 1),
     }
 
 
@@ -350,6 +347,8 @@ def square_matrix_from_obj(obj) -> np.ndarray:
         arr = arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SizeMismatch("expected a square matrix")
+    if not np.isfinite(arr).all():
+        raise SizeMismatch("square matrix entries must be finite")
     return arr
 
 

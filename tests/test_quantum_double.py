@@ -1,20 +1,21 @@
 """Anyon data of the double: labels, characters, S, T, and fusion."""
 
 import dataclasses
+import functools
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from artifact import characters, errors
+from artifact import characters, errors, quantum_double
 from artifact.characters import ClassFunction, character_table
 from artifact.condensation import verify_cf_symmetry
 from artifact.errors import (
     ConditionMismatch,
     GroupMismatch,
-    NegativeOrNonInteger,
     NonIntegerMultiplicity,
+    SizeExceeded,
 )
 from artifact.groups import (
     GroupTable,
@@ -250,9 +251,11 @@ def test_fusion_tensor_symmetries():
     assert dist(np.einsum("xyz,z->xy", n, dims), np.outer(dims, dims)) < 1e-7
 
 
-def einsum_fusion(g):
-    """Reference Verlinde sum as one three-operand einsum, rounded to integers."""
-    s = s_matrix(g)
+@functools.cache
+def einsum_fusion(build, n):
+    """Reference Verlinde sum of build(n)'s float S as one three-operand einsum,
+    rounded to integers; memoized, since every block size reads the same tensor."""
+    s = s_matrix(build(n))
     raw = np.einsum("xu,yu,zu->xyz", s, s, np.conj(s) / s[0])
     return np.rint(raw.real).astype(np.int64)
 
@@ -265,14 +268,17 @@ def z2_times_symmetric(n):
     return direct_product(cyclic(2), symmetric(n))
 
 
-# Fusion forms the y >= x half of each row block and mirrors it.  110_000 bytes
-# makes blocks of 5 rows for Z6 (36 anyons), 11 for Z5 (25), 14 for Aff(F5) (22)
-# and 6 for Z2 x S3 (32); 40_000 makes blocks of 1, 4, 5 and 2 rows, and 12 for
-# A4 (14).  Each block after the first starts inside the range that earlier
-# blocks mirrored, and most end in a partial one.
+# Fusion forms the y >= x half of each row block and mirrors it, at 24 m^2 bytes
+# per row of m anyons.  110_000 bytes makes blocks of 3 rows for Z6 (36 anyons),
+# 7 for Z5 (25), 9 for Aff(F5) (22) and 4 for Z2 x S3 (32); 40_000 makes blocks
+# of 1, 2, 3 and 1 rows, and 8 for A4 (14).  Each block after the first starts
+# inside the range that earlier blocks mirrored, and most end in a partial one.
+# Z10 and Z12 have p = |G| + 1 (11 and 13), Aff(F11) the largest p of the
+# benchmark, 331; the default blocks hold 2, 1 and 1 rows of them.
 @pytest.mark.parametrize("block_bytes", [None, 110_000, 40_000])
 @pytest.mark.parametrize("build, n", [
     (cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3), (affine, 5), (z2_times_symmetric, 3),
+    (cyclic, 10), (cyclic, 12), (affine, 11),
 ])
 def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes):
     if block_bytes is not None:
@@ -280,32 +286,70 @@ def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes
     g = build(n)
     fusion = fusion_verlinde(g)
     assert fusion.dtype == np.int64
-    assert np.array_equal(fusion, einsum_fusion(g))
+    assert np.array_equal(fusion, einsum_fusion(build, n))
     assert np.array_equal(fusion, fusion.transpose(1, 0, 2))
 
 
-# the half tensor still reads every entry of S: a perturbed s[1, 2] fails, and
-# so does one in the last row, which is the last x and a y of every block
-PERTURBED = [
-    pytest.param(at, offset, id=f"{offset}{where}")
+def test_fusion_primes_of_the_reference_groups():
+    primes = {g.label: quantum_double._s_residues(g)[0] for g in (cyclic(10), cyclic(12), affine(11))}
+    assert primes == {"Z10": 11, "Z12": 13, "Aff(F11)": 331}
+
+
+# the half tensor still reads every entry of S mod p and conj(S) mod p: a residue
+# moved at [1, 2] fails, and so does one in the last row, which is the last x and
+# a y of every block; no tensor is cached
+CORRUPTED = [
+    pytest.param(which, at, id=f"{name}{where}")
     for at, where in [((1, 2), ""), ((-1, 0), "-last-first"), ((-1, -1), "-last-last")]
-    for offset in (0.1, np.nan)
+    for which, name in ((1, "S"), (2, "conjS"))
 ]
 
 
-@pytest.mark.parametrize("at, offset", PERTURBED)
-def test_fusion_rejects_a_non_integer_s_matrix(at, offset):
+@pytest.mark.parametrize("which, at", CORRUPTED)
+def test_fusion_rejects_a_corrupted_s_residue(which, at):
     g = symmetric(3)
-    s = s_matrix(g).copy()
-    s[at] += offset
-    g._cache["smatrix"] = s
-    with pytest.raises(NegativeOrNonInteger):
+    residues = list(quantum_double._s_residues(g))
+    residues[which][at] = (residues[which][at] + 1) % residues[0]
+    g._cache["s_residues"] = tuple(residues)
+    with pytest.raises(ConditionMismatch, match="fusion residues: sum N d != d_x d_y"):
         fusion_verlinde(g)
+    assert "fusion" not in g._cache
+
+
+# one root multiplicity of the last irrep at the last class, raised by one, in the
+# table of each distinct centralizer of S3: S3 itself, Z2 and Z3
+@pytest.mark.parametrize("rep", [0, 1, 2])
+def test_fusion_rejects_a_corrupted_centralizer_mult(rep):
+    g = symmetric(3)
+    z = centralizer(g, int(conjugacy_data(g).reps[rep])).as_group
+    tab = character_table(z)
+    mult = tab.mult.copy()
+    mult[-1, -1, -1] += 1
+    z._cache["chartable"] = (tab.table, tab.dims, mult)
+    with pytest.raises(ConditionMismatch, match="fusion residues: sum N d != d_x d_y"):
+        fusion_verlinde(g)
+    assert "fusion" not in g._cache
+
+
+def test_residue_gemm_refuses_sums_past_exact_float64():
+    # sums of m products below (p - 1)^3: with p - 1 = 2^17, m = 4 reaches 2^53 exactly
+    p = 2**17 + 1
+    ones = np.ones((1, 4)) * (p - 1)
+    assert quantum_double._gemm_mod(ones * (p - 1), ones.T, p)[0, 0] == 4 * (p - 1) ** 3 % p
+    with pytest.raises(SizeExceeded, match="exact float64"):
+        quantum_double._gemm_mod(np.zeros((1, 5)), np.zeros((5, 1)), p)
 
 
 def test_elements_with_one_centralizer_share_its_table():
     g = cyclic(6)
     assert len({id(centralizer(g, a).as_group) for a in range(g.order)}) == 1
+
+
+def test_elements_with_one_centralizer_share_its_root_multiplicities():
+    g = cyclic(12)
+    mults = [character_table(centralizer(g, a).as_group).mult for a in range(g.order)]
+    assert all(mult is mults[0] for mult in mults)
+    assert mults[0].dtype == np.int16 and mults[0].shape == (12, 12, 12) and not mults[0].flags.writeable
 
 
 # _character_table runs once per distinct centralizer of a class representative
@@ -335,6 +379,9 @@ def test_cached_s_matrix_and_fusion_are_read_only():
     cached = {
         "character_table.table": character_table(g).table,
         "character_table.dims": character_table(g).dims,
+        "character_table.mult": character_table(g).mult,
+        "s_residues.s": g._cache["s_residues"][1],
+        "s_residues.conj_s": g._cache["s_residues"][2],
         "conjugacy_data.class_of": data.class_of,
         "conjugacy_data.reps": data.reps,
         "conjugacy_data.transversal": data.transversal,

@@ -522,6 +522,9 @@ def test_cli_tol_and_seed_only_where_read():
     assert json.loads(out)["ok"] is True
 
 
+DICKSON_WALL = "--wall-u dickson9 has no wall; the Dickson near-field is checked by verify cf dickson9"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -529,10 +532,9 @@ def test_cli_tol_and_seed_only_where_read():
          "--cocycle is read only with a members-file wall, not --wall-u diagonal"),
         ("tunnel --wall-u q=2 --cocycle /nonexistent.json",
          "--cocycle is read only with a members-file wall, not --wall-u q=2"),
-        ("tunnel --wall-u dickson9 --cocycle /nonexistent.json",
-         "--cocycle is read only with a members-file wall, not --wall-u dickson9"),
+        ("tunnel --wall-u dickson9 --cocycle /nonexistent.json", DICKSON_WALL),
         ("tunnel --wall-u q=2 --group builtin:S5", "--wall-u q=2 fixes the groups; --group is not read"),
-        ("tunnel --wall-u dickson9 --group builtin:S3", "--wall-u dickson9 fixes the groups; --group is not read"),
+        ("tunnel --wall-u dickson9 --group builtin:S3", DICKSON_WALL),
         ("smatrix --snap --format csv --group builtin:S3", "--snap applies to JSON output only"),
         ("tmatrix --snap --format csv --group builtin:S3", "--snap applies to JSON output only"),
     ],
@@ -545,15 +547,32 @@ def test_cli_refuses_options_the_command_does_not_read(argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_cli_a_document_with_nan_exits_2(tmp_path):
-    # the NaN candidate gives NaN residuals, which the JSON writer refuses
+def test_cli_tunnel_refuses_the_dickson_wall():
+    # the Dickson near-field has no wall cocycle, so no --wall-u dickson9 ever ran
+    code, out, err = run_cli(["tunnel", "--wall-u", "dickson9"])
+    assert (code, out, err) == (2, "", f"error: {DICKSON_WALL}\n")
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+        main(["tunnel", "--help"])
+    assert "dickson9" not in help_text.getvalue()
+
+
+def test_cli_a_document_with_nan_exits_2():
+    # --tol nan is written into the report, which the JSON writer refuses
     # inside main's error mapping, before anything is written
-    m = np.eye(8)
-    m[0, 0] = np.nan
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(m.tolist()))
-    code, out, err = run_cli(["modinv", "check", str(path), "--group", "builtin:S3"])
+    code, out, err = run_cli(["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full", "--tol", "nan"])
     assert (code, out) == (2, "") and err.startswith("input error: Out of range float values")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_cli_modinv_check_rejects_a_non_finite_candidate(tmp_path, value):
+    # json reads NaN and Infinity; the matrix is refused where it is read, not by the writer
+    m = np.eye(4)
+    m[0, 1] = value
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(m.tolist()))
+    code, out, err = run_cli(["modinv", "check", str(path), "--group", "builtin:Z2"])
+    assert (code, out, err) == (2, "", "input error: square matrix entries must be finite\n")
 
 
 def test_cli_group_file_roundtrip(tmp_path):

@@ -16,15 +16,14 @@ from artifact.errors import (
     TOL,
     CocycleIdentityFailure,
     ConditionMismatch,
-    NegativeOrNonInteger,
     NonIntegerMultiplicity,
     NumericalDegeneracy,
     ZeroProjection,
     _check,
 )
-from artifact.groups import cyclic, from_cayley, full_subgroup, symmetric
+from artifact.groups import cyclic, full_subgroup, symmetric
 from artifact.lattice import build_patch, ground_state
-from artifact.quantum_double import anyon_character, anyons, dg_decompose, fusion_verlinde, pair_orbits
+from artifact.quantum_double import anyon_character, anyons, dg_decompose, pair_orbits
 
 SRC = Path(artifact.__file__).parent
 LITERAL = re.compile(r"\d(\.\d+)?e-\d+")
@@ -49,11 +48,6 @@ def test_no_tolerance_literal_outside_the_table():
     assert not stray, "\n".join(stray)
 
 
-def _fresh(g):
-    """The same table as a new group, with empty caches."""
-    return from_cayley(g.mul, label=g.label)
-
-
 def _row_match():
     tab = character_table(symmetric(3))
     return lambda: tab.match_row(tab.table[1])
@@ -68,11 +62,6 @@ def _decompose():
     g = symmetric(3)
     chi = anyon_character(g, anyons(g)[2])
     return lambda: dg_decompose(chi)
-
-
-def _fusion():
-    g = cyclic(3)
-    return lambda: fusion_verlinde(_fresh(g))  # fusion is cached per group
 
 
 def _validate():
@@ -97,7 +86,6 @@ READERS = {
     "match": (NumericalDegeneracy, _row_match),
     "nonzero": (ZeroProjection, _ground_state),
     "multiplicity": (NonIntegerMultiplicity, _decompose),
-    "fusion": (NegativeOrNonInteger, _fusion),
     "phase": (CocycleIdentityFailure, _validate),
     "normalized": (ConditionMismatch, _normalize),
     "reassembly": (ConditionMismatch, _from_dense),
