@@ -9,9 +9,9 @@ The two paragraphs above are the --help description; in detail: each
 subcommand body returns its document, a JSON tree or CSV text, and `main`
 writes it.  Exit code 1 means the document says "ok": false (modinv check,
 verify cf, lattice verify) or a check failed with an error.  --snap applies to
-JSON output only.  Bulk `lattice verify` output is byte-stable for a fixed BLAS
-thread count: its inner products and Gram matrices sum in the order of the
-thread split.
+JSON output only; --tol must be a finite, non-negative float.  `lattice verify`
+(bulk and wall) and `lattice character` are byte-stable for a fixed BLAS thread
+count: their inner products, norms and Gram matrices sum in the thread split's order.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def _modular_matrix(corner, compute, to_obj):
 
 def cmd_fusion(args) -> dict | str:
     g = parse_group(args.group)
-    n = fusion_verlinde(g)
-    return serialize.fusion_csv(g, n) if args.format == "csv" else serialize.fusion_obj(g, n)
+    return (serialize.fusion_csv if args.format == "csv" else serialize.fusion_obj)(g, fusion_verlinde(g))
 
 
 def cmd_condense(args) -> dict:
@@ -247,10 +246,7 @@ def cmd_modinv_search(args) -> dict:
     g = parse_group(args.group)
     data = modular_data(g)
     hits = search_transposition_invariants(g, tol=args.tol)
-    verdicts = [
-        is_modular_invariant(transposition_matrix(data, h.x, h.y), data, tol=args.tol)
-        for h in hits
-    ]
+    verdicts = [is_modular_invariant(transposition_matrix(data, h.x, h.y), data, tol=args.tol) for h in hits]
     return serialize.hits_obj(g, hits, verdicts)
 
 
@@ -280,6 +276,13 @@ def cmd_lattice_character(args) -> dict:
     return {**serialize.class_function_obj(chi), "boundary": [int(m) for m in k.members]}
 
 
+def tolerance(text: str) -> float:
+    """--tol: a finite, non-negative float; argparse makes anything else exit 2."""
+    if not 0.0 <= (tol := float(text)) < float("inf"):  # nan compares false
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return tol
+
+
 # --- parser ----------------------------------------------------------------------------
 
 # The options several commands share, each defined once: (flag, add_argument keywords).
@@ -288,7 +291,7 @@ FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
 SNAP = ("--snap", {"action": "store_true", "help": "render cyclotomic entries exactly"})
 SUBGROUP = ("--subgroup", {"help": "'trivial', 'full', comma list, or members file"})
 COCYCLE = ("--cocycle", {"help": "cocycle JSON file (root-of-unity exponents)"})
-TOLERANCE = ("--tol", {"type": float, "default": TOL["character"]})
+TOLERANCE = ("--tol", {"type": tolerance, "default": TOL["character"]})
 SEED = ("--seed", {"type": int, "default": 0})
 
 # (command path, help, arguments, body); a path whose body is None takes subcommands.

@@ -228,9 +228,9 @@ def fusion_verlinde(g: GroupTable) -> np.ndarray:
 
     One real GEMM of residues, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu)
     |G| / d_u, in row blocks of x for y >= the block's first x, mirrored into
-    N[y, x].  Each block is certified over Z, sum_z r_xyz d_z = d_x d_y, else
-    ConditionMismatch: r = N mod p and N <= d_x < p, so r <= N and only r = N
-    passes.  No float is compared.  Read-only."""
+    N[y, x].  Each int64 block is certified over Z, sum_z r_xyz d_z = d_x d_y, else
+    ConditionMismatch: r = N mod p and N <= d_x < p, so r <= N and only r = N passes;
+    no float is compared.  Then it is stored, read-only, in the dtype of max d >= N."""
     return _cached(g._cache, "fusion", _fusion_verlinde, g)
 
 
@@ -239,7 +239,7 @@ def _fusion_verlinde(g: GroupTable) -> np.ndarray:
     m, s = s.shape[0], s.astype(np.float64)
     dims = np.array([x.dim for x in anyons(g)], dtype=np.int64)
     right = (conj_s.T * np.array([g.order * pow(int(d), -1, p) % p for d in dims])[:, None] % p).astype(np.float64)
-    out = np.empty((m, m, m), dtype=np.int64)
+    out = np.empty((m, m, m), dtype=np.min_scalar_type(int(dims.max())))  # N <= max d
     for rows in _blocks(m, 24 * m * m):
         y0 = rows.start
         n = _gemm_mod((s[rows, None] * s[None, y0:]).reshape(-1, m), right, p).reshape(rows.stop - y0, m - y0, m)

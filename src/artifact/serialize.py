@@ -237,9 +237,7 @@ def t_vector_obj(g: GroupTable, t: np.ndarray, snap: bool = False) -> dict:
 
 
 def fusion_obj(g: GroupTable, n: np.ndarray) -> dict:
-    labels = [x.label for x in anyons(g)]
-    table = [[[int(v) for v in row] for row in plane] for plane in n]
-    return {"group": g.label, "objects": labels, "n": table}
+    return {"group": g.label, "objects": [x.label for x in anyons(g)], "n": n.tolist()}
 
 
 def matrix_csv(labels, m: np.ndarray, corner: str = "") -> str:
@@ -253,8 +251,8 @@ def matrix_csv(labels, m: np.ndarray, corner: str = "") -> str:
 
 
 def fusion_csv(g: GroupTable, n: np.ndarray) -> str:
-    labels = [x.label for x in anyons(g)]
-    rows = ([labels[i], labels[j], labels[k], int(n[i, j, k])] for i, j, k in zip(*np.nonzero(n)))
+    labels, at = np.array([x.label for x in anyons(g)]), np.nonzero(n)
+    rows = zip(*(labels[i].tolist() for i in at), n[at].tolist())
     return _csv(["left", "right", "result", "multiplicity"], rows)
 
 

@@ -285,9 +285,41 @@ def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes
         monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
     g = build(n)
     fusion = fusion_verlinde(g)
-    assert fusion.dtype == np.int64
+    assert fusion.dtype == np.min_scalar_type(max(x.dim for x in anyons(g)))
     assert np.array_equal(fusion, einsum_fusion(build, n))
     assert np.array_equal(fusion, fusion.transpose(1, 0, 2))
+
+
+# N <= min(d_x, d_y) <= max d fixes the dtype: S6 has the largest dimension of the
+# groups the tests, CI and benchmark build, 144, the nearest to the uint8 limit, and
+# Aff(F13) the benchmark's largest tensor; both are uint8, read-only, and their
+# dimension sums hold over Z
+@pytest.mark.parametrize("build, n, max_dim", [(symmetric, 6, 144), (affine, 13, 13)])
+def test_fusion_is_stored_at_its_certified_width(build, n, max_dim):
+    g = build(n)
+    dims = np.array([x.dim for x in anyons(g)])
+    fusion = fusion_verlinde(g)
+    assert dims.max() == max_dim
+    assert fusion.dtype == np.uint8 and not fusion.flags.writeable
+    assert np.array_equal(fusion.astype(np.int64) @ dims, np.outer(dims, dims))
+
+
+def test_fusion_certifies_the_int64_residues_before_the_narrowing_store(monkeypatch):
+    # a residue r + 256 in the last row would wrap back to r in uint8; the
+    # certificate reads the int64 block, so it fails, and no tensor is cached
+    g = symmetric(3)
+    g._cache["s_residues"] = quantum_double._s_residues(g)
+    exact = quantum_double._gemm_mod
+
+    def shifted(a, b, p):
+        out = exact(a, b, p)
+        out[-1, 0] += 256
+        return out
+
+    monkeypatch.setattr(quantum_double, "_gemm_mod", shifted)
+    with pytest.raises(ConditionMismatch, match="fusion residues: sum N d != d_x d_y"):
+        fusion_verlinde(g)
+    assert "fusion" not in g._cache
 
 
 def test_fusion_primes_of_the_reference_groups():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact import errors, serialize
+from artifact import cli, errors, serialize
 from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
@@ -557,11 +557,23 @@ def test_cli_tunnel_refuses_the_dickson_wall():
     assert "dickson9" not in help_text.getvalue()
 
 
-def test_cli_a_document_with_nan_exits_2():
-    # --tol nan is written into the report, which the JSON writer refuses
+def test_cli_a_document_with_nan_exits_2(monkeypatch):
+    # a NaN residual is written into the report, which the JSON writer refuses
     # inside main's error mapping, before anything is written
-    code, out, err = run_cli(["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full", "--tol", "nan"])
+    monkeypatch.setattr(cli, "wall_relation_report", lambda *args, **kwargs: [("probe", float("nan"))])
+    code, out, err = run_cli(["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"])
     assert (code, out) == (2, "") and err.startswith("input error: Out of range float values")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["modinv search", "modinv check identity.json", "lattice verify --subgroup full"])
+def test_cli_tol_must_be_finite_and_non_negative(command, tol):
+    # refused by the parser, before a group is built or a file is read
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--group", "builtin:Z2", "--tol", tol])
+    assert exc.value.code == 2
+    assert f"argument --tol: must be finite and non-negative, got '{tol}'" in err.getvalue()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
