@@ -13,13 +13,12 @@ its index has one entry per span configuration, not one per amplitude.  Ribbon
 operators, composed of elementary triangle actions, provide the independent
 numeric route to the boundary algebra character.
 
-The relation suites probe each identity on seeded random states.  Their draws
-come from one generator in a fixed order (identity by identity, each state
-before its labels) and are made on one worker thread that stays one draw
-ahead of the checks, so the residuals are the same bits whatever the thread
-timing.  The bulk suite is the wall suite with K = G and phi = 1: the
-identities both state are written once, in `_shared_identities`, and each
-report keeps its own names and order for them.
+The relation suites probe each identity on seeded random product states.
+Their draws come from one generator in a fixed order (identity by identity,
+each state before its labels), all on the calling thread.  The bulk suite is
+the wall suite with K = G and phi = 1: the identities both state are written
+once, in `_shared_identities`, and each report keeps its own names and order
+for them.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
@@ -34,7 +33,6 @@ and a leading "w" move on a wall site crosses the site's solid wall edge.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from math import prod
 
@@ -219,25 +217,19 @@ def minimal_boundary_patch(
     return _assemble(g, boundary, cocycle, edges)
 
 
-def _fill_gaussian(amps: np.ndarray, rng: np.random.Generator) -> None:
-    """Overwrite amps with a normalized complex Gaussian draw from rng: all real
-    parts, then all imaginary parts, then the normalization.  The standard
-    normals pass through one block-sized scratch buffer, so no temporary of
-    half the state's size is made."""
-    flat = amps.reshape(-1)
-    blocks = _blocks(flat.size, 8)
-    scratch = np.empty(blocks[0].stop)
-    for part in (flat.real, flat.imag):
-        for b in blocks:
-            x = scratch[:b.stop - b.start]
-            rng.standard_normal(out=x)
-            part[b] = x
-    amps /= np.linalg.norm(amps)
-
-
 def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
+    """A random product state: per axis in axis order, d real then d imaginary
+    standard normals from rng, normalized, and their tensor product.
+
+    E[psi psi^+] = I / size, the second moment of a complex Gaussian state,
+    and product states span the space, so an identity that fails on some
+    state fails on almost every draw."""
+    vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in patch.dims]
+    head = np.ones(())
+    for v in vs[:-1]:
+        head = np.multiply.outer(head, v / np.linalg.norm(v))
     amps = np.empty(patch.dims, dtype=np.complex128)
-    _fill_gaussian(amps, rng)
+    np.multiply(head[..., None], vs[-1] / np.linalg.norm(vs[-1]), out=amps)
     return LatticeState(patch, amps)
 
 
@@ -450,8 +442,10 @@ def hamiltonian_terms(patch: LatticePatch):
 
 def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
     """One random state through every projector, normalized.  The projectors
-    commute, so a Gaussian state projects to zero only when their joint +1
-    space is empty, and a second draw would fail as well."""
+    commute, so their product P is the projector onto the joint +1 space.
+    Product states span the space, so when that space is not empty P is
+    nonzero on almost every product state, and a state projecting to zero
+    means the space is empty: a second draw would fail as well."""
     state = random_state(patch, rng)
     for proj in terms:
         state = proj(state)
@@ -686,7 +680,9 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     The axes after every ribbon's span never move, so the Gram adds up one
     trailing slice at a time: all n² ribbons gather the slice into one
     (n² + 1) x slice buffer behind it, and conj(chunk) @ chunk[1:].T runs
-    over column blocks of the buffer.  deformation is the largest
+    over column blocks of the buffer.  The block products are added with
+    Neumaier's compensation, part by part, so the Gram's rounding does not
+    grow with the number of blocks.  deformation is the largest
     ||F_j state - F_alt,j state||, summed in squares per slice (None without `alt`)."""
     labels = [(h, g) for h in range(patch.group.order) for g in range(patch.group.order)]
     ops = [_op(patch, _ribbon_op, spec, h, g) for h, g in labels]
@@ -694,6 +690,7 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     amps = state.amplitudes.reshape(prod(patch.dims[:max(op[1] for op in ops + alts) + 1]), -1)
     buf = np.empty((len(ops) + 1, amps.shape[0]), dtype=np.complex128)
     gram = np.zeros((len(buf), len(ops)), dtype=np.complex128)
+    total, comp = gram.view(np.float64), np.zeros_like(gram).view(np.float64)
     squares = np.zeros(len(alts))
     for t in range(amps.shape[1]):
         buf[0] = amps[:, t]
@@ -703,7 +700,11 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
             squares[i] += np.linalg.norm(buf[1 + i] - _gather(patch, op, buf[0]).ravel()) ** 2
         for cols in _blocks(buf.shape[1], 16 * len(buf)):
             chunk = buf[:, cols]
-            gram += np.conj(chunk) @ chunk[1:].T
+            part = (np.conj(chunk) @ chunk[1:].T).view(np.float64)
+            new = total + part
+            comp += np.where(np.abs(total) >= np.abs(part), (total - new) + part, (part - new) + total)
+            total[...] = new
+    gram += comp.view(np.complex128)
     return gram, (float(np.sqrt(squares.max())) if alts else None)
 
 
@@ -777,52 +778,17 @@ def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
     """[(name, worst residual of fn over `states` probes), ...] for the (name, fn, dims) probes.
 
     The draws come from `rng` alone, in a fixed order: identities in the order
-    recorded, `states` draws each, and each draw is a random_state (all real
-    parts, all imaginary parts, the normalization) followed by its labels.
-    One worker thread makes every draw and stays one draw ahead: while fn
-    checks draw t on this thread, the worker fills the other of two state
-    buffers with draw t + 1.  Only the worker touches `rng`, and it calls no
-    public function, so the residuals do not depend on thread timing.  An
-    exception on either thread stops the worker and is raised here.  With no
-    states no identity would be checked, so `states < 1` is refused before
-    the worker starts."""
+    recorded, `states` draws each, and each draw is a random_state followed by
+    its labels.  A NaN residual is reported as NaN.  With no states no
+    identity would be checked, so `states < 1` is refused."""
     if states < 1:
         raise ValueError(f"a relation suite needs at least one probe state, got {states}")
-    plan = [dims for _, _, dims in probes for _ in range(states)]
-    bufs = [np.empty(patch.dims, dtype=np.complex128) for _ in range(2)]
-    drawn = [None] * len(plan)  # labels of draw t, or the exception that stopped the worker
-    free, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
-
-    def draw_all():
-        for t, dims in enumerate(plan):
-            free.acquire()
-            if stop.is_set():
-                return
-            try:
-                _fill_gaussian(bufs[t % 2], rng)
-                drawn[t] = [int(rng.integers(d)) for d in dims]
-            except BaseException as exc:
-                drawn[t] = exc
-                return
-            finally:
-                ready.release()
-
-    worker = threading.Thread(target=draw_all, name="probe draws")
-    worker.start()
-    worst = [0.0] * len(probes)
-    try:
-        for t in range(len(plan)):
-            ready.acquire()
-            if isinstance(drawn[t], BaseException):
-                raise drawn[t]
-            i = t // states
-            worst[i] = max(worst[i], probes[i][1](LatticeState(patch, bufs[t % 2]), *drawn[t]))
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        worker.join()
-    return [(name, err) for (name, _, _), err in zip(probes, worst)]
+    checks = []
+    for name, fn, dims in probes:
+        residuals = [fn(random_state(patch, rng), *[int(rng.integers(d)) for d in dims])
+                     for _ in range(states)]
+        checks.append((name, float(np.max(residuals))))
+    return checks
 
 
 def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
@@ -903,8 +869,7 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
             ), (len(mid_faces), n, n)),
         ]
 
-    # the disk-state statements run first, before the probe buffers exist,
-    # and are reported after the probes
+    # the disk-state statements run first and are reported after the probes
     gram, err = _gram(patch, disk_state(patch, seed=seed), rib, alt)
     tail = [] if alt is None else [("ribbon deformation on the disk state", err)]
     vacuum = np.array([1.0 if h == 0 else 0.0 for h in range(n) for _ in range(n)]) / n
@@ -984,8 +949,7 @@ def wall_relation_report(
         ), (nk, n)),
     ]
 
-    # the ground-state statements run first, before the probe buffers exist,
-    # and are reported after the probes
+    # the ground-state statements run first and are reported after the probes
     gs = ground_state(patch, seed=seed)
     err = max(
         abs(inner(gs, apply_ribbon(patch, rib, gs, int(mem[k]), gg))

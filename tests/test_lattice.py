@@ -2,9 +2,7 @@
 
 import inspect
 import math
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -180,30 +178,20 @@ def test_wall_relation_report_small():
     assert worst < 1e-8
 
 
-def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
-    # both suites read F F from the one shared record: make its right-hand side
-    # the false F^{k,g} F^{k,g} = F^{k,g}, and each suite's row fails while
-    # every other row keeps its bits
+def _only_the_wrong_row_fails(monkeypatch, key, rows, wrong_fn):
+    """Replace the shared record `key` by wrong_fn(patch, rib, v) in both
+    suites: the suite's row of that record (rows: bulk, wall) must exceed
+    1e-8 while every other row keeps its bits."""
     z2 = cyclic(2)
     z22, kf, phi = _z22_bilinear()
-    suites = {
-        "F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}":
-            lambda: bulk_relation_report(z2, states=4, seed=0),
-        "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}":
-            lambda: wall_relation_report(z22, kf, phi, states=4, seed=0),
-    }
+    suites = dict(zip(rows, (lambda: bulk_relation_report(z2, states=4, seed=0),
+                             lambda: wall_relation_report(z22, kf, phi, states=4, seed=0))))
     right = {row: run() for row, run in suites.items()}
     shared = lattice._shared_identities
 
     def wrong(patch, rib, v):
         records = shared(patch, rib, v)
-        flux = range(patch.group.order) if patch.boundary is None else patch.boundary.members
-
-        def ff(psi, k, g, k2, g2):
-            f = lambda st: apply_ribbon(patch, rib, st, int(flux[k]), g)
-            return lattice._dist(f(f(psi)), f(psi))
-
-        records["F F"] = (ff, records["F F"][1])
+        records[key] = (wrong_fn(patch, rib, v), records[key][1])
         return records
 
     monkeypatch.setattr(lattice, "_shared_identities", wrong)
@@ -211,6 +199,40 @@ def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
         checks = run()
         moved = [name for (name, r), (_, r0) in zip(checks, right[row]) if r != r0]
         assert moved == [row] and dict(checks)[row] > 1e-8, row
+
+
+def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
+    # both suites read F F from the one shared record: make its right-hand side
+    # the false F^{k,g} F^{k,g} = F^{k,g}
+    def ff(patch, rib, v):
+        flux = range(patch.group.order) if patch.boundary is None else patch.boundary.members
+
+        def residual(psi, k, g, k2, g2):
+            f = lambda st: apply_ribbon(patch, rib, st, int(flux[k]), g)
+            return lattice._dist(f(f(psi)), f(psi))
+        return residual
+
+    _only_the_wrong_row_fails(monkeypatch, "F F", ("F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}",
+                                                   "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}"), ff)
+
+
+def test_a_rank_one_wrong_identity_fails_in_both_suites(monkeypatch):
+    # A A on the right-hand side gains the rank-one |chi><chi| for an entangled
+    # chi (the disk state of the bulk patch, the ground state of the wall
+    # patch): the residual becomes |<chi|psi>|, which a product state psi
+    # leaves nonzero on almost every draw
+    def aa(patch, rib, v):
+        chi = disk_state(patch) if patch.boundary is None else ground_state(patch)
+        vertex = apply_vertex if patch.boundary is None else apply_wall_vertex
+        kmul = (patch.group if patch.boundary is None else patch.boundary.as_group).mul
+
+        def residual(psi, k, l):
+            rhs = vertex(patch, psi, v, int(kmul[k, l]))
+            rhs.amplitudes += inner(chi, psi) * chi.amplitudes
+            return lattice._dist(vertex(patch, vertex(patch, psi, v, l), v, k), rhs)
+        return residual
+
+    _only_the_wrong_row_fails(monkeypatch, "A A", ("A_v^g A_v^h = A_v^{gh}", "wall A^k A^l = A^{kl}"), aa)
 
 
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
@@ -229,7 +251,9 @@ def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
         gram, deformation = _gram(patch, psi, rib)
         assert deformation is None
         exc = [apply_ribbon(patch, rib, psi, h, g) for h in range(n) for g in range(n)]
-        ref = np.array([[inner(a, b) for b in exc] for a in (psi, *exc)])
+        # pairwise-summed products: np.vdot's own rounding is larger than the bound
+        ref = np.array([[np.sum(np.conj(a.amplitudes) * b.amplitudes) for b in exc]
+                        for a in (psi, *exc)])
         assert gram.shape == (n * n + 1, n * n)
         assert dist(gram, ref) <= 1e-15
 
@@ -553,16 +577,34 @@ def test_compiled_operators_match_per_axis_kernels(case):
             arr.flat[0] = arr.flat[0]
 
 
+def product_state(patch, rng):
+    """Reference draw: per axis in axis order, d real then d imaginary normals,
+    normalized, and the state is their product broadcast axis by axis."""
+    nd, ref = len(patch.dims), np.ones(())
+    for axis, d in enumerate(patch.dims):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        ref = ref * (v / np.linalg.norm(v)).reshape([-1 if b == axis else 1 for b in range(nd)])
+    return ref
+
+
 @pytest.mark.parametrize("group, width, height", [(symmetric(3), 3, 2), (cyclic(2), 4, 3)])
 def test_random_state_matches_the_complex_sum_formula(group, width, height):
     patch = build_patch(group, width, height)
     for seed in range(3):
+        ref = product_state(patch, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        ref = rng.standard_normal(patch.dims) + 1j * rng.standard_normal(patch.dims)
-        ref /= np.linalg.norm(ref)
-        amps = random_state(patch, np.random.default_rng(seed)).amplitudes
+        amps = random_state(patch, rng).amplitudes
         assert np.array_equal(amps, ref)
         assert amps.flags.c_contiguous
+        # the draw takes exactly 2 * sum(dims) normals from the generator
+        assert rng.bit_generator.state == _advanced(seed, 2 * sum(patch.dims))
+        assert abs(np.linalg.norm(amps) - 1) < 1e-12
+
+
+def _advanced(seed, normals):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(normals)
+    return rng.bit_generator.state
 
 
 def test_lattice_error_paths_cache_nothing():
@@ -591,167 +633,88 @@ def test_lattice_error_paths_cache_nothing():
     assert {id(p): set(p._cache) for p in (wall, bulk)} == before
 
 
-def test_random_state_does_not_depend_on_the_block_size(monkeypatch):
-    patch = build_patch(symmetric(3), 3, 2)
-    ref = random_state(patch, np.random.default_rng(1)).amplitudes
-    monkeypatch.setattr(errors, "BLOCK_BYTES", 8 * 6**5 + 8)  # ragged blocks in both parts
-    assert np.array_equal(random_state(patch, np.random.default_rng(1)).amplitudes, ref)
+# --- probe draws ---------------------------------------------------------------------
 
 
-# --- probe draws on the worker thread --------------------------------------------------
+def test_probes_see_the_draws_in_a_fixed_order():
+    # per identity, per state: one product state, then its labels, all from the one generator
+    patch = build_patch(cyclic(2), 3, 2)
+    dims = [(), (2,), (3, 5)]
+    seen = []
+
+    def record(i):
+        return lambda psi, *labels: seen.append((i, psi.amplitudes.tobytes(), labels)) or 0.0
+
+    probes = [(f"p{i}", record(i), d) for i, d in enumerate(dims)]
+    assert lattice._run_probes(patch, np.random.default_rng(3), 4, probes) == [
+        (f"p{i}", 0.0) for i in range(3)]
+    rng, ref = np.random.default_rng(3), []
+    for i, d in enumerate(dims):
+        for _ in range(4):
+            amps = product_state(patch, rng)
+            ref.append((i, amps.tobytes(), tuple(int(rng.integers(n)) for n in d)))
+    assert seen == ref
 
 
-def serial_probes(patch, rng, states, probes):
-    """Serial reference of `_run_probes`: per identity, per state, one
-    random_state and then its labels, all on the calling thread."""
-    checks = []
-    for name, fn, dims in probes:
-        err = 0.0
-        for _ in range(states):
-            psi = random_state(patch, rng)
-            labels = [int(rng.integers(d)) for d in dims]
-            err = max(err, fn(psi, *labels))
-        checks.append((name, err))
-    return checks
+@pytest.mark.parametrize("run", [
+    lambda: bulk_relation_report(cyclic(2), states=3, seed=0),
+    lambda: wall_relation_report(*_s3_z3(), states=3, seed=0),
+], ids=["bulk Z2", "wall S3 / K = Z3"])
+def test_each_probe_draw_is_one_random_state_call(monkeypatch, run):
+    # the benchmark's random_state span sees every draw: states x identities,
+    # plus the one disk-state or ground-state draw
+    calls, probed = [], []
+    draw, run_probes = lattice.random_state, lattice._run_probes
 
+    def counted(patch, rng):
+        calls.append(rng)
+        return draw(patch, rng)
 
-def _criterion_8_suites():
-    z2 = cyclic(2)
-    s3, k3 = _s3_z3()
-    z22, kf, phi = _z22_bilinear()
-    return {
-        "bulk Z2": lambda: bulk_relation_report(z2, states=3, seed=0),
-        "bulk S3": lambda: bulk_relation_report(s3, states=3, seed=0),
-        "wall Z2 / K = Z2": lambda: wall_relation_report(z2, full_subgroup(z2), states=3, seed=0),
-        "wall S3 / K = Z3": lambda: wall_relation_report(s3, k3, states=3, seed=0),
-        "wall Z2xZ2 / bilinear": lambda: wall_relation_report(z22, kf, phi, states=3, seed=0),
-    }
+    def recorded(patch, rng, states, probes):
+        probed.append(len(probes))
+        return run_probes(patch, rng, states, probes)
 
-
-@pytest.fixture(scope="module")
-def serial_reports():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_run_probes", serial_probes)
-        return {label: run() for label, run in _criterion_8_suites().items()}
-
-
-def _slowed(fn):
-    def slow(*args, **kwargs):
-        time.sleep(0.002)
-        return fn(*args, **kwargs)
-    return slow
-
-
-@pytest.mark.parametrize("slow", [None, "_fill_gaussian"])
-def test_threaded_probes_equal_the_serial_loop(monkeypatch, serial_reports, slow):
-    # with the fill slowed the checks wait on the worker, without it the worker
-    # mostly waits for a free buffer: neither may change a residual's bits
-    if slow is not None:
-        monkeypatch.setattr(lattice, slow, _slowed(getattr(lattice, slow)))
-    for label, run in _criterion_8_suites().items():
-        assert run() == serial_reports[label], label
-
-
-def test_a_report_leaves_no_thread_behind():
-    before = threading.active_count()
-    bulk_relation_report(cyclic(2), states=2, seed=1)
-    assert threading.active_count() == before
+    monkeypatch.setattr(lattice, "random_state", counted)
+    monkeypatch.setattr(lattice, "_run_probes", recorded)
+    run()
+    assert len(calls) == 3 * probed[0] + 1
 
 
 @pytest.mark.parametrize("states", [0, -1])
 def test_a_report_without_probe_states_is_refused(states):
     # with no probe state no identity is checked, so neither report may come out green
     z2 = cyclic(2)
-    before = threading.active_count()
     for run in (lambda: bulk_relation_report(z2, states=states),
                 lambda: wall_relation_report(z2, full_subgroup(z2), states=states)):
         with pytest.raises(ValueError, match="at least one probe state"):
             run()
-        assert threading.active_count() == before
 
 
-def _boom(*args):
-    raise ZeroDivisionError("probe failed")
+def test_a_nan_residual_is_reported_not_dropped():
+    patch = build_patch(cyclic(2), 2, 2)
+    residuals = iter([0.5, math.nan, 0.25])
+    probes = [("nan", lambda psi: next(residuals), ())]
+    [(name, worst)] = lattice._run_probes(patch, np.random.default_rng(0), 3, probes)
+    assert name == "nan" and math.isnan(worst)
 
 
-def _run_within(seconds, fn, *args):
-    """Run fn(*args) on a fresh caller thread that must finish within `seconds`
-    and leave no thread behind; returns the caller's ident and what fn raised."""
-    out = {}
-
-    def call():
-        out["caller"] = threading.get_ident()
-        try:
-            fn(*args)
-        except ZeroDivisionError as exc:
-            out["raised"] = exc
-
-    before = threading.active_count()
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(seconds)
-    assert not caller.is_alive(), "the probe loop hung"
-    assert threading.active_count() == before
-    return out
-
-
-def test_a_failing_check_stops_the_worker():
+def test_a_failing_check_propagates_after_the_third_call():
     patch = build_patch(cyclic(2), 3, 2)
     calls = []
 
     def fails_on_the_third(psi, label):
         calls.append(label)
-        return _boom() if len(calls) == 3 else 0.0
+        if len(calls) == 3:
+            raise ZeroDivisionError("probe failed")
+        return 0.0
 
-    probes = [("ok", lambda psi: 0.0, ()), ("fails", fails_on_the_third, (2,)), ("never", _boom, ())]
-    out = _run_within(60, lattice._run_probes, patch, np.random.default_rng(0), 4, probes)
-    assert "raised" in out and len(calls) == 3
+    def never(psi):
+        raise AssertionError("an identity after the failing one was checked")
 
-
-def test_a_failing_draw_is_raised_on_the_calling_thread(monkeypatch):
-    fill, draws = lattice._fill_gaussian, []
-
-    def fails_on_the_third(amps, rng):
-        draws.append(threading.get_ident())
-        if len(draws) == 3:
-            _boom()
-        fill(amps, rng)
-
-    monkeypatch.setattr(lattice, "_fill_gaussian", fails_on_the_third)
-    patch = build_patch(cyclic(2), 3, 2)
-    probes = [("ok", lambda psi, a: 0.0, (2,))]
-    out = _run_within(60, lattice._run_probes, patch, np.random.default_rng(0), 8, probes)
-    assert "raised" in out and len(draws) == 3 and out["caller"] not in draws
-
-
-def test_probe_loops_on_more_threads_than_cores_see_the_serial_draws():
-    # four callers, each with its own worker, switching every microsecond:
-    # every check must see exactly the state and labels the serial loop gives it
-    patch = build_patch(cyclic(2), 3, 2)
-
-    def run(runner, seed, seen):
-        def record(i):
-            return lambda psi, *labels: seen.append((i, psi.amplitudes.tobytes(), labels)) or 0.0
-        probes = [(f"p{i}", record(i), (2,) * i) for i in range(3)]
-        runner(patch, np.random.default_rng(seed), 5, probes)
-
-    refs = [[] for _ in range(4)]
-    for seed, seen in enumerate(refs):
-        run(serial_probes, seed, seen)
-    results = [[] for _ in range(4)]
-    callers = [threading.Thread(target=run, args=(lattice._run_probes, seed, seen))
-               for seed, seen in enumerate(results)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert results == refs and len(refs[0]) == 15
+    probes = [("ok", lambda psi: 0.0, ()), ("fails", fails_on_the_third, (2,)), ("never", never, ())]
+    with pytest.raises(ZeroDivisionError, match="probe failed"):
+        lattice._run_probes(patch, np.random.default_rng(0), 4, probes)
+    assert len(calls) == 3
 
 
 def test_every_public_lattice_function_runs_on_the_calling_thread(monkeypatch):

@@ -333,19 +333,19 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
-         "7be6eaf69d5ec81b8fedea78fabfb6755557c9ca7ca8f31bcff7ac78d63ecc97"),
-        (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
-         "8a597cb26e88b40f2581f669c6af9a90b8e84163e0d9bb08befc463d5e3ef6b2"),
-        (["lattice", "verify", "--group", "builtin:Z2"],
-         "1e42c05afbdf9327455d22721cf6d6da1f5d6159f84701abd847968c731bb8be"),
-    ],
-)
+LATTICE_PINS = [
+    (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
+     "b3e8f0309442834407a3490ade269d86a14398a38c576c54931b613044973cb4"),
+    (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
+     "5f2328c96b27983d35f3260b85541f1eff54607705deb72e50c4f72f38dc27ed"),
+    (["lattice", "verify", "--group", "builtin:Z2"],
+     "0c401b93772628ab948c9f7d9e3529bc68f37105c2e1273eb834ebada3757afe"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=["_".join(argv) for argv, _ in LATTICE_PINS])
 def test_cli_lattice_bytes_are_frozen(argv, digest):
-    # SHA-256 of the output of the per-axis kernel implementation, run at one
+    # SHA-256 of the output with random product-state probes, run at one
     # BLAS thread as the benchmark runs: the bulk suite's np.vdot and Gram sum
     # in the order of the thread split, so their last bits follow the count
     one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -406,7 +406,7 @@ CONTRACT = [
     ("verify cf 3", 0,
      "85ca653b58906d4bfd8bc12fa3473d95b09f5585b20af5e5193519e7850fa4b5"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
-     "a318728228860e036f2a90a1f0a5f28ea0626c37c01a9f87ee8786783959e5ae"),
+     "a229f815032d882eb6bb041a86b99b5df86dacddcfe004eb2298025a11dab5b4"),
 ]
 
 
