@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TOL, GroupMismatch, NonIntegerMultiplicity, NotSubgroup, NumericalDegeneracy
-from .errors import _cached, _check, _integers, _reassembles
+from .errors import _cached, _check, _integers, _places, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data
 
 
@@ -101,8 +101,8 @@ class CharacterTable:
 
 
 def _row_sort_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Rows by degree, then by (-re, -im) of each value rounded to 9 places, then index."""
-    keys = np.round(-table, 9)
+    """Rows by degree, then by (-re, -im) of each value rounded to TOL["phase"]'s places, then index."""
+    keys = np.round(-table, _places(TOL["phase"]))
     cols = np.stack([keys.real, keys.imag], axis=-1).reshape(len(dims), -1)
     return np.lexsort((*cols.T[::-1], dims))
 

@@ -27,6 +27,7 @@ from .groups import (
     Subgroup,
     _factor_prime_power,
     _light_test,
+    _within_cap,
     affine_group,
     direct_product,
     is_right_distributive,
@@ -165,31 +166,23 @@ def bicharacter_cocycle(k: Subgroup, b: np.ndarray) -> TwoCocycle:
     return validate(b, k)
 
 
-def _pow_table(mul: np.ndarray, x: int, e: int, one: int = 1) -> int:
-    acc, base = one, x
-    while e:
-        if e & 1:
-            acc = int(mul[acc, base])
-        base = int(mul[base, base])
-        e >>= 1
-    return acc
-
-
 def absolute_trace(h: NearFieldSpec) -> np.ndarray:
-    """tr: F_q -> F_p, x -> x + x^p + ... + x^(p^(d-1)), as residues 0..p-1."""
+    """tr: F_q -> F_p, x -> x + x^p + ... + x^(p^(d-1)), as residues 0..p-1.
+
+    The Frobenius map x -> x^p is one vector of p - 1 table lookups; the trace
+    sums its d iterates, one vector addition each."""
     if not is_right_distributive(h):
         raise NotAField("the trace form needs honest field arithmetic")
     p, d = _factor_prime_power(h.q)
-    out = np.zeros(h.q, dtype=np.int64)
-    for x in range(h.q):
-        term, total = x, 0
-        for _ in range(d):
-            total = int(h.add[total, term])
-            term = _pow_table(h.mul, term, p)
-        if total >= p:
-            raise ConditionMismatch("trace must land in the prime subfield")
-        out[x] = total
-    return out
+    frobenius = idx = np.arange(h.q)
+    for _ in range(p - 1):
+        frobenius = h.mul[frobenius, idx]
+    total, term = np.zeros_like(idx), idx
+    for _ in range(d):
+        total, term = h.add[total, term], frobenius[term]
+    if (total >= p).any():
+        raise ConditionMismatch("trace must land in the prime subfield")
+    return total
 
 
 def wall_subgroup(h: NearFieldSpec) -> Subgroup:
@@ -197,19 +190,14 @@ def wall_subgroup(h: NearFieldSpec) -> Subgroup:
     if not is_right_distributive(h):
         # closure of U under the product needs a commutative multiplicative group
         raise NotAField("the wall subgroup is only defined over a field")
-    g1 = affine_group(h)
-    gg = direct_product(g1, g1)
     q = h.q
-    n1 = g1.order
-    al_inv = np.argmax(h.mul[1:q, 1:q] == 1, axis=1) + 1
-    members = []
-    for al in range(1, q):
-        for a1 in range(q):
-            for a2 in range(q):
-                u = a1 * (q - 1) + (al - 1)
-                v = a2 * (q - 1) + (int(al_inv[al - 1]) - 1)
-                members.append(u * n1 + v)
-    return subgroup(gg, members, label=f"U({h.label})")
+    _within_cap((q * q * (q - 1)) ** 2, f"the table of U({h.label})")
+    g1 = affine_group(h)
+    # axes (alpha, a1, a2); al = alpha - 1 and al_inv = alpha^-1 - 1 index mul[1:, 1:]
+    a, al = np.arange(q), np.arange(q - 1)[:, None, None]
+    al_inv = np.argmax(h.mul[1:, 1:] == 1, axis=1)[:, None, None]
+    members = (a[:, None] * (q - 1) + al) * g1.order + a * (q - 1) + al_inv
+    return subgroup(direct_product(g1, g1), members.ravel(), label=f"U({h.label})")
 
 
 def _exponent_identity_failure(mul: np.ndarray, e: np.ndarray, p: int) -> tuple[int, int, int] | None:
@@ -238,16 +226,11 @@ def wall_cocycle(h: NearFieldSpec) -> TwoCocycle:
     per generator of U, not |U|^3); the complex table is omega**e."""
     u = wall_subgroup(h)
     q = h.q
-    n1 = q * (q - 1)
     p, _ = _factor_prime_power(q)
-    tr = absolute_trace(h)
-    first = u.members // n1
-    second = u.members % n1
-    a2 = second // (q - 1)
-    alpha = first % (q - 1) + 1
-    b1 = first // (q - 1)
+    first, second = np.divmod(u.members, q * (q - 1))  # (a1, alpha) and (a2, alpha^-1)
+    b1, al = np.divmod(first, q - 1)  # a1 (h's b1) and alpha - 1
     omega = -1.0 + 0.0j if p == 2 else np.exp(2j * np.pi / p)
-    e = tr[h.mul[h.mul[alpha, a2][:, None], b1[None, :]]]
+    e = absolute_trace(h)[h.mul[h.mul[al + 1, second // (q - 1)][:, None], b1[None, :]]]
     e = e.astype(np.int16 if 4 * p < 1 << 15 else np.int64)
     bad = _exponent_identity_failure(u.as_group.mul, e, p)
     if bad is not None:

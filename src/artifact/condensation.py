@@ -22,8 +22,9 @@ import numpy as np
 
 from .characters import ClassFunction
 from .cocycles import TwoCocycle, trivial_cocycle, wall_cocycle
-from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _reassembles
-from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, subgroup
+from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _places, _reassembles
+from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, is_right_distributive, subgroup
+from .modular import affine_cf_anyons, verify_theorem_b1
 from .quantum_double import (
     Anyon,
     _scatter,
@@ -198,7 +199,7 @@ def equivalence_check(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> Equiva
     left_slice = np.nonzero(mem % nb == 0)[0]
     right_slice = np.nonzero(mem // nb == 0)[0]
     t = wall.phi.table  # U cap (G x e) commutes with U cap (e x G'): phase phi(k, l) / phi(l, k)
-    block = np.round(t[np.ix_(left_slice, right_slice)] / t[np.ix_(right_slice, left_slice)].T, 9)
+    block = np.round(t[np.ix_(left_slice, right_slice)] / t[np.ix_(right_slice, left_slice)].T, _places(TOL["phase"]))
     nondeg = (
         left_slice.size == right_slice.size
         and len({tuple(r) for r in block}) == left_slice.size
@@ -237,9 +238,6 @@ def verify_cf_symmetry(h: NearFieldSpec) -> CFSymmetryReport:
     distinguished transposition composed with the dual map.  For a proper
     near-field no such wall subgroup exists, so the swap is certified at the
     level of modular data instead."""
-    from .groups import is_right_distributive
-    from .modular import affine_cf_anyons, verify_theorem_b1
-
     if not is_right_distributive(h):
         report = verify_theorem_b1(h)
         failed = [name for name, ok in report.steps.items() if not ok]

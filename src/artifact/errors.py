@@ -8,6 +8,7 @@ per-group or per-patch memo is read and written by _cached.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -146,6 +147,12 @@ def _check(what: str, residual, tol: float, error=ConditionMismatch) -> None:
     """Raise error unless residual <= tol; NaN fails."""
     if not residual <= tol:
         raise error(f"{what} (residual {residual:.3e}, tol {tol:.1e})")
+
+
+def _places(tol: float) -> int:
+    """Decimal places that resolve tol, for a rounding that stands in for a comparison
+    (9 for TOL["phase"])."""
+    return round(-math.log10(tol))
 
 
 def _integers(raw: np.ndarray, what: str, tol: float, error) -> np.ndarray:

@@ -9,7 +9,8 @@ H+ \\rtimes Hx, which the symmetry checks downstream are stated for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .errors import (
     _blocks,
     _cached,
 )
+
+# Entries of the largest array that cyclic, near_field, affine_group and
+# wall_subgroup may allocate; a larger input is refused before any array exists.
+MAX_ENTRIES = 1 << 24
 
 
 class GroupTable:
@@ -162,9 +167,16 @@ def from_cayley(table, label: str = "custom") -> GroupTable:
 
 # --- builtin families ---------------------------------------------------------
 
+def _within_cap(entries: int, what: str) -> None:
+    """Refuse, before allocating, an array of more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise SizeExceeded(f"{what} would take {entries} array entries, above the cap of {MAX_ENTRIES}")
+
+
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise SizeExceeded("cyclic order must be at least 1")
+    _within_cap(n * n, f"the table of Z{n}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return _validate_table(mul, f"Z{n}")
@@ -231,89 +243,47 @@ class NearFieldSpec:
     add: np.ndarray
     mul: np.ndarray
     label: str
-    zero: int = 0
-    one: int = 1
-    meta: dict = field(default_factory=dict)
 
     def __repr__(self) -> str:
         return f"NearFieldSpec({self.label}, q={self.q})"
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, d) with q = p^d; the least factor p is sought by trial division up to sqrt(q)."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, d
-    raise NotPrimePower(f"{q} is not a prime power")
+    p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+    d, m = 0, q
+    while m % p == 0:
+        m //= p
+        d += 1
+    if m != 1:
+        raise NotPrimePower(f"{q} is not a prime power")
+    return p, d
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return tuple(out)
+def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_q as F_p[t]/f, element x the polynomial whose coefficients are x's base-p digits.
 
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m is monic; reduce a modulo m, little-endian coefficients
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return tuple(c % p for c in a[:dm])
-
-
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    d = len(f) - 1
-    for deg in range(1, d // 2 + 1):
-        for coeffs in itertools.product(range(p), repeat=deg):
-            divisor = coeffs + (1,)
-            if not any(_poly_mod(f, divisor, p)):
-                return False
-    return True
-
-
-def _field_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree d over F_p."""
-    for m in range(p**d):
-        coeffs = tuple((m // p**i) % p for i in range(d)) + (1,)
-        if _is_irreducible(coeffs, p):
-            return coeffs
-    raise NotPrimePower(f"no irreducible polynomial of degree {d} over F_{p}")
-
-
-def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    Multiplication by x is the matrix sum_i x_i C^i, C the companion matrix of f
+    (multiplication by t).  The monics f = t^d + sum_i c_i t^i are tried in the
+    order of m = sum_i c_i p^i, and f is the first whose table has no zero
+    divisors: F_p[t]/f is a field exactly when f is irreducible."""
     p, d = _factor_prime_power(q)
-    if d == 1:
-        idx = np.arange(q)
-        add = (idx[:, None] + idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-        return add, mul, {"p": p, "degree": 1, "modulus": None}
-    modulus = _field_modulus(p, d)
-    vecs = [tuple((x // p**i) % p for i in range(d)) for x in range(q)]
-
-    def enc(vec: tuple[int, ...]) -> int:
-        return sum(c * p**i for i, c in enumerate(vec))
-
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for x in range(q):
-        for y in range(q):
-            add[x, y] = enc(tuple((vecs[x][i] + vecs[y][i]) % p for i in range(d)))
-            mul[x, y] = enc(_poly_mod(_poly_mul(vecs[x], vecs[y], p), modulus, p))
-    return add, mul, {"p": p, "degree": d, "modulus": modulus}
+    weights = p ** np.arange(d)
+    digits = np.arange(q)[:, None] // weights % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+    for m in range(q):
+        companion = np.eye(d, k=-1, dtype=np.int64)
+        companion[:, -1] = -(m // weights % p) % p
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(d - 1):
+            powers.append(companion @ powers[-1] % p)
+        times = np.tensordot(digits, np.stack(powers), axes=1) % p  # times[x] multiplies by x
+        mul = np.einsum("xjk,yk->xyj", times, digits) % p @ weights
+        if (mul[1:, 1:] != 0).all():
+            return add, mul
+    raise NotPrimePower(f"no irreducible polynomial of degree {d} over F_{p}")
 
 
 def validate_near_field(spec: NearFieldSpec) -> None:
@@ -351,20 +321,17 @@ def is_right_distributive(spec: NearFieldSpec) -> bool:
 
 def near_field(q: int, kind: str = "field") -> NearFieldSpec:
     """Ordinary F_q, or the order-9 Dickson near-field for kind='dickson9'."""
+    _within_cap(q**3, f"the near-field axioms of order {q}")
     if kind == "field":
-        add, mul, meta = _field_tables(q)
-        spec = NearFieldSpec(q, add, mul, f"F{q}", meta=meta)
+        spec = NearFieldSpec(q, *_field_tables(q), f"F{q}")
     elif kind == "dickson9":
         if q != 9:
             raise NotPrimePower("the Dickson construction here is specific to q = 9")
-        add, fmul, meta = _field_tables(9)
-        cube = fmul[np.arange(9), fmul[np.arange(9), np.arange(9)]]
-        squares = {int(fmul[y, y]) for y in range(1, 9)}
-        mul = np.empty((9, 9), dtype=np.int64)
-        for x in range(9):
-            mul[x] = fmul[x] if (x == 0 or x in squares) else fmul[x, cube]
-        meta = dict(meta, twisted=True)
-        spec = NearFieldSpec(9, add, mul, "D9", meta=meta)
+        add, fmul = _field_tables(9)
+        squares = np.diagonal(fmul)
+        # x * y is the field's x y when x is zero or a square, x y^3 otherwise
+        square_rows = np.isin(np.arange(9), squares)[:, None]
+        spec = NearFieldSpec(9, add, np.where(square_rows, fmul, fmul[:, fmul[np.arange(9), squares]]), "D9")
     else:
         raise ValueError(f"unknown near-field kind: {kind!r}")
     validate_near_field(spec)
@@ -377,6 +344,7 @@ def affine_group(h: NearFieldSpec) -> GroupTable:
     Index encoding a*(q-1) + (alpha-1), so the identity (0, 1) sits at 0.
     """
     q = h.q
+    _within_cap((q * (q - 1)) ** 2, f"the table of Aff({h.label})")
     a_idx = np.arange(q)
     al_idx = np.arange(1, q)
     new_a = h.add[a_idx[:, None, None], h.mul[al_idx[None, :, None], a_idx[None, None, :]]]
@@ -384,11 +352,7 @@ def affine_group(h: NearFieldSpec) -> GroupTable:
     combined = (
         new_a[:, :, :, None] * (q - 1) + (new_al[None, :, None, :] - 1)
     ).reshape(q * (q - 1), q * (q - 1))
-    g = _validate_table(combined, f"Aff({h.label})")
-    pairs = [(a, al) for a in range(q) for al in range(1, q)]
-    g.meta["affine_of"] = h
-    g.meta["pairs"] = pairs
-    return g
+    return _validate_table(combined, f"Aff({h.label})")
 
 
 # --- conjugacy data -------------------------------------------------------------

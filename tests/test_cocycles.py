@@ -1,5 +1,6 @@
 """Two-cocycles on boundary subgroups: validation, gauge, and wall data."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -148,6 +149,60 @@ def test_absolute_trace_small_fields():
     assert sum((-1) ** t for t in tr4) == 0
     tr8 = absolute_trace(near_field(8))
     assert sum((-1) ** t for t in tr8) == 0
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the int64 bytes of add, mul and absolute_trace of F_q: the element
+# encoding, and with it the choice of modulus, is part of every affine label.
+FIELD_PINS = {
+    4: "65e1af105b748967f9d38c454840990fa84658b40164eb7e3241b888bb4bde63",
+    8: "79bb3f1892418a1b5663087533c768c79a8e9e4af0eb6394dc59dd71358504bb",
+    9: "32cfdf72f9a196715242f51633d4b701de7cdbec83e30166fb3ea5ce8b6cb635",
+    16: "605cac6b032b51ffb06b877b602945aa949ab6da1ec8205c100ce665f9b9d46c",
+    25: "5c473e436a8a3eb78d386dc130de4a2730f9627b6d23c3be85fa3f19907a364f",
+    27: "3e2b7bd2f1faed6bb3144a00ba9b541701fbfa6430cede8b26768c69a4c402cf",
+    32: "292f9b922ec62c0358a39b4f9dd21f03f61c92c16c99d6f6aecbe8df247e0f35",
+    49: "9b1becb87c5c70c014acba99fbec0a31275bb5c13cad74c244b4912233449503",
+    64: "93b9a0ace58c85f62d00acf4d0bfe5c2e4c8f4306c850c054f938b8afb97aca6",
+    81: "5f7af9590768167b1bd6c54c1188419d4f84b216d25e0bb674b9aab83845e86c",
+    121: "4bc1f496e659caac66531beded41dbbe8a5332d9d474ace16e68b8b380de2e1d",
+    125: "f81a2c84b7bf876a210fd398ec50f0495c2d1fe4bd13728cdca3abf17da2f63b",
+}
+
+# SHA-256 of the int64 members of wall_subgroup(near_field(q)).
+WALL_PINS = {
+    2: "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+    3: "8d0125c14548aff5cbe49d7414b09b592a0b13f3bdf94ad7b56d8156fb98f789",
+    4: "48cf2282f4e66982a1fc78b455da9e3ff718a52bf3bb554c65f397594e1d672c",
+    5: "377316003408916ccb23615a79775f53bb8dd2541fac9e78144c40cebc914fd1",
+    7: "6756c0a1532a35c36af665ef2bece135b5aa0fffd24fcf09cbf3fc272454bec7",
+    8: "61785668b49d3fefc38de96ec2641601658fba50f572d497d837944613df28e1",
+    9: "a8d0c00adad79f7568bb55f18d4330583a858a726d418eb515039efbf7c8215a",
+    11: "14a2af9c3f583ae1dcec868a4c85c046c24ebd1ac7ebba205e46d4327f282218",
+    13: "5a385b7cb8b62b2dcfbbaa772980000a201432ded06bb2a3b5abee42c4ef0d13",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_PINS))
+def test_field_tables_and_trace_are_pinned(q):
+    h = near_field(q)
+    assert _digest(h.add, h.mul, absolute_trace(h)) == FIELD_PINS[q]
+
+
+def test_dickson_table_is_pinned():
+    h = near_field(9, kind="dickson9")
+    assert _digest(h.mul) == "372972db3c42c446707bf979cb7d89ae7f3706de3f6ac8dd306b79db8bc6db3b"
+
+
+@pytest.mark.parametrize("q", sorted(WALL_PINS))
+def test_wall_subgroup_members_are_pinned(q):
+    assert _digest(wall_subgroup(near_field(q)).members) == WALL_PINS[q]
 
 
 def test_wall_subgroup_order_and_closure():

@@ -11,6 +11,7 @@ from artifact.errors import (
     NotLatinSquare,
     NotPrimePower,
     NotSubgroup,
+    SizeExceeded,
 )
 from artifact.groups import (
     affine_group,
@@ -332,6 +333,34 @@ def test_field_near_field_tables():
                     assert h.mul[x, h.add[y, z]] == h.add[h.mul[x, y], h.mul[x, z]]
     with pytest.raises(NotPrimePower):
         near_field(6)
+
+
+def test_factor_prime_power():
+    # trial division stops at sqrt(q), so the prime 2^31 - 1 is factored at once
+    for q, pd in ((2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (121, (11, 2)), (125, (5, 3)), (2**31 - 1, (2**31 - 1, 1))):
+        assert groups._factor_prime_power(q) == pd
+    for q in (0, 1, 6, 12, 2 * (2**31 - 1)):
+        with pytest.raises(NotPrimePower):
+            groups._factor_prime_power(q)
+
+
+# (construction, entries of the largest array it allocates)
+CAPPED = [
+    (lambda: cyclic(12), 12**2),
+    (lambda: near_field(4), 4**3),
+    (lambda: affine_group(near_field(5)), 20**2),
+    (lambda: wall_subgroup(near_field(3)), 18**2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CAPPED)), ids=["cyclic", "near_field", "affine_group", "wall_subgroup"])
+def test_the_size_cap_admits_its_own_size_and_refuses_one_more(case, monkeypatch):
+    build, entries = CAPPED[case]
+    monkeypatch.setattr(groups, "MAX_ENTRIES", entries)
+    build()
+    monkeypatch.setattr(groups, "MAX_ENTRIES", entries - 1)
+    with pytest.raises(SizeExceeded, match=f"would take {entries} array entries"):
+        build()
 
 
 def test_dickson_near_field_is_not_a_field():

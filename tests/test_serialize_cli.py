@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,10 @@ CONTRACT = [
      "d4776d5d7f065763daece5ebfd0b8cbeb47e842040e858f0cb24a6495b44f6e7"),
     ("verify cf 3", 0,
      "85ca653b58906d4bfd8bc12fa3473d95b09f5585b20af5e5193519e7850fa4b5"),
+    ("verify cf 8", 0,
+     "6c2570535e1277a107822f437993270ada3ffefe1e37d6f31c020cdc18155380"),
+    ("verify cf 9", 0,
+     "188a73773136293114de32f849a811f9d5dfecd197c13c6aff6a124e5e511425"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
      "a229f815032d882eb6bb041a86b99b5df86dacddcfe004eb2298025a11dab5b4"),
 ]
@@ -417,6 +422,15 @@ def test_cli_contract_bytes_are_frozen(tmp_path, monkeypatch, argv, code, digest
     monkeypatch.chdir(tmp_path)
     got, out, _ = run_cli(argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("argv", ["group info --group builtin:Z99999999", "verify cf 2147483647", "verify cf 32"])
+def test_oversized_inputs_are_refused_before_any_array_exists(argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "above the cap" in err
 
 
 def test_cli_lattice_verify_passes_residuals_equal_to_the_tolerance():

@@ -37,15 +37,43 @@ def _table_lines() -> range:
     raise AssertionError("errors.py defines no TOL table")
 
 
+def _literal_places(source: str) -> set[int]:
+    """Lines of round/around calls whose decimal places are a literal: np.round(x, 9),
+    round(x, 9), x.round(9) or decimals=9.  Rounding to fixed places is a tolerance."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) not in ("round", "around"):
+            continue
+        method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) not in ("np", "numpy")
+        places = node.args[0 if method else 1:][:1] + [k.value for k in node.keywords if k.arg in ("decimals", "ndigits")]
+        if any(not any(isinstance(n, (ast.Name, ast.Attribute)) for n in ast.walk(arg)) for arg in places):
+            lines.add(node.lineno)
+    return lines
+
+
 def test_no_tolerance_literal_outside_the_table():
     table = _table_lines()
-    stray = [
-        f"{path.name}:{no}: {line.strip()}"
-        for path in sorted(SRC.glob("*.py"))
-        for no, line in enumerate(path.read_text().splitlines(), 1)
-        if LITERAL.search(line) and not (path.name == "errors.py" and no in table)
-    ]
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        rounded = _literal_places(source)
+        stray += [
+            f"{path.name}:{no}: {line.strip()}"
+            for no, line in enumerate(source.splitlines(), 1)
+            if (LITERAL.search(line) or no in rounded) and not (path.name == "errors.py" and no in table)
+        ]
     assert not stray, "\n".join(stray)
+
+
+def test_the_scan_sees_literal_decimal_places():
+    caught = ["np.round(x, 9)", "np.around(x, decimals=3)", "numpy.round(x, -2)", "x.round(9)",
+              "round(x, 4)", "round(x, ndigits=4)", "np.round(x, 2 * 4)"]
+    passed = ["np.round(x)", "x.round()", "round(x)", 'np.round(x, _places(TOL["phase"]))', "np.round(x, places)"]
+    assert [_literal_places(code) for code in caught] == [{1}] * len(caught)
+    assert [_literal_places(code) for code in passed] == [set()] * len(passed)
 
 
 def _row_match():
