@@ -27,8 +27,9 @@ from .errors import (
     _cached,
 )
 
-# Entries of the largest array that cyclic, near_field, affine_group and
-# wall_subgroup may allocate; a larger input is refused before any array exists.
+# Entries of the largest array that cyclic, near_field, affine_group,
+# wall_subgroup and direct_product (its table, built on first use of mul) may
+# allocate; a larger input is refused before any array exists.
 MAX_ENTRIES = 1 << 24
 
 
@@ -219,10 +220,13 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Componentwise product on index pairs, encoded as i*|b| + j.
 
     A product of groups is a group, so nothing is re-validated, and the table
-    is built on first use of mul; subgroups are assembled from the factors."""
+    is built, and checked against the size cap, on first use of mul; subgroups
+    are assembled from the factors, so a product whose table is never read is
+    never capped."""
     n, nb = a.order * b.order, b.order
 
     def table() -> np.ndarray:
+        _within_cap(n * n, f"the table of {a.label}x{b.label}")
         return (a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]).reshape(n, n)
 
     inv = (a.inv[:, None] * nb + b.inv[None, :]).ravel()

@@ -15,10 +15,14 @@ numeric route to the boundary algebra character.
 
 The relation suites probe each identity on seeded random product states.
 Their draws come from one generator in a fixed order (identity by identity,
-each state before its labels), all on the calling thread.  The bulk suite is
-the wall suite with K = G and phi = 1: the identities both state are written
-once, in `_shared_identities`, and each report keeps its own names and order
-for them.
+each state before its labels), all on the calling thread.  An identity is a
+record: its labels give words lhs and rhs of state maps and a scale, and
+`_law` checks lhs = scale rhs, or with the adjoint flag lhs^+ = rhs /
+conj(scale), on each probe.  The scale takes no state operation and lhs runs
+before rhs, innermost map first, so each residual keeps the bits of one fixed
+sequence of apply_* calls.  The bulk suite is the wall suite with K = G and
+phi = 1: the identities both state are written once, in `_shared_identities`,
+and each report keeps its own names and order for them.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
@@ -708,17 +712,30 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     return gram, (float(np.sqrt(squares.max())) if alts else None)
 
 
-def _adjoint(psi: LatticeState, op_psi: LatticeState, dagger_psi: LatticeState,
-             scale: complex = 1.0) -> float:
-    """|<psi|X psi> - <Y psi|psi> / scale| for op_psi = X psi and dagger_psi =
-    Y psi: the residual of X^+ = Y / conj(scale) on psi."""
-    return abs(inner(psi, op_psi) - inner(dagger_psi, psi) / scale)
+def _word(maps, psi: LatticeState) -> LatticeState:
+    """The product of the state maps `maps` on psi, the last map acting first."""
+    for m in reversed(maps):
+        psi = m(psi)
+    return psi
+
+
+def _law(words, adjoint: bool = False):
+    """Probe fn(psi, *labels) of the record words(*labels) = (lhs, rhs, scale):
+    ||lhs psi - scale rhs psi||, or with `adjoint` |<psi|lhs psi> - <rhs psi|psi> / scale|,
+    the residual of lhs^+ = rhs / conj(scale)."""
+    def fn(psi, *labels):
+        lhs, rhs, scale = words(*labels)
+        if adjoint:
+            return abs(inner(psi, _word(lhs, psi)) - inner(_word(rhs, psi), psi) / scale)
+        return _dist(_word(lhs, psi), _word(rhs, psi), scale)
+    return fn
 
 
 def _shared_identities(patch: LatticePatch, rib: RibbonSpec, v) -> dict:
     """The identities both relation suites state, written once: {key: (fn, dims)},
-    fn(psi, *labels) the residual on a probe state, one label drawn below each
-    entry of dims.
+    fn = _law(words, adjoint) the residual on a probe state, one label drawn
+    below each entry of dims; words(*labels) is (lhs, rhs, scale), lhs and rhs
+    words of state maps applied last map first, and lhs runs before rhs.
 
     On a bulk patch labels k run over G with flux k, the start-site operators
     are A and B of the ribbon's start, and every phase is 1.  On a boundary
@@ -730,47 +747,33 @@ def _shared_identities(patch: LatticePatch, rib: RibbonSpec, v) -> dict:
     n, mul, inv = g.order, g.mul, g.inv
     if patch.boundary is None:
         kg, flux, phi = g, range(n), lambda a, b: 1.0
-        vertex, face0 = apply_vertex, lambda st, k: apply_face(patch, st, s0, k)
+        vertex, face0 = apply_vertex, lambda k: lambda st: apply_face(patch, st, s0, k)
     else:
         table = patch.cocycle.table
         kg, flux, phi = patch.boundary.as_group, patch.boundary.members, lambda a, b: table[a, b]
-        vertex, face0 = apply_wall_vertex, lambda st, k: apply_wall_face(patch, st, s0[0], k)
+        vertex, face0 = apply_wall_vertex, lambda k: lambda st: apply_wall_face(patch, st, s0[0], k)
     nk, kmul, kinv = kg.order, kg.mul, kg.inv
-
-    def f(st, k, gg):
-        return apply_ribbon(patch, rib, st, int(flux[k]), gg)
-
-    def a(st, w, k):
-        return vertex(patch, st, w, k)
-
+    f = lambda k, gg: lambda st: apply_ribbon(patch, rib, st, int(flux[k]), gg)
+    a = lambda w, k: lambda st: vertex(patch, st, w, k)
+    a1 = lambda m: lambda st: apply_vertex(patch, st, s1[0], m)
+    b1 = lambda m: lambda st: apply_face(patch, st, s1, m)
     return {
-        "A A": (lambda psi, k, l: _dist(a(a(psi, v, l), v, k), a(psi, v, int(kmul[k, l]))),
-                (nk, nk)),
-        "A^+": (lambda psi, k: _adjoint(psi, a(psi, v, k), a(psi, v, int(kinv[k]))), (nk,)),
-        "F F": (lambda psi, k, gg, k2, g2: _dist(
-            f(f(psi, k2, g2), k, gg), f(psi, int(kmul[k, k2]), gg),
-            scale=phi(k, k2) if gg == g2 else 0.0,
-        ), (nk, n, nk, n)),
-        "F^+": (lambda psi, k, gg: _adjoint(
-            psi, f(psi, k, gg), f(psi, int(kinv[k]), gg), np.conj(phi(k, kinv[k])),
-        ), (nk, n)),
-        "A_s0 F": (lambda psi, l, k, gg: _dist(
-            a(f(psi, k, gg), s0[0], l),
-            f(a(psi, s0[0], l), int(kmul[kmul[l, k], kinv[l]]), int(mul[flux[l], gg])),
-            scale=phi(l, k) * phi(kmul[l, k], kinv[l]),
-        ), (nk, nk, n)),
-        "B_s0 F": (lambda psi, m, k, gg: _dist(
-            face0(f(psi, k, gg), m), f(face0(psi, int(kmul[m, k])), k, gg),
-        ), (nk, nk, n)),
-        "A_s1 F": (lambda psi, m, k, gg: _dist(
-            apply_vertex(patch, f(psi, k, gg), s1[0], m),
-            f(apply_vertex(patch, psi, s1[0], m), k, int(mul[gg, inv[m]])),
-        ), (n, nk, n)),
-        "B_s1 F": (lambda psi, m, k, gg: _dist(
-            apply_face(patch, f(psi, k, gg), s1, m),
-            f(apply_face(patch, psi, s1, int(mul[mul[inv[gg], inv[flux[k]]], mul[gg, m]])),
-              k, gg),
-        ), (n, nk, n)),
+        "A A": (_law(lambda k, l: ([a(v, k), a(v, l)], [a(v, kmul[k, l])], 1.0)), (nk, nk)),
+        "A^+": (_law(lambda k: ([a(v, k)], [a(v, kinv[k])], 1.0), adjoint=True), (nk,)),
+        "F F": (_law(lambda k, gg, k2, g2: ([f(k, gg), f(k2, g2)], [f(kmul[k, k2], gg)],
+                                            phi(k, k2) if gg == g2 else 0.0)), (nk, n, nk, n)),
+        "F^+": (_law(lambda k, gg: ([f(k, gg)], [f(kinv[k], gg)], np.conj(phi(k, kinv[k]))),
+                     adjoint=True), (nk, n)),
+        "A_s0 F": (_law(lambda l, k, gg: (
+            [a(s0[0], l), f(k, gg)], [f(kmul[kmul[l, k], kinv[l]], mul[flux[l], gg]), a(s0[0], l)],
+            phi(l, k) * phi(kmul[l, k], kinv[l]))), (nk, nk, n)),
+        "B_s0 F": (_law(lambda m, k, gg: ([face0(m), f(k, gg)], [f(k, gg), face0(kmul[m, k])], 1.0)),
+                   (nk, nk, n)),
+        "A_s1 F": (_law(lambda m, k, gg: ([a1(m), f(k, gg)], [f(k, mul[gg, inv[m]]), a1(m)], 1.0)),
+                   (n, nk, n)),
+        "B_s1 F": (_law(lambda m, k, gg: (
+            [b1(m), f(k, gg)], [f(k, gg), b1(mul[mul[inv[gg], inv[flux[k]]], mul[gg, m]])], 1.0)),
+                   (n, nk, n)),
     }
 
 
@@ -806,9 +809,8 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
         patch, wide = build_patch(g, 4, 3), True
     except DimensionCap:
         patch, wide = build_patch(g, 3, 2), False
-    n = g.order
-    mul, inv = g.mul, g.inv
-    site = ((1, 0), (1, 0))
+    n, mul, inv = g.order, g.mul, g.inv
+    v0, v1, site = (1, 0), (1, 1), ((1, 0), (1, 0))
     corners = [(2, 0), (2, 1), (1, 1)]
     if wide:
         rib = make_ribbon(patch, ((3, 1), (2, 1)), "vfv")
@@ -816,40 +818,28 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     else:
         rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
         alt = None
-    shared = _shared_identities(patch, rib, (1, 1))
-
-    def frib(st, h, gg, spec=rib):
-        return apply_ribbon(patch, spec, st, h, gg)
-
+    shared = _shared_identities(patch, rib, v1)
+    face = lambda h: lambda st: apply_face(patch, st, site, h)
+    vert = lambda w, h: lambda st: apply_vertex(patch, st, w, h)
+    ribbon = lambda h, gg, spec=rib: lambda st: apply_ribbon(patch, spec, st, h, gg)
+    summed = lambda maps: lambda st: LatticeState(patch, sum(m(st).amplitudes for m in maps))
     probes = [
         ("A_v^g A_v^h = A_v^{gh}", *shared["A A"]),
         ("(A_v^g)^+ = A_v^{g^-1}", *shared["A^+"]),
-        ("B_s^h B_s^h' = delta B_s^h", lambda psi, a, b: _dist(
-            apply_face(patch, apply_face(patch, psi, site, b), site, a),
-            apply_face(patch, psi, site, a),
-            scale=1.0 if a == b else 0.0,
-        ), (n, n)),
-        ("sum_h B_s^h = 1", lambda psi: float(np.linalg.norm(
-            sum(apply_face(patch, psi, site, h).amplitudes for h in range(n)) - psi.amplitudes
-        )), ()),
-        ("A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)", lambda psi, a, b: _dist(
-            apply_vertex(patch, apply_face(patch, psi, site, b), (1, 0), a),
-            apply_face(patch, apply_vertex(patch, psi, (1, 0), a), site,
-                       int(mul[mul[a, b], inv[a]])),
-        ), (n, n)),
-        ("[A_w^g, B_s^h] = 0 (other corners)", lambda psi, w, a, b: _dist(
-            apply_vertex(patch, apply_face(patch, psi, site, b), corners[w], a),
-            apply_face(patch, apply_vertex(patch, psi, corners[w], a), site, b),
-        ), (len(corners), n, n)),
-        ("[A_v, A_w] = 0 (adjacent vertices)", lambda psi, a, b: _dist(
-            apply_vertex(patch, apply_vertex(patch, psi, (1, 0), b), (1, 1), a),
-            apply_vertex(patch, apply_vertex(patch, psi, (1, 1), a), (1, 0), b),
-        ), (n, n)),
+        ("B_s^h B_s^h' = delta B_s^h",
+         _law(lambda a, b: ([face(a), face(b)], [face(a)], 1.0 if a == b else 0.0)), (n, n)),
+        ("sum_h B_s^h = 1", _law(lambda: ([summed([face(h) for h in range(n)])], [], 1.0)), ()),
+        ("A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)", _law(lambda a, b: (
+            [vert(v0, a), face(b)], [face(mul[mul[a, b], inv[a]]), vert(v0, a)], 1.0)), (n, n)),
+        ("[A_w^g, B_s^h] = 0 (other corners)", _law(lambda w, a, b: (
+            [vert(corners[w], a), face(b)], [face(b), vert(corners[w], a)], 1.0)),
+         (len(corners), n, n)),
+        ("[A_v, A_w] = 0 (adjacent vertices)", _law(lambda a, b: (
+            [vert(v1, a), vert(v0, b)], [vert(v0, b), vert(v1, a)], 1.0)), (n, n)),
         ("F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}", *shared["F F"]),
         ("(F^{h,g})^+ = F^{h^-1,g}", *shared["F^+"]),
-        ("sum_g F^{e,g} = 1", lambda psi: float(np.linalg.norm(
-            sum(frib(psi, 0, gg).amplitudes for gg in range(n)) - psi.amplitudes
-        )), ()),
+        ("sum_g F^{e,g} = 1",
+         _law(lambda: ([summed([ribbon(0, gg) for gg in range(n)])], [], 1.0)), ()),
         ("A_{s0}^k F^{h,g} = F^{khk^-1,kg} A_{s0}^k", *shared["A_s0 F"]),
         ("B_{s0}^k F^{h,g} = F^{h,g} B_{s0}^{kh}", *shared["B_s0 F"]),
         ("A_{s1}^k F^{h,g} = F^{h,gk^-1} A_{s1}^k", *shared["A_s1 F"]),
@@ -857,16 +847,14 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     ]
     if alt is not None:
         mid_vertices = [(3, 0), (2, 0), (1, 0)]
-        mid_faces = [(2, 0), (1, 0)]
+        mid_faces = [lambda st, f=f: face_projector(patch, st, f) for f in [(2, 0), (1, 0)]]
         probes += [
-            ("[F, A_t^k] = 0 at intermediate vertices", lambda psi, w, k, h, gg: _dist(
-                apply_vertex(patch, frib(psi, h, gg, alt), mid_vertices[w], k),
-                frib(apply_vertex(patch, psi, mid_vertices[w], k), h, gg, alt),
-            ), (len(mid_vertices), n, n, n)),
-            ("[F, B_t^e] = 0 at crossed faces", lambda psi, w, h, gg: _dist(
-                face_projector(patch, frib(psi, h, gg, alt), mid_faces[w]),
-                frib(face_projector(patch, psi, mid_faces[w]), h, gg, alt),
-            ), (len(mid_faces), n, n)),
+            ("[F, A_t^k] = 0 at intermediate vertices", _law(lambda w, k, h, gg: (
+                [vert(mid_vertices[w], k), ribbon(h, gg, alt)],
+                [ribbon(h, gg, alt), vert(mid_vertices[w], k)], 1.0)), (len(mid_vertices), n, n, n)),
+            ("[F, B_t^e] = 0 at crossed faces", _law(lambda w, h, gg: (
+                [mid_faces[w], ribbon(h, gg, alt)], [ribbon(h, gg, alt), mid_faces[w]], 1.0)),
+             (len(mid_faces), n, n)),
         ]
 
     # the disk-state statements run first and are reported after the probes
@@ -895,58 +883,41 @@ def wall_relation_report(
     statements run once on the ground state with a full label sweep."""
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
-    sub = patch.boundary
-    kg = sub.as_group
-    mem = sub.members
-    phit = patch.cocycle.table
-    nk, n = sub.order, g.order
+    sub, phit = patch.boundary, patch.cocycle.table
+    kg, mem, nk, n = sub.as_group, sub.members, sub.order, g.order
     mul, inv = g.mul, g.inv
     v0, v1, f1 = (1, 0), (1, 1), (1, 0)
     reps = [int(r) for r in cosets(g, sub)]
     shared = _shared_identities(patch, rib, v0)
-
-    def tt(st, k, gg):
-        return apply_invariant_op(patch, rib, st, int(mem[k]), gg)
-
-    def coset_zero(psi, k, k2, i, m, m2, step):
-        ga = int(mul[reps[i], mem[m]])
-        gb = int(mul[reps[(i + 1 + step) % len(reps)], mem[m2]])
-        return float(np.linalg.norm(tt(tt(psi, k2, gb), k, ga).amplitudes))
-
-    terms = hamiltonian_terms(patch)
+    t = lambda k, gg: lambda st: apply_invariant_op(patch, rib, st, int(mem[k]), gg)
+    wall_a = lambda k: lambda st: apply_wall_vertex(patch, st, v0, k)
+    wall_b = lambda k: lambda st: apply_wall_face(patch, st, v0, k)
+    terms = [term[2] for term in hamiltonian_terms(patch)]
     probes = [
         ("wall A^k A^l = A^{kl}", *shared["A A"]),
         ("wall (A^k)^+ = A^{k^-1}", *shared["A^+"]),
-        ("wall B^l A^k = A^k B^{lk}", lambda psi, a, b: _dist(
-            apply_wall_face(patch, apply_wall_vertex(patch, psi, v0, a), v0, b),
-            apply_wall_vertex(patch, apply_wall_face(patch, psi, v0, int(kg.mul[b, a])), v0, a),
-        ), (nk, nk)),
-        ("hamiltonian projectors commute", lambda psi, i, j: _dist(
-            terms[i][2](terms[j][2](psi)), terms[j][2](terms[i][2](psi))
-        ), (len(terms), len(terms))),
+        ("wall B^l A^k = A^k B^{lk}", _law(lambda a, b: (
+            [wall_b(b), wall_a(a)], [wall_a(a), wall_b(kg.mul[b, a])], 1.0)), (nk, nk)),
+        ("hamiltonian projectors commute", _law(lambda i, j: (
+            [terms[i], terms[j]], [terms[j], terms[i]], 1.0)), (len(terms), len(terms))),
         ("wall A^l F~^{k,g} = phi(l,k)phi(lk,l^-1) F~^{lkl^-1,lg} A^l", *shared["A_s0 F"]),
         ("wall B^m F~^{k,g} = F~^{k,g} B^{mk}", *shared["B_s0 F"]),
         ("F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}", *shared["F F"]),
         ("(F~^{k,g})^+ = phi(k,k^-1)^-1 F~^{k^-1,g}", *shared["F^+"]),
         ("A_{s1}^m F~^{k,g} = F~^{k,gm^-1} A_{s1}^m", *shared["A_s1 F"]),
         ("B_{s1}^m F~^{k,g} = F~^{k,g} B_{s1}^{g^-1h^-1gm}", *shared["B_s1 F"]),
-        ("[T~^{k,g}, wall A^m] = 0", lambda psi, m, k, gg: _dist(
-            apply_wall_vertex(patch, tt(psi, k, gg), v0, m),
-            tt(apply_wall_vertex(patch, psi, v0, m), k, gg),
-        ), (nk, nk, n)),
-        ("T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}", lambda psi, m, k, gg: _dist(
-            tt(psi, k, int(mul[gg, mem[m]])),
-            tt(psi, int(kg.mul[kg.mul[m, k], kg.inv[m]]), gg),
-            scale=phit[m, k] * phit[kg.mul[m, k], kg.inv[m]],
-        ), (nk, nk, n)),
-        ("T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}", lambda psi, k, k2, gg: _dist(
-            tt(tt(psi, k2, gg), k, gg), tt(psi, int(kg.mul[k, k2]), gg), scale=phit[k, k2],
-        ), (nk, nk, n)),
-        *([("T~^{k,g} T~^{k',g'} = 0 off the coset", coset_zero,
-            (nk, nk, len(reps), nk, nk, len(reps) - 1))] if len(reps) > 1 else []),
-        ("(T~^{k,g})^+ = T~^{k^-1,g}", lambda psi, k, gg: _adjoint(
-            psi, tt(psi, k, gg), tt(psi, int(kg.inv[k]), gg)
-        ), (nk, n)),
+        ("[T~^{k,g}, wall A^m] = 0",
+         _law(lambda m, k, gg: ([wall_a(m), t(k, gg)], [t(k, gg), wall_a(m)], 1.0)), (nk, nk, n)),
+        ("T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}", _law(lambda m, k, gg: (
+            [t(k, mul[gg, mem[m]])], [t(kg.mul[kg.mul[m, k], kg.inv[m]], gg)],
+            phit[m, k] * phit[kg.mul[m, k], kg.inv[m]])), (nk, nk, n)),
+        ("T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}", _law(lambda k, k2, gg: (
+            [t(k, gg), t(k2, gg)], [t(kg.mul[k, k2], gg)], phit[k, k2])), (nk, nk, n)),
+        *([("T~^{k,g} T~^{k',g'} = 0 off the coset", _law(lambda k, k2, i, m, m2, step: (
+            [t(k, mul[reps[i], mem[m]]), t(k2, mul[reps[(i + 1 + step) % len(reps)], mem[m2]])],
+            [], 0.0)), (nk, nk, len(reps), nk, nk, len(reps) - 1))] if len(reps) > 1 else []),
+        ("(T~^{k,g})^+ = T~^{k^-1,g}",
+         _law(lambda k, gg: ([t(k, gg)], [t(kg.inv[k], gg)], 1.0), adjoint=True), (nk, n)),
     ]
 
     # the ground-state statements run first and are reported after the probes
@@ -963,12 +934,11 @@ def wall_relation_report(
     gram, err = [], 0.0
     for ka in basis:
         k, gi = ka
-        st = tt(gs, k, gi)
-        gram += [abs(inner(st, st if kb == ka else tt(gs, *kb)) - (scale if kb == ka else 0.0))
+        st = t(k, gi)(gs)
+        gram += [abs(inner(st, st if kb == ka else t(*kb)(gs)) - (scale if kb == ka else 0.0))
                  for kb in basis]
         for m in range(n):
-            err = max(err, _dist(apply_vertex(patch, st, v1, m),
-                                 tt(gs, k, int(mul[m, gi]))))
+            err = max(err, _dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)))
             flux = int(mul[mul[gi, mem[k]], inv[gi]])
             err = max(err, _dist(apply_face(patch, st, (v1, f1), m), st,
                                  scale=1.0 if m == flux else 0.0))

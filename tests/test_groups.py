@@ -350,10 +350,12 @@ CAPPED = [
     (lambda: near_field(4), 4**3),
     (lambda: affine_group(near_field(5)), 20**2),
     (lambda: wall_subgroup(near_field(3)), 18**2),
+    (lambda: direct_product(cyclic(2), cyclic(3)).mul, 6**2),
 ]
 
 
-@pytest.mark.parametrize("case", range(len(CAPPED)), ids=["cyclic", "near_field", "affine_group", "wall_subgroup"])
+@pytest.mark.parametrize("case", range(len(CAPPED)),
+                         ids=["cyclic", "near_field", "affine_group", "wall_subgroup", "direct_product"])
 def test_the_size_cap_admits_its_own_size_and_refuses_one_more(case, monkeypatch):
     build, entries = CAPPED[case]
     monkeypatch.setattr(groups, "MAX_ENTRIES", entries)

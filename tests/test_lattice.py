@@ -235,6 +235,19 @@ def test_a_rank_one_wrong_identity_fails_in_both_suites(monkeypatch):
     _only_the_wrong_row_fails(monkeypatch, "A A", ("A_v^g A_v^h = A_v^{gh}", "wall A^k A^l = A^{kl}"), aa)
 
 
+def test_a_wrong_adjoint_record_fails_in_both_suites(monkeypatch):
+    # every k of Z2 and Z2xZ2 is its own inverse, so the false right-hand side
+    # A^{k k1} takes a fixed k1 != e: (A^k)^+ = A^{k k1}, through the adjoint law
+    def a_dagger(patch, rib, v):
+        vertex = apply_vertex if patch.boundary is None else apply_wall_vertex
+        kmul = (patch.group if patch.boundary is None else patch.boundary.as_group).mul
+        a = lambda k: lambda st: vertex(patch, st, v, k)
+        return lattice._law(lambda k: ([a(k)], [a(kmul[k, 1])], 1.0), adjoint=True)
+
+    _only_the_wrong_row_fails(monkeypatch, "A^+", ("(A_v^g)^+ = A_v^{g^-1}", "wall (A^k)^+ = A^{k^-1}"),
+                              a_dagger)
+
+
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
     # 16 * 37 * 7 bytes: chunks of 7 columns for S3's 37 rows and of 51 for

@@ -341,17 +341,29 @@ LATTICE_PINS = [
      "5f2328c96b27983d35f3260b85541f1eff54607705deb72e50c4f72f38dc27ed"),
     (["lattice", "verify", "--group", "builtin:Z2"],
      "0c401b93772628ab948c9f7d9e3529bc68f37105c2e1273eb834ebada3757afe"),
+    # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
+    # and a cocycle phase on every phased record
+    (["lattice", "verify", "--group", "builtin:S3"],
+     "77838d601692641866d1fd8d6471055290a00e8f859aaa8cf58d8cbd24cc9058"),
+    (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
+     "9fa6ab27bf3cde9012f09781742de352ea84abd380c0ca0f1a5f653fe76fceb8"),
+    (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
+     "ebe0d4f9c286a9e55a4b116e409e2b56754c22ed577482f043ca513b155e7ff8"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=["_".join(argv) for argv, _ in LATTICE_PINS])
-def test_cli_lattice_bytes_are_frozen(argv, digest):
+def test_cli_lattice_bytes_are_frozen(tmp_path, argv, digest):
     # SHA-256 of the output with random product-state probes, run at one
     # BLAS thread as the benchmark runs: the bulk suite's np.vdot and Gram sum
     # in the order of the thread split, so their last bits follow the count
+    z22 = direct_product(cyclic(2), cyclic(2))
+    bilinear = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)])
+    phi = bicharacter_cocycle(full_subgroup(z22), bilinear)
+    (tmp_path / "bilinear.json").write_text(json.dumps(cocycle_to_obj(phi)))
     one_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     run = subprocess.run(
-        [sys.executable, "-m", "artifact.cli", *argv], capture_output=True,
+        [sys.executable, "-m", "artifact.cli", *argv], capture_output=True, cwd=tmp_path,
         env=dict(os.environ, **one_thread, PYTHONPATH=str(Path(artifact.__file__).parents[1])),
     )
     assert run.returncode == 0, run.stderr.decode()
@@ -424,7 +436,8 @@ def test_cli_contract_bytes_are_frozen(tmp_path, monkeypatch, argv, code, digest
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
-@pytest.mark.parametrize("argv", ["group info --group builtin:Z99999999", "verify cf 2147483647", "verify cf 32"])
+@pytest.mark.parametrize("argv", ["group info --group builtin:Z99999999", "verify cf 2147483647", "verify cf 32",
+                                  "group info --group product:builtin:Z1000xbuiltin:Z1000"])
 def test_oversized_inputs_are_refused_before_any_array_exists(argv):
     start = time.perf_counter()
     code, out, err = run_cli(argv.split())
