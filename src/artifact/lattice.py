@@ -15,14 +15,19 @@ numeric route to the boundary algebra character.
 
 The relation suites probe each identity on seeded random product states.
 Their draws come from one generator in a fixed order (identity by identity,
-each state before its labels), all on the calling thread.  An identity is a
-record: its labels give words lhs and rhs of state maps and a scale, and
-`_law` checks lhs = scale rhs, or with the adjoint flag lhs^+ = rhs /
-conj(scale), on each probe.  The scale takes no state operation and lhs runs
-before rhs, innermost map first, so each residual keeps the bits of one fixed
-sequence of apply_* calls.  The bulk suite is the wall suite with K = G and
-phi = 1: the identities both state are written once, in `_shared_identities`,
-and each report keeps its own names and order for them.
+each state before its labels), all on the calling thread.  The operators are
+local: with S the axes an identity's operators touch and psi = psi_S (x) psi_R,
+||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with ||psi_R|| = 1,
+so each probe runs on the patch restricted to S, every other axis collapsed
+to one value.  The disk-state and ground-state statements and the boundary
+character stay on the full patch.  An identity is a record: its labels give
+words lhs and rhs of state maps and a scale, and `_law` checks lhs = scale
+rhs, or with the adjoint flag lhs^+ = rhs / conj(scale), on each probe.  The
+scale takes no state operation and lhs runs before rhs, innermost map first,
+so each residual keeps the bits of one fixed sequence of apply_* calls.  The
+bulk suite is the wall suite with K = G and phi = 1: the identities both
+state are written once, in `_shared_identities`, and each report keeps its
+own names and order for them.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
@@ -37,7 +42,7 @@ and a leading "w" move on a wall site crosses the site's solid wall edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import prod
 
 import numpy as np
@@ -83,6 +88,7 @@ class LatticePatch:
     _axis: dict = field(repr=False)
     _star: dict = field(repr=False)
     _cache: dict = field(repr=False, default_factory=dict)
+    _wanted: set = field(repr=False, default_factory=set)  # see `_restrict`
 
     @property
     def size(self) -> int:
@@ -228,7 +234,11 @@ def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
     E[psi psi^+] = I / size, the second moment of a complex Gaussian state,
     and product states span the space, so an identity that fails on some
     state fails on almost every draw."""
-    vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in patch.dims]
+    return _product(patch, [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in patch.dims])
+
+
+def _product(patch: LatticePatch, vs) -> LatticeState:
+    """The tensor product of the normalized vectors vs, one per axis, by a left fold."""
     head = np.ones(())
     for v in vs[:-1]:
         head = np.multiply.outer(head, v / np.linalg.norm(v))
@@ -237,12 +247,25 @@ def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
     return LatticeState(patch, amps)
 
 
+def _restrict(patch: LatticePatch, support: frozenset) -> LatticePatch:
+    """The patch with every axis outside `support` collapsed to one value, sharing the
+    patch's edges and cache but not the patch; `_wanted` gets the collapsed axes asked for."""
+    return replace(patch, dims=tuple(d if a in support else 1 for a, d in enumerate(patch.dims)), _wanted=set())
+
+
+class _Collapsed(Exception):
+    """Raised by `_coords` with the axes asked for that the restriction collapsed."""
+
+
 # --- local operators ---------------------------------------------------------
 
 
 def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
     """Open grid of the local configurations on `axes`: per axis its values,
-    shaped to broadcast against the state."""
+    shaped to broadcast against the state; a collapsed axis raises `_Collapsed`."""
+    collapsed = frozenset(a for a in axes if patch.dims[a] < len(_edge_values(patch, a)))
+    if collapsed:
+        raise _Collapsed(collapsed)
     nd = len(patch.dims)
     return {a: np.arange(patch.dims[a]).reshape([-1 if b == a else 1 for b in range(nd)])
             for a in axes}
@@ -269,8 +292,8 @@ def _compile(patch: LatticePatch, x, source=None, coef=None):
 
 
 def _op(patch: LatticePatch, build, *key):
-    """build(patch, *key), compiled on first use and cached on the patch."""
-    return _cached(patch._cache, (build, *key), build, patch, *key)
+    """build(patch, *key), compiled on first use and cached on the patch, per dims."""
+    return _cached(patch._cache, (build, patch.dims, *key), build, patch, *key)
 
 
 def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
@@ -282,7 +305,7 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
     shift, one arange per span cached on the patch: no state-sized index."""
     first, last, shift, coef = op
     dims = patch.dims[first:last + 1]
-    span = _cached(patch._cache, ("span", first, last), lambda: np.arange(prod(dims)).reshape(dims))
+    span = _cached(patch._cache, ("span", dims), lambda: np.arange(prod(dims)).reshape(dims))
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
     new = np.take(blocks, (span + shift).reshape(-1), axis=1)
     new = new.reshape(*patch.dims[:last + 1], -1)
@@ -293,8 +316,16 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
     """The one entry behind every vertex, face, wall and ribbon operator: a
-    mask is one broadcast multiply, anything else one `_gather`."""
-    op = _op(patch, build, *key)
+    mask is one broadcast multiply, anything else one `_gather`, compiled on the state's
+    patch: `patch`, or a restriction, which notes collapsed axes in `_wanted` and gets a copy."""
+    if state.patch.edges is not patch.edges:
+        raise GroupMismatch("the state lives on another patch")
+    patch = state.patch
+    try:
+        op = _op(patch, build, *key)
+    except _Collapsed as signal:
+        patch._wanted.update(signal.args[0])
+        return LatticeState(patch, state.amplitudes.copy())
     if op[2] is None:
         return LatticeState(patch, state.amplitudes * op[3])
     return LatticeState(patch, _gather(patch, op, state.amplitudes).reshape(patch.dims))
@@ -374,7 +405,7 @@ def _average(patch: LatticePatch, state: LatticeState, apply_op, v, order: int) 
     for g in range(order):
         acc += apply_op(patch, state, v, g).amplitudes
     acc /= order
-    return LatticeState(patch, acc)
+    return LatticeState(state.patch, acc)
 
 
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
@@ -631,7 +662,7 @@ def apply_invariant_op(
         charge = int(gt.mul[lg, g_inv])
         amps = apply_ribbon(patch, spec, state, flux, charge).amplitudes
         acc += np.multiply(phase, amps, out=amps)  # phase first: the bits of phase * amps
-    return LatticeState(patch, acc)
+    return LatticeState(state.patch, acc)
 
 
 def lattice_boundary_character(
@@ -781,15 +812,30 @@ def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
     """[(name, worst residual of fn over `states` probes), ...] for the (name, fn, dims) probes.
 
     The draws come from `rng` alone, in a fixed order: identities in the order
-    recorded, `states` draws each, and each draw is a random_state followed by
-    its labels.  A NaN residual is reported as NaN.  With no states no
-    identity would be checked, so `states < 1` is refused."""
+    recorded, `states` draws each, and each draw is the normals of one
+    random_state followed by its labels.  The probe state is the product of
+    the draw's vectors on the axes S the operators touch, on the patch
+    restricted to S: S starts empty, takes the collapsed axes the operators
+    ask `_coords` for, and the probe runs again until they ask for none.  A NaN
+    residual is reported as NaN.  With no states no identity would be checked,
+    so `states < 1` is refused."""
     if states < 1:
         raise ValueError(f"a relation suite needs at least one probe state, got {states}")
     checks = []
     for name, fn, dims in probes:
-        residuals = [fn(random_state(patch, rng), *[int(rng.integers(d)) for d in dims])
-                     for _ in range(states)]
+        residuals = []
+        for _ in range(states):
+            vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in patch.dims]
+            labels = [int(rng.integers(d)) for d in dims]
+            support = frozenset()
+            while True:
+                sub = _restrict(patch, support)
+                residual = fn(_product(sub, [v if a in support else np.ones(1) for a, v in enumerate(vs)]),
+                              *labels)
+                if not sub._wanted:
+                    break
+                support |= sub._wanted
+            residuals.append(residual)
         checks.append((name, float(np.max(residuals))))
     return checks
 
@@ -797,14 +843,14 @@ def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
 def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     """Residuals of the bulk operator identities, [(name, residual), ...].
 
-    Each identity is probed on `states` seeded random states with labels
-    redrawn per state; the reported residual is the max over probes.  The
-    statements the wall suite also makes come from `_shared_identities`.
-    Vacuum and Gram statements are evaluated once on the smooth disk state
-    with a full label sweep; `_gram` runs in slices, so memory stays bounded
-    (n² + 1 slices, not n² states).  The patch is 4x3 when the amplitude cap
-    allows, otherwise 3x2; only the larger patch admits two ribbons with
-    shared endpoints, so the deformation checks are emitted only there."""
+    Each identity is probed on `states` seeded random product states, on the
+    axes its operators touch, labels redrawn per state; the residual is the max
+    over probes.  The statements the wall suite also makes come from
+    `_shared_identities`.  Vacuum and Gram statements run once on the full
+    patch's smooth disk state, all labels swept; `_gram` runs in slices, so
+    memory stays bounded (n² + 1 slices, not n² states).  The patch is 4x3 when
+    the amplitude cap allows, otherwise 3x2; only the larger patch admits two
+    ribbons with shared endpoints, so only it has the deformation checks."""
     try:
         patch, wide = build_patch(g, 4, 3), True
     except DimensionCap:
@@ -822,7 +868,7 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     face = lambda h: lambda st: apply_face(patch, st, site, h)
     vert = lambda w, h: lambda st: apply_vertex(patch, st, w, h)
     ribbon = lambda h, gg, spec=rib: lambda st: apply_ribbon(patch, spec, st, h, gg)
-    summed = lambda maps: lambda st: LatticeState(patch, sum(m(st).amplitudes for m in maps))
+    summed = lambda maps: lambda st: LatticeState(st.patch, sum(m(st).amplitudes for m in maps))
     probes = [
         ("A_v^g A_v^h = A_v^{gh}", *shared["A A"]),
         ("(A_v^g)^+ = A_v^{g^-1}", *shared["A^+"]),
@@ -880,7 +926,7 @@ def wall_relation_report(
     Same probing scheme as the bulk report, and the statements both suites
     make come from the same `_shared_identities`; the cocycle-phased
     identities use the patch's normalized table, and the Gram and vacuum
-    statements run once on the ground state with a full label sweep."""
+    statements run once on the full patch's ground state, all labels swept."""
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     sub, phit = patch.boundary, patch.cocycle.table

@@ -1,16 +1,18 @@
 """Exact state-vector checks for the lattice model and its boundary."""
 
+import gc
 import inspect
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from artifact import errors, lattice
 from artifact.cocycles import bicharacter_cocycle
-from artifact.errors import DimensionCap, InvalidRibbon, NotInSubgroup, ZeroProjection
+from artifact.errors import DimensionCap, GroupMismatch, InvalidRibbon, NotInSubgroup, ZeroProjection
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -178,15 +180,14 @@ def test_wall_relation_report_small():
     assert worst < 1e-8
 
 
-def _only_the_wrong_row_fails(monkeypatch, key, rows, wrong_fn):
-    """Replace the shared record `key` by wrong_fn(patch, rib, v) in both
-    suites: the suite's row of that record (rows: bulk, wall) must exceed
-    1e-8 while every other row keeps its bits."""
-    z2 = cyclic(2)
+def _both_suites():
     z22, kf, phi = _z22_bilinear()
-    suites = dict(zip(rows, (lambda: bulk_relation_report(z2, states=4, seed=0),
-                             lambda: wall_relation_report(z22, kf, phi, states=4, seed=0))))
-    right = {row: run() for row, run in suites.items()}
+    return (lambda: bulk_relation_report(cyclic(2), states=4, seed=0),
+            lambda: wall_relation_report(z22, kf, phi, states=4, seed=0))
+
+
+def _replace_shared_record(monkeypatch, key, wrong_fn):
+    """Both suites read the shared record `key` as wrong_fn(patch, rib, v)."""
     shared = lattice._shared_identities
 
     def wrong(patch, rib, v):
@@ -195,6 +196,15 @@ def _only_the_wrong_row_fails(monkeypatch, key, rows, wrong_fn):
         return records
 
     monkeypatch.setattr(lattice, "_shared_identities", wrong)
+
+
+def _only_the_wrong_row_fails(monkeypatch, key, rows, wrong_fn):
+    """Replace the shared record `key` by wrong_fn(patch, rib, v) in both
+    suites: the suite's row of that record (rows: bulk, wall) must exceed
+    1e-8 while every other row keeps its bits."""
+    suites = dict(zip(rows, _both_suites()))
+    right = {row: run() for row, run in suites.items()}
+    _replace_shared_record(monkeypatch, key, wrong_fn)
     for row, run in suites.items():
         checks = run()
         moved = [name for (name, r), (_, r0) in zip(checks, right[row]) if r != r0]
@@ -216,23 +226,49 @@ def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
                                                    "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}"), ff)
 
 
-def test_a_rank_one_wrong_identity_fails_in_both_suites(monkeypatch):
-    # A A on the right-hand side gains the rank-one |chi><chi| for an entangled
-    # chi (the disk state of the bulk patch, the ground state of the wall
-    # patch): the residual becomes |<chi|psi>|, which a product state psi
-    # leaves nonzero on almost every draw
+def _rank_one_aa(entangled):
+    """A A whose right-hand side gains the rank-one |chi><chi|, chi = entangled(patch, psi)."""
     def aa(patch, rib, v):
-        chi = disk_state(patch) if patch.boundary is None else ground_state(patch)
         vertex = apply_vertex if patch.boundary is None else apply_wall_vertex
         kmul = (patch.group if patch.boundary is None else patch.boundary.as_group).mul
 
         def residual(psi, k, l):
             rhs = vertex(patch, psi, v, int(kmul[k, l]))
+            chi = entangled(patch, psi)
             rhs.amplitudes += inner(chi, psi) * chi.amplitudes
             return lattice._dist(vertex(patch, vertex(patch, psi, v, l), v, k), rhs)
         return residual
+    return aa
 
-    _only_the_wrong_row_fails(monkeypatch, "A A", ("A_v^g A_v^h = A_v^{gh}", "wall A^k A^l = A^{kl}"), aa)
+
+def test_a_rank_one_wrong_identity_fails_in_both_suites(monkeypatch):
+    # chi is the GHZ state (|0..0> + |1..1>) / sqrt 2 on the axes the record
+    # touches, built on the probe's restriction: the residual becomes |<chi|psi>|,
+    # which a product state psi leaves nonzero on almost every draw
+    support = []
+
+    def ghz(patch, psi):
+        amps = np.zeros(psi.patch.dims, dtype=complex)
+        amps[(0,) * amps.ndim] = amps[tuple(min(d - 1, 1) for d in amps.shape)] = 2**-0.5
+        support.append(sum(d > 1 for d in amps.shape))
+        return LatticeState(psi.patch, amps)
+
+    _only_the_wrong_row_fails(monkeypatch, "A A", ("A_v^g A_v^h = A_v^{gh}", "wall A^k A^l = A^{kl}"),
+                              _rank_one_aa(ghz))
+    # a run on the empty restriction only finds the axes; every other chi is
+    # entangled across the vertex's star
+    assert 0 in support and set(support) - {0} and min(set(support) - {0}) >= 2
+
+
+def test_a_full_patch_state_read_inside_a_probe_is_refused(monkeypatch):
+    # a probe state lives on a restriction of the patch, so a map that reads an
+    # entangled state of the full patch (its disk or ground state) is refused
+    # rather than checked on the wrong state
+    full = lambda patch, psi: disk_state(patch) if patch.boundary is None else ground_state(patch)
+    _replace_shared_record(monkeypatch, "A A", _rank_one_aa(full))
+    for run in _both_suites():
+        with pytest.raises(GroupMismatch):
+            run()
 
 
 def test_a_wrong_adjoint_record_fails_in_both_suites(monkeypatch):
@@ -590,13 +626,15 @@ def test_compiled_operators_match_per_axis_kernels(case):
             arr.flat[0] = arr.flat[0]
 
 
-def product_state(patch, rng):
+def product_state(patch, rng, support=None):
     """Reference draw: per axis in axis order, d real then d imaginary normals,
-    normalized, and the state is their product broadcast axis by axis."""
-    nd, ref = len(patch.dims), np.ones(())
+    normalized, and the state is their product broadcast axis by axis.  With a
+    `support`, only its axes enter the product and the others keep one value."""
+    nd, ref = len(patch.dims), np.ones([1] * len(patch.dims))
     for axis, d in enumerate(patch.dims):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        ref = ref * (v / np.linalg.norm(v)).reshape([-1 if b == axis else 1 for b in range(nd)])
+        if support is None or axis in support:
+            ref = ref * (v / np.linalg.norm(v)).reshape([-1 if b == axis else 1 for b in range(nd)])
     return ref
 
 
@@ -650,22 +688,33 @@ def test_lattice_error_paths_cache_nothing():
 
 
 def test_probes_see_the_draws_in_a_fixed_order():
-    # per identity, per state: one product state, then its labels, all from the one generator
+    # per identity, per state: the 2 * sum(dims) normals of one random_state draw,
+    # then its labels, all from the one generator; the state is the product of
+    # the vectors of the axes the probe's operators touch, here face (1, 0)'s,
+    # which a first run on the empty restriction finds
     patch = build_patch(cyclic(2), 3, 2)
+    face = [a for a, _ in lattice._face_cycle(patch, (1, 0), (1, 0))]
     dims = [(), (2,), (3, 5)]
-    seen = []
+    rng, seen, runs = np.random.default_rng(3), [], []
 
     def record(i):
-        return lambda psi, *labels: seen.append((i, psi.amplitudes.tobytes(), labels)) or 0.0
+        def fn(psi, *labels):
+            apply_face(patch, psi, ((1, 0), (1, 0)), 0)
+            runs.append(sorted(psi.patch._wanted))
+            if not psi.patch._wanted:
+                seen.append((i, labels, psi.amplitudes.tobytes(), rng.bit_generator.state))
+            return 0.0
+        return fn
 
     probes = [(f"p{i}", record(i), d) for i, d in enumerate(dims)]
-    assert lattice._run_probes(patch, np.random.default_rng(3), 4, probes) == [
-        (f"p{i}", 0.0) for i in range(3)]
+    assert lattice._run_probes(patch, rng, 4, probes) == [(f"p{i}", 0.0) for i in range(3)]
+    assert runs == [sorted(face), []] * 12
     rng, ref = np.random.default_rng(3), []
     for i, d in enumerate(dims):
         for _ in range(4):
-            amps = product_state(patch, rng)
-            ref.append((i, amps.tobytes(), tuple(int(rng.integers(n)) for n in d)))
+            amps = product_state(patch, rng, support=face)
+            labels = tuple(int(rng.integers(n)) for n in d)
+            ref.append((i, labels, amps.tobytes(), rng.bit_generator.state))
     assert seen == ref
 
 
@@ -674,23 +723,128 @@ def test_probes_see_the_draws_in_a_fixed_order():
     lambda: wall_relation_report(*_s3_z3(), states=3, seed=0),
 ], ids=["bulk Z2", "wall S3 / K = Z3"])
 def test_each_probe_draw_is_one_random_state_call(monkeypatch, run):
-    # the benchmark's random_state span sees every draw: states x identities,
-    # plus the one disk-state or ground-state draw
-    calls, probed = [], []
+    # each probe takes from the generator what one random_state call would, and
+    # then the labels it drew before probes were restricted: replaying the report's
+    # generator as random_state + labels per probe gives every probe's labels and
+    # the generator's end state; random_state itself runs once, for the
+    # disk-state or ground-state tail
+    calls, seen, probed = [], [], []
     draw, run_probes = lattice.random_state, lattice._run_probes
 
     def counted(patch, rng):
         calls.append(rng)
         return draw(patch, rng)
 
+    def labelled(fn):
+        def probe(psi, *labels):
+            residual = fn(psi, *labels)
+            if not psi.patch._wanted:  # the run on all the probe's axes
+                seen.append(tuple(labels))
+            return residual
+        return probe
+
     def recorded(patch, rng, states, probes):
-        probed.append(len(probes))
-        return run_probes(patch, rng, states, probes)
+        start = rng.bit_generator.state
+        checks = run_probes(patch, rng, states, [(n, labelled(fn), d) for n, fn, d in probes])
+        probed.append((patch, start, states, [d for _, _, d in probes], rng.bit_generator.state))
+        return checks
 
     monkeypatch.setattr(lattice, "random_state", counted)
     monkeypatch.setattr(lattice, "_run_probes", recorded)
     run()
-    assert len(calls) == 3 * probed[0] + 1
+    [(patch, start, states, dims, end)] = probed
+    assert len(calls) == 1 and len(seen) == states * len(dims) == 3 * len(dims)
+    rng, ref = np.random.default_rng(), []
+    rng.bit_generator.state = start
+    for d in dims:
+        for _ in range(states):
+            draw(patch, rng)
+            ref.append(tuple(int(rng.integers(n)) for n in d))
+    assert seen == ref
+    assert rng.bit_generator.state == end
+
+
+@pytest.mark.parametrize("run", [
+    lambda: bulk_relation_report(cyclic(2), states=1, seed=0),
+    lambda: bulk_relation_report(symmetric(3), states=1, seed=0),
+    lambda: wall_relation_report(*_s3_z3(), states=1, seed=0),
+], ids=["bulk Z2", "bulk S3", "wall S3 / K = Z3"])
+def test_restricted_residuals_equal_the_full_patch_residuals(monkeypatch, run):
+    # psi = psi_S (x) psi_R with |psi_R| = 1, and the operators act on the axes S
+    # only: each probe's residual on the restriction is its fn on the full product
+    # state of the same draw, and so is |lhs psi|, which is not near zero
+    captured, words_of, law, run_probes = [], {}, lattice._law, lattice._run_probes
+
+    def recorded_law(words, adjoint=False):
+        fn = law(words, adjoint)
+        words_of[fn] = words
+        return fn
+
+    monkeypatch.setattr(lattice, "_law", recorded_law)
+    monkeypatch.setattr(lattice, "_run_probes", lambda patch, rng, states, probes: captured.append(
+        (patch, probes)) or [(name, 0.0) for name, _, _ in probes])
+    run()
+    [(patch, probes)] = captured
+    lhs_norms = []
+    for seed in range(2):
+        for name, fn, dims in probes:
+            lhs = law(lambda *labels, words=words_of[fn]: (words(*labels)[0], [], 0.0))
+            for check in (fn, lhs):
+                [(_, restricted)] = run_probes(patch, np.random.default_rng(seed), 1, [(name, check, dims)])
+                rng = np.random.default_rng(seed)
+                psi = random_state(patch, rng)
+                full = check(psi, *[int(rng.integers(d)) for d in dims])
+                assert abs(restricted - full) <= 1e-14, name
+            lhs_norms.append(full)
+    assert np.median(lhs_norms) > 0.05
+
+
+def test_coords_refuses_an_axis_the_restriction_collapsed():
+    patch = build_patch(symmetric(3), 3, 2)
+    sub = lattice._restrict(patch, frozenset({0, 5}))
+    assert sub.dims == (6, 1, 1, 1, 1, 6, 1) and sub.edges is patch.edges
+    assert sub._cache is patch._cache and not sub._wanted
+    assert [x.shape for x in lattice._coords(sub, [0, 5]).values()] == [
+        (6, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 6, 1)]
+    with pytest.raises(lattice._Collapsed) as signal:
+        lattice._coords(sub, [0, 1, 5, 6])
+    assert signal.value.args[0] == {1, 6}
+    # a one-valued wall axis (K trivial) is not collapsed: it has no other value
+    z2 = cyclic(2)
+    wall = minimal_boundary_patch(z2, trivial_subgroup(z2))
+    assert set(lattice._coords(lattice._restrict(wall, frozenset()), [0, 1])) == {0, 1}
+    # the restriction shares its patch's compile cache and holds no reference back to it
+    parent = weakref.ref(patch)
+    del patch
+    gc.collect()
+    assert parent() is None and sub.size == 36
+
+
+def test_a_wall_report_leaves_the_callers_arrays_writeable():
+    # a restriction is built per probe run and shares the patch's compile cache,
+    # so probing freezes no array of the subgroup or the cocycle passed in
+    g, k, phi = _z22_bilinear()
+    wall_relation_report(g, k, phi, states=1, seed=0)
+    assert k.members.flags.writeable and k.position.flags.writeable and phi.table.flags.writeable
+
+
+def test_operators_act_on_states_of_their_patch_or_its_restrictions():
+    z2 = cyclic(2)
+    patch, other = build_patch(z2, 3, 2), build_patch(z2, 3, 2)
+    star = frozenset(a for a, _ in patch.star((1, 1)))
+    sub = lattice._restrict(patch, star)
+    psi = random_state(sub, np.random.default_rng(0))
+    out = apply_vertex(patch, psi, (1, 1), 1)
+    assert out.patch is sub and dist(out.amplitudes, ref_vertex(patch, psi.amplitudes, (1, 1), 1)) == 0
+    full = random_state(patch, np.random.default_rng(0))
+    assert apply_vertex(patch, full, (1, 1), 1).patch is patch
+    # an operator of one patch refuses the state of another, even an equal one
+    for state in (random_state(other, np.random.default_rng(0)),
+                  random_state(lattice._restrict(other, star), np.random.default_rng(0))):
+        with pytest.raises(GroupMismatch):
+            apply_vertex(patch, state, (1, 1), 1)
+        with pytest.raises(GroupMismatch):
+            apply_face(patch, state, ((1, 0), (1, 0)), 0)
 
 
 @pytest.mark.parametrize("states", [0, -1])

@@ -336,27 +336,28 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
 
 LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
-     "b3e8f0309442834407a3490ade269d86a14398a38c576c54931b613044973cb4"),
+     "d76349fdcb0e6061df726544322d848b0a76185d33fb1a39624b5f21d713d44d"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
      "5f2328c96b27983d35f3260b85541f1eff54607705deb72e50c4f72f38dc27ed"),
     (["lattice", "verify", "--group", "builtin:Z2"],
-     "0c401b93772628ab948c9f7d9e3529bc68f37105c2e1273eb834ebada3757afe"),
+     "663fd6779c16ca471a75ddeb169ad4afe21ea17b1f8800623bd67dd541da97bb"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
     # and a cocycle phase on every phased record
     (["lattice", "verify", "--group", "builtin:S3"],
-     "77838d601692641866d1fd8d6471055290a00e8f859aaa8cf58d8cbd24cc9058"),
+     "3f4ca3b606e068eb6e3a359f34a8d38d38f6104cfaede5c7f0bf2ec71ffcf9bb"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
-     "9fa6ab27bf3cde9012f09781742de352ea84abd380c0ca0f1a5f653fe76fceb8"),
+     "d45f61604b1a27afa8dc52748bc63fee3ee60e73b1b3b82cf457ebbf5d1f4709"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
-     "ebe0d4f9c286a9e55a4b116e409e2b56754c22ed577482f043ca513b155e7ff8"),
+     "85150c460734f895e6cc2a0363d16fe1453829f8321168111e48f1afd4d5bb3e"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=["_".join(argv) for argv, _ in LATTICE_PINS])
 def test_cli_lattice_bytes_are_frozen(tmp_path, argv, digest):
-    # SHA-256 of the output with random product-state probes, run at one
-    # BLAS thread as the benchmark runs: the bulk suite's np.vdot and Gram sum
-    # in the order of the thread split, so their last bits follow the count
+    # SHA-256 of the output with random product-state probes, each on the axes
+    # its identity touches, run at one BLAS thread as the benchmark runs: the
+    # full-patch tails' np.vdot and Gram sum in the order of the thread split,
+    # so their last bits follow the count
     z22 = direct_product(cyclic(2), cyclic(2))
     bilinear = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)])
     phi = bicharacter_cocycle(full_subgroup(z22), bilinear)
