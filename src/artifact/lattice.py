@@ -13,21 +13,21 @@ its index has one entry per span configuration, not one per amplitude.  Ribbon
 operators, composed of elementary triangle actions, provide the independent
 numeric route to the boundary algebra character.
 
-The relation suites probe each identity on seeded random product states.
-Their draws come from one generator in a fixed order (identity by identity,
-each state before its labels), all on the calling thread.  The operators are
-local: with S the axes an identity's operators touch and psi = psi_S (x) psi_R,
-||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with ||psi_R|| = 1,
-so each probe runs on the patch restricted to S, every other axis collapsed
-to one value.  The disk-state and ground-state statements and the boundary
-character stay on the full patch.  An identity is a record: its labels give
-words lhs and rhs of state maps and a scale, and `_law` checks lhs = scale
-rhs, or with the adjoint flag lhs^+ = rhs / conj(scale), on each probe.  The
-scale takes no state operation and lhs runs before rhs, innermost map first,
-so each residual keeps the bits of one fixed sequence of apply_* calls.  The
-bulk suite is the wall suite with K = G and phi = 1: the identities both
-state are written once, in `_shared_identities`, and each report keeps its
-own names and order for them.
+The relation suites probe each identity on seeded random product states,
+drawn from one generator in a fixed order (identity by identity, each state
+before its labels) on the calling thread.  An identity is a record whose
+labels give words lhs and rhs and a scale; `_law` checks lhs = scale rhs, or
+with the adjoint flag lhs^+ = rhs / conj(scale).  A word's maps are data that
+declare their axes (`_axes`) before they run: `_Op` is one operator, run by
+its public apply_* function, `_Sum` a weighted sum of maps over one label.
+The operators are local: with S the union of those axes and psi = psi_S (x)
+psi_R, ||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with
+||psi_R|| = 1, so each draw runs once, on the patch restricted to S.  The scale
+takes no state operation and lhs runs before rhs, innermost map first, so each
+residual keeps the bits of one fixed sequence of apply_* calls.  The disk-state
+and ground-state statements and the boundary character stay on the full patch.
+The identities both suites state are written once, in `_shared_identities`:
+the bulk suite is the wall suite with K = G and phi = 1.
 
 Geometry conventions.  Vertices sit at integer points (i, j); bulk horizontal
 edges point right, vertical edges point up, and wall edges (the j = 0 row of a
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .characters import ClassFunction
 from .cocycles import TwoCocycle, normalize, trivial_cocycle
 from .errors import (
     TOL,
+    ConditionMismatch,
     DimensionCap,
     GroupMismatch,
     InvalidRibbon,
@@ -88,7 +90,6 @@ class LatticePatch:
     _axis: dict = field(repr=False)
     _star: dict = field(repr=False)
     _cache: dict = field(repr=False, default_factory=dict)
-    _wanted: set = field(repr=False, default_factory=set)  # see `_restrict`
 
     @property
     def size(self) -> int:
@@ -106,9 +107,6 @@ class LatticeState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.patch, self.amplitudes.copy())
 
 
 def inner(a: LatticeState, b: LatticeState) -> complex:
@@ -141,39 +139,13 @@ def _assemble(g, boundary, cocycle, edges) -> LatticePatch:
         star.setdefault(e.tail, []).append((i, 1))
         star.setdefault(e.head, []).append((i, -1))
     corners = lambda i, j: [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-    vertices = set(star)
-    faces = []
-    lo_i = min(v[0] for v in vertices)
-    hi_i = max(v[0] for v in vertices)
-    lo_j = min(v[1] for v in vertices)
-    hi_j = max(v[1] for v in vertices)
-    for i in range(lo_i, hi_i):
-        for j in range(lo_j, hi_j):
-            cs = corners(i, j)
-            if all(
-                ((cs[t], cs[(t + 1) % 4]) in axis or (cs[(t + 1) % 4], cs[t]) in axis)
-                for t in range(4)
-            ):
-                faces.append((i, j))
-    ham_vertices = tuple(v for v in sorted(vertices) if len(star[v]) == 4)
-    wall_vs = []
-    if boundary is not None:
-        for v in sorted(vertices):
-            incident = [edges[a] for a, _ in star[v]]
-            if sum(e.wall for e in incident) == 2 and len(incident) == 3:
-                wall_vs.append(v)
-    return LatticePatch(
-        g,
-        boundary,
-        cocycle,
-        tuple(edges),
-        dims,
-        tuple(faces),
-        ham_vertices,
-        tuple(wall_vs),
-        axis,
-        star,
-    )
+    linked = lambda cs: all((a, b) in axis or (b, a) in axis for a, b in zip(cs, cs[1:] + cs[:1]))
+    vertices = sorted(star)
+    faces = tuple(v for v in vertices if linked(corners(*v)))
+    ham_vertices = tuple(v for v in vertices if len(star[v]) == 4)
+    wall_vs = tuple(v for v in vertices if boundary is not None and len(star[v]) == 3
+                    and sum(edges[a].wall for a, _ in star[v]) == 2)
+    return LatticePatch(g, boundary, cocycle, tuple(edges), dims, faces, ham_vertices, wall_vs, axis, star)
 
 
 def build_patch(
@@ -249,12 +221,8 @@ def _product(patch: LatticePatch, vs) -> LatticeState:
 
 def _restrict(patch: LatticePatch, support: frozenset) -> LatticePatch:
     """The patch with every axis outside `support` collapsed to one value, sharing the
-    patch's edges and cache but not the patch; `_wanted` gets the collapsed axes asked for."""
-    return replace(patch, dims=tuple(d if a in support else 1 for a, d in enumerate(patch.dims)), _wanted=set())
-
-
-class _Collapsed(Exception):
-    """Raised by `_coords` with the axes asked for that the restriction collapsed."""
+    patch's edges and compile cache but holding no reference to the patch."""
+    return replace(patch, dims=tuple(d if a in support else 1 for a, d in enumerate(patch.dims)))
 
 
 # --- local operators ---------------------------------------------------------
@@ -262,10 +230,11 @@ class _Collapsed(Exception):
 
 def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
     """Open grid of the local configurations on `axes`: per axis its values,
-    shaped to broadcast against the state; a collapsed axis raises `_Collapsed`."""
-    collapsed = frozenset(a for a in axes if patch.dims[a] < len(_edge_values(patch, a)))
+    shaped to broadcast against the state.  An axis a restriction collapsed lies
+    outside the support its probe declared, an internal bug, so it is refused."""
+    collapsed = sorted(a for a in axes if patch.dims[a] < len(_edge_values(patch, a)))
     if collapsed:
-        raise _Collapsed(collapsed)
+        raise ConditionMismatch(f"an operator reads axes {collapsed} outside its probe's declared support")
     nd = len(patch.dims)
     return {a: np.arange(patch.dims[a]).reshape([-1 if b == a else 1 for b in range(nd)])
             for a in axes}
@@ -316,19 +285,72 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
     """The one entry behind every vertex, face, wall and ribbon operator: a
-    mask is one broadcast multiply, anything else one `_gather`, compiled on the state's
-    patch: `patch`, or a restriction, which notes collapsed axes in `_wanted` and gets a copy."""
+    mask is one broadcast multiply, anything else one `_gather`, compiled on the
+    state's patch, `patch` or a restriction of it."""
     if state.patch.edges is not patch.edges:
         raise GroupMismatch("the state lives on another patch")
     patch = state.patch
-    try:
-        op = _op(patch, build, *key)
-    except _Collapsed as signal:
-        patch._wanted.update(signal.args[0])
-        return LatticeState(patch, state.amplitudes.copy())
+    op = _op(patch, build, *key)
     if op[2] is None:
         return LatticeState(patch, state.amplitudes * op[3])
     return LatticeState(patch, _gather(patch, op, state.amplitudes).reshape(patch.dims))
+
+
+def _axes(patch: LatticePatch, build, site, *labels) -> list[int]:
+    """The axes the operator build(patch, site, *labels) reads, from its site alone:
+    the star, face cycle, wall star or ribbon triangles the builder reads."""
+    if build is _vertex_op:
+        return [a for a, _ in patch.star(site)]
+    if build is _face_op:
+        return [a for a, _ in _face_cycle(patch, site[1], site[0])]
+    if build is _ribbon_op:
+        return [t.axis for t in site.triangles]
+    solid, dotted, internal = _wall_star(patch, site)
+    return [solid[0]] if build is _wall_face_op else [solid[0], dotted[0], internal[0]]
+
+
+class _Op(NamedTuple):
+    """The state map of the operator build(patch, *key), as data: `axes` is
+    known before it runs, and a call runs it through its public apply_* function."""
+    patch: LatticePatch
+    build: object
+    key: tuple
+
+    @property
+    def axes(self) -> list[int]:
+        return _axes(self.patch, self.build, *self.key)
+
+    def __call__(self, state: LatticeState) -> LatticeState:
+        patch, build, (site, *labels) = self
+        if build is _ribbon_op:
+            return apply_ribbon(patch, site, state, *labels)
+        return {_vertex_op: apply_vertex, _face_op: apply_face, _wall_vertex_op: apply_wall_vertex,
+                _wall_face_op: apply_wall_face}[build](patch, state, site, *labels)
+
+
+class _Sum(NamedTuple):
+    """The state map sum_i w_i term_i / divisor of its (w, term) pairs, summed in order; w None is 1."""
+    terms: tuple
+    divisor: int = 1
+
+    @property
+    def axes(self) -> frozenset:
+        return frozenset().union(*(term.axes for _, term in self.terms))
+
+    def __call__(self, state: LatticeState) -> LatticeState:
+        acc = np.zeros_like(state.amplitudes)
+        for weight, term in self.terms:
+            amps = term(state).amplitudes
+            acc += amps if weight is None else np.multiply(weight, amps, out=amps)  # weight * amps, in place
+            del amps  # one term's output alive at a time, not two
+        if self.divisor != 1:
+            acc /= self.divisor
+        return LatticeState(state.patch, acc)
+
+
+def _average(patch: LatticePatch, build, v, order: int) -> _Sum:
+    """The projector onto the invariants of build's action at v: its `order` labels averaged."""
+    return _Sum(tuple((None, _Op(patch, build, (tuple(v), g))) for g in range(order)), order)
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -339,14 +361,8 @@ def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
         raise InvalidRibbon(f"vertex {base} is not a corner of face {face}")
     k = cs.index(tuple(base))
     cs = cs[k:] + cs[:k]
-    out = []
-    for t in range(4):
-        a, b = cs[t], cs[(t + 1) % 4]
-        if (a, b) in patch._axis:
-            out.append((patch._axis[(a, b)], 1))
-        else:
-            out.append((patch._axis[(b, a)], -1))
-    return out
+    return [(patch._axis[(a, b)], 1) if (a, b) in patch._axis else (patch._axis[(b, a)], -1)
+            for a, b in zip(cs, cs[1:] + cs[:1])]
 
 
 def _edge_values(patch: LatticePatch, axis: int) -> np.ndarray:
@@ -362,9 +378,9 @@ def _act(gt: GroupTable, g, x, sign: int):
     return gt.mul[gt.inv[g], x] if sign == 1 else gt.mul[x, g]
 
 
-def _face_op(patch: LatticePatch, face, base, h: int):
+def _face_op(patch: LatticePatch, site, h: int):
     gt = patch.group
-    cycle = _face_cycle(patch, face, base)
+    cycle = _face_cycle(patch, site[1], site[0])
     x = _coords(patch, [a for a, _ in cycle])
     hol = gt.identity
     for axis, sign in cycle:
@@ -377,12 +393,11 @@ def apply_face(patch: LatticePatch, state: LatticeState, site, h: int) -> Lattic
     """B_s^h: keep configurations whose face holonomy, based at the site's
     vertex, equals h."""
     base, face = site
-    return _apply(patch, state, _face_op, tuple(face), tuple(base), int(h))
+    return _apply(patch, state, _face_op, (tuple(base), tuple(face)), int(h))
 
 
 def face_projector(patch: LatticePatch, state: LatticeState, face) -> LatticeState:
-    base = (face[0], face[1])
-    return apply_face(patch, state, (base, face), patch.group.identity)
+    return apply_face(patch, state, ((face[0], face[1]), face), patch.group.identity)
 
 
 def _vertex_op(patch: LatticePatch, v, g: int):
@@ -400,16 +415,8 @@ def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> Lattice
     return _apply(patch, state, _vertex_op, tuple(v), int(g))
 
 
-def _average(patch: LatticePatch, state: LatticeState, apply_op, v, order: int) -> LatticeState:
-    acc = np.zeros_like(state.amplitudes)
-    for g in range(order):
-        acc += apply_op(patch, state, v, g).amplitudes
-    acc /= order
-    return LatticeState(state.patch, acc)
-
-
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    return _average(patch, state, apply_vertex, v, patch.group.order)
+    return _average(patch, _vertex_op, v, patch.group.order)(state)
 
 
 def _wall_star(patch: LatticePatch, v):
@@ -448,10 +455,6 @@ def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> La
     return _apply(patch, state, _wall_vertex_op, tuple(v), int(k))
 
 
-def wall_vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    return _average(patch, state, apply_wall_vertex, v, patch.boundary.order)
-
-
 def _wall_face_op(patch: LatticePatch, v, k: int):
     (axis, _), _, _ = _wall_star(patch, v)
     x = _coords(patch, [axis])
@@ -464,15 +467,12 @@ def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> Latt
 
 
 def hamiltonian_terms(patch: LatticePatch):
-    """Commuting projectors of the truncated Hamiltonian, as callables."""
-    terms = []
-    for v in patch.ham_vertices:
-        terms.append(("vertex", v, lambda s, v=v: vertex_projector(patch, s, v)))
-    for f in patch.faces:
-        terms.append(("face", f, lambda s, f=f: face_projector(patch, s, f)))
-    for v in patch.ham_wall_vertices:
-        terms.append(("wall", v, lambda s, v=v: wall_vertex_projector(patch, s, v)))
-    return terms
+    """Commuting projectors of the truncated Hamiltonian as (kind, site, map), each
+    map a state map as data (`_Op` or `_Sum`)."""
+    return ([("vertex", v, _average(patch, _vertex_op, v, patch.group.order)) for v in patch.ham_vertices]
+            + [("face", f, _Op(patch, _face_op, ((f, f), patch.group.identity))) for f in patch.faces]
+            + [("wall", v, _average(patch, _wall_vertex_op, v, patch.boundary.order))
+               for v in patch.ham_wall_vertices])
 
 
 def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
@@ -492,8 +492,7 @@ def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
 
 def ground_state(patch: LatticePatch, seed: int = 0) -> LatticeState:
     """One pass of the commuting projectors over a seeded random state."""
-    rng = np.random.default_rng(seed)
-    return _project_pass(patch, rng, [t[2] for t in hamiltonian_terms(patch)])
+    return _project_pass(patch, np.random.default_rng(seed), [t[2] for t in hamiltonian_terms(patch)])
 
 
 def disk_state(patch: LatticePatch, seed: int = 0) -> LatticeState:
@@ -504,14 +503,12 @@ def disk_state(patch: LatticePatch, seed: int = 0) -> LatticeState:
     The extra constraints pin the state of a bulk patch down to the unique
     closed-string superposition, which makes this the right state for
     deformation (path independence) and seed-independence checks."""
-    projs = [lambda s, f=f: face_projector(patch, s, f) for f in patch.faces]
-    wall_set = set(patch.ham_wall_vertices)
+    projs = [_Op(patch, _face_op, ((f, f), patch.group.identity)) for f in patch.faces]
     for v in sorted(patch._star):
-        incident = [patch.edges[a] for a, _ in patch.star(v)]
-        if v in wall_set:
-            projs.append(lambda s, v=v: wall_vertex_projector(patch, s, v))
-        elif not any(e.wall for e in incident):
-            projs.append(lambda s, v=v: vertex_projector(patch, s, v))
+        if v in patch.ham_wall_vertices:
+            projs.append(_average(patch, _wall_vertex_op, v, patch.boundary.order))
+        elif not any(patch.edges[a].wall for a, _ in patch.star(v)):
+            projs.append(_average(patch, _vertex_op, v, patch.group.order))
     return _project_pass(patch, np.random.default_rng(seed), projs)
 
 
@@ -644,25 +641,24 @@ def apply_invariant_op(
 ) -> LatticeState:
     """Boundary-invariant ribbon combination for k in the wall subgroup:
     the phased sum over conjugations sum_l phi(l,k) phi(lk,l^-1) F^{lkl^-1, l g^-1}."""
+    return _invariant(patch, spec, k, g)(state)
+
+
+def _invariant(patch: LatticePatch, spec: RibbonSpec, k: int, g: int) -> _Sum:
+    """T~^{k,g} of `apply_invariant_op` as data, one phased ribbon per l in the wall subgroup."""
     if spec.triangles[0].kind != "wall":
         raise InvalidRibbon("invariant operators need a ribbon starting at the wall")
-    sub = patch.boundary
-    kg = sub.as_group
+    sub, gt, phi = patch.boundary, patch.group, patch.cocycle.table
     kk = int(sub.position[int(k)])
     if kk < 0:
         raise NotInSubgroup(f"label {k} is outside the boundary subgroup")
-    gt = patch.group
-    phi = patch.cocycle.table
-    acc = np.zeros_like(state.amplitudes)
-    g_inv = gt.inv[int(g)]
+    kg, terms = sub.as_group, []
     for l in range(sub.order):
-        phase = phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]]
         lg = int(sub.members[l])
         flux = int(gt.mul[gt.mul[lg, sub.members[kk]], gt.inv[lg]])
-        charge = int(gt.mul[lg, g_inv])
-        amps = apply_ribbon(patch, spec, state, flux, charge).amplitudes
-        acc += np.multiply(phase, amps, out=amps)  # phase first: the bits of phase * amps
-    return LatticeState(state.patch, acc)
+        terms.append((phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]],
+                      _Op(patch, _ribbon_op, (spec, flux, int(gt.mul[lg, gt.inv[int(g)]])))))
+    return _Sum(tuple(terms))
 
 
 def lattice_boundary_character(
@@ -750,92 +746,78 @@ def _word(maps, psi: LatticeState) -> LatticeState:
     return psi
 
 
-def _law(words, adjoint: bool = False):
-    """Probe fn(psi, *labels) of the record words(*labels) = (lhs, rhs, scale):
-    ||lhs psi - scale rhs psi||, or with `adjoint` |<psi|lhs psi> - <rhs psi|psi> / scale|,
-    the residual of lhs^+ = rhs / conj(scale)."""
-    def fn(psi, *labels):
-        lhs, rhs, scale = words(*labels)
-        if adjoint:
-            return abs(inner(psi, _word(lhs, psi)) - inner(_word(rhs, psi), psi) / scale)
-        return _dist(_word(lhs, psi), _word(rhs, psi), scale)
-    return fn
+def _law(psi: LatticeState, lhs, rhs, scale, adjoint: bool = False) -> float:
+    """||lhs psi - scale rhs psi||, or with `adjoint` |<psi|lhs psi> - <rhs psi|psi> / scale|,
+    the residual of lhs^+ = rhs / conj(scale); lhs runs before rhs."""
+    if adjoint:
+        return abs(inner(psi, _word(lhs, psi)) - inner(_word(rhs, psi), psi) / scale)
+    return _dist(_word(lhs, psi), _word(rhs, psi), scale)
 
 
 def _shared_identities(patch: LatticePatch, rib: RibbonSpec, v) -> dict:
-    """The identities both relation suites state, written once: {key: (fn, dims)},
-    fn = _law(words, adjoint) the residual on a probe state, one label drawn
-    below each entry of dims; words(*labels) is (lhs, rhs, scale), lhs and rhs
-    words of state maps applied last map first, and lhs runs before rhs.
-
-    On a bulk patch labels k run over G with flux k, the start-site operators
-    are A and B of the ribbon's start, and every phase is 1.  On a boundary
-    patch k runs over the subgroup K with flux members[k], the start-site
-    operators are the wall vertex and wall face, and the phases come from the
-    patch's normalized cocycle: the bulk statements are the wall ones at
-    K = G, phi = 1.  `v` is the vertex of the A A = A pair."""
+    """The identities both relation suites state, written once: {key: (dims, words[, adjoint])},
+    a relation record but its name.  On a bulk patch labels k run over G with
+    flux k, the start-site operators are A and B of the ribbon's start, and
+    every phase is 1.  On a boundary patch k runs over the subgroup K with flux
+    members[k], the start-site operators are the wall vertex and wall face, and
+    the phases come from the patch's normalized cocycle: the bulk statements
+    are the wall ones at K = G, phi = 1.  `v` is the vertex of the A A = A pair."""
     g, s0, s1 = patch.group, rib.start, rib.end
     n, mul, inv = g.order, g.mul, g.inv
+    op = lambda build, *key: _Op(patch, build, key)
     if patch.boundary is None:
         kg, flux, phi = g, range(n), lambda a, b: 1.0
-        vertex, face0 = apply_vertex, lambda k: lambda st: apply_face(patch, st, s0, k)
+        vertex, face0 = _vertex_op, lambda k: op(_face_op, s0, k)
     else:
         table = patch.cocycle.table
         kg, flux, phi = patch.boundary.as_group, patch.boundary.members, lambda a, b: table[a, b]
-        vertex, face0 = apply_wall_vertex, lambda k: lambda st: apply_wall_face(patch, st, s0[0], k)
+        vertex, face0 = _wall_vertex_op, lambda k: op(_wall_face_op, s0[0], k)
     nk, kmul, kinv = kg.order, kg.mul, kg.inv
-    f = lambda k, gg: lambda st: apply_ribbon(patch, rib, st, int(flux[k]), gg)
-    a = lambda w, k: lambda st: vertex(patch, st, w, k)
-    a1 = lambda m: lambda st: apply_vertex(patch, st, s1[0], m)
-    b1 = lambda m: lambda st: apply_face(patch, st, s1, m)
+    f = lambda k, gg: op(_ribbon_op, rib, int(flux[k]), gg)
+    a = lambda w, k: op(vertex, w, k)
+    a1 = lambda m: op(_vertex_op, s1[0], m)
+    b1 = lambda m: op(_face_op, s1, m)
     return {
-        "A A": (_law(lambda k, l: ([a(v, k), a(v, l)], [a(v, kmul[k, l])], 1.0)), (nk, nk)),
-        "A^+": (_law(lambda k: ([a(v, k)], [a(v, kinv[k])], 1.0), adjoint=True), (nk,)),
-        "F F": (_law(lambda k, gg, k2, g2: ([f(k, gg), f(k2, g2)], [f(kmul[k, k2], gg)],
-                                            phi(k, k2) if gg == g2 else 0.0)), (nk, n, nk, n)),
-        "F^+": (_law(lambda k, gg: ([f(k, gg)], [f(kinv[k], gg)], np.conj(phi(k, kinv[k]))),
-                     adjoint=True), (nk, n)),
-        "A_s0 F": (_law(lambda l, k, gg: (
+        "A A": ((nk, nk), lambda k, l: ([a(v, k), a(v, l)], [a(v, kmul[k, l])], 1.0)),
+        "A^+": ((nk,), lambda k: ([a(v, k)], [a(v, kinv[k])], 1.0), True),
+        "F F": ((nk, n, nk, n), lambda k, gg, k2, g2: ([f(k, gg), f(k2, g2)], [f(kmul[k, k2], gg)],
+                                                      phi(k, k2) if gg == g2 else 0.0)),
+        "F^+": ((nk, n), lambda k, gg: ([f(k, gg)], [f(kinv[k], gg)], np.conj(phi(k, kinv[k]))), True),
+        "A_s0 F": ((nk, nk, n), lambda l, k, gg: (
             [a(s0[0], l), f(k, gg)], [f(kmul[kmul[l, k], kinv[l]], mul[flux[l], gg]), a(s0[0], l)],
-            phi(l, k) * phi(kmul[l, k], kinv[l]))), (nk, nk, n)),
-        "B_s0 F": (_law(lambda m, k, gg: ([face0(m), f(k, gg)], [f(k, gg), face0(kmul[m, k])], 1.0)),
-                   (nk, nk, n)),
-        "A_s1 F": (_law(lambda m, k, gg: ([a1(m), f(k, gg)], [f(k, mul[gg, inv[m]]), a1(m)], 1.0)),
-                   (n, nk, n)),
-        "B_s1 F": (_law(lambda m, k, gg: (
+            phi(l, k) * phi(kmul[l, k], kinv[l]))),
+        "B_s0 F": ((nk, nk, n), lambda m, k, gg: (
+            [face0(m), f(k, gg)], [f(k, gg), face0(kmul[m, k])], 1.0)),
+        "A_s1 F": ((n, nk, n), lambda m, k, gg: ([a1(m), f(k, gg)], [f(k, mul[gg, inv[m]]), a1(m)], 1.0)),
+        "B_s1 F": ((n, nk, n), lambda m, k, gg: (
             [b1(m), f(k, gg)], [f(k, gg), b1(mul[mul[inv[gg], inv[flux[k]]], mul[gg, m]])], 1.0)),
-                   (n, nk, n)),
     }
 
 
-def _run_probes(patch: LatticePatch, rng, states: int, probes: list) -> list:
-    """[(name, worst residual of fn over `states` probes), ...] for the (name, fn, dims) probes.
+def _run_probes(patch: LatticePatch, rng, states: int, records: list) -> list:
+    """[(name, worst residual over `states` probes), ...] for the records
+    (name, dims, words[, adjoint]): words(*labels) is (lhs, rhs, scale), lhs and
+    rhs lists of state maps, with one label drawn below each entry of dims.
 
-    The draws come from `rng` alone, in a fixed order: identities in the order
-    recorded, `states` draws each, and each draw is the normals of one
-    random_state followed by its labels.  The probe state is the product of
-    the draw's vectors on the axes S the operators touch, on the patch
-    restricted to S: S starts empty, takes the collapsed axes the operators
-    ask `_coords` for, and the probe runs again until they ask for none.  A NaN
-    residual is reported as NaN.  With no states no identity would be checked,
-    so `states < 1` is refused."""
+    The draws come from `rng` alone, in a fixed order: records in the order
+    given, `states` draws each, and each draw is the normals of one
+    random_state followed by its labels.  A draw reads its words once; S is
+    the union of the axes their maps declare, less the one-valued axes, and the
+    law runs once, on the product of the draw's vectors on S over the patch
+    restricted to S (`_coords` refuses a map that reads outside S).  A NaN
+    residual is reported as NaN.  `states < 1` would check nothing: refused."""
     if states < 1:
         raise ValueError(f"a relation suite needs at least one probe state, got {states}")
     checks = []
-    for name, fn, dims in probes:
+    for name, dims, words, *adjoint in records:
         residuals = []
         for _ in range(states):
             vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in patch.dims]
-            labels = [int(rng.integers(d)) for d in dims]
-            support = frozenset()
-            while True:
-                sub = _restrict(patch, support)
-                residual = fn(_product(sub, [v if a in support else np.ones(1) for a, v in enumerate(vs)]),
-                              *labels)
-                if not sub._wanted:
-                    break
-                support |= sub._wanted
-            residuals.append(residual)
+            lhs, rhs, scale = words(*[int(rng.integers(d)) for d in dims])
+            support = frozenset(a for m in lhs + rhs for a in m.axes if patch.dims[a] > 1)
+            sub = _restrict(patch, support)
+            psi = _product(sub, [v if a in support else np.ones(1) for a, v in enumerate(vs)])
+            residuals.append(_law(psi, lhs, rhs, scale, *adjoint))
         checks.append((name, float(np.max(residuals))))
     return checks
 
@@ -865,27 +847,25 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
         rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
         alt = None
     shared = _shared_identities(patch, rib, v1)
-    face = lambda h: lambda st: apply_face(patch, st, site, h)
-    vert = lambda w, h: lambda st: apply_vertex(patch, st, w, h)
-    ribbon = lambda h, gg, spec=rib: lambda st: apply_ribbon(patch, spec, st, h, gg)
-    summed = lambda maps: lambda st: LatticeState(st.patch, sum(m(st).amplitudes for m in maps))
+    face = lambda h: _Op(patch, _face_op, (site, h))
+    vert = lambda w, h: _Op(patch, _vertex_op, (w, h))
+    ribbon = lambda h, gg, spec=rib: _Op(patch, _ribbon_op, (spec, h, gg))
+    summed = lambda maps: _Sum(tuple((None, m) for m in maps))
     probes = [
         ("A_v^g A_v^h = A_v^{gh}", *shared["A A"]),
         ("(A_v^g)^+ = A_v^{g^-1}", *shared["A^+"]),
-        ("B_s^h B_s^h' = delta B_s^h",
-         _law(lambda a, b: ([face(a), face(b)], [face(a)], 1.0 if a == b else 0.0)), (n, n)),
-        ("sum_h B_s^h = 1", _law(lambda: ([summed([face(h) for h in range(n)])], [], 1.0)), ()),
-        ("A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)", _law(lambda a, b: (
-            [vert(v0, a), face(b)], [face(mul[mul[a, b], inv[a]]), vert(v0, a)], 1.0)), (n, n)),
-        ("[A_w^g, B_s^h] = 0 (other corners)", _law(lambda w, a, b: (
+        ("B_s^h B_s^h' = delta B_s^h", (n, n),
+         lambda a, b: ([face(a), face(b)], [face(a)], 1.0 if a == b else 0.0)),
+        ("sum_h B_s^h = 1", (), lambda: ([summed([face(h) for h in range(n)])], [], 1.0)),
+        ("A_v^g B_s^h = B_s^{ghg^-1} A_v^g (base corner)", (n, n), lambda a, b: (
+            [vert(v0, a), face(b)], [face(mul[mul[a, b], inv[a]]), vert(v0, a)], 1.0)),
+        ("[A_w^g, B_s^h] = 0 (other corners)", (len(corners), n, n), lambda w, a, b: (
             [vert(corners[w], a), face(b)], [face(b), vert(corners[w], a)], 1.0)),
-         (len(corners), n, n)),
-        ("[A_v, A_w] = 0 (adjacent vertices)", _law(lambda a, b: (
-            [vert(v1, a), vert(v0, b)], [vert(v0, b), vert(v1, a)], 1.0)), (n, n)),
+        ("[A_v, A_w] = 0 (adjacent vertices)", (n, n), lambda a, b: (
+            [vert(v1, a), vert(v0, b)], [vert(v0, b), vert(v1, a)], 1.0)),
         ("F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}", *shared["F F"]),
         ("(F^{h,g})^+ = F^{h^-1,g}", *shared["F^+"]),
-        ("sum_g F^{e,g} = 1",
-         _law(lambda: ([summed([ribbon(0, gg) for gg in range(n)])], [], 1.0)), ()),
+        ("sum_g F^{e,g} = 1", (), lambda: ([summed([ribbon(0, gg) for gg in range(n)])], [], 1.0)),
         ("A_{s0}^k F^{h,g} = F^{khk^-1,kg} A_{s0}^k", *shared["A_s0 F"]),
         ("B_{s0}^k F^{h,g} = F^{h,g} B_{s0}^{kh}", *shared["B_s0 F"]),
         ("A_{s1}^k F^{h,g} = F^{h,gk^-1} A_{s1}^k", *shared["A_s1 F"]),
@@ -893,14 +873,13 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     ]
     if alt is not None:
         mid_vertices = [(3, 0), (2, 0), (1, 0)]
-        mid_faces = [lambda st, f=f: face_projector(patch, st, f) for f in [(2, 0), (1, 0)]]
+        mid_faces = [_Op(patch, _face_op, ((f, f), g.identity)) for f in [(2, 0), (1, 0)]]
         probes += [
-            ("[F, A_t^k] = 0 at intermediate vertices", _law(lambda w, k, h, gg: (
+            ("[F, A_t^k] = 0 at intermediate vertices", (len(mid_vertices), n, n, n), lambda w, k, h, gg: (
                 [vert(mid_vertices[w], k), ribbon(h, gg, alt)],
-                [ribbon(h, gg, alt), vert(mid_vertices[w], k)], 1.0)), (len(mid_vertices), n, n, n)),
-            ("[F, B_t^e] = 0 at crossed faces", _law(lambda w, h, gg: (
+                [ribbon(h, gg, alt), vert(mid_vertices[w], k)], 1.0)),
+            ("[F, B_t^e] = 0 at crossed faces", (len(mid_faces), n, n), lambda w, h, gg: (
                 [mid_faces[w], ribbon(h, gg, alt)], [ribbon(h, gg, alt), mid_faces[w]], 1.0)),
-             (len(mid_faces), n, n)),
         ]
 
     # the disk-state statements run first and are reported after the probes
@@ -935,44 +914,41 @@ def wall_relation_report(
     v0, v1, f1 = (1, 0), (1, 1), (1, 0)
     reps = [int(r) for r in cosets(g, sub)]
     shared = _shared_identities(patch, rib, v0)
-    t = lambda k, gg: lambda st: apply_invariant_op(patch, rib, st, int(mem[k]), gg)
-    wall_a = lambda k: lambda st: apply_wall_vertex(patch, st, v0, k)
-    wall_b = lambda k: lambda st: apply_wall_face(patch, st, v0, k)
+    t = lambda k, gg: _invariant(patch, rib, int(mem[k]), gg)
+    wall_a = lambda k: _Op(patch, _wall_vertex_op, (v0, k))
+    wall_b = lambda k: _Op(patch, _wall_face_op, (v0, k))
     terms = [term[2] for term in hamiltonian_terms(patch)]
     probes = [
         ("wall A^k A^l = A^{kl}", *shared["A A"]),
         ("wall (A^k)^+ = A^{k^-1}", *shared["A^+"]),
-        ("wall B^l A^k = A^k B^{lk}", _law(lambda a, b: (
-            [wall_b(b), wall_a(a)], [wall_a(a), wall_b(kg.mul[b, a])], 1.0)), (nk, nk)),
-        ("hamiltonian projectors commute", _law(lambda i, j: (
-            [terms[i], terms[j]], [terms[j], terms[i]], 1.0)), (len(terms), len(terms))),
+        ("wall B^l A^k = A^k B^{lk}", (nk, nk), lambda a, b: (
+            [wall_b(b), wall_a(a)], [wall_a(a), wall_b(kg.mul[b, a])], 1.0)),
+        ("hamiltonian projectors commute", (len(terms), len(terms)), lambda i, j: (
+            [terms[i], terms[j]], [terms[j], terms[i]], 1.0)),
         ("wall A^l F~^{k,g} = phi(l,k)phi(lk,l^-1) F~^{lkl^-1,lg} A^l", *shared["A_s0 F"]),
         ("wall B^m F~^{k,g} = F~^{k,g} B^{mk}", *shared["B_s0 F"]),
         ("F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}", *shared["F F"]),
         ("(F~^{k,g})^+ = phi(k,k^-1)^-1 F~^{k^-1,g}", *shared["F^+"]),
         ("A_{s1}^m F~^{k,g} = F~^{k,gm^-1} A_{s1}^m", *shared["A_s1 F"]),
         ("B_{s1}^m F~^{k,g} = F~^{k,g} B_{s1}^{g^-1h^-1gm}", *shared["B_s1 F"]),
-        ("[T~^{k,g}, wall A^m] = 0",
-         _law(lambda m, k, gg: ([wall_a(m), t(k, gg)], [t(k, gg), wall_a(m)], 1.0)), (nk, nk, n)),
-        ("T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}", _law(lambda m, k, gg: (
+        ("[T~^{k,g}, wall A^m] = 0", (nk, nk, n),
+         lambda m, k, gg: ([wall_a(m), t(k, gg)], [t(k, gg), wall_a(m)], 1.0)),
+        ("T~^{k,gm} = phi(m,k)phi(mk,m^-1) T~^{mkm^-1,g}", (nk, nk, n), lambda m, k, gg: (
             [t(k, mul[gg, mem[m]])], [t(kg.mul[kg.mul[m, k], kg.inv[m]], gg)],
-            phit[m, k] * phit[kg.mul[m, k], kg.inv[m]])), (nk, nk, n)),
-        ("T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}", _law(lambda k, k2, gg: (
-            [t(k, gg), t(k2, gg)], [t(kg.mul[k, k2], gg)], phit[k, k2])), (nk, nk, n)),
-        *([("T~^{k,g} T~^{k',g'} = 0 off the coset", _law(lambda k, k2, i, m, m2, step: (
-            [t(k, mul[reps[i], mem[m]]), t(k2, mul[reps[(i + 1 + step) % len(reps)], mem[m2]])],
-            [], 0.0)), (nk, nk, len(reps), nk, nk, len(reps) - 1))] if len(reps) > 1 else []),
-        ("(T~^{k,g})^+ = T~^{k^-1,g}",
-         _law(lambda k, gg: ([t(k, gg)], [t(kg.inv[k], gg)], 1.0), adjoint=True), (nk, n)),
+            phit[m, k] * phit[kg.mul[m, k], kg.inv[m]])),
+        ("T~^{k,g} T~^{k',g} = phi(k,k') T~^{kk',g}", (nk, nk, n), lambda k, k2, gg: (
+            [t(k, gg), t(k2, gg)], [t(kg.mul[k, k2], gg)], phit[k, k2])),
+        *([("T~^{k,g} T~^{k',g'} = 0 off the coset", (nk, nk, len(reps), nk, nk, len(reps) - 1),
+            lambda k, k2, i, m, m2, step: ([t(k, mul[reps[i], mem[m]]),
+                                           t(k2, mul[reps[(i + 1 + step) % len(reps)], mem[m2]])],
+                                          [], 0.0))] if len(reps) > 1 else []),
+        ("(T~^{k,g})^+ = T~^{k^-1,g}", (nk, n), lambda k, gg: ([t(k, gg)], [t(kg.inv[k], gg)], 1.0), True),
     ]
 
     # the ground-state statements run first and are reported after the probes
     gs = ground_state(patch, seed=seed)
-    err = max(
-        abs(inner(gs, apply_ribbon(patch, rib, gs, int(mem[k]), gg))
-            - (1.0 if k == 0 else 0.0) / n)
-        for k in range(nk) for gg in range(n)
-    )
+    err = max(abs(inner(gs, apply_ribbon(patch, rib, gs, int(mem[k]), gg)) - (1.0 if k == 0 else 0.0) / n)
+              for k in range(nk) for gg in range(n))
     tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err)]
     # one basis state T~^{k,gi}|gs> held at a time; the other side of the Gram is rebuilt
     basis = [(k, gi) for k in range(nk) for gi in reps]

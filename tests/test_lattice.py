@@ -12,7 +12,14 @@ import pytest
 
 from artifact import errors, lattice
 from artifact.cocycles import bicharacter_cocycle
-from artifact.errors import DimensionCap, GroupMismatch, InvalidRibbon, NotInSubgroup, ZeroProjection
+from artifact.errors import (
+    ConditionMismatch,
+    DimensionCap,
+    GroupMismatch,
+    InvalidRibbon,
+    NotInSubgroup,
+    ZeroProjection,
+)
 from artifact.groups import (
     cyclic,
     direct_product,
@@ -58,6 +65,16 @@ def dense_operator(patch, apply_fn):
         out = apply_fn(LatticeState(patch, amps.reshape(patch.dims)))
         m[:, b] = out.amplitudes.ravel()
     return m
+
+
+class StateMap:
+    """A relation-suite map for tests: fn on a state, declaring `axes` as the axes it reads."""
+
+    def __init__(self, axes, fn):
+        self.axes, self.fn = list(axes), fn
+
+    def __call__(self, state):
+        return self.fn(state)
 
 
 def joint_fixed_space_dimension(patch):
@@ -187,12 +204,13 @@ def _both_suites():
 
 
 def _replace_shared_record(monkeypatch, key, wrong_fn):
-    """Both suites read the shared record `key` as wrong_fn(patch, rib, v)."""
+    """Both suites read the shared record `key` with its dims and the
+    (words[, adjoint]) of wrong_fn(patch, rib, v)."""
     shared = lattice._shared_identities
 
     def wrong(patch, rib, v):
         records = shared(patch, rib, v)
-        records[key] = (wrong_fn(patch, rib, v), records[key][1])
+        records[key] = (records[key][0], *wrong_fn(patch, rib, v))
         return records
 
     monkeypatch.setattr(lattice, "_shared_identities", wrong)
@@ -211,33 +229,36 @@ def _only_the_wrong_row_fails(monkeypatch, key, rows, wrong_fn):
         assert moved == [row] and dict(checks)[row] > 1e-8, row
 
 
+def _vertex_map(patch, v):
+    """k -> the record map of the (wall) vertex operator A_v^k, and the label group's mul."""
+    if patch.boundary is None:
+        return lambda k: lattice._Op(patch, lattice._vertex_op, (v, k)), patch.group.mul
+    return lambda k: lattice._Op(patch, lattice._wall_vertex_op, (v, k)), patch.boundary.as_group.mul
+
+
 def test_a_wrong_shared_identity_fails_in_both_suites(monkeypatch):
-    # both suites read F F from the one shared record: make its right-hand side
-    # the false F^{k,g} F^{k,g} = F^{k,g}
+    # both suites read F F from the one shared record: make its words the false
+    # F^{k,g} F^{k,g} = F^{k,g}
     def ff(patch, rib, v):
         flux = range(patch.group.order) if patch.boundary is None else patch.boundary.members
-
-        def residual(psi, k, g, k2, g2):
-            f = lambda st: apply_ribbon(patch, rib, st, int(flux[k]), g)
-            return lattice._dist(f(f(psi)), f(psi))
-        return residual
+        f = lambda k, g: lattice._Op(patch, lattice._ribbon_op, (rib, int(flux[k]), g))
+        return (lambda k, g, k2, g2: ([f(k, g), f(k, g)], [f(k, g)], 1.0),)
 
     _only_the_wrong_row_fails(monkeypatch, "F F", ("F^{h,g} F^{h',g'} = delta_{g,g'} F^{hh',g}",
                                                    "F~^{k,g} F~^{k',g'} = delta phi(k,k') F~^{kk',g}"), ff)
 
 
 def _rank_one_aa(entangled):
-    """A A whose right-hand side gains the rank-one |chi><chi|, chi = entangled(patch, psi)."""
+    """A A whose right-hand side gains the rank-one |chi><chi|, chi = entangled(patch, psi),
+    through a map that declares the vertex star as its axes."""
     def aa(patch, rib, v):
-        vertex = apply_vertex if patch.boundary is None else apply_wall_vertex
-        kmul = (patch.group if patch.boundary is None else patch.boundary.as_group).mul
+        a, kmul = _vertex_map(patch, v)
 
-        def residual(psi, k, l):
-            rhs = vertex(patch, psi, v, int(kmul[k, l]))
+        def rank_one(psi):
             chi = entangled(patch, psi)
-            rhs.amplitudes += inner(chi, psi) * chi.amplitudes
-            return lattice._dist(vertex(patch, vertex(patch, psi, v, l), v, k), rhs)
-        return residual
+            return LatticeState(psi.patch, inner(chi, psi) * chi.amplitudes)
+        chi = StateMap(a(0).axes, rank_one)
+        return (lambda k, l: ([a(k), a(l)], [lattice._Sum(((None, a(kmul[k, l])), (None, chi)))], 1.0),)
     return aa
 
 
@@ -255,9 +276,8 @@ def test_a_rank_one_wrong_identity_fails_in_both_suites(monkeypatch):
 
     _only_the_wrong_row_fails(monkeypatch, "A A", ("A_v^g A_v^h = A_v^{gh}", "wall A^k A^l = A^{kl}"),
                               _rank_one_aa(ghz))
-    # a run on the empty restriction only finds the axes; every other chi is
-    # entangled across the vertex's star
-    assert 0 in support and set(support) - {0} and min(set(support) - {0}) >= 2
+    # every run is on the declared vertex star, so every chi is entangled across it
+    assert support and min(support) >= 2
 
 
 def test_a_full_patch_state_read_inside_a_probe_is_refused(monkeypatch):
@@ -275,13 +295,32 @@ def test_a_wrong_adjoint_record_fails_in_both_suites(monkeypatch):
     # every k of Z2 and Z2xZ2 is its own inverse, so the false right-hand side
     # A^{k k1} takes a fixed k1 != e: (A^k)^+ = A^{k k1}, through the adjoint law
     def a_dagger(patch, rib, v):
-        vertex = apply_vertex if patch.boundary is None else apply_wall_vertex
-        kmul = (patch.group if patch.boundary is None else patch.boundary.as_group).mul
-        a = lambda k: lambda st: vertex(patch, st, v, k)
-        return lattice._law(lambda k: ([a(k)], [a(kmul[k, 1])], 1.0), adjoint=True)
+        a, kmul = _vertex_map(patch, v)
+        return lambda k: ([a(k)], [a(kmul[k, 1])], 1.0), True
 
     _only_the_wrong_row_fails(monkeypatch, "A^+", ("(A_v^g)^+ = A_v^{g^-1}", "wall (A^k)^+ = A^{k^-1}"),
                               a_dagger)
+
+
+def test_a_map_reading_outside_its_declared_axes_is_refused(monkeypatch):
+    # a face map that declares three of its four cycle edges: the probe's
+    # restriction collapses the fourth, which the face's builder reads.  That is
+    # an internal bug, raised (not asserted, so under python -O too) as
+    # ConditionMismatch before any residual is returned, and the refused
+    # operator is not cached
+    axes = lattice._axes
+    monkeypatch.setattr(lattice, "_axes", lambda patch, build, *key: (
+        axes(patch, build, *key)[:3] if build is lattice._face_op else axes(patch, build, *key)))
+    for run in _both_suites():
+        with pytest.raises(ConditionMismatch, match="declared support"):
+            run()
+    patch = build_patch(cyclic(2), 3, 2)
+    face = lattice._Op(patch, lattice._face_op, (((1, 0), (1, 0)), 0))
+    face(random_state(patch, np.random.default_rng(0)))  # warm the cache with the full-patch operator
+    before = set(patch._cache)
+    with pytest.raises(ConditionMismatch, match="declared support"):
+        lattice._run_probes(patch, np.random.default_rng(0), 1, [("B", (), lambda: ([face], [face], 1.0))])
+    assert set(patch._cache) == before
 
 
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
@@ -689,33 +728,34 @@ def test_lattice_error_paths_cache_nothing():
 
 def test_probes_see_the_draws_in_a_fixed_order():
     # per identity, per state: the 2 * sum(dims) normals of one random_state draw,
-    # then its labels, all from the one generator; the state is the product of
-    # the vectors of the axes the probe's operators touch, here face (1, 0)'s,
-    # which a first run on the empty restriction finds
+    # then its labels, all from the one generator; each draw reads its words
+    # once and runs once, on the product of the vectors of the axes its maps
+    # declare, here face (1, 0)'s
     patch = build_patch(cyclic(2), 3, 2)
+    site = ((1, 0), (1, 0))
     face = [a for a, _ in lattice._face_cycle(patch, (1, 0), (1, 0))]
     dims = [(), (2,), (3, 5)]
-    rng, seen, runs = np.random.default_rng(3), [], []
+    rng, words_read, seen = np.random.default_rng(3), [], []
 
     def record(i):
-        def fn(psi, *labels):
-            apply_face(patch, psi, ((1, 0), (1, 0)), 0)
-            runs.append(sorted(psi.patch._wanted))
-            if not psi.patch._wanted:
-                seen.append((i, labels, psi.amplitudes.tobytes(), rng.bit_generator.state))
-            return 0.0
-        return fn
+        def words(*labels):
+            words_read.append((i, labels))
 
-    probes = [(f"p{i}", record(i), d) for i, d in enumerate(dims)]
-    assert lattice._run_probes(patch, rng, 4, probes) == [(f"p{i}", 0.0) for i in range(3)]
-    assert runs == [sorted(face), []] * 12
+            def probe(psi):
+                seen.append((i, labels, psi.amplitudes.tobytes(), rng.bit_generator.state))
+                return apply_face(patch, psi, site, 0)
+            return [StateMap(face, probe)], [lattice._Op(patch, lattice._face_op, (site, 0))], 1.0
+        return words
+
+    records = [(f"p{i}", d, record(i)) for i, d in enumerate(dims)]
+    assert lattice._run_probes(patch, rng, 4, records) == [(f"p{i}", 0.0) for i in range(3)]
     rng, ref = np.random.default_rng(3), []
     for i, d in enumerate(dims):
         for _ in range(4):
             amps = product_state(patch, rng, support=face)
             labels = tuple(int(rng.integers(n)) for n in d)
             ref.append((i, labels, amps.tobytes(), rng.bit_generator.state))
-    assert seen == ref
+    assert seen == ref and words_read == [(i, labels) for i, labels, _, _ in ref]
 
 
 @pytest.mark.parametrize("run", [
@@ -724,36 +764,35 @@ def test_probes_see_the_draws_in_a_fixed_order():
 ], ids=["bulk Z2", "wall S3 / K = Z3"])
 def test_each_probe_draw_is_one_random_state_call(monkeypatch, run):
     # each probe takes from the generator what one random_state call would, and
-    # then the labels it drew before probes were restricted: replaying the report's
-    # generator as random_state + labels per probe gives every probe's labels and
-    # the generator's end state; random_state itself runs once, for the
-    # disk-state or ground-state tail
-    calls, seen, probed = [], [], []
-    draw, run_probes = lattice.random_state, lattice._run_probes
+    # then its labels: replaying the report's generator as random_state + labels
+    # per probe gives every probe's labels and the generator's end state; each
+    # draw reads its words once and runs its law once; random_state itself runs
+    # once, for the disk-state or ground-state tail
+    calls, seen, laws, probed = [], [], [], []
+    draw, law, run_probes = lattice.random_state, lattice._law, lattice._run_probes
 
     def counted(patch, rng):
         calls.append(rng)
         return draw(patch, rng)
 
-    def labelled(fn):
-        def probe(psi, *labels):
-            residual = fn(psi, *labels)
-            if not psi.patch._wanted:  # the run on all the probe's axes
-                seen.append(tuple(labels))
-            return residual
-        return probe
+    def labelled(words):
+        def read(*labels):
+            seen.append(tuple(labels))
+            return words(*labels)
+        return read
 
-    def recorded(patch, rng, states, probes):
+    def recorded(patch, rng, states, records):
         start = rng.bit_generator.state
-        checks = run_probes(patch, rng, states, [(n, labelled(fn), d) for n, fn, d in probes])
-        probed.append((patch, start, states, [d for _, _, d in probes], rng.bit_generator.state))
+        checks = run_probes(patch, rng, states, [(n, d, labelled(w), *adj) for n, d, w, *adj in records])
+        probed.append((patch, start, states, [d for _, d, *_ in records], rng.bit_generator.state))
         return checks
 
     monkeypatch.setattr(lattice, "random_state", counted)
+    monkeypatch.setattr(lattice, "_law", lambda *args: laws.append(args) or law(*args))
     monkeypatch.setattr(lattice, "_run_probes", recorded)
     run()
     [(patch, start, states, dims, end)] = probed
-    assert len(calls) == 1 and len(seen) == states * len(dims) == 3 * len(dims)
+    assert len(calls) == 1 and len(seen) == len(laws) == states * len(dims) == 3 * len(dims)
     rng, ref = np.random.default_rng(), []
     rng.bit_generator.state = start
     for d in dims:
@@ -771,29 +810,22 @@ def test_each_probe_draw_is_one_random_state_call(monkeypatch, run):
 ], ids=["bulk Z2", "bulk S3", "wall S3 / K = Z3"])
 def test_restricted_residuals_equal_the_full_patch_residuals(monkeypatch, run):
     # psi = psi_S (x) psi_R with |psi_R| = 1, and the operators act on the axes S
-    # only: each probe's residual on the restriction is its fn on the full product
-    # state of the same draw, and so is |lhs psi|, which is not near zero
-    captured, words_of, law, run_probes = [], {}, lattice._law, lattice._run_probes
-
-    def recorded_law(words, adjoint=False):
-        fn = law(words, adjoint)
-        words_of[fn] = words
-        return fn
-
-    monkeypatch.setattr(lattice, "_law", recorded_law)
-    monkeypatch.setattr(lattice, "_run_probes", lambda patch, rng, states, probes: captured.append(
-        (patch, probes)) or [(name, 0.0) for name, _, _ in probes])
+    # only: each record's residual on the restriction is its law on the full
+    # product state of the same draw, and so is |lhs psi|, which is not near zero
+    captured, run_probes = [], lattice._run_probes
+    monkeypatch.setattr(lattice, "_run_probes", lambda patch, rng, states, records: captured.append(
+        (patch, records)) or [(name, 0.0) for name, *_ in records])
     run()
-    [(patch, probes)] = captured
+    [(patch, records)] = captured
     lhs_norms = []
     for seed in range(2):
-        for name, fn, dims in probes:
-            lhs = law(lambda *labels, words=words_of[fn]: (words(*labels)[0], [], 0.0))
-            for check in (fn, lhs):
-                [(_, restricted)] = run_probes(patch, np.random.default_rng(seed), 1, [(name, check, dims)])
+        for name, dims, words, *adjoint in records:
+            lhs_only = lambda *labels, words=words: (words(*labels)[0], [], 0.0)
+            for check in ((name, dims, words, *adjoint), (name, dims, lhs_only)):
+                [(_, restricted)] = run_probes(patch, np.random.default_rng(seed), 1, [check])
                 rng = np.random.default_rng(seed)
                 psi = random_state(patch, rng)
-                full = check(psi, *[int(rng.integers(d)) for d in dims])
+                full = lattice._law(psi, *check[2](*[int(rng.integers(d)) for d in dims]), *check[3:])
                 assert abs(restricted - full) <= 1e-14, name
             lhs_norms.append(full)
     assert np.median(lhs_norms) > 0.05
@@ -803,12 +835,11 @@ def test_coords_refuses_an_axis_the_restriction_collapsed():
     patch = build_patch(symmetric(3), 3, 2)
     sub = lattice._restrict(patch, frozenset({0, 5}))
     assert sub.dims == (6, 1, 1, 1, 1, 6, 1) and sub.edges is patch.edges
-    assert sub._cache is patch._cache and not sub._wanted
+    assert sub._cache is patch._cache
     assert [x.shape for x in lattice._coords(sub, [0, 5]).values()] == [
         (6, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 6, 1)]
-    with pytest.raises(lattice._Collapsed) as signal:
+    with pytest.raises(ConditionMismatch, match=r"axes \[1, 6\] outside"):
         lattice._coords(sub, [0, 1, 5, 6])
-    assert signal.value.args[0] == {1, 6}
     # a one-valued wall axis (K trivial) is not collapsed: it has no other value
     z2 = cyclic(2)
     wall = minimal_boundary_patch(z2, trivial_subgroup(z2))
@@ -858,10 +889,13 @@ def test_a_report_without_probe_states_is_refused(states):
 
 
 def test_a_nan_residual_is_reported_not_dropped():
+    # the probe state on the empty support is the one amplitude 1, so the
+    # residual |c psi| is |c|
     patch = build_patch(cyclic(2), 2, 2)
-    residuals = iter([0.5, math.nan, 0.25])
-    probes = [("nan", lambda psi: next(residuals), ())]
-    [(name, worst)] = lattice._run_probes(patch, np.random.default_rng(0), 3, probes)
+    factors = iter([0.5, math.nan, 0.25])
+    scaled = StateMap([], lambda psi: LatticeState(psi.patch, next(factors) * psi.amplitudes))
+    records = [("nan", (), lambda: ([scaled], [], 0.0))]
+    [(name, worst)] = lattice._run_probes(patch, np.random.default_rng(0), 3, records)
     assert name == "nan" and math.isnan(worst)
 
 
@@ -869,18 +903,20 @@ def test_a_failing_check_propagates_after_the_third_call():
     patch = build_patch(cyclic(2), 3, 2)
     calls = []
 
-    def fails_on_the_third(psi, label):
-        calls.append(label)
+    def fails_on_the_third(psi):
+        calls.append(psi)
         if len(calls) == 3:
             raise ZeroDivisionError("probe failed")
-        return 0.0
+        return psi
 
     def never(psi):
         raise AssertionError("an identity after the failing one was checked")
 
-    probes = [("ok", lambda psi: 0.0, ()), ("fails", fails_on_the_third, (2,)), ("never", never, ())]
+    records = [("ok", (), lambda: ([], [], 1.0)),
+               ("fails", (2,), lambda label: ([StateMap([], fails_on_the_third)], [], 1.0)),
+               ("never", (), lambda: ([StateMap([], never)], [], 1.0))]
     with pytest.raises(ZeroDivisionError, match="probe failed"):
-        lattice._run_probes(patch, np.random.default_rng(0), 4, probes)
+        lattice._run_probes(patch, np.random.default_rng(0), 4, records)
     assert len(calls) == 3
 
 

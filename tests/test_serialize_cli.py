@@ -349,6 +349,9 @@ LATTICE_PINS = [
      "d45f61604b1a27afa8dc52748bc63fee3ee60e73b1b3b82cf457ebbf5d1f4709"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
      "85150c460734f895e6cc2a0363d16fe1453829f8321168111e48f1afd4d5bb3e"),
+    # the largest wall suite: T~ sums over all of K = S3 in every T~ record
+    (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "full"],
+     "82cc17da0b47fcf62b11e21f7f342872bf888c6535584c85e3c5fc29d9b105d6"),
 ]
 
 
