@@ -47,14 +47,6 @@ class TwoCocycle:
         return int(self.table.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class CommutingPairPhase:
-    """phi(k|l) = phi(k,l) phi(k l k^-1, k)^-1; only commuting pairs are meaningful."""
-
-    subgroup: Subgroup
-    values: np.ndarray
-
-
 def _identity_residual(mul: np.ndarray, table: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Worst violation of phi(kl,m) phi(k,l) = phi(k,lm) phi(l,m) and its triple;
     the first NaN, if any, is the worst."""
@@ -130,7 +122,7 @@ def normalize(phi: TwoCocycle) -> tuple[TwoCocycle, np.ndarray]:
 
     residual, _ = _identity_residual(mul, table)
     out = TwoCocycle(phi.subgroup, table)
-    drift = np.abs(phase(out).values - phase(phi).values)[mul == mul.T].max()
+    drift = np.abs(phase(out)[2] - phase(phi)[2]).max()
     _check("normalization must preserve the cocycle identity", residual, TOL["normalized"])
     for what, err in (
         ("phi(e, .) must be 1", np.abs(table[0, :] - 1).max()),
@@ -144,13 +136,14 @@ def normalize(phi: TwoCocycle) -> tuple[TwoCocycle, np.ndarray]:
     return out, alpha
 
 
-def phase(phi: TwoCocycle) -> CommutingPairPhase:
-    """Gauge-invariant combination entering the condensation character."""
-    g = phi.subgroup.as_group
-    conj = g.conj_table()
-    values = phi.table[conj, np.arange(g.order)[:, None]]
-    np.divide(phi.table, values, out=values)
-    return CommutingPairPhase(phi.subgroup, values)
+def phase(phi: TwoCocycle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, l, values): the commuting pairs of phi's subgroup, local indices in
+    row-major order, and the gauge-invariant phase phi(k|l) = phi(k,l) / phi(l,k)
+    on each (phi(k,l) phi(klk^-1,k)^-1 with klk^-1 = l), the combination that
+    enters the condensation character."""
+    mul = phi.subgroup.as_group.mul
+    k, l = np.nonzero(mul == mul.T)
+    return k, l, phi.table[k, l] / phi.table[l, k]
 
 
 def bicharacter_cocycle(k: Subgroup, b: np.ndarray) -> TwoCocycle:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import ClassFunction
-from .cocycles import TwoCocycle, trivial_cocycle, wall_cocycle
+from .cocycles import TwoCocycle, phase, trivial_cocycle, wall_cocycle
 from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _places, _reassembles
 from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, is_right_distributive, subgroup
 from .modular import affine_cf_anyons, verify_theorem_b1
@@ -62,14 +62,6 @@ class TunnelingMatrix:
     n: np.ndarray  # n[x, y] = multiplicity of x (x) y in the wall character
 
 
-def _commuting_phase(phi: TwoCocycle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Commuting pairs (k, l) of phi's subgroup, local indices in row-major order,
-    and the commuting-pair phase phi(k, l) / phi(l, k) on each."""
-    mul = phi.subgroup.as_group.mul
-    k, l = np.nonzero(mul == mul.T)
-    return k, l, phi.table[k, l] / phi.table[l, k]
-
-
 def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> ClassFunction:
     """Character of the boundary algebra A(K, phi) as a function on the double.
 
@@ -85,7 +77,7 @@ def boundary_character(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None
     ):
         raise SubgroupMismatch("cocycle is not defined on this boundary subgroup")
     po = pair_orbits(g)
-    i, j, ph = _commuting_phase(phi)
+    i, j, ph = phase(phi)
     sums = _scatter(po.orbit_of[k.members[i], k.members[j]], ph, po.sizes.size)
     return ClassFunction(g, sums * g.order / (k.order * po.sizes), po)
 
@@ -143,7 +135,7 @@ def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     gg = _wall_factors(ga, gb, wall)
     pa, pb = pair_orbits(ga), pair_orbits(gb)
     left, right = wall.u.members // gb.order, wall.u.members % gb.order
-    i, j, ph = _commuting_phase(wall.phi)
+    i, j, ph = phase(wall.phi)
     ma, mb = pa.sizes.size, pb.sizes.size
     ids = pa.orbit_of[left[i], left[j]] * mb + pb.orbit_of[right[i], right[j]]
     w = _scatter(ids, ph, ma * mb).reshape(ma, mb)

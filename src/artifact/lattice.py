@@ -5,13 +5,14 @@ per edge, bulk edges carrying the group algebra and wall edges carrying the
 algebra of the boundary subgroup.  Every vertex, face, wall and ribbon
 operator is monomial: on the few axes it touches it sends a configuration x to
 coef[x] * old[source(x)], a permutation times a cocycle phase or a 0/1 mask.
-Each (operator, site, label) is compiled once into a gather offset and a
-coefficient array, cached on the patch, and applied by one kernel.  The
-offset is flat within the span of axes from the operator's first to its last
-moved axis, so a gather takes whole blocks of the state along that span and
-its index has one entry per span configuration, not one per amplitude.  Ribbon
-operators, composed of elementary triangle actions, provide the independent
-numeric route to the boundary algebra character.
+So is the boundary-invariant T~^{k,g}, a phased sum of ribbons whose charge
+masks are disjoint.  Each (operator, site, label) is compiled once into a
+gather offset and a coefficient array, cached on the patch, and applied by one
+kernel.  The offset is flat within the span of axes from the operator's first
+to its last moved axis, so a gather takes whole blocks of the state along that
+span and its index has one entry per span configuration, not one per
+amplitude.  Ribbon operators, composed of elementary triangle actions, provide
+the independent numeric route to the boundary algebra character.
 
 The relation suites probe each identity on seeded random product states,
 drawn from one generator in a fixed order (identity by identity, each state
@@ -19,13 +20,13 @@ before its labels) on the calling thread.  An identity is a record whose
 labels give words lhs and rhs and a scale; `_law` checks lhs = scale rhs, or
 with the adjoint flag lhs^+ = rhs / conj(scale).  A word's maps are data that
 declare their axes (`_axes`) before they run: `_Op` is one operator, run by
-its public apply_* function, `_Sum` a weighted sum of maps over one label.
-The operators are local: with S the union of those axes and psi = psi_S (x)
-psi_R, ||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with
-||psi_R|| = 1, so each draw runs once, on the patch restricted to S.  The scale
-takes no state operation and lhs runs before rhs, innermost map first, so each
-residual keeps the bits of one fixed sequence of apply_* calls.  The disk-state
-and ground-state statements and the boundary character stay on the full patch.
+its public apply_* function, `_Sum` a sum of maps over one label.  The
+operators are local: with S the union of those axes and psi = psi_S (x) psi_R,
+||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with ||psi_R|| = 1,
+so each draw runs once, on the patch restricted to S.  The scale takes no
+state operation and lhs runs before rhs, innermost map first, so each residual
+keeps the bits of one fixed sequence of apply_* calls.  The disk-state and
+ground-state statements and the boundary character stay on the full patch.
 The identities both suites state are written once, in `_shared_identities`:
 the bulk suite is the wall suite with K = G and phi = 1.
 
@@ -128,11 +129,8 @@ def _assemble(g, boundary, cocycle, edges) -> LatticePatch:
         # the cocycle class, so swap in the equivalent normalized table.
         cocycle = normalize(cocycle)[0]
     dims = tuple(boundary.order if e.wall else g.order for e in edges)
-    size = 1
-    for d in dims:
-        size *= d
-        if size > AMPLITUDE_CAP:
-            raise DimensionCap(f"state would need {size} > {AMPLITUDE_CAP} amplitudes")
+    if prod(dims) > AMPLITUDE_CAP:
+        raise DimensionCap(f"state would need {prod(dims)} > {AMPLITUDE_CAP} amplitudes")
     axis = {(e.tail, e.head): i for i, e in enumerate(edges)}
     star: dict = {}
     for i, e in enumerate(edges):
@@ -303,7 +301,7 @@ def _axes(patch: LatticePatch, build, site, *labels) -> list[int]:
         return [a for a, _ in patch.star(site)]
     if build is _face_op:
         return [a for a, _ in _face_cycle(patch, site[1], site[0])]
-    if build is _ribbon_op:
+    if build in (_ribbon_op, _invariant_op):
         return [t.axis for t in site.triangles]
     solid, dotted, internal = _wall_star(patch, site)
     return [solid[0]] if build is _wall_face_op else [solid[0], dotted[0], internal[0]]
@@ -322,27 +320,25 @@ class _Op(NamedTuple):
 
     def __call__(self, state: LatticeState) -> LatticeState:
         patch, build, (site, *labels) = self
-        if build is _ribbon_op:
-            return apply_ribbon(patch, site, state, *labels)
+        if build in (_ribbon_op, _invariant_op):  # ribbon maps take their spec before the state
+            return (apply_ribbon if build is _ribbon_op else apply_invariant_op)(patch, site, state, *labels)
         return {_vertex_op: apply_vertex, _face_op: apply_face, _wall_vertex_op: apply_wall_vertex,
                 _wall_face_op: apply_wall_face}[build](patch, state, site, *labels)
 
 
 class _Sum(NamedTuple):
-    """The state map sum_i w_i term_i / divisor of its (w, term) pairs, summed in order; w None is 1."""
-    terms: tuple
+    """The state map sum_i map_i / divisor of its maps, summed in order."""
+    maps: tuple
     divisor: int = 1
 
     @property
     def axes(self) -> frozenset:
-        return frozenset().union(*(term.axes for _, term in self.terms))
+        return frozenset().union(*(m.axes for m in self.maps))
 
     def __call__(self, state: LatticeState) -> LatticeState:
         acc = np.zeros_like(state.amplitudes)
-        for weight, term in self.terms:
-            amps = term(state).amplitudes
-            acc += amps if weight is None else np.multiply(weight, amps, out=amps)  # weight * amps, in place
-            del amps  # one term's output alive at a time, not two
+        for m in self.maps:
+            acc += m(state).amplitudes  # one map's output alive at a time
         if self.divisor != 1:
             acc /= self.divisor
         return LatticeState(state.patch, acc)
@@ -350,7 +346,7 @@ class _Sum(NamedTuple):
 
 def _average(patch: LatticePatch, build, v, order: int) -> _Sum:
     """The projector onto the invariants of build's action at v: its `order` labels averaged."""
-    return _Sum(tuple((None, _Op(patch, build, (tuple(v), g))) for g in range(order)), order)
+    return _Sum(tuple(_Op(patch, build, (tuple(v), g)) for g in range(order)), order)
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -636,29 +632,36 @@ def apply_ribbon(
     return _apply(patch, state, _ribbon_op, spec, int(h), int(g))
 
 
+def _invariant_op(patch: LatticePatch, spec: RibbonSpec, k: int, g: int):
+    """T~^{k,g} as one gather: term l keeps the configurations with final charge
+    u = l g^-1, so each configuration takes shift and weight * coef from the one
+    term that keeps it; two terms keeping one configuration is an internal bug."""
+    if spec.triangles[0].kind != "wall":
+        raise InvalidRibbon("invariant operators need a ribbon starting at the wall")
+    sub, gt, phi = patch.boundary, patch.group, patch.cocycle.table
+    kk = int(sub.position[k])
+    if kk < 0:
+        raise NotInSubgroup(f"label {k} is outside the boundary subgroup")
+    kg, shift, coef, hits = sub.as_group, 0, 0, 0
+    for l in range(sub.order):
+        lg = int(sub.members[l])
+        flux = int(gt.mul[gt.mul[lg, k], gt.inv[lg]])
+        first, last, s, c = _ribbon_op(patch, spec, flux, int(gt.mul[lg, gt.inv[g]]))
+        hit = (c != 0).reshape(c.shape[first:last + 1])  # c lives on the span
+        hits, shift = hits + hit, np.where(hit, s, shift)
+        coef = coef + phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]] * c
+    _check("T~ ribbon terms must keep disjoint configurations", int(np.max(hits)) - 1, 0)
+    return first, last, shift, coef
+
+
 def apply_invariant_op(
     patch: LatticePatch, spec: RibbonSpec, state: LatticeState, k: int, g: int
 ) -> LatticeState:
     """Boundary-invariant ribbon combination for k in the wall subgroup:
-    the phased sum over conjugations sum_l phi(l,k) phi(lk,l^-1) F^{lkl^-1, l g^-1}."""
-    return _invariant(patch, spec, k, g)(state)
-
-
-def _invariant(patch: LatticePatch, spec: RibbonSpec, k: int, g: int) -> _Sum:
-    """T~^{k,g} of `apply_invariant_op` as data, one phased ribbon per l in the wall subgroup."""
-    if spec.triangles[0].kind != "wall":
-        raise InvalidRibbon("invariant operators need a ribbon starting at the wall")
-    sub, gt, phi = patch.boundary, patch.group, patch.cocycle.table
-    kk = int(sub.position[int(k)])
-    if kk < 0:
-        raise NotInSubgroup(f"label {k} is outside the boundary subgroup")
-    kg, terms = sub.as_group, []
-    for l in range(sub.order):
-        lg = int(sub.members[l])
-        flux = int(gt.mul[gt.mul[lg, sub.members[kk]], gt.inv[lg]])
-        terms.append((phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]],
-                      _Op(patch, _ribbon_op, (spec, flux, int(gt.mul[lg, gt.inv[int(g)]])))))
-    return _Sum(tuple(terms))
+    the phased sum over conjugations sum_l phi(l,k) phi(lk,l^-1) F^{lkl^-1, l g^-1}.
+    Each term's charge mask u = l g^-1 is disjoint from the others, so the sum
+    is itself monomial: one compiled gather (`_invariant_op`)."""
+    return _apply(patch, state, _invariant_op, spec, int(k), int(g))
 
 
 def lattice_boundary_character(
@@ -675,10 +678,8 @@ def lattice_boundary_character(
     v1, f1 = spec.end
     if v1 not in patch.ham_vertices or f1 not in patch.faces:
         raise InvalidRibbon("ribbon must end at a complete interior site")
-    gt = patch.group
-    sub = patch.boundary
+    gt, sub = patch.group, patch.boundary
     reps = cosets(gt, sub)
-    r = len(reps)
     psi = ground_state(patch, seed=seed)
     values = np.zeros((gt.order, gt.order), dtype=np.complex128)
     # one basis state at a time; each entry still sums over the basis in order
@@ -689,7 +690,7 @@ def lattice_boundary_character(
                 mb = apply_face(patch, b, (v1, f1), h)
                 for g in range(gt.order):
                     values[g, h] += inner(b, apply_vertex(patch, mb, v1, g))
-    return ClassFunction.from_dense(gt, r * values, pair_orbits(gt))
+    return ClassFunction.from_dense(gt, len(reps) * values, pair_orbits(gt))
 
 
 # --- relation suite -----------------------------------------------------------------
@@ -850,7 +851,7 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     face = lambda h: _Op(patch, _face_op, (site, h))
     vert = lambda w, h: _Op(patch, _vertex_op, (w, h))
     ribbon = lambda h, gg, spec=rib: _Op(patch, _ribbon_op, (spec, h, gg))
-    summed = lambda maps: _Sum(tuple((None, m) for m in maps))
+    summed = lambda maps: _Sum(tuple(maps))
     probes = [
         ("A_v^g A_v^h = A_v^{gh}", *shared["A A"]),
         ("(A_v^g)^+ = A_v^{g^-1}", *shared["A^+"]),
@@ -909,12 +910,11 @@ def wall_relation_report(
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     sub, phit = patch.boundary, patch.cocycle.table
-    kg, mem, nk, n = sub.as_group, sub.members, sub.order, g.order
-    mul, inv = g.mul, g.inv
+    kg, mem, nk, n, mul, inv = sub.as_group, sub.members, sub.order, g.order, g.mul, g.inv
     v0, v1, f1 = (1, 0), (1, 1), (1, 0)
     reps = [int(r) for r in cosets(g, sub)]
     shared = _shared_identities(patch, rib, v0)
-    t = lambda k, gg: _invariant(patch, rib, int(mem[k]), gg)
+    t = lambda k, gg: _Op(patch, _invariant_op, (rib, int(mem[k]), gg))
     wall_a = lambda k: _Op(patch, _wall_vertex_op, (v0, k))
     wall_b = lambda k: _Op(patch, _wall_face_op, (v0, k))
     terms = [term[2] for term in hamiltonian_terms(patch)]

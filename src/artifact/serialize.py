@@ -154,8 +154,12 @@ def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
     """The cocycle omega**exponents, omega = exp(2 pi i / omega_order), after the
     exact identity check on the exponents mod omega_order (Light's test, as for
     the wall cocycle); that check adds two exponents in int64, so omega_order
-    stays below 2^62."""
-    k = subgroup(g, _ints(obj["subgroup"], "subgroup members"))
+    stays below 2^62.  The exponents are indexed by the listed members, so the
+    list must be the subgroup's members in increasing order, without repeats."""
+    listed = _ints(obj["subgroup"], "subgroup members")
+    k = subgroup(g, listed)
+    if not np.array_equal(listed, k.members):
+        raise SizeMismatch("cocycle subgroup members must be listed in increasing order, without repeats")
     p = _ints(obj["omega_order"], "omega_order")
     if p.shape or p < 1:
         raise SizeMismatch("omega_order must be one integer, at least 1")

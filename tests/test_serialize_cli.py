@@ -152,6 +152,32 @@ def test_cocycle_files_reject_an_omega_order_the_exact_test_cannot_add():
     assert cocycle_from_obj(cyclic(2), {**obj, "omega_order": 2**62 - 1, "exponents": [[0, 0], [0, 0]]})
 
 
+def test_cocycle_files_list_their_members_in_increasing_order(tmp_path):
+    # e(x, y) = x1 y2 mod 3 on Z3 x Z3 (x = 3 x1 + x2), written once over the members
+    # in order and once over them listed as (x1, x2) -> (x2, x1), the exponents in
+    # that order.  The second file was read against the sorted members, a different
+    # cocycle with another condensed set; a list out of order is now refused
+    e = lambda x, y: (x // 3) * (y % 3) % 3
+    swapped = [3 * (x % 3) + x // 3 for x in range(9)]
+    files = {name: {"subgroup": members, "omega_order": 3, "exponents": [[e(x, y) for y in members] for x in members]}
+             for name, members in (("sorted", list(range(9))), ("swapped", swapped))}
+    g = direct_product(cyclic(3), cyclic(3))
+    phi = cocycle_from_obj(g, files["sorted"])
+    assert phi.subgroup.members.tolist() == list(range(9))
+    # out of order (an automorphic and a non-automorphic order) or repeated: refused
+    for obj, group in ((files["swapped"], g), ({**Z2_COCYCLE, "subgroup": [0, 2, 1, 3], "exponents": np.zeros(
+            (4, 4), dtype=int).tolist()}, cyclic(4)), ({**Z2_COCYCLE, "subgroup": [0, 1, 1]}, cyclic(2))):
+        with pytest.raises(SizeMismatch, match="increasing order"):
+            cocycle_from_obj(group, obj)
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = lambda name: ["condense", "--group", "product:builtin:Z3xbuiltin:Z3", "--cocycle", str(tmp_path / name)]
+    code, out, _ = run_cli(argv("sorted.json"))
+    assert code == 0 and json.loads(out)["condensed"]
+    code, out, err = run_cli(argv("swapped.json"))
+    assert (code, out) == (2, "") and "increasing order" in err
+
+
 def test_chartable_obj_snaps_roots():
     from artifact.groups import alternating
 
@@ -348,10 +374,13 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
      "d45f61604b1a27afa8dc52748bc63fee3ee60e73b1b3b82cf457ebbf5d1f4709"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
-     "85150c460734f895e6cc2a0363d16fe1453829f8321168111e48f1afd4d5bb3e"),
+     "3fbd5736ee90ab11c2db52d53af0e6c7f21a07be74357cbf81b1e8609e4d2fc3"),
     # the largest wall suite: T~ sums over all of K = S3 in every T~ record
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "full"],
      "82cc17da0b47fcf62b11e21f7f342872bf888c6535584c85e3c5fc29d9b105d6"),
+    # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
+    (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
+     "f7e4793c236b98a6d3c96636594f9f94e5b6f8af7a91f4a82ef830b4193ef257"),
 ]
 
 
