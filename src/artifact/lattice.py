@@ -26,7 +26,8 @@ operators are local: with S the union of those axes and psi = psi_S (x) psi_R,
 so each draw runs once, on the patch restricted to S.  The scale takes no
 state operation and lhs runs before rhs, innermost map first, so each residual
 keeps the bits of one fixed sequence of apply_* calls.  The disk-state and
-ground-state statements and the boundary character stay on the full patch.
+ground-state statements and the boundary character stay on the full patch, in
+charge sectors for the bulk Gram and by face holonomy for the character.
 The identities both suites state are written once, in `_shared_identities`:
 the bulk suite is the wall suite with K = G and phi = 1.
 
@@ -263,22 +264,34 @@ def _op(patch: LatticePatch, build, *key):
     return _cached(patch._cache, (build, patch.dims, *key), build, patch, *key)
 
 
-def _gather(patch: LatticePatch, op, amps: np.ndarray) -> np.ndarray:
+def _gather(patch: LatticePatch, op, amps: np.ndarray, rows=None) -> np.ndarray:
     """The one gather kernel: coef * amps[source] for a compiled gather `op`.
 
     `amps` runs over axes 0..last, then one trailing extent of any size (the
     rest of the state, or a slice of it); so does the result.  Blocks
     (lead, span, trailing) are taken along the span at its positions plus the
-    shift, one arange per span cached on the patch: no state-sized index."""
+    shift, one arange per span cached on the patch: no state-sized index.
+    With `rows`, flat positions over axes 0..last, only those output rows are
+    made, and the result is (len(rows), trailing)."""
     first, last, shift, coef = op
     dims = patch.dims[first:last + 1]
     span = _cached(patch._cache, ("span", dims), lambda: np.arange(prod(dims)).reshape(dims))
+    if rows is not None:  # a row's source is the row plus the shift at its span position
+        src = rows + np.broadcast_to(shift, dims).ravel()[rows % span.size]
+        new = np.take(amps.reshape(prod(patch.dims[:last + 1]), -1), src, axis=0)
+        return np.multiply(new, _lead(patch, op)[rows, None], out=new)
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
     new = np.take(blocks, (span + shift).reshape(-1), axis=1)
     new = new.reshape(*patch.dims[:last + 1], -1)
     if coef is not None:
         new *= coef.reshape(*coef.shape[:last + 1], 1)  # coef lives on the span
     return new
+
+
+def _lead(patch: LatticePatch, op) -> np.ndarray:
+    """The coefficient of a compiled gather `op` over axes 0..last, flat."""
+    last, coef = op[1], op[3]
+    return np.broadcast_to(coef.reshape(coef.shape[:last + 1]), patch.dims[:last + 1]).reshape(-1)
 
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
@@ -374,7 +387,8 @@ def _act(gt: GroupTable, g, x, sign: int):
     return gt.mul[gt.inv[g], x] if sign == 1 else gt.mul[x, g]
 
 
-def _face_op(patch: LatticePatch, site, h: int):
+def _holonomy(patch: LatticePatch, site):
+    """The site's face holonomy, based at its vertex, on an open grid over the cycle's axes."""
     gt = patch.group
     cycle = _face_cycle(patch, site[1], site[0])
     x = _coords(patch, [a for a, _ in cycle])
@@ -382,7 +396,11 @@ def _face_op(patch: LatticePatch, site, h: int):
     for axis, sign in cycle:
         vals = _edge_values(patch, axis)[x[axis]]
         hol = gt.mul[hol, vals if sign == 1 else gt.inv[vals]]
-    return _compile(patch, x, coef=hol == h)
+    return hol
+
+
+def _face_op(patch: LatticePatch, site, h: int):
+    return _compile(patch, None, coef=_op(patch, _holonomy, site) == h)
 
 
 def apply_face(patch: LatticePatch, state: LatticeState, site, h: int) -> LatticeState:
@@ -670,9 +688,10 @@ def lattice_boundary_character(
     """Boundary algebra character extracted numerically from the lattice.
 
     Applies the invariant ribbon operators to the ground state to span the
-    excitation space, then reads off chi(g h*) by acting with the end-site
-    vertex and face operators on that basis.  The result is directly
-    comparable to the algebraic boundary character."""
+    excitation space and reads chi(g h*) = sum_b <b|A^g B^h b> at the ribbon's
+    end site, as the sum over hol(x) = h of conj((A^{g^-1} b)[x]) b[x]: one
+    vertex gather per (b, g), summed off the face, binned by face holonomy.
+    The result is directly comparable to the algebraic boundary character."""
     if patch.boundary is None:
         raise SubgroupMismatch("character extraction needs a boundary patch")
     v1, f1 = spec.end
@@ -681,15 +700,18 @@ def lattice_boundary_character(
     gt, sub = patch.group, patch.boundary
     reps = cosets(gt, sub)
     psi = ground_state(patch, seed=seed)
+    hol = _op(patch, _holonomy, (v1, f1))
+    outside = tuple(a for a, d in enumerate(hol.shape) if d == 1)  # the axes off the face
+    hol = hol.ravel()
     values = np.zeros((gt.order, gt.order), dtype=np.complex128)
     # one basis state at a time; each entry still sums over the basis in order
     for k in range(sub.order):
         for gi in reps:
             b = apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
-            for h in range(gt.order):
-                mb = apply_face(patch, b, (v1, f1), h)
-                for g in range(gt.order):
-                    values[g, h] += inner(b, apply_vertex(patch, mb, v1, g))
+            for g in range(gt.order):
+                c = apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes
+                c = np.multiply(np.conj(c, out=c), b.amplitudes, out=c).sum(axis=outside).ravel()
+                values[g] += np.bincount(hol, c.real, gt.order) + 1j * np.bincount(hol, c.imag, gt.order)
     return ClassFunction.from_dense(gt, len(reps) * values, pair_orbits(gt))
 
 
@@ -709,35 +731,36 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
     """(gram, deformation): gram[0, j] = <state|F_j state> and gram[1 + i, j] =
     <F_i state|F_j state>, F_j = F^{h,g} in row-major (h, g) order.
 
-    The axes after every ribbon's span never move, so the Gram adds up one
-    trailing slice at a time: all n² ribbons gather the slice into one
-    (n² + 1) x slice buffer behind it, and conj(chunk) @ chunk[1:].T runs
-    over column blocks of the buffer.  The block products are added with
-    Neumaier's compensation, part by part, so the Gram's rounding does not
-    grow with the number of blocks.  deformation is the largest
-    ||F_j state - F_alt,j state||, summed in squares per slice (None without `alt`)."""
-    labels = [(h, g) for h in range(patch.group.order) for g in range(patch.group.order)]
-    ops = [_op(patch, _ribbon_op, spec, h, g) for h, g in labels]
-    alts = [_op(patch, _ribbon_op, alt, h, g) for h, g in labels if alt is not None]
-    amps = state.amplitudes.reshape(prod(patch.dims[:max(op[1] for op in ops + alts) + 1]), -1)
-    buf = np.empty((len(ops) + 1, amps.shape[0]), dtype=np.complex128)
-    gram = np.zeros((len(buf), len(ops)), dtype=np.complex128)
-    total, comp = gram.view(np.float64), np.zeros_like(gram).view(np.float64)
-    squares = np.zeros(len(alts))
-    for t in range(amps.shape[1]):
-        buf[0] = amps[:, t]
-        for row, op in zip(buf[1:], ops):
-            row[...] = _gather(patch, op, buf[0]).ravel()
-        for i, op in enumerate(alts):
-            squares[i] += np.linalg.norm(buf[1 + i] - _gather(patch, op, buf[0]).ravel()) ** 2
+    F^{h,g} keeps only the lead configurations (axes 0..last) of walked charge
+    u = g, where F^{e,g}'s coefficient is nonzero; one leaving them is refused.
+    So the Gram is an exact zero off g = g', and each sector is one (n + 1) x n
+    block of state and its n images gathered there, over every trailing slice
+    at once: conj(buf) @ buf[1:].T over column blocks, added with Neumaier's
+    compensation so the rounding does not grow with the block count.
+    deformation is the largest ||F_j state - F_alt,j state|| (None without `alt`)."""
+    n, e = patch.group.order, patch.group.identity
+    gram = np.zeros((n * n + 1, n * n), dtype=np.complex128)
+    for g in range(n):
+        ops = [_op(patch, _ribbon_op, spec, h, g) for h in range(n)]
+        keep = [_lead(patch, op) != 0 for op in ops]
+        rows = np.flatnonzero(keep[e])
+        _check(f"F^(h,{g}) must stay in charge sector {g}", int(np.count_nonzero(np.any(keep, axis=0) & ~keep[e])), 0)
+        amps = state.amplitudes.reshape(len(keep[e]), -1)
+        buf = np.empty((n + 1, rows.size * amps.shape[1]), dtype=np.complex128)
+        buf[0] = amps[rows].ravel()
+        for i, op in enumerate(ops, 1):
+            buf[i] = _gather(patch, op, amps, rows).ravel()
+        total, comp = np.zeros((2, n + 1, 2 * n))
         for cols in _blocks(buf.shape[1], 16 * len(buf)):
-            chunk = buf[:, cols]
-            part = (np.conj(chunk) @ chunk[1:].T).view(np.float64)
+            part = (np.conj(buf[:, cols]) @ buf[1:, cols].T).view(np.float64)
             new = total + part
             comp += np.where(np.abs(total) >= np.abs(part), (total - new) + part, (part - new) + total)
             total[...] = new
-    gram += comp.view(np.complex128)
-    return gram, (float(np.sqrt(squares.max())) if alts else None)
+        del buf  # freed before the next sector's buffer is made
+        block = (total + comp).view(np.complex128)
+        gram[0, g::n], gram[1 + g::n, g::n] = block[0], block[1:]
+    return gram, None if alt is None else max(_dist(apply_ribbon(patch, spec, state, h, g), apply_ribbon(
+        patch, alt, state, h, g)) for h in range(n) for g in range(n))
 
 
 def _word(maps, psi: LatticeState) -> LatticeState:
@@ -830,8 +853,8 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
     axes its operators touch, labels redrawn per state; the residual is the max
     over probes.  The statements the wall suite also makes come from
     `_shared_identities`.  Vacuum and Gram statements run once on the full
-    patch's smooth disk state, all labels swept; `_gram` runs in slices, so
-    memory stays bounded (n² + 1 slices, not n² states).  The patch is 4x3 when
+    patch's smooth disk state, all labels swept; `_gram` runs by charge sector,
+    so it holds about (n + 1)/n states, not n² states.  The patch is 4x3 when
     the amplitude cap allows, otherwise 3x2; only the larger patch admits two
     ribbons with shared endpoints, so only it has the deformation checks."""
     try:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from artifact import lattice
 from artifact.characters import ClassFunction
 from artifact.errors import GroupMismatch
 from artifact.groups import (
@@ -15,13 +16,7 @@ from artifact.groups import (
     near_field,
     symmetric,
 )
-from artifact.lattice import (
-    apply_face,
-    apply_invariant_op,
-    apply_vertex,
-    ground_state,
-    inner,
-)
+from artifact.lattice import apply_invariant_op, apply_vertex, ground_state
 from artifact.quantum_double import (
     Anyon,
     anyon_character,
@@ -85,8 +80,9 @@ def reference_characters(
 
 def list_boundary_character(patch, spec, seed: int = 0) -> ClassFunction:
     """Lattice boundary character with the whole invariant basis held at once,
-    each entry a Python sum over the basis: the reference for the streamed
-    `lattice_boundary_character`."""
+    each entry summed over the basis in order, <b|A^g B^h b> being the sum over
+    hol(x) = h of conj((A^{g^-1} b)[x]) b[x], hol the face holonomy at the
+    ribbon's end site: the reference for the streamed `lattice_boundary_character`."""
     gt, sub = patch.group, patch.boundary
     v1, f1 = spec.end
     reps = cosets(gt, sub)
@@ -96,14 +92,20 @@ def list_boundary_character(patch, spec, seed: int = 0) -> ClassFunction:
         for k in range(sub.order)
         for gi in reps
     ]
+    nd = len(patch.dims)
+    hol = np.full([1] * nd, gt.identity)
+    for axis, sign in lattice._face_cycle(patch, f1, v1):
+        vals = lattice._edge_values(patch, axis).reshape([-1 if b == axis else 1 for b in range(nd)])
+        hol = gt.mul[hol, vals if sign == 1 else gt.inv[vals]]
+    outside = tuple(a for a, d in enumerate(hol.shape) if d == 1)
     values = np.zeros((gt.order, gt.order), dtype=np.complex128)
-    for h in range(gt.order):
-        masked = [apply_face(patch, b, (v1, f1), h) for b in basis]
-        for g in range(gt.order):
-            total = 0.0 + 0.0j
-            for b, mb in zip(basis, masked):
-                total += inner(b, apply_vertex(patch, mb, v1, g))
-            values[g, h] = len(reps) * total
+    for g in range(gt.order):
+        total = np.zeros(gt.order, dtype=np.complex128)
+        for b in basis:
+            c = np.conj(apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes) * b.amplitudes
+            c = np.sum(c, axis=outside).ravel()
+            total += np.bincount(hol.ravel(), c.real, gt.order) + 1j * np.bincount(hol.ravel(), c.imag, gt.order)
+        values[g] = len(reps) * total
     return ClassFunction.from_dense(gt, values, pair_orbits(gt))
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from artifact import errors, lattice
+from artifact.characters import ClassFunction
 from artifact.cocycles import bicharacter_cocycle
 from artifact.errors import (
     ConditionMismatch,
@@ -21,6 +22,7 @@ from artifact.errors import (
     ZeroProjection,
 )
 from artifact.groups import (
+    cosets,
     cyclic,
     direct_product,
     full_subgroup,
@@ -51,6 +53,7 @@ from artifact.lattice import (
     vertex_projector,
     wall_relation_report,
 )
+from artifact.quantum_double import pair_orbits
 
 from conftest import dist, list_boundary_character
 
@@ -325,8 +328,8 @@ def test_a_map_reading_outside_its_declared_axes_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
-    # 16 * 37 * 7 bytes: chunks of 7 columns for S3's 37 rows and of 51 for
-    # Z2's 5 rows, ragged against both slice widths (46,656 and 64)
+    # 16 * 37 * 7 bytes: chunks of 37 columns for S3's 7 sector rows, ragged
+    # against its 46,656-column sectors; Z2's 3 rows x 64 columns are one chunk
     monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
     for group, slices in ((cyclic(2), 2), (symmetric(3), 6)):
         n = group.order
@@ -344,6 +347,31 @@ def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
                         for a in (psi, *exc)])
         assert gram.shape == (n * n + 1, n * n)
         assert dist(gram, ref) <= 1e-15
+        # <F^{h,g} psi|F^{h',g'} psi> = 0 for g != g': both Grams hold exact zeros there
+        off = np.arange(n * n)[:, None] % n != np.arange(n * n)[None, :] % n
+        assert np.all(ref[1:][off] == 0) and np.all(gram[1:][off] == 0)
+
+
+def test_a_ribbon_leaving_its_charge_sector_is_refused(monkeypatch):
+    # F^{1,1} made to keep one configuration of charge 0 as well: the sector
+    # Gram would drop it, so it is an internal bug raised (not asserted, so
+    # under python -O too) as ConditionMismatch
+    z2 = cyclic(2)
+    patch = build_patch(z2, 3, 2)
+    rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
+    psi = random_state(patch, np.random.default_rng(0))
+    ribbon = lattice._ribbon_op
+
+    def leaky(patch, spec, h, g):
+        first, last, shift, coef = ribbon(patch, spec, h, g)
+        if (h, g) == (1, 1):
+            coef = coef.copy()
+            coef.flat[np.flatnonzero(coef == 0)[0]] = 1
+        return first, last, shift, coef
+
+    monkeypatch.setattr(lattice, "_ribbon_op", leaky)
+    with pytest.raises(ConditionMismatch, match="charge sector 1"):
+        _gram(patch, psi, rib)
 
 
 def test_gram_deformation_is_the_largest_state_distance():
@@ -372,18 +400,18 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_bulk_s3_report_holds_at_most_ten_states():
+def test_bulk_s3_report_holds_at_most_five_states():
     peak = _traced_peak(lambda: bulk_relation_report(symmetric(3), states=1))
-    assert peak <= 10 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+    assert peak <= 5 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
-def test_s3_full_lattice_character_holds_at_most_ten_states():
+def test_s3_full_lattice_character_holds_at_most_five_states():
     s3 = symmetric(3)
     patch = minimal_boundary_patch(s3, full_subgroup(s3))
     assert patch.size * 16 == STATE_BYTES_S3_3X2
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     peak = _traced_peak(lambda: lattice_boundary_character(patch, rib))
-    assert peak <= 10 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+    assert peak <= 5 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
 def test_s3_full_wall_report_holds_at_most_eight_states():
@@ -394,16 +422,43 @@ def test_s3_full_wall_report_holds_at_most_eight_states():
     assert peak <= 8 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
-@pytest.mark.parametrize("boundary", ["full", "Z3"])
-def test_streamed_character_equals_the_list_based_loop(boundary):
+def _s3_wall(boundary):
+    """The minimal S3 patch with the full or the Z3 wall, and its canonical ribbon."""
     s3 = symmetric(3)
     k = full_subgroup(s3) if boundary == "full" else generated_subgroup(
         s3, [next(x for x in range(6) if s3.element_order(x) == 3)])
     patch = minimal_boundary_patch(s3, k)
-    rib = make_ribbon(patch, ((1, 0), None), "wv")
+    return patch, make_ribbon(patch, ((1, 0), None), "wv")
+
+
+@pytest.mark.parametrize("boundary", ["full", "Z3"])
+def test_streamed_character_equals_the_list_based_loop(boundary):
+    patch, rib = _s3_wall(boundary)
     chi = lattice_boundary_character(patch, rib, seed=3)
     ref = list_boundary_character(patch, rib, seed=3)
     assert np.array_equal(chi.orbit_values, ref.orbit_values)
+
+
+@pytest.mark.parametrize("boundary", ["full", "Z3"])
+def test_character_matches_the_face_and_vertex_operator_route(boundary):
+    # chi(g h*) = |G/K| sum_b <b|A^g B^h b> with B^h and A^g applied as operators
+    # and each term an inner product: the same sums in another order, so equal
+    # to rounding
+    patch, rib = _s3_wall(boundary)
+    s3, k, (v1, f1) = patch.group, patch.boundary, rib.end
+    reps = cosets(s3, k)
+    psi = ground_state(patch, seed=3)
+    values = np.zeros((6, 6), dtype=np.complex128)
+    for m in range(k.order):
+        for gi in reps:
+            b = apply_invariant_op(patch, rib, psi, int(k.members[m]), int(gi))
+            for h in range(6):
+                mb = apply_face(patch, b, (v1, f1), h)
+                for g in range(6):
+                    values[g, h] += inner(b, apply_vertex(patch, mb, v1, g))
+    ref = ClassFunction.from_dense(s3, len(reps) * values, pair_orbits(s3))
+    chi = lattice_boundary_character(patch, rib, seed=3)
+    assert dist(chi.orbit_values, ref.orbit_values) <= 1e-14
 
 
 def _cached_arrays(patch):

@@ -364,13 +364,13 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
      "d76349fdcb0e6061df726544322d848b0a76185d33fb1a39624b5f21d713d44d"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
-     "5f2328c96b27983d35f3260b85541f1eff54607705deb72e50c4f72f38dc27ed"),
+     "5284244f384c8593a1f344271e2b54fbda56b74cb891bce8d2fdec5988987603"),
     (["lattice", "verify", "--group", "builtin:Z2"],
-     "663fd6779c16ca471a75ddeb169ad4afe21ea17b1f8800623bd67dd541da97bb"),
+     "168659a1fef6894cbd1795650a17720869468ca8db273d32d80ae33ee436acbf"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
     # and a cocycle phase on every phased record
     (["lattice", "verify", "--group", "builtin:S3"],
-     "3f4ca3b606e068eb6e3a359f34a8d38d38f6104cfaede5c7f0bf2ec71ffcf9bb"),
+     "dfb6c0089d02598ddbbdf84cff147cc36e29bc6ed475ccc67efd314e7dc60d7b"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
      "d45f61604b1a27afa8dc52748bc63fee3ee60e73b1b3b82cf457ebbf5d1f4709"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
@@ -380,7 +380,7 @@ LATTICE_PINS = [
      "82cc17da0b47fcf62b11e21f7f342872bf888c6535584c85e3c5fc29d9b105d6"),
     # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
-     "f7e4793c236b98a6d3c96636594f9f94e5b6f8af7a91f4a82ef830b4193ef257"),
+     "5e7ed4d27cdccc3e52447670103581d7a6283c084fe4c9bc9213267084f20a4d"),
 ]
 
 
@@ -456,7 +456,7 @@ CONTRACT = [
     ("verify cf 9", 0,
      "188a73773136293114de32f849a811f9d5dfecd197c13c6aff6a124e5e511425"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
-     "a229f815032d882eb6bb041a86b99b5df86dacddcfe004eb2298025a11dab5b4"),
+     "7484ba4e70cdb3549a3708e7b0b1f1f36ffecb4c4a61a1c10e3c8e317f55cb9d"),
 ]
 
 
