@@ -26,8 +26,9 @@ operators are local: with S the union of those axes and psi = psi_S (x) psi_R,
 so each draw runs once, on the patch restricted to S.  The scale takes no
 state operation and lhs runs before rhs, innermost map first, so each residual
 keeps the bits of one fixed sequence of apply_* calls.  The disk-state and
-ground-state statements and the boundary character stay on the full patch, in
-charge sectors for the bulk Gram and by face holonomy for the character.
+ground-state statements and the boundary character stay on the full patch: every
+Gram and vacuum row by charge sector (`_gram`), the character and the wall
+basis's flux by face holonomy (`_face_inner`).
 The identities both suites state are written once, in `_shared_identities`:
 the bulk suite is the wall suite with K = G and phi = 1.
 
@@ -147,13 +148,8 @@ def _assemble(g, boundary, cocycle, edges) -> LatticePatch:
     return LatticePatch(g, boundary, cocycle, tuple(edges), dims, faces, ham_vertices, wall_vs, axis, star)
 
 
-def build_patch(
-    g: GroupTable,
-    width: int,
-    height: int,
-    boundary: Subgroup | None = None,
-    cocycle: TwoCocycle | None = None,
-) -> LatticePatch:
+def build_patch(g: GroupTable, width: int, height: int, boundary: Subgroup | None = None,
+                cocycle: TwoCocycle | None = None) -> LatticePatch:
     """Rectangular patch with width x height vertices.
 
     With a boundary the bottom row is the wall: those horizontal edges carry
@@ -264,23 +260,22 @@ def _op(patch: LatticePatch, build, *key):
     return _cached(patch._cache, (build, patch.dims, *key), build, patch, *key)
 
 
-def _gather(patch: LatticePatch, op, amps: np.ndarray, rows=None) -> np.ndarray:
+def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None) -> np.ndarray:
     """The one gather kernel: coef * amps[source] for a compiled gather `op`.
 
     `amps` runs over axes 0..last, then one trailing extent of any size (the
     rest of the state, or a slice of it); so does the result.  Blocks
     (lead, span, trailing) are taken along the span at its positions plus the
     shift, one arange per span cached on the patch: no state-sized index.
-    With `rows`, flat positions over axes 0..last, only those output rows are
-    made, and the result is (len(rows), trailing)."""
+    With `pos`, flat positions within the span, only those are made, under
+    every lead value: the result is (lead, len(pos), trailing)."""
     first, last, shift, coef = op
     dims = patch.dims[first:last + 1]
     span = _cached(patch._cache, ("span", dims), lambda: np.arange(prod(dims)).reshape(dims))
-    if rows is not None:  # a row's source is the row plus the shift at its span position
-        src = rows + np.broadcast_to(shift, dims).ravel()[rows % span.size]
-        new = np.take(amps.reshape(prod(patch.dims[:last + 1]), -1), src, axis=0)
-        return np.multiply(new, _lead(patch, op)[rows, None], out=new)
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
+    if pos is not None:
+        new = np.take(blocks, pos + _at(shift, dims, pos), axis=1)
+        return np.multiply(new, _at(coef.reshape(coef.shape[first:last + 1]), dims, pos)[:, None], out=new)
     new = np.take(blocks, (span + shift).reshape(-1), axis=1)
     new = new.reshape(*patch.dims[:last + 1], -1)
     if coef is not None:
@@ -288,10 +283,12 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray, rows=None) -> np.ndarray:
     return new
 
 
-def _lead(patch: LatticePatch, op) -> np.ndarray:
-    """The coefficient of a compiled gather `op` over axes 0..last, flat."""
-    last, coef = op[1], op[3]
-    return np.broadcast_to(coef.reshape(coef.shape[:last + 1]), patch.dims[:last + 1]).reshape(-1)
+def _at(a: np.ndarray, dims, pos: np.ndarray) -> np.ndarray:
+    """a, broadcast over the span `dims`, at its flat positions pos: read by a's own index, nothing span-sized."""
+    index = np.zeros_like(pos)
+    for stride, d in zip(np.cumprod((1,) + dims[:0:-1])[::-1], a.shape):
+        index = index * d + pos // stride % d  # a unit axis adds 0
+    return a.reshape(-1)[index]
 
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
@@ -636,9 +633,7 @@ def _ribbon_op(patch: LatticePatch, spec: RibbonSpec, h: int, g: int):
     return _compile(patch, x, src, coef * (u == g))
 
 
-def apply_ribbon(
-    patch: LatticePatch, spec: RibbonSpec, state: LatticeState, h: int, g: int
-) -> LatticeState:
+def apply_ribbon(patch: LatticePatch, spec: RibbonSpec, state: LatticeState, h: int, g: int) -> LatticeState:
     """Ribbon operator with flux h and charge label g, one monomial map on the
     ribbon's edges.
 
@@ -672,9 +667,8 @@ def _invariant_op(patch: LatticePatch, spec: RibbonSpec, k: int, g: int):
     return first, last, shift, coef
 
 
-def apply_invariant_op(
-    patch: LatticePatch, spec: RibbonSpec, state: LatticeState, k: int, g: int
-) -> LatticeState:
+def apply_invariant_op(patch: LatticePatch, spec: RibbonSpec, state: LatticeState, k: int,
+                       g: int) -> LatticeState:
     """Boundary-invariant ribbon combination for k in the wall subgroup:
     the phased sum over conjugations sum_l phi(l,k) phi(lk,l^-1) F^{lkl^-1, l g^-1}.
     Each term's charge mask u = l g^-1 is disjoint from the others, so the sum
@@ -682,15 +676,22 @@ def apply_invariant_op(
     return _apply(patch, state, _invariant_op, spec, int(k), int(g))
 
 
-def lattice_boundary_character(
-    patch: LatticePatch, spec: RibbonSpec, seed: int = 0
-) -> ClassFunction:
+def _face_inner(patch: LatticePatch, site, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|B_site^h b> for every label h, a overwritten: conj(a) b summed over the
+    axes off the site's face, then binned by face holonomy."""
+    hol = _op(patch, _holonomy, site)
+    c = np.multiply(np.conj(a, out=a), b, out=a).sum(axis=tuple(ax for ax, d in enumerate(hol.shape) if d == 1))
+    hol, c, n = hol.ravel(), c.ravel(), patch.group.order
+    return np.bincount(hol, c.real, n) + 1j * np.bincount(hol, c.imag, n)
+
+
+def lattice_boundary_character(patch: LatticePatch, spec: RibbonSpec, seed: int = 0) -> ClassFunction:
     """Boundary algebra character extracted numerically from the lattice.
 
     Applies the invariant ribbon operators to the ground state to span the
     excitation space and reads chi(g h*) = sum_b <b|A^g B^h b> at the ribbon's
     end site, as the sum over hol(x) = h of conj((A^{g^-1} b)[x]) b[x]: one
-    vertex gather per (b, g), summed off the face, binned by face holonomy.
+    vertex gather per (b, g), binned by face holonomy in `_face_inner`.
     The result is directly comparable to the algebraic boundary character."""
     if patch.boundary is None:
         raise SubgroupMismatch("character extraction needs a boundary patch")
@@ -700,18 +701,14 @@ def lattice_boundary_character(
     gt, sub = patch.group, patch.boundary
     reps = cosets(gt, sub)
     psi = ground_state(patch, seed=seed)
-    hol = _op(patch, _holonomy, (v1, f1))
-    outside = tuple(a for a, d in enumerate(hol.shape) if d == 1)  # the axes off the face
-    hol = hol.ravel()
     values = np.zeros((gt.order, gt.order), dtype=np.complex128)
     # one basis state at a time; each entry still sums over the basis in order
     for k in range(sub.order):
         for gi in reps:
             b = apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
             for g in range(gt.order):
-                c = apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes
-                c = np.multiply(np.conj(c, out=c), b.amplitudes, out=c).sum(axis=outside).ravel()
-                values[g] += np.bincount(hol, c.real, gt.order) + 1j * np.bincount(hol, c.imag, gt.order)
+                values[g] += _face_inner(patch, (v1, f1), apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes,
+                                         b.amplitudes)
     return ClassFunction.from_dense(gt, len(reps) * values, pair_orbits(gt))
 
 
@@ -727,30 +724,31 @@ def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
     return float(np.linalg.norm(np.subtract(a.amplitudes, t, out=t)))
 
 
-def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
-    """(gram, deformation): gram[0, j] = <state|F_j state> and gram[1 + i, j] =
-    <F_i state|F_j state>, F_j = F^{h,g} in row-major (h, g) order.
+def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, ops) -> np.ndarray:
+    """gram[0, j] = <state|op_j state> and gram[1 + i, j] = <op_i state|op_j state>
+    for compiled gathers `ops` on the ribbon `spec`.
 
-    F^{h,g} keeps only the lead configurations (axes 0..last) of walked charge
-    u = g, where F^{e,g}'s coefficient is nonzero; one leaving them is refused.
-    So the Gram is an exact zero off g = g', and each sector is one (n + 1) x n
-    block of state and its n images gathered there, over every trailing slice
-    at once: conj(buf) @ buf[1:].T over column blocks, added with Neumaier's
-    compensation so the rounding does not grow with the block count.
-    deformation is the largest ||F_j state - F_alt,j state|| (None without `alt`)."""
-    n, e = patch.group.order, patch.group.identity
-    gram = np.zeros((n * n + 1, n * n), dtype=np.complex128)
-    for g in range(n):
-        ops = [_op(patch, _ribbon_op, spec, h, g) for h in range(n)]
-        keep = [_lead(patch, op) != 0 for op in ops]
-        rows = np.flatnonzero(keep[e])
-        _check(f"F^(h,{g}) must stay in charge sector {g}", int(np.count_nonzero(np.any(keep, axis=0) & ~keep[e])), 0)
-        amps = state.amplitudes.reshape(len(keep[e]), -1)
-        buf = np.empty((n + 1, rows.size * amps.shape[1]), dtype=np.complex128)
-        buf[0] = amps[rows].ravel()
-        for i, op in enumerate(ops, 1):
-            buf[i] = _gather(patch, op, amps, rows).ravel()
-        total, comp = np.zeros((2, n + 1, 2 * n))
+    The charge sectors of `spec`, the span positions where F^{e,c} is nonzero,
+    partition the span, so the Gram is a sum of one block per sector: state and
+    the ops nonzero there, gathered at its positions under every lead value and
+    trailing slice, conj(buf) @ buf[1:].T over column blocks added with
+    Neumaier's compensation so the rounding does not grow with the block count.
+    Ops nonzero in no common sector meet in an exact zero."""
+    first, last = ops[0][:2]
+    dims = patch.dims[first:last + 1]
+    nonzero = lambda op: op[3].reshape(op[3].shape[first:last + 1]) != 0  # broadcast over the span
+    masks = [nonzero(op) for op in ops]
+    blocks = state.amplitudes.reshape(prod(patch.dims[:first]), prod(dims), -1)
+    gram = np.zeros((len(ops) + 1, len(ops)), dtype=np.complex128)
+    for c in range(patch.group.order):
+        sector = nonzero(_op(patch, _ribbon_op, spec, patch.group.identity, c))
+        live = np.array([j for j, m in enumerate(masks) if np.any(m & sector)], dtype=int)
+        pos = np.flatnonzero(np.broadcast_to(sector, dims))
+        buf = np.empty((live.size + 1, blocks.shape[0] * pos.size * blocks.shape[2]), dtype=np.complex128)
+        buf[0] = blocks[:, pos].ravel()
+        for i, j in enumerate(live, 1):
+            buf[i] = _gather(patch, ops[j], blocks, pos).ravel()
+        total, comp = np.zeros((2, len(buf), 2 * live.size))
         for cols in _blocks(buf.shape[1], 16 * len(buf)):
             part = (np.conj(buf[:, cols]) @ buf[1:, cols].T).view(np.float64)
             new = total + part
@@ -758,9 +756,9 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, alt=None):
             total[...] = new
         del buf  # freed before the next sector's buffer is made
         block = (total + comp).view(np.complex128)
-        gram[0, g::n], gram[1 + g::n, g::n] = block[0], block[1:]
-    return gram, None if alt is None else max(_dist(apply_ribbon(patch, spec, state, h, g), apply_ribbon(
-        patch, alt, state, h, g)) for h in range(n) for g in range(n))
+        gram[0, live] += block[0]
+        gram[np.ix_(live + 1, live)] += block[1:]
+    return gram
 
 
 def _word(maps, psi: LatticeState) -> LatticeState:
@@ -907,29 +905,28 @@ def bulk_relation_report(g: GroupTable, states: int = 16, seed: int = 0):
         ]
 
     # the disk-state statements run first and are reported after the probes
-    gram, err = _gram(patch, disk_state(patch, seed=seed), rib, alt)
-    tail = [] if alt is None else [("ribbon deformation on the disk state", err)]
-    vacuum = np.array([1.0 if h == 0 else 0.0 for h in range(n) for _ in range(n)]) / n
+    psi = disk_state(patch, seed=seed)
+    gram = _gram(patch, psi, rib, [_op(patch, _ribbon_op, rib, h, gg) for h in range(n) for gg in range(n)])
+    tail = [] if alt is None else [("ribbon deformation on the disk state", max(
+        _dist(apply_ribbon(patch, rib, psi, h, gg), apply_ribbon(patch, alt, psi, h, gg))
+        for h in range(n) for gg in range(n)))]
+    del psi
     tail.append(("<F^{h,g}> = delta_{h,e}/|G| on the disk state",
-                 float(np.max(np.abs(gram[0] - vacuum)))))
+                 float(np.max(np.abs(gram[0] - (np.arange(n * n) < n) / n)))))
     tail.append(("<psi^{h,g}|psi^{h',g'}> = delta delta / |G|",
                  float(np.max(np.abs(gram[1:] - np.eye(n * n) / n)))))
     return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail
 
 
-def wall_relation_report(
-    g: GroupTable,
-    boundary: Subgroup,
-    cocycle: TwoCocycle | None = None,
-    states: int = 16,
-    seed: int = 0,
-):
+def wall_relation_report(g: GroupTable, boundary: Subgroup, cocycle: TwoCocycle | None = None,
+                         states: int = 16, seed: int = 0):
     """Residuals of the boundary operator identities on the snowflake patch.
 
     Same probing scheme as the bulk report, and the statements both suites
     make come from the same `_shared_identities`; the cocycle-phased
-    identities use the patch's normalized table, and the Gram and vacuum
-    statements run once on the full patch's ground state, all labels swept."""
+    identities use the patch's normalized table.  The ground-state statements
+    run once on the full patch, all labels swept: the K x G vacuum row and the
+    T~ basis Gram by charge sector (`_gram`), the basis flux by holonomy."""
     patch = minimal_boundary_patch(g, boundary, cocycle)
     rib = make_ribbon(patch, ((1, 0), None), "wv")
     sub, phit = patch.boundary, patch.cocycle.table
@@ -970,24 +967,21 @@ def wall_relation_report(
 
     # the ground-state statements run first and are reported after the probes
     gs = ground_state(patch, seed=seed)
-    err = max(abs(inner(gs, apply_ribbon(patch, rib, gs, int(mem[k]), gg)) - (1.0 if k == 0 else 0.0) / n)
-              for k in range(nk) for gg in range(n))
-    tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state", err)]
-    # one basis state T~^{k,gi}|gs> held at a time; the other side of the Gram is rebuilt
+    vacuum = _gram(patch, gs, rib, [_op(patch, _ribbon_op, rib, int(h), gg) for h in mem for gg in range(n)])[0]
+    tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state",
+             float(np.max(np.abs(vacuum - (np.arange(nk * n) < n) / n))))]
     basis = [(k, gi) for k in range(nk) for gi in reps]
-    scale = nk / n
-    gram, err = [], 0.0
-    for ka in basis:
-        k, gi = ka
+    gram = _gram(patch, gs, rib, [_op(patch, _invariant_op, rib, int(mem[k]), gi) for k, gi in basis])
+    tail.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta",
+                 float(np.max(np.abs(gram[1:] - np.eye(len(basis)) * nk / n)))))
+    # one basis state held at a time: its charge by A_{s1}, its flux as the mass off one holonomy bin
+    err = 0.0
+    for k, gi in basis:
         st = t(k, gi)(gs)
-        gram += [abs(inner(st, st if kb == ka else t(*kb)(gs)) - (scale if kb == ka else 0.0))
-                 for kb in basis]
         for m in range(n):
             err = max(err, _dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)))
-            flux = int(mul[mul[gi, mem[k]], inv[gi]])
-            err = max(err, _dist(apply_face(patch, st, (v1, f1), m), st,
-                                 scale=1.0 if m == flux else 0.0))
-    tail.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta", max(gram)))
+        mass = _face_inner(patch, (v1, f1), st.amplitudes.copy(), st.amplitudes).real  # <st|B^h st>
+        err = max(err, float(np.sqrt(np.delete(mass, mul[mul[gi, mem[k]], inv[gi]]).sum())))
     tail.append(("basis carries charge g and flux gkg^-1 at s1", err))
     del gs, st
     return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail

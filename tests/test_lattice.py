@@ -326,36 +326,50 @@ def test_a_map_reading_outside_its_declared_axes_is_refused(monkeypatch):
     assert set(patch._cache) == before
 
 
+def _gram_cases():
+    """(patch, ribbon, builder, labels, apply) for every caller of `_gram`: the n²
+    bulk ribbons on Z2 and S3, and on the S3/Z3 and S3/full walls the K x G
+    vacuum ribbons and the T~ basis (k in K, g over the coset representatives)."""
+    for group in (cyclic(2), symmetric(3)):
+        patch = build_patch(group, 3, 2)
+        labels = [(h, g) for h in range(group.order) for g in range(group.order)]
+        yield patch, make_ribbon(patch, ((1, 0), (1, 0)), "fv"), lattice._ribbon_op, labels, apply_ribbon
+    for boundary in ("Z3", "full"):
+        patch, rib = _s3_wall(boundary)
+        mem, reps = patch.boundary.members, cosets(patch.group, patch.boundary)
+        yield patch, rib, lattice._ribbon_op, [(int(k), g) for k in mem for g in range(6)], apply_ribbon
+        yield patch, rib, lattice._invariant_op, [(int(k), int(r)) for k in mem for r in reps], apply_invariant_op
+
+
+def _pairwise_gram(psi, images):
+    # pairwise-summed products: np.vdot's own rounding is larger than the bound
+    return np.array([[np.sum(np.conj(a.amplitudes) * b.amplitudes) for b in images] for a in (psi, *images)])
+
+
 @pytest.mark.parametrize("block_bytes", [errors.BLOCK_BYTES, 16 * 37 * 7])
 def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
-    # 16 * 37 * 7 bytes: chunks of 37 columns for S3's 7 sector rows, ragged
-    # against its 46,656-column sectors; Z2's 3 rows x 64 columns are one chunk
+    # 16 * 37 * 7 bytes: chunks of 37 columns for the 7 rows of an S3 sector
+    # with six live operators, ragged against its 46,656-column sectors
     monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
-    for group, slices in ((cyclic(2), 2), (symmetric(3), 6)):
-        n = group.order
-        patch = build_patch(group, 3, 2)
-        rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
-        last = max(lattice._op(patch, lattice._ribbon_op, rib, h, g)[1]
-                   for h in range(n) for g in range(n))
-        assert patch.size // int(np.prod(patch.dims[:last + 1])) == slices
+    for patch, rib, build, labels, apply in _gram_cases():
+        ops = [lattice._op(patch, build, rib, *key) for key in labels]
+        assert patch.size > np.prod(patch.dims[:ops[0][1] + 1])  # several trailing slices
         psi = random_state(patch, np.random.default_rng(4))
-        gram, deformation = _gram(patch, psi, rib)
-        assert deformation is None
-        exc = [apply_ribbon(patch, rib, psi, h, g) for h in range(n) for g in range(n)]
-        # pairwise-summed products: np.vdot's own rounding is larger than the bound
-        ref = np.array([[np.sum(np.conj(a.amplitudes) * b.amplitudes) for b in exc]
-                        for a in (psi, *exc)])
-        assert gram.shape == (n * n + 1, n * n)
+        gram = _gram(patch, psi, rib, ops)
+        ref = _pairwise_gram(psi, [apply(patch, rib, psi, *key) for key in labels])
+        assert gram.shape == (len(labels) + 1, len(labels))
         assert dist(gram, ref) <= 1e-15
-        # <F^{h,g} psi|F^{h',g'} psi> = 0 for g != g': both Grams hold exact zeros there
-        off = np.arange(n * n)[:, None] % n != np.arange(n * n)[None, :] % n
-        assert np.all(ref[1:][off] == 0) and np.all(gram[1:][off] == 0)
+        # operators nonzero in no common charge sector: both Grams hold exact zeros there
+        assert np.all(gram[ref == 0] == 0)
+        if build is lattice._ribbon_op:  # F^{h,g} lives in sector g alone
+            charge = np.array([g for _, g in labels])
+            assert np.all(ref[1:][charge[:, None] != charge[None, :]] == 0)
 
 
-def test_a_ribbon_leaving_its_charge_sector_is_refused(monkeypatch):
-    # F^{1,1} made to keep one configuration of charge 0 as well: the sector
-    # Gram would drop it, so it is an internal bug raised (not asserted, so
-    # under python -O too) as ConditionMismatch
+def test_a_ribbon_crossing_sectors_is_summed_exactly(monkeypatch):
+    # F^{1,1} made to keep one configuration of charge 0 as well, so it is
+    # nonzero in sectors 0 and 1: each sector's block gathers it, and the Gram,
+    # a sum over sectors that partition the span, is the pairwise sum
     z2 = cyclic(2)
     patch = build_patch(z2, 3, 2)
     rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
@@ -370,17 +384,23 @@ def test_a_ribbon_leaving_its_charge_sector_is_refused(monkeypatch):
         return first, last, shift, coef
 
     monkeypatch.setattr(lattice, "_ribbon_op", leaky)
-    with pytest.raises(ConditionMismatch, match="charge sector 1"):
-        _gram(patch, psi, rib)
+    labels = [(h, g) for h in range(2) for g in range(2)]
+    gram = _gram(patch, psi, rib, [lattice._op(patch, leaky, rib, h, g) for h, g in labels])
+    ref = _pairwise_gram(psi, [apply_ribbon(patch, rib, psi, h, g) for h, g in labels])
+    assert ref[1 + 3, 0] != 0  # <F^{1,1} psi|F^{0,0} psi> meets in sector 0
+    assert dist(gram, ref) <= 1e-15
 
 
-def test_gram_deformation_is_the_largest_state_distance():
+def test_gram_deformation_is_the_largest_state_distance(monkeypatch):
+    # the bulk report's deformation row, on a random state in place of the disk state
     z2 = cyclic(2)
     patch = build_patch(z2, 4, 3)
     rib = make_ribbon(patch, ((3, 1), (2, 1)), "vfv")
     alt = make_ribbon(patch, ((3, 1), (2, 1)), "fvvfvvf")
-    psi = random_state(patch, np.random.default_rng(7))
-    _, deformation = _gram(patch, psi, rib, alt)
+    draw = lambda patch, seed=0: random_state(patch, np.random.default_rng(7))
+    monkeypatch.setattr(lattice, "disk_state", draw)
+    deformation = dict(bulk_relation_report(z2, states=1))["ribbon deformation on the disk state"]
+    psi = draw(patch)
     ref = max(np.linalg.norm(apply_ribbon(patch, rib, psi, h, g).amplitudes
                              - apply_ribbon(patch, alt, psi, h, g).amplitudes)
               for h in range(2) for g in range(2))
@@ -405,6 +425,26 @@ def test_bulk_s3_report_holds_at_most_five_states():
     assert peak <= 5 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
+def test_a_sector_gather_reads_its_coefficient_at_its_positions():
+    # bulk S3's "fv" ribbon spans axes 0..5, all 46,656 lead configurations; a
+    # gather at one charge sector's 7,776 span positions reads shift and
+    # coefficient there alone, so beside its output it makes nothing as large
+    # as a span-sized complex array
+    patch = build_patch(symmetric(3), 3, 2)
+    rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
+    op = lattice._op(patch, lattice._ribbon_op, rib, 2, 1)
+    first, last, _, coef = op
+    span = patch.dims[first:last + 1]
+    assert first == 0 and np.prod(span) == 46_656 and coef.size == 6  # the coefficient varies on one axis
+    pos = np.flatnonzero(np.broadcast_to(coef.reshape(coef.shape[first:last + 1]) != 0, span))
+    amps = random_state(patch, np.random.default_rng(0)).amplitudes.reshape(1, 46_656, -1)
+    full = lattice._gather(patch, op, amps).reshape(46_656, -1)  # also caches the span index
+    out = []
+    peak = _traced_peak(lambda: out.append(lattice._gather(patch, op, amps, pos)))
+    assert pos.size == 7_776 and np.array_equal(out[0].reshape(pos.size, -1), full[pos])
+    assert peak - out[0].nbytes < 16 * 46_656, f"{peak - out[0].nbytes} bytes beside the output"
+
+
 def test_s3_full_lattice_character_holds_at_most_five_states():
     s3 = symmetric(3)
     patch = minimal_boundary_patch(s3, full_subgroup(s3))
@@ -414,12 +454,14 @@ def test_s3_full_lattice_character_holds_at_most_five_states():
     assert peak <= 5 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
-def test_s3_full_wall_report_holds_at_most_eight_states():
-    # the Gram and charge/flux checks on the T~ basis run once whatever `states`;
-    # each basis state is rebuilt where it is read, so the report holds a few states
+def test_s3_full_wall_report_holds_at_most_six_states():
+    # the ground-state rows run once whatever `states`: the vacuum row and the
+    # T~ Gram hold one charge sector's buffer at a time, and the charge/flux rows
+    # one basis state with its A_{s1} image, the T~ state it must equal and their
+    # difference
     s3 = symmetric(3)
     peak = _traced_peak(lambda: wall_relation_report(s3, full_subgroup(s3), states=1))
-    assert peak <= 8 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
+    assert peak <= 6 * STATE_BYTES_S3_3X2, f"peak {peak / STATE_BYTES_S3_3X2:.1f} states"
 
 
 def _s3_wall(boundary):

@@ -362,7 +362,7 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
 
 LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
-     "d76349fdcb0e6061df726544322d848b0a76185d33fb1a39624b5f21d713d44d"),
+     "c915528f4fc6ffaa6551757c4bcc44670513772a50ea9ac1a0cf7da5c042ddb4"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
      "5284244f384c8593a1f344271e2b54fbda56b74cb891bce8d2fdec5988987603"),
     (["lattice", "verify", "--group", "builtin:Z2"],
@@ -372,12 +372,12 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:S3"],
      "dfb6c0089d02598ddbbdf84cff147cc36e29bc6ed475ccc67efd314e7dc60d7b"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
-     "d45f61604b1a27afa8dc52748bc63fee3ee60e73b1b3b82cf457ebbf5d1f4709"),
+     "fca16ba9a8b4c5045f5824cda7e9236da588768fd776e51db558c6d935792d32"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
-     "3fbd5736ee90ab11c2db52d53af0e6c7f21a07be74357cbf81b1e8609e4d2fc3"),
+     "65fc0c70b407171deb91ff93db85c72b66035fc903d78780a1dce9d5320cc6d4"),
     # the largest wall suite: T~ sums over all of K = S3 in every T~ record
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "full"],
-     "82cc17da0b47fcf62b11e21f7f342872bf888c6535584c85e3c5fc29d9b105d6"),
+     "99573c84423a7003f6439f9f0153b8bf4d7bfe94e56b41b80d5f148ad869b639"),
     # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
      "5e7ed4d27cdccc3e52447670103581d7a6283c084fe4c9bc9213267084f20a4d"),
@@ -388,8 +388,8 @@ LATTICE_PINS = [
 def test_cli_lattice_bytes_are_frozen(tmp_path, argv, digest):
     # SHA-256 of the output with random product-state probes, each on the axes
     # its identity touches, run at one BLAS thread as the benchmark runs: the
-    # full-patch tails' np.vdot and Gram sum in the order of the thread split,
-    # so their last bits follow the count
+    # full-patch tails' sector Gram products and state norms sum in the order
+    # of the thread split, so their last bits follow the count
     z22 = direct_product(cyclic(2), cyclic(2))
     bilinear = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)])
     phi = bicharacter_cocycle(full_subgroup(z22), bilinear)
