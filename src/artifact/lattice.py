@@ -11,8 +11,11 @@ gather offset and a coefficient array, cached on the patch, and applied by one
 kernel.  The offset is flat within the span of axes from the operator's first
 to its last moved axis, so a gather takes whole blocks of the state along that
 span and its index has one entry per span configuration, not one per
-amplitude.  Ribbon operators, composed of elementary triangle actions, provide
-the independent numeric route to the boundary algebra character.
+amplitude.  A bulk vertex projector is one orbit sum: A_v^g acts freely on
+any one edge of the star, so A_v averages each orbit of |G| configurations,
+laid out once per vertex (`_orbit`).  Ribbon operators, composed of elementary
+triangle actions, provide the independent numeric route to the boundary
+algebra character.
 
 The relation suites probe each identity on seeded random product states,
 drawn from one generator in a fixed order (identity by identity, each state
@@ -27,8 +30,8 @@ so each draw runs once, on the patch restricted to S.  The scale takes no
 state operation and lhs runs before rhs, innermost map first, so each residual
 keeps the bits of one fixed sequence of apply_* calls.  The disk-state and
 ground-state statements and the boundary character stay on the full patch: every
-Gram and vacuum row by charge sector (`_gram`), the character and the wall
-basis's flux by face holonomy (`_face_inner`).
+Gram and vacuum row by charge sector (`_gram`), the character by one orbit
+layout of each basis state.
 The identities both suites state are written once, in `_shared_identities`:
 the bulk suite is the wall suite with K = G and phi = 1.
 
@@ -205,13 +208,11 @@ def random_state(patch: LatticePatch, rng: np.random.Generator) -> LatticeState:
 
 
 def _product(patch: LatticePatch, vs) -> LatticeState:
-    """The tensor product of the normalized vectors vs, one per axis, by a left fold."""
+    """The tensor product of the normalized vectors vs, one per axis (None: collapsed, 1), by a left fold."""
     head = np.ones(())
-    for v in vs[:-1]:
+    for v in (v for v in vs if v is not None):
         head = np.multiply.outer(head, v / np.linalg.norm(v))
-    amps = np.empty(patch.dims, dtype=np.complex128)
-    np.multiply(head[..., None], vs[-1] / np.linalg.norm(vs[-1]), out=amps)
-    return LatticeState(patch, amps)
+    return LatticeState(patch, head.astype(np.complex128, copy=False).reshape(patch.dims))
 
 
 def _restrict(patch: LatticePatch, support: frozenset) -> LatticePatch:
@@ -260,7 +261,7 @@ def _op(patch: LatticePatch, build, *key):
     return _cached(patch._cache, (build, patch.dims, *key), build, patch, *key)
 
 
-def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None) -> np.ndarray:
+def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None, at=None) -> np.ndarray:
     """The one gather kernel: coef * amps[source] for a compiled gather `op`.
 
     `amps` runs over axes 0..last, then one trailing extent of any size (the
@@ -268,14 +269,16 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None) -> np.ndarray:
     (lead, span, trailing) are taken along the span at its positions plus the
     shift, one arange per span cached on the patch: no state-sized index.
     With `pos`, flat positions within the span, only those are made, under
-    every lead value: the result is (lead, len(pos), trailing)."""
+    every lead value: the result is (lead, len(pos), trailing), read through
+    `at`, pos's index into each broadcast shape (`_at`), which callers share."""
     first, last, shift, coef = op
     dims = patch.dims[first:last + 1]
     span = _cached(patch._cache, ("span", dims), lambda: np.arange(prod(dims)).reshape(dims))
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
     if pos is not None:
-        new = np.take(blocks, pos + _at(shift, dims, pos), axis=1)
-        return np.multiply(new, _at(coef.reshape(coef.shape[first:last + 1]), dims, pos)[:, None], out=new)
+        at = {} if at is None else at
+        new = np.take(blocks, pos + _at(shift, dims, pos, at), axis=1)
+        return np.multiply(new, _at(coef.reshape(coef.shape[first:last + 1]), dims, pos, at)[:, None], out=new)
     new = np.take(blocks, (span + shift).reshape(-1), axis=1)
     new = new.reshape(*patch.dims[:last + 1], -1)
     if coef is not None:
@@ -283,22 +286,29 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None) -> np.ndarray:
     return new
 
 
-def _at(a: np.ndarray, dims, pos: np.ndarray) -> np.ndarray:
-    """a, broadcast over the span `dims`, at its flat positions pos: read by a's own index, nothing span-sized."""
-    index = np.zeros_like(pos)
-    for stride, d in zip(np.cumprod((1,) + dims[:0:-1])[::-1], a.shape):
-        index = index * d + pos // stride % d  # a unit axis adds 0
-    return a.reshape(-1)[index]
+def _at(a: np.ndarray, dims, pos: np.ndarray, at: dict) -> np.ndarray:
+    """a, broadcast over the span `dims`, at its flat positions pos: read by a's own index, kept in `at`."""
+    if a.shape not in at:
+        index = np.zeros_like(pos)
+        for stride, d in zip(np.cumprod((1,) + dims[:0:-1])[::-1], a.shape):
+            index = index * d + pos // stride % d  # a unit axis adds 0
+        at[a.shape] = index
+    return a.reshape(-1)[at[a.shape]]
 
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
-    """The one entry behind every vertex, face, wall and ribbon operator: a
-    mask is one broadcast multiply, anything else one `_gather`, compiled on the
-    state's patch, `patch` or a restriction of it."""
+    """The one entry behind every vertex, face, wall and ribbon operator and vertex
+    projector: a mask is one broadcast multiply, an orbit layout one orbit sum, anything
+    else one `_gather`, compiled on the state's patch, `patch` or a restriction of it."""
     if state.patch.edges is not patch.edges:
         raise GroupMismatch("the state lives on another patch")
     patch = state.patch
     op = _op(patch, build, *key)
+    if build is _orbit:
+        shape, src, owner = op
+        blocks = state.amplitudes.reshape(shape)
+        acc = sum((np.take(blocks, s, axis=1) for s in src[1:]), np.take(blocks, src[0], axis=1)) / len(src)
+        return LatticeState(patch, np.take(acc, owner, axis=1).reshape(patch.dims))
     if op[2] is None:
         return LatticeState(patch, state.amplitudes * op[3])
     return LatticeState(patch, _gather(patch, op, state.amplitudes).reshape(patch.dims))
@@ -307,7 +317,7 @@ def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeStat
 def _axes(patch: LatticePatch, build, site, *labels) -> list[int]:
     """The axes the operator build(patch, site, *labels) reads, from its site alone:
     the star, face cycle, wall star or ribbon triangles the builder reads."""
-    if build is _vertex_op:
+    if build in (_vertex_op, _orbit):
         return [a for a, _ in patch.star(site)]
     if build is _face_op:
         return [a for a, _ in _face_cycle(patch, site[1], site[0])]
@@ -332,8 +342,8 @@ class _Op(NamedTuple):
         patch, build, (site, *labels) = self
         if build in (_ribbon_op, _invariant_op):  # ribbon maps take their spec before the state
             return (apply_ribbon if build is _ribbon_op else apply_invariant_op)(patch, site, state, *labels)
-        return {_vertex_op: apply_vertex, _face_op: apply_face, _wall_vertex_op: apply_wall_vertex,
-                _wall_face_op: apply_wall_face}[build](patch, state, site, *labels)
+        return {_vertex_op: apply_vertex, _orbit: vertex_projector, _face_op: apply_face,
+                _wall_vertex_op: apply_wall_vertex, _wall_face_op: apply_wall_face}[build](patch, state, site, *labels)
 
 
 class _Sum(NamedTuple):
@@ -349,14 +359,15 @@ class _Sum(NamedTuple):
         acc = np.zeros_like(state.amplitudes)
         for m in self.maps:
             acc += m(state).amplitudes  # one map's output alive at a time
-        if self.divisor != 1:
-            acc /= self.divisor
+        acc /= self.divisor  # exact for 1
         return LatticeState(state.patch, acc)
 
 
-def _average(patch: LatticePatch, build, v, order: int) -> _Sum:
-    """The projector onto the invariants of build's action at v: its `order` labels averaged."""
-    return _Sum(tuple(_Op(patch, build, (tuple(v), g)) for g in range(order)), order)
+def _average(patch: LatticePatch, v):
+    """The projector onto the invariants at v: an orbit sum in the bulk, the `_Sum` of its phased labels at a wall."""
+    if v not in patch.ham_wall_vertices:
+        return _Op(patch, _orbit, (tuple(v),))
+    return _Sum(tuple(_Op(patch, _wall_vertex_op, (v, k)) for k in range(patch.boundary.order)), patch.boundary.order)
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -411,12 +422,12 @@ def face_projector(patch: LatticePatch, state: LatticeState, face) -> LatticeSta
     return apply_face(patch, state, ((face[0], face[1]), face), patch.group.identity)
 
 
-def _vertex_op(patch: LatticePatch, v, g: int):
+def _vertex_op(patch: LatticePatch, v, g: int, fixed=()):
     star = patch.star(v)
     if any(patch.edges[a].wall for a, _ in star):
         raise NotInSubgroup("use apply_wall_vertex at wall vertices")
-    x = _coords(patch, [a for a, _ in star])
-    return _compile(patch, x, {a: _act(patch.group, g, x[a], sign) for a, sign in star})
+    x = _coords(patch, [a for a, _ in star] + list(fixed))  # the span also covers the unmoved axes `fixed`
+    return _compile(patch, x, {**{a: x[a] for a in fixed}, **{a: _act(patch.group, g, x[a], sign) for a, sign in star}})
 
 
 def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> LatticeState:
@@ -426,8 +437,40 @@ def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> Lattice
     return _apply(patch, state, _vertex_op, tuple(v), int(g))
 
 
+def _orbit(patch: LatticePatch, v, face=None):
+    """v's orbit layout (shape, src, owner), with a face (shape, src, ends, conj).
+
+    A_v^t acts freely on the star's first edge a0, so the r with x_{a0} = e represent
+    its orbits.  A state's layout is U[t, r] = psi[src_t(r)] = (A_v^t psi)[r]: its
+    (lead, span, trailing) `shape` at the int32 span positions src[t]; owner[x] is the
+    column of x's orbit.  With a face the span also covers its cycle, the r run by
+    holonomy k at (v, face), class k ending at ends[k], and hol(src_t(r)) = conj[t, k], checked."""
+    gt, a0 = patch.group, patch.star(v)[0][0]
+    cycle = () if face is None else tuple(a for a, _ in _face_cycle(patch, face, v))
+    ops = [_vertex_op(patch, v, t, cycle) for t in range(gt.order)]
+    first, last = ops[0][:2]
+    dims = patch.dims[first:last + 1]
+    pos = np.flatnonzero(np.arange(prod(dims)) // prod(dims[a0 - first + 1:]) % dims[a0 - first] == gt.identity)
+    if face is not None:
+        hol = _op(patch, _holonomy, (tuple(v), tuple(face)))
+        hol = np.broadcast_to(hol.reshape(hol.shape[first:last + 1]), dims).reshape(-1)  # at each span position
+        pos = pos[np.argsort(hol[pos], kind="stable")]
+    at, shape = {}, (prod(patch.dims[:first]), prod(dims), -1)
+    src = np.stack([pos + _at(op[2], dims, pos, at) for op in ops]).astype(np.int32)
+    if face is None:
+        owner = np.empty(prod(dims), dtype=np.int32)
+        owner[src] = np.arange(pos.size)
+        return shape, src, owner
+    conj = np.zeros((gt.order, gt.order), dtype=np.int64)
+    conj[:, hol[pos]] = hol[src]
+    _check("A_v^t must conjugate the holonomy at its site", np.count_nonzero(conj[:, hol[pos]] != hol[src]), 0)
+    return shape, src, np.cumsum(np.bincount(hol[pos], minlength=gt.order)), conj
+
+
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    return _average(patch, _vertex_op, v, patch.group.order)(state)
+    """A_v = sum_g A_v^g / |G| at a bulk vertex as one orbit sum (`_orbit`): R = sum_t U[t] / |G|,
+    t = 0..|G|-1 in order, read back by each x at its orbit's column, so exactly constant on orbits."""
+    return _apply(patch, state, _orbit, tuple(v))
 
 
 def _wall_star(patch: LatticePatch, v):
@@ -480,10 +523,9 @@ def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> Latt
 def hamiltonian_terms(patch: LatticePatch):
     """Commuting projectors of the truncated Hamiltonian as (kind, site, map), each
     map a state map as data (`_Op` or `_Sum`)."""
-    return ([("vertex", v, _average(patch, _vertex_op, v, patch.group.order)) for v in patch.ham_vertices]
+    return ([("vertex", v, _average(patch, v)) for v in patch.ham_vertices]
             + [("face", f, _Op(patch, _face_op, ((f, f), patch.group.identity))) for f in patch.faces]
-            + [("wall", v, _average(patch, _wall_vertex_op, v, patch.boundary.order))
-               for v in patch.ham_wall_vertices])
+            + [("wall", v, _average(patch, v)) for v in patch.ham_wall_vertices])
 
 
 def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
@@ -515,11 +557,8 @@ def disk_state(patch: LatticePatch, seed: int = 0) -> LatticeState:
     closed-string superposition, which makes this the right state for
     deformation (path independence) and seed-independence checks."""
     projs = [_Op(patch, _face_op, ((f, f), patch.group.identity)) for f in patch.faces]
-    for v in sorted(patch._star):
-        if v in patch.ham_wall_vertices:
-            projs.append(_average(patch, _wall_vertex_op, v, patch.boundary.order))
-        elif not any(patch.edges[a].wall for a, _ in patch.star(v)):
-            projs.append(_average(patch, _vertex_op, v, patch.group.order))
+    projs += [_average(patch, v) for v in sorted(patch._star)
+              if v in patch.ham_wall_vertices or not any(patch.edges[a].wall for a, _ in patch.star(v))]
     return _project_pass(patch, np.random.default_rng(seed), projs)
 
 
@@ -676,39 +715,33 @@ def apply_invariant_op(patch: LatticePatch, spec: RibbonSpec, state: LatticeStat
     return _apply(patch, state, _invariant_op, spec, int(k), int(g))
 
 
-def _face_inner(patch: LatticePatch, site, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|B_site^h b> for every label h, a overwritten: conj(a) b summed over the
-    axes off the site's face, then binned by face holonomy."""
-    hol = _op(patch, _holonomy, site)
-    c = np.multiply(np.conj(a, out=a), b, out=a).sum(axis=tuple(ax for ax, d in enumerate(hol.shape) if d == 1))
-    hol, c, n = hol.ravel(), c.ravel(), patch.group.order
-    return np.bincount(hol, c.real, n) + 1j * np.bincount(hol, c.imag, n)
-
-
 def lattice_boundary_character(patch: LatticePatch, spec: RibbonSpec, seed: int = 0) -> ClassFunction:
-    """Boundary algebra character extracted numerically from the lattice.
+    """Boundary algebra character extracted numerically from the lattice, directly
+    comparable to the algebraic one.
 
-    Applies the invariant ribbon operators to the ground state to span the
-    excitation space and reads chi(g h*) = sum_b <b|A^g B^h b> at the ribbon's
-    end site, as the sum over hol(x) = h of conj((A^{g^-1} b)[x]) b[x]: one
-    vertex gather per (b, g), binned by face holonomy in `_face_inner`.
-    The result is directly comparable to the algebraic boundary character."""
+    The invariant ribbon operators on the ground state span the excitation space,
+    and chi(g h*) = sum_b <b|A^g B^h b> at the ribbon's end site is read from one
+    orbit layout U of each basis state b (`_orbit`): A^{g^-1} takes column t to
+    t g^-1, so <b|A^g B^h b> sums M_k[t g^-1, t] over the (k, t) with conj[t, k] = h,
+    M_k = conj(U_k) U_k^T the Gram of the representatives of holonomy k."""
     if patch.boundary is None:
         raise SubgroupMismatch("character extraction needs a boundary patch")
     v1, f1 = spec.end
     if v1 not in patch.ham_vertices or f1 not in patch.faces:
         raise InvalidRibbon("ribbon must end at a complete interior site")
-    gt, sub = patch.group, patch.boundary
-    reps = cosets(gt, sub)
+    gt, sub, n, reps = patch.group, patch.boundary, patch.group.order, cosets(patch.group, patch.boundary)
+    shape, src, ends, conj = _op(patch, _orbit, v1, f1)
+    g, t = np.arange(n)[:, None], np.arange(n)[None, :]
     psi = ground_state(patch, seed=seed)
-    values = np.zeros((gt.order, gt.order), dtype=np.complex128)
+    values = np.zeros((n, n), dtype=np.complex128)
     # one basis state at a time; each entry still sums over the basis in order
     for k in range(sub.order):
         for gi in reps:
-            b = apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
-            for g in range(gt.order):
-                values[g] += _face_inner(patch, (v1, f1), apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes,
-                                         b.amplitudes)
+            b = apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi)).amplitudes.reshape(shape)
+            for c, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):  # holonomy class c
+                u = np.take(b, src[:, lo:hi], axis=1).swapaxes(0, 1).reshape(n, -1)
+                np.add.at(values, (g, conj[t, c]), (np.conj(u) @ u.T)[gt.mul[t, gt.inv[g]], t])
+            del b, u  # freed before the next basis state is made
     return ClassFunction.from_dense(gt, len(reps) * values, pair_orbits(gt))
 
 
@@ -743,11 +776,11 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, ops) -> np
     for c in range(patch.group.order):
         sector = nonzero(_op(patch, _ribbon_op, spec, patch.group.identity, c))
         live = np.array([j for j, m in enumerate(masks) if np.any(m & sector)], dtype=int)
-        pos = np.flatnonzero(np.broadcast_to(sector, dims))
+        pos, at = np.flatnonzero(np.broadcast_to(sector, dims)), {}
         buf = np.empty((live.size + 1, blocks.shape[0] * pos.size * blocks.shape[2]), dtype=np.complex128)
         buf[0] = blocks[:, pos].ravel()
         for i, j in enumerate(live, 1):
-            buf[i] = _gather(patch, ops[j], blocks, pos).ravel()
+            buf[i] = _gather(patch, ops[j], blocks, pos, at).ravel()
         total, comp = np.zeros((2, len(buf), 2 * live.size))
         for cols in _blocks(buf.shape[1], 16 * len(buf)):
             part = (np.conj(buf[:, cols]) @ buf[1:, cols].T).view(np.float64)
@@ -838,7 +871,7 @@ def _run_probes(patch: LatticePatch, rng, states: int, records: list) -> list:
             lhs, rhs, scale = words(*[int(rng.integers(d)) for d in dims])
             support = frozenset(a for m in lhs + rhs for a in m.axes if patch.dims[a] > 1)
             sub = _restrict(patch, support)
-            psi = _product(sub, [v if a in support else np.ones(1) for a, v in enumerate(vs)])
+            psi = _product(sub, [v if a in support else None for a, v in enumerate(vs)])
             residuals.append(_law(psi, lhs, rhs, scale, *adjoint))
         checks.append((name, float(np.max(residuals))))
     return checks
@@ -974,14 +1007,12 @@ def wall_relation_report(g: GroupTable, boundary: Subgroup, cocycle: TwoCocycle 
     gram = _gram(patch, gs, rib, [_op(patch, _invariant_op, rib, int(mem[k]), gi) for k, gi in basis])
     tail.append(("<psi~^{k,gi}|psi~^{k',gj}> = (|K|/|G|) delta delta",
                  float(np.max(np.abs(gram[1:] - np.eye(len(basis)) * nk / n)))))
-    # one basis state held at a time: its charge by A_{s1}, its flux as the mass off one holonomy bin
+    # one basis state held at a time: its charge by A_{s1}, its flux as its norm off one holonomy bin
     err = 0.0
     for k, gi in basis:
         st = t(k, gi)(gs)
-        for m in range(n):
-            err = max(err, _dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)))
-        mass = _face_inner(patch, (v1, f1), st.amplitudes.copy(), st.amplitudes).real  # <st|B^h st>
-        err = max(err, float(np.sqrt(np.delete(mass, mul[mul[gi, mem[k]], inv[gi]]).sum())))
+        err = max(err, *(_dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)) for m in range(n)),
+                  _dist(st, apply_face(patch, st, (v1, f1), mul[mul[gi, mem[k]], inv[gi]])))
     tail.append(("basis carries charge g and flux gkg^-1 at s1", err))
     del gs, st
     return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail

@@ -16,7 +16,7 @@ from artifact.groups import (
     near_field,
     symmetric,
 )
-from artifact.lattice import apply_invariant_op, apply_vertex, ground_state
+from artifact.lattice import apply_invariant_op, ground_state
 from artifact.quantum_double import (
     Anyon,
     anyon_character,
@@ -79,34 +79,31 @@ def reference_characters(
 
 
 def list_boundary_character(patch, spec, seed: int = 0) -> ClassFunction:
-    """Lattice boundary character with the whole invariant basis held at once,
-    each entry summed over the basis in order, <b|A^g B^h b> being the sum over
-    hol(x) = h of conj((A^{g^-1} b)[x]) b[x], hol the face holonomy at the
-    ribbon's end site: the reference for the streamed `lattice_boundary_character`."""
-    gt, sub = patch.group, patch.boundary
-    v1, f1 = spec.end
+    """Lattice boundary character with the orbit layouts of the whole invariant
+    basis held at once, each entry summed over the basis in order: per basis
+    state and holonomy class k of its layout at the ribbon's end site, the Gram
+    M_k of the layout's columns, M_k[t g^-1, t] added to entry (g, conj[t, k])
+    for g, then t, in order: the reference for the streamed
+    `lattice_boundary_character`."""
+    gt, sub, n = patch.group, patch.boundary, patch.group.order
     reps = cosets(gt, sub)
+    shape, src, ends, conj = lattice._orbit(patch, *spec.end)
     psi = ground_state(patch, seed=seed)
-    basis = [
-        apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi))
+    layouts = [
+        np.take(apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi)).amplitudes.reshape(shape),
+                src, axis=1)
         for k in range(sub.order)
         for gi in reps
     ]
-    nd = len(patch.dims)
-    hol = np.full([1] * nd, gt.identity)
-    for axis, sign in lattice._face_cycle(patch, f1, v1):
-        vals = lattice._edge_values(patch, axis).reshape([-1 if b == axis else 1 for b in range(nd)])
-        hol = gt.mul[hol, vals if sign == 1 else gt.inv[vals]]
-    outside = tuple(a for a, d in enumerate(hol.shape) if d == 1)
-    values = np.zeros((gt.order, gt.order), dtype=np.complex128)
-    for g in range(gt.order):
-        total = np.zeros(gt.order, dtype=np.complex128)
-        for b in basis:
-            c = np.conj(apply_vertex(patch, b, v1, int(gt.inv[g])).amplitudes) * b.amplitudes
-            c = np.sum(c, axis=outside).ravel()
-            total += np.bincount(hol.ravel(), c.real, gt.order) + 1j * np.bincount(hol.ravel(), c.imag, gt.order)
-        values[g] = len(reps) * total
-    return ClassFunction.from_dense(gt, values, pair_orbits(gt))
+    values = np.zeros((n, n), dtype=np.complex128)
+    for u in layouts:
+        for h, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+            uk = u[:, :, lo:hi].swapaxes(0, 1).reshape(n, -1)
+            gram = np.conj(uk) @ uk.T
+            for g in range(n):
+                for t in range(n):
+                    values[g, conj[t, h]] += gram[gt.mul[t, gt.inv[g]], t]
+    return ClassFunction.from_dense(gt, len(reps) * values, pair_orbits(gt))
 
 
 def tuple_key_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:

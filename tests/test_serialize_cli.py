@@ -364,23 +364,23 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
      "c915528f4fc6ffaa6551757c4bcc44670513772a50ea9ac1a0cf7da5c042ddb4"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
-     "5284244f384c8593a1f344271e2b54fbda56b74cb891bce8d2fdec5988987603"),
+     "e3770847b7d88e6d48c8a7adcb1ddef76aea9e37509ab9ba50f257c84768e1f0"),
     (["lattice", "verify", "--group", "builtin:Z2"],
      "168659a1fef6894cbd1795650a17720869468ca8db273d32d80ae33ee436acbf"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
     # and a cocycle phase on every phased record
     (["lattice", "verify", "--group", "builtin:S3"],
-     "dfb6c0089d02598ddbbdf84cff147cc36e29bc6ed475ccc67efd314e7dc60d7b"),
+     "6ecdf2b2f23a1e1535d385645d07cb109931908f100f9732cd0087c722fe52a0"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
-     "fca16ba9a8b4c5045f5824cda7e9236da588768fd776e51db558c6d935792d32"),
+     "37c54fa02b4c01b7d091b628b9487c33bf36e0419402cf441888dea6782fe98c"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
-     "65fc0c70b407171deb91ff93db85c72b66035fc903d78780a1dce9d5320cc6d4"),
+     "d660f49d469d09af1609db975d6854f473b553f01abe820e3fc82b01117577db"),
     # the largest wall suite: T~ sums over all of K = S3 in every T~ record
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "full"],
-     "99573c84423a7003f6439f9f0153b8bf4d7bfe94e56b41b80d5f148ad869b639"),
+     "12a98f6ff7f18e63fa31b37f46b4ef0365f045eb9d8de3c89ed1828bbe6651bd"),
     # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
-     "5e7ed4d27cdccc3e52447670103581d7a6283c084fe4c9bc9213267084f20a4d"),
+     "dc9d11db4e50e986589bcafb4215cdc80d1840a4f0efb15d040a523894204d74"),
 ]
 
 
@@ -388,8 +388,10 @@ LATTICE_PINS = [
 def test_cli_lattice_bytes_are_frozen(tmp_path, argv, digest):
     # SHA-256 of the output with random product-state probes, each on the axes
     # its identity touches, run at one BLAS thread as the benchmark runs: the
-    # full-patch tails' sector Gram products and state norms sum in the order
-    # of the thread split, so their last bits follow the count
+    # full-patch tails' sector Gram products, the character's orbit-layout Grams
+    # and state norms sum in the order of the thread split, so their last bits
+    # follow the count.  Bulk vertex projectors are orbit sums, exactly constant
+    # on each orbit, so the wall suites' charge row reads exactly 0
     z22 = direct_product(cyclic(2), cyclic(2))
     bilinear = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)])
     phi = bicharacter_cocycle(full_subgroup(z22), bilinear)
@@ -456,7 +458,7 @@ CONTRACT = [
     ("verify cf 9", 0,
      "188a73773136293114de32f849a811f9d5dfecd197c13c6aff6a124e5e511425"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
-     "7484ba4e70cdb3549a3708e7b0b1f1f36ffecb4c4a61a1c10e3c8e317f55cb9d"),
+     "0b0b5fa1826550d01508deb7ce2e6dec4216e75ad92454bc1c37a0781e72fbd3"),
 ]
 
 
