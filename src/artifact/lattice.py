@@ -1011,8 +1011,8 @@ def wall_relation_report(g: GroupTable, boundary: Subgroup, cocycle: TwoCocycle 
     err = 0.0
     for k, gi in basis:
         st = t(k, gi)(gs)
-        err = max(err, *(_dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)) for m in range(n)),
-                  _dist(st, apply_face(patch, st, (v1, f1), mul[mul[gi, mem[k]], inv[gi]])))
+        err = float(np.max([err, *(_dist(apply_vertex(patch, st, v1, m), t(k, mul[m, gi])(gs)) for m in range(n)),
+                            _dist(st, apply_face(patch, st, (v1, f1), mul[mul[gi, mem[k]], inv[gi]]))]))
     tail.append(("basis carries charge g and flux gkg^-1 at s1", err))
     del gs, st
     return _run_probes(patch, np.random.default_rng(seed), states, probes) + tail

@@ -215,23 +215,31 @@ def _s_residues(g: GroupTable) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _gemm_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact
-    while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
+    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact (the
+    floor-mod too) while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
     _check("residue GEMM beyond exact float64 integers", a.shape[-1] * (p - 1) ** 3, 2**53, SizeExceeded)
-    out = (a @ b).astype(np.int64)
-    out %= p
-    return out
+    out = a @ b
+    out -= p * np.floor(out / p)
+    return out.astype(np.int64)
 
 
 def fusion_verlinde(g: GroupTable) -> np.ndarray:
     """Fusion tensor N[x, y, z] = sum_u S_xu S_yu conj(S_zu) / S_0u (Verlinde), in F_p.
 
-    One real GEMM of residues, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu)
-    |G| / d_u, in row blocks of x for y >= the block's first x, mirrored into
-    N[y, x].  Each int64 block is certified over Z, sum_z r_xyz d_z = d_x d_y, else
-    ConditionMismatch: r = N mod p and N <= d_x < p, so r <= N and only r = N passes;
-    no float is compared.  Then it is stored, read-only, in the dtype of max d >= N."""
+    Real GEMMs of residues, L[(x, y), u] = S_xu S_yu times R[u, z] = conj(S_zu) |G| / d_u, one
+    per flux class pair A <= B of x, y (row blocks of x, mirrored into N[y, x]), over the z whose
+    class meets C_A C_B: flux is conserved.  Each int64 block is certified over Z, sum_z r_xyz d_z
+    = d_x d_y, else ConditionMismatch: r = N mod p, N <= d_x < p and N >= 0 off the block, so only
+    r = N with N = 0 off it passes; no float is compared.  Stored read-only in the dtype of max d >= N."""
     return _cached(g._cache, "fusion", _fusion_verlinde, g)
+
+
+def _flux_sectors(g: GroupTable) -> np.ndarray:
+    """hits[A, B, C]: class C meets C_A C_B, that is, rep_A b lies in C for some b in C_B."""
+    data = conjugacy_data(g)
+    hits = np.zeros((data.reps.size,) * 3, dtype=bool)
+    hits[np.arange(data.reps.size)[:, None], data.class_of, data.class_of[g.mul[data.reps]]] = True
+    return hits
 
 
 def _fusion_verlinde(g: GroupTable) -> np.ndarray:
@@ -239,13 +247,17 @@ def _fusion_verlinde(g: GroupTable) -> np.ndarray:
     m, s = s.shape[0], s.astype(np.float64)
     dims = np.array([x.dim for x in anyons(g)], dtype=np.int64)
     right = (conj_s.T * np.array([g.order * pow(int(d), -1, p) % p for d in dims])[:, None] % p).astype(np.float64)
-    out = np.empty((m, m, m), dtype=np.min_scalar_type(int(dims.max())))  # N <= max d
-    for rows in _blocks(m, 24 * m * m):
-        y0 = rows.start
-        n = _gemm_mod((s[rows, None] * s[None, y0:]).reshape(-1, m), right, p).reshape(rows.stop - y0, m - y0, m)
-        _check("fusion residues: sum N d != d_x d_y", np.count_nonzero(n @ dims - np.outer(dims[rows], dims[y0:])), 0)
-        out[rows, y0:] = n
-        out[y0:, rows] = n.transpose(1, 0, 2)
+    flux = conjugacy_data(g).class_of[[x.class_rep for x in anyons(g)]]
+    at, hits = np.searchsorted(flux, np.arange(flux[-1] + 2)), _flux_sectors(g)  # class c: anyons at[c]:at[c + 1]
+    out = np.zeros((m, m, m), dtype=np.min_scalar_type(int(dims.max())))  # N <= max d
+    for a, b in zip(*np.triu_indices(len(at) - 1)):
+        ys, zs = slice(at[b], at[b + 1]), np.flatnonzero(hits[a, b, flux])
+        for xs in _blocks(at[a + 1] - at[a], 24 * m * (ys.stop - ys.start)):
+            xs = slice(at[a] + xs.start, at[a] + xs.stop)
+            n = _gemm_mod((s[xs, None] * s[None, ys]).reshape(-1, m), right[:, zs], p).reshape(xs.stop - xs.start, -1, zs.size)
+            _check("fusion residues: sum N d != d_x d_y", np.count_nonzero(n @ dims[zs] - np.outer(dims[xs], dims[ys])), 0)
+            out[xs, ys, zs] = n
+            out[ys, xs, zs] = n.transpose(1, 0, 2)
     return out
 
 

@@ -463,6 +463,14 @@ def test_gram_deformation_is_the_largest_state_distance(monkeypatch):
     assert abs(deformation - ref) <= 1e-14
 
 
+def test_a_nan_distance_reads_nan_in_the_wall_charge_row(monkeypatch):
+    # the charge and flux row folds its distances like the probe rows: NaN is not dropped
+    z2 = cyclic(2)
+    monkeypatch.setattr(lattice, "_dist", lambda a, b, scale=1.0: float("nan"))
+    row = dict(wall_relation_report(z2, full_subgroup(z2), states=1))["basis carries charge g and flux gkg^-1 at s1"]
+    assert math.isnan(row)
+
+
 STATE_BYTES_S3_3X2 = 16 * 6**7  # one state vector on the 3x2 and the minimal S3 patch
 
 

@@ -268,17 +268,24 @@ def z2_times_symmetric(n):
     return direct_product(cyclic(2), symmetric(n))
 
 
-# Fusion forms the y >= x half of each row block and mirrors it, at 24 m^2 bytes
-# per row of m anyons.  110_000 bytes makes blocks of 3 rows for Z6 (36 anyons),
-# 7 for Z5 (25), 9 for Aff(F5) (22) and 4 for Z2 x S3 (32); 40_000 makes blocks
-# of 1, 2, 3 and 1 rows, and 8 for A4 (14).  Each block after the first starts
-# inside the range that earlier blocks mirrored, and most end in a partial one.
-# Z10 and Z12 have p = |G| + 1 (11 and 13), Aff(F11) the largest p of the
-# benchmark, 331; the default blocks hold 2, 1 and 1 rows of them.
+def dickson(n):
+    return affine_group(near_field(n, kind="dickson9"))
+
+
+# Fusion runs one GEMM per pair of flux classes A <= B, over the z that flux conservation
+# allows, in row blocks of A's anyons at 24 m |B| bytes per row (m anyons, |B| in class B).
+# At 110_000 and 40_000 bytes the small groups still take every class whole: Z6, Z5, A4
+# (14 anyons in classes of 3 and 4), S3, Aff(F5), Z2 x S3, S4 (21 in classes of 3 to 5)
+# and A5 (22 in 3 to 5).  Aff(D9), the Dickson near-field's affine group (32 in 4 to 9),
+# splits its class of 6 into rows 5 + 1 against its class of 9 at 40_000.  Z10 (classes of
+# 10 of 100) takes blocks of 4 rows at 110_000, Z12 (12 of 144) 2, Aff(F11) (10 or 11 of
+# 112) 3 or 4; all three take 1 row at 40_000 and whole classes by default.  In S4, A5 and
+# Aff(D9) class products reach up to 3, 5 and 3 classes and the blocks differ in size.
+# Z10 and Z12 have p = |G| + 1 (11 and 13), Aff(F11) the largest p of the benchmark, 331.
 @pytest.mark.parametrize("block_bytes", [None, 110_000, 40_000])
 @pytest.mark.parametrize("build, n", [
     (cyclic, 6), (cyclic, 5), (alternating, 4), (symmetric, 3), (affine, 5), (z2_times_symmetric, 3),
-    (cyclic, 10), (cyclic, 12), (affine, 11),
+    (cyclic, 10), (cyclic, 12), (affine, 11), (symmetric, 4), (alternating, 5), (dickson, 9),
 ])
 def test_fusion_gemm_matches_einsum_reference(monkeypatch, build, n, block_bytes):
     if block_bytes is not None:
@@ -317,6 +324,24 @@ def test_fusion_certifies_the_int64_residues_before_the_narrowing_store(monkeypa
         return out
 
     monkeypatch.setattr(quantum_double, "_gemm_mod", shifted)
+    with pytest.raises(ConditionMismatch, match="fusion residues: sum N d != d_x d_y"):
+        fusion_verlinde(g)
+    assert "fusion" not in g._cache
+
+
+def test_fusion_certifies_the_flux_sector_table(monkeypatch):
+    # a class pair whose product meets two classes loses one of them: its outcomes
+    # there are skipped though not 0, so the block's dimension sum falls short
+    g = symmetric(3)
+    exact = quantum_double._flux_sectors
+
+    def dropped(g):
+        hits = exact(g).copy()
+        a, b = next((a, b) for a, b in zip(*np.triu_indices(len(hits))) if hits[a, b].sum() > 1)
+        hits[a, b, np.flatnonzero(hits[a, b])[-1]] = False
+        return hits
+
+    monkeypatch.setattr(quantum_double, "_flux_sectors", dropped)
     with pytest.raises(ConditionMismatch, match="fusion residues: sum N d != d_x d_y"):
         fusion_verlinde(g)
     assert "fusion" not in g._cache
@@ -370,6 +395,18 @@ def test_residue_gemm_refuses_sums_past_exact_float64():
     assert quantum_double._gemm_mod(ones * (p - 1), ones.T, p)[0, 0] == 4 * (p - 1) ** 3 % p
     with pytest.raises(SizeExceeded, match="exact float64"):
         quantum_double._gemm_mod(np.zeros((1, 5)), np.zeros((5, 1)), p)
+
+
+@pytest.mark.parametrize("p", [7, 13, 331, 2**17 - 1, 2**17 + 1])
+def test_residue_gemm_floor_mod_is_exact_up_to_2_53(p):
+    # a one-column GEMM by 1 hands the float64 floor-mod each f as it is: 2^53 itself,
+    # the last multiple of p at or below it and the integer before, and random f
+    k = 2**53 // p
+    f = [2**53, k * p, k * p - 1, 0, p - 1, p]
+    f += np.random.default_rng(p).integers(0, 2**53, 2000, endpoint=True).tolist()
+    out = quantum_double._gemm_mod(np.array(f, dtype=np.float64)[:, None], np.ones((1, 1)), p)
+    assert out.dtype == np.int64
+    assert out[:, 0].tolist() == [x % p for x in f]
 
 
 def test_elements_with_one_centralizer_share_its_table():
