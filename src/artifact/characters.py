@@ -3,9 +3,10 @@
 p is the least prime p = 1 (mod e) above |G|, e the group exponent, so F_p
 holds the e-th roots of unity and every character value reduces into it.  The
 class matrices a[i] commute; their joint eigenvectors are the central characters
-omega_chi(K_l) = |C_l| chi(z_l) / chi(1).  The identity-class vector e_0 =
-sum_chi (chi(1)^2 / |G|) omega_chi is split by the eigenprojectors of successive
-class matrices into k vectors, whose first entries give the degrees.  The checks
+omega_chi(K_l) = |C_l| chi(z_l) / chi(1).  Successive class matrices m split the
+identity-class vector e_0 = sum_chi (chi(1)^2 / |G|) omega_chi into k vectors,
+whose first entries give the degrees: the eigenprojector of a root of m is its
+Lagrange polynomial in m, one product with the Krylov basis m^j v.  The checks
 (k components, sum of squared degrees, row and column orthogonality, root
 multiplicities counting the degree) are exact in F_p.  Dixon's formula reads the
 multiplicity of each root z^t in rho(g) off chi(g^j), j = 0..e-1, with one
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TOL, GroupMismatch, NonIntegerMultiplicity, NotSubgroup, NumericalDegeneracy
+from .errors import TOL, GroupMismatch, NonIntegerMultiplicity, NotSubgroup, NumericalDegeneracy, SizeExceeded
 from .errors import _cached, _check, _integers, _places, _reassembles
 from .groups import GroupTable, Subgroup, conjugacy_data
 
@@ -130,6 +131,37 @@ def _eigenvalues(m: np.ndarray, p: int) -> np.ndarray:
     return np.flatnonzero(values == 0)
 
 
+def _lagrange(roots: list[int], p: int) -> np.ndarray:
+    """L[i, j]: the x^j coefficient of prod_{mu != lam} (x - mu) / (lam - mu) mod p, lam = roots[i]."""
+    full = [1]  # prod_mu (x - mu), highest power first, then divided by x - lam for every lam at once
+    for mu in roots:
+        full = [(a - mu * b) % p for a, b in zip(full + [0], [0] + full)]
+    lam, quot = np.array(roots, dtype=np.int64), [np.ones(len(roots), dtype=np.int64)]
+    for c in full[1:-1]:
+        quot.append((c + lam * quot[-1]) % p)
+    scale = [pow(math.prod(root - mu for mu in roots if mu != root), -1, p) for root in roots]
+    return np.stack(quot[::-1], axis=1) * np.array(scale)[:, None] % p
+
+
+def _split(m: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """The nonzero columns of L(m) vecs mod p, L the Lagrange polynomial of each root of m in turn."""
+    roots = [int(r) for r in _eigenvalues(m, p)]
+    krylov = [vecs]  # m^j vecs, j = 0..r-1
+    for _ in roots[1:]:
+        krylov.append(m @ krylov[-1] % p)
+    split = np.tensordot(_lagrange(roots, p), krylov, axes=1) % p  # [root, class, column]
+    return np.concatenate([v[:, v.any(axis=0)] for v in split], axis=1)
+
+
+def _gemm_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact (the
+    floor-mod too) while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
+    _check("residue GEMM beyond exact float64 integers", a.shape[-1] * (p - 1) ** 3, 2**53, SizeExceeded)
+    out = a @ b
+    out -= p * np.floor(out / p)
+    return out.astype(np.int64)
+
+
 def character_table(g: GroupTable) -> CharacterTable:
     """Canonical character table by Dixon-Schneider modulo p: rows by degree, then
     value order; cached as (table, dims, mult)."""
@@ -157,15 +189,7 @@ def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for m in _class_structure_constants(g)[1:]:
         if vecs.shape[1] >= k:
             break
-        roots = [int(r) for r in _eigenvalues(m, p)]
-        parts = [vecs[:, :0]]
-        for lam in roots:
-            proj = vecs
-            for mu in roots:
-                if mu != lam:
-                    proj = (m @ proj - mu * proj) % p * pow(lam - mu, -1, p) % p
-            parts.append(proj[:, proj.any(axis=0)])
-        vecs = np.concatenate(parts, axis=1)
+        vecs = _split(m, vecs, p)
     _check("class matrices split e_0 into other than k components", abs(vecs.shape[1] - k), 0)
     squares = vecs[0] * n % p  # chi(1)^2 mod p
     dims = np.array([math.isqrt(int(s)) for s in squares], dtype=np.int64)
@@ -178,7 +202,7 @@ def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     _check("row orthogonality mod p", np.count_nonzero(rows != n * np.eye(k, dtype=np.int64)), 0)
     _check("column orthogonality mod p", np.count_nonzero(chi.T @ dual % p != np.diag(n // sizes)), 0)
     dft = zp[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p  # [j, t] = z^-jt / e
-    mult = chi[:, powers].transpose(0, 2, 1) @ dft % p  # [chi, l, t]: multiplicity of z^t in rho(z_l)
+    mult = _gemm_mod(chi[:, powers.T].reshape(-1, e) * 1.0, dft * 1.0, p).reshape(k, k, e)  # [chi, l, t]: z^t in rho(z_l)
     _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
     table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
     order = _row_sort_order(table, dims)

@@ -386,13 +386,11 @@ def _conjugacy_data(g: GroupTable) -> ConjugacyData:
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        orbit = np.unique(conj[:, x])
-        ci = len(classes)
-        class_of[orbit] = ci
+        orbit, first = np.unique(conj[:, x], return_index=True)
+        class_of[orbit] = len(classes)
         classes.append(orbit)
         reps.append(x)
-        for b in orbit:
-            transversal[b] = np.argmax(conj[:, x] == b)
+        transversal[orbit] = first
     return ConjugacyData(tuple(classes), class_of, np.array(reps, dtype=np.int64), transversal)
 
 

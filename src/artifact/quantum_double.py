@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import ClassFunction, Orbits, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
-from .errors import TOL, ConditionMismatch, GroupMismatch, SizeExceeded, _blocks, _cached, _check
+from .characters import ClassFunction, Orbits, _gemm_mod, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
+from .errors import TOL, ConditionMismatch, GroupMismatch, _blocks, _cached, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 
@@ -38,8 +38,11 @@ def centralizer(g: GroupTable, a: int) -> Subgroup:
     """Centralizer of an element, memoized per group under its member set: elements
     with one centralizer share its subgroup table and so its Dixon-Schneider table.
 
-    The cache holds (members, as_group, position), never g itself."""
+    The cache holds (members, as_group, position), never g itself, so the centralizer of
+    a central element, the whole group, is g with its own table, built anew, uncached."""
     members = np.flatnonzero(g.conj_table()[:, int(a)] == int(a))
+    if members.size == g.order:
+        return Subgroup(g, members, g, members)
     return Subgroup(g, *_cached(g._cache, ("centralizer", members.tobytes()), _centralizer, g, members))
 
 
@@ -212,15 +215,6 @@ def _s_residues(g: GroupTable) -> tuple[int, np.ndarray, np.ndarray]:
     back = pow(g.order, -1, p)
     s, conj_s = ((_gemm_mod(x[:, swap] * po.sizes, x.T, p) * back % p).astype(np.int32) for x in tables[::-1])
     return p, s, conj_s
-
-
-def _gemm_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact (the
-    floor-mod too) while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
-    _check("residue GEMM beyond exact float64 integers", a.shape[-1] * (p - 1) ** 3, 2**53, SizeExceeded)
-    out = a @ b
-    out -= p * np.floor(out / p)
-    return out.astype(np.int64)
 
 
 def fusion_verlinde(g: GroupTable) -> np.ndarray:

@@ -302,6 +302,48 @@ def test_exact_checks_reject_a_faulty_split(fault, monkeypatch):
     assert err.getvalue().startswith("check failed: ")
 
 
+@pytest.mark.parametrize("p", [13, 157, 761])
+def test_lagrange_polynomials_are_one_at_their_root_and_zero_at_the_others(p):
+    # sum_j L[lam, j] mu^j = delta_{lam mu} mod p, on seeded root sets
+    rng = np.random.default_rng(p)
+    for r in (1, 2, 5, 12, 13):
+        roots = [int(x) for x in rng.choice(p, size=r, replace=False)]
+        lagrange = characters._lagrange(roots, p)
+        powers = np.array([[pow(mu, j, p) for mu in roots] for j in range(r)], dtype=np.int64)  # [j, mu]
+        assert lagrange.dtype == np.int64 and lagrange.min() >= 0 and lagrange.max() < p
+        assert np.array_equal(lagrange @ powers % p, np.eye(r, dtype=np.int64))
+
+
+def _chain_split(m, vecs, p):
+    """The eigenprojector of each root lam of m mod p applied to vecs as a chain of
+    factors (m - mu) / (lam - mu), r(r - 1) products in all: the reference for the
+    one Krylov step of characters._split."""
+    roots = [int(r) for r in characters._eigenvalues(m, p)]
+    parts = [vecs[:, :0]]
+    for lam in roots:
+        proj = vecs
+        for mu in roots:
+            if mu != lam:
+                proj = (m @ proj - mu * proj) % p * pow(lam - mu, -1, p) % p
+        parts.append(proj[:, proj.any(axis=0)])
+    return np.concatenate(parts, axis=1)
+
+
+@pytest.mark.parametrize("g", [
+    symmetric(5), alternating(6), affine_group(near_field(13)), direct_product(cyclic(2), symmetric(3)),
+], ids=lambda g: g.label)
+def test_the_krylov_split_matches_the_chain_of_eigenprojector_factors(g):
+    # every class matrix splits e_0 and the vectors its predecessors left, bit for bit
+    p, _ = characters._prime_and_roots(g.order, len(g.power_table()))
+    start = vecs = np.eye(len(conjugacy_data(g).reps), 1, dtype=np.int64)
+    for m in characters._class_structure_constants(g)[1:]:
+        for before in (start, vecs):
+            split, chain = characters._split(m, before, p), _chain_split(m, before, p)
+            assert split.dtype == chain.dtype and np.array_equal(split, chain)
+        vecs = characters._split(m, vecs, p)
+    assert vecs.shape == (len(conjugacy_data(g).reps),) * 2
+
+
 def test_exact_checks_hold_under_python_O():
     script = """
 import sys

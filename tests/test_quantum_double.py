@@ -374,7 +374,8 @@ def test_fusion_rejects_a_corrupted_s_residue(which, at):
 
 
 # one root multiplicity of the last irrep at the last class, raised by one, in the
-# table of each distinct centralizer of S3: S3 itself, Z2 and Z3
+# table of each distinct centralizer of S3: the identity's is S3 itself, so rep 0
+# corrupts S3's own table; then Z2 and Z3
 @pytest.mark.parametrize("rep", [0, 1, 2])
 def test_fusion_rejects_a_corrupted_centralizer_mult(rep):
     g = symmetric(3)
@@ -421,7 +422,9 @@ def test_elements_with_one_centralizer_share_its_root_multiplicities():
     assert mults[0].dtype == np.int16 and mults[0].shape == (12, 12, 12) and not mults[0].flags.writeable
 
 
-# _character_table runs once per distinct centralizer of a class representative
+# _character_table runs once per distinct centralizer of a class representative, and
+# the identity's is g itself, so g's own table serves it: Aff(F13) builds three (G,
+# Z13, Z12) and Z12 one
 @pytest.mark.parametrize("build, n, tables", [
     (cyclic, 12, 1), (affine, 13, 3), (z2_times_symmetric, 3, 3), (symmetric, 5, 6),
 ])
@@ -430,8 +433,26 @@ def test_anyons_build_one_character_table_per_distinct_centralizer(monkeypatch, 
     built = []
     table = characters._character_table
     monkeypatch.setattr(characters, "_character_table", lambda h: built.append(h) or table(h))
-    anyons(g), pair_orbits(g)
-    assert len(built) == tables
+    character_table(g), anyons(g), pair_orbits(g)
+    assert len(built) == tables and built[0] is g
+
+
+# a central element's centralizer is the whole group, and its as_group is g itself:
+# the identity of S3, the centre {(0, e), (1, e)} = {0, 6} of Z2 x S3, all of Z12
+@pytest.mark.parametrize("build, n, central", [
+    (symmetric, 3, [0]), (z2_times_symmetric, 3, [0, 6]), (cyclic, 12, list(range(12))),
+])
+def test_a_central_elements_centralizer_is_the_group_itself(build, n, central):
+    g = build(n)
+    assert [a for a in range(g.order) if np.array_equal(g.mul[a], g.mul[:, a])] == central
+    assert [a for a in range(g.order) if centralizer(g, a).as_group is g] == central
+    z = centralizer(g, 0)
+    assert z.parent is g and z.order == g.order
+    assert np.array_equal(z.members, np.arange(g.order)) and np.array_equal(z.position, np.arange(g.order))
+    assert character_table(z.as_group).mult is character_table(g).mult
+    # built anew on each call, never cached: a cached Subgroup would hold g in g's own cache
+    assert centralizer(g, 0) is not z
+    assert ("centralizer", z.members.tobytes()) not in g._cache
 
 
 def test_cached_s_matrix_and_fusion_are_read_only():
@@ -586,6 +607,7 @@ def test_dropped_groups_are_freed_without_the_garbage_collector():
             conjugacy_data(g)
             character_table(g)
             centralizer(g, int(anyons(g)[-1].class_rep))
+            centralizer(g, 0)  # the whole group: g itself, which no cache may hold
             refs = [weakref.ref(a) for a in (fusion_verlinde(g), s_matrix(g), pair_orbits(g).orbit_of)]
             del g
             assert [r() is None for r in refs] == [True, True, True]
