@@ -168,9 +168,17 @@ def character_table(g: GroupTable) -> CharacterTable:
     return CharacterTable(g, *_cached(g._cache, "chartable", _character_table, g))
 
 
+# (n, e) -> (p, z^s): one entry for every group of order n and exponent e and for its S residues
+_PRIMES: dict = {}
+
+
 def _prime_and_roots(n: int, e: int) -> tuple[int, np.ndarray]:
-    """The least prime p = 1 (mod e) above n, and z^s for s = 0..e-1, z of order e
-    the first power x^((p-1)/e) of x = 1, 2, ... that has it."""
+    """The least prime p = 1 (mod e) above n, and z^s for s = 0..e-1 (read-only), z of
+    order e the first power x^((p-1)/e) of x = 1, 2, ... that has it; built once per (n, e)."""
+    return _cached(_PRIMES, (n, e), _least_prime_and_roots, n, e)
+
+
+def _least_prime_and_roots(n: int, e: int) -> tuple[int, np.ndarray]:
     p = e * (n // e) + 1
     while p <= n or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         p += e

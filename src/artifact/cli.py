@@ -12,11 +12,14 @@ verify cf, lattice verify) or a check failed with an error.  --snap applies to
 JSON output only; --tol must be a finite, non-negative float.  `lattice verify`
 (bulk and wall) and `lattice character` are byte-stable for a fixed BLAS thread
 count: their inner products, norms and Gram matrices sum in the thread split's order.
+The parser is built once per process and shared by every `main` call; each call
+parses into a fresh namespace, so no option value carries from one command to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -324,7 +327,10 @@ COMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qdouble parser, built on the first call and returned by every later one;
+    each command's body is bound from COMMANDS when the parser is first built."""
     ap = argparse.ArgumentParser(prog="qdouble", description="\n\n".join(__doc__.split("\n\n")[:2]))
     subparsers = {"": ap.add_subparsers(dest="command", required=True)}
     for path, help_text, arguments, body in COMMANDS:

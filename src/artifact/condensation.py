@@ -186,8 +186,8 @@ def equivalence_check(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> Equiva
 
     mem = wall.u.members
     nb = gb.order
-    proj_left = np.unique(mem // nb).size == ga.order
-    proj_right = np.unique(mem % nb).size == gb.order
+    proj_left = np.count_nonzero(np.bincount(mem // nb)) == ga.order
+    proj_right = np.count_nonzero(np.bincount(mem % nb)) == gb.order
     left_slice = np.nonzero(mem % nb == 0)[0]
     right_slice = np.nonzero(mem // nb == 0)[0]
     t = wall.phi.table  # U cap (G x e) commutes with U cap (e x G'): phase phi(k, l) / phi(l, k)

@@ -4,7 +4,9 @@ Every validation failure carries enough context (indices, names) to locate
 the first offending element, triple, or axiom.  A numerical check raises
 through _check, against an entry of TOL, and fails on NaN.  A loop whose
 temporaries grow with its input runs over the slices of _blocks, and every
-per-group or per-patch memo is read and written by _cached.
+per-group or per-patch memo, and the per-(n, e) memo of characters._PRIMES
+(the prime and roots of unity that every group of order n and exponent e
+shares), is read and written by _cached.
 """
 
 import dataclasses
@@ -181,7 +183,8 @@ def _blocks(n: int, item_bytes: int) -> list[slice]:
 def _cached(cache: dict, key, build, *args):
     """cache[key], built as build(*args) on first use and shared by every later call,
     so every array in it is made read-only.  A cached value never holds the cache's
-    owner (group or patch), so a dropped owner frees its cache by reference counting."""
+    owner (group or patch), so a dropped owner frees its cache by reference counting;
+    the module-level prime memo has no owner and holds only ints and root arrays."""
     if key not in cache:
         cache[key] = _read_only(build(*args))
     return cache[key]

@@ -117,8 +117,9 @@ def _light_test(mul: np.ndarray, defect) -> tuple[int, int, int] | None:
         gens.append(a)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            new = np.unique(mul[np.ix_(gens, frontier)])
-            frontier = new[~reached[new]]
+            hit = np.zeros(n, dtype=bool)
+            hit[mul[np.ix_(gens, frontier)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
     return None
 
@@ -418,9 +419,11 @@ class Subgroup:
 
 
 def subgroup(g: GroupTable, members, label: str | None = None) -> Subgroup:
-    members = np.unique(np.asarray(members, dtype=np.int64))
+    # np.unique's result without its numpy.ma import: sorted, then deduplicated once a first entry is known
+    members = np.sort(np.asarray(members, dtype=np.int64), axis=None)
     if members.size == 0 or members[0] != 0:
         raise NotSubgroup("subgroup must contain the identity 0")
+    members = members[np.append(True, members[1:] != members[:-1])]
     if members.min() < 0 or members.max() >= g.order:
         raise NotSubgroup("member index out of range")
     position = np.full(g.order, -1, dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,32 @@ def test_lagrange_polynomials_are_one_at_their_root_and_zero_at_the_others(p):
         powers = np.array([[pow(mu, j, p) for mu in roots] for j in range(r)], dtype=np.int64)  # [j, mu]
         assert lagrange.dtype == np.int64 and lagrange.min() >= 0 and lagrange.max() < p
         assert np.array_equal(lagrange @ powers % p, np.eye(r, dtype=np.int64))
+
+
+def _least_prime_and_roots(n, e):
+    """The unmemoized search: the least prime p = 1 (mod e) above n, and the powers of
+    the first x^((p-1)/e), x = 1, 2, ..., of order e."""
+    p = e * (n // e) + 1
+    while p <= n or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += e
+    for x in range(1, p):
+        zp = [pow(x, (p - 1) // e * s, p) for s in range(e)]
+        if 1 not in zp[1:]:
+            return p, zp
+
+
+@pytest.mark.parametrize("g", [
+    cyclic(1), cyclic(2), cyclic(12), symmetric(3), symmetric(6), alternating(5), affine_group(near_field(9)),
+    affine_group(near_field(13)), direct_product(cyclic(2), symmetric(3)),
+], ids=lambda g: g.label)
+def test_the_prime_memo_keeps_every_prime_and_root(g):
+    # one read-only entry per (|G|, e), shared by every later call and equal to the search it replaced
+    key = (g.order, len(g.power_table()))
+    want_p, want_z = _least_prime_and_roots(*key)
+    p, zp = characters._prime_and_roots(*key)
+    assert (p, zp.dtype, zp.tolist()) == (want_p, np.int64, want_z)
+    assert not zp.flags.writeable
+    assert characters._prime_and_roots(*key)[1] is zp and characters._PRIMES[key][1] is zp
 
 
 def _chain_split(m, vecs, p):

@@ -256,6 +256,22 @@ def test_subgroup_and_cosets():
         subgroup(g, [0, 3])  # a 3-cycle without its inverse is not closed
 
 
+@pytest.mark.parametrize("members", [
+    [], [0, 3, 4, 3, 0, 4], [4, 0, 3], [[0, 3], [4, 0]], [-1, 0, 3, 4], [0, 3, 4, 6], [3, 4], [0, 3, 3], 0,
+], ids=["empty", "duplicates", "unsorted", "nested", "negative", "out-of-range", "no-identity", "not-closed",
+        "scalar"])
+def test_subgroup_reads_members_as_the_sorted_distinct_entries(members):
+    # the same members, or the same error, as when np.unique has already sorted and deduplicated them
+    def outcome(m):
+        try:
+            k = subgroup(symmetric(3), m)
+        except NotSubgroup as exc:
+            return type(exc), str(exc)
+        return k.members.dtype, k.members.tolist()
+
+    assert outcome(members) == outcome(np.unique(np.asarray(members, dtype=np.int64)))
+
+
 def test_subgroup_as_group_matches_parent_multiplication():
     g = alternating(4)
     k = generated_subgroup(g, [x for x in range(12) if g.element_order(x) == 2])

@@ -706,3 +706,59 @@ for argv in json.loads(sys.argv[1]):
     (zero, err), (one, _) = [run.communicate() for run in runs]
     assert zero.count(b" -> 0\n") == len(HASH_SEED_COMMANDS), err.decode()
     assert zero == one
+
+
+# one command of each kind; np.unique without index outputs would import numpy.ma behind any of them
+LIGHT_IMPORT_COMMANDS = [
+    ["group", "info", "--group", "builtin:S3"],
+    ["chartable", "--group", "builtin:A5"],
+    ["anyons", "--group", "builtin:S3", "--format", "csv"],
+    ["smatrix", "--snap", "--group", "builtin:S3"],
+    ["tmatrix", "--group", "builtin:S3"],
+    ["fusion", "--group", "builtin:S3"],
+    ["condense", "--group", "builtin:S3", "--subgroup", "full"],
+    ["tunnel", "--wall-u", "diagonal", "--group", "builtin:S3"],
+    ["modinv", "search", "--group", "builtin:S3"],
+    ["verify", "cf", "5"],
+    ["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
+    ["lattice", "character", "--group", "builtin:Z2", "--subgroup", "full"],
+]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x imports numpy.ma with numpy")
+def test_cli_commands_do_not_import_numpy_ma():
+    script = """
+import contextlib, io, json, sys
+from artifact.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(LIGHT_IMPORT_COMMANDS)], capture_output=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(artifact.__file__).parents[1])),
+    )
+    assert json.loads(run.stdout) == [[0] * len(LIGHT_IMPORT_COMMANDS), False]
+
+
+def test_cli_builds_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_calls_share_no_option_values():
+    # the shared parser parses each call into a fresh namespace: --format csv does not stick
+    code, out, _ = run_cli(["chartable", "--group", "builtin:S3", "--format", "csv"])
+    assert (code, out.splitlines()[0]) == (0, "irrep,0,1,3")
+    code, out, _ = run_cli(["chartable", "--group", "builtin:S3"])
+    assert code == 0
+    assert json.loads(out)["group"] == "S3"
+
+
+def test_cli_works_after_a_call_that_exits_2_on_a_bad_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["chartable", "--group", "builtin:S3", "--no-such-flag"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(["group", "info", "--group", "builtin:S3"])
+    assert (code, json.loads(out)["order"]) == (0, 6)
