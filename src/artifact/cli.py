@@ -9,9 +9,7 @@ The two paragraphs above are the --help description; in detail: each
 subcommand body returns its document, a JSON tree or CSV text, and `main`
 writes it.  Exit code 1 means the document says "ok": false (modinv check,
 verify cf, lattice verify) or a check failed with an error.  --snap applies to
-JSON output only; --tol must be a finite, non-negative float.  `lattice verify`
-(bulk and wall) and `lattice character` are byte-stable for a fixed BLAS thread
-count: their inner products, norms and Gram matrices sum in the thread split's order.
+JSON output only; --tol must be a finite, non-negative float.
 The parser is built once per process and shared by every `main` call; each call
 parses into a fresh namespace, so no option value carries from one command to the next.
 """

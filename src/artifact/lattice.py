@@ -6,25 +6,26 @@ algebra of the boundary subgroup.  Every vertex, face, wall and ribbon
 operator is monomial: on the few axes it touches it sends a configuration x to
 coef[x] * old[source(x)], a permutation times a cocycle phase or a 0/1 mask.
 So is the boundary-invariant T~^{k,g}, a phased sum of ribbons whose charge
-masks are disjoint.  Each (operator, site, label) is compiled once into a
-gather offset and a coefficient array, cached on the patch, and applied by one
-kernel.  The offset is flat within the span of axes from the operator's first
-to its last moved axis, so a gather takes whole blocks of the state along that
-span and its index has one entry per span configuration, not one per
-amplitude.  A bulk vertex projector is one orbit sum: A_v^g acts freely on
-any one edge of the star, so A_v averages each orbit of |G| configurations,
-laid out once per vertex (`_orbit`).  Ribbon operators, composed of elementary
-triangle actions, provide the independent numeric route to the boundary
-algebra character.
+masks are disjoint.  Each (operator, site, label) is compiled once into one
+record (`_Compiled`) that carries the axes it reads and the public function
+that runs it, cached on the patch and applied by one kernel.  A gather's offset
+is flat within the span of its axes, so it takes whole blocks of the state and
+its index has one entry per span configuration, not one per amplitude.  Every
+vertex projector, wall included, is one phased orbit sum (`_layout`): A_v^g acts
+freely on one edge of the star (a wall's A^k on its solid edge), so A_v
+averages each orbit.  Ribbon operators, composed of elementary triangle
+actions, provide the independent numeric route to the boundary algebra
+character.  State norms and inner products are einsums in one fixed order.
 
 The relation suites probe each identity on seeded random product states,
 drawn from one generator in a fixed order (identity by identity, each state
 before its labels) on the calling thread.  An identity is a record whose
 labels give words lhs and rhs and a scale; `_law` checks lhs = scale rhs, or
 with the adjoint flag lhs^+ = rhs / conj(scale).  A word's maps are data that
-declare their axes (`_axes`) before they run: `_Op` is one operator, run by
-its public apply_* function, `_Sum` a sum of maps over one label.  The
-operators are local: with S the union of those axes and psi = psi_S (x) psi_R,
+declare their axes before they run: `_Op` is one operator, whose record gives
+its axes and runs it, and `_Sum` a sum of maps over one label, which serves
+only the probes' summed words (sum_h B, sum_g F).  The operators are local:
+with S the union of those axes and psi = psi_S (x) psi_R,
 ||(lhs - c rhs) psi|| = ||(lhs - c rhs)_S psi_S|| ||psi_R|| with ||psi_R|| = 1,
 so each draw runs once, on the patch restricted to S.  The scale takes no
 state operation and lhs runs before rhs, innermost map first, so each residual
@@ -112,13 +113,19 @@ class LatticeState:
     amplitudes: np.ndarray
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||, one einsum over the float64 view: one summation order at any BLAS thread count."""
+    r = x.reshape(-1).view(np.float64)
+    return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
 def inner(a: LatticeState, b: LatticeState) -> complex:
     if a.patch is not b.patch:
         raise GroupMismatch("states live on different patches")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(np.einsum("i,i->", np.conj(a.amplitudes.reshape(-1)), b.amplitudes.reshape(-1)))
 
 
 def _assemble(g, boundary, cocycle, edges) -> LatticePatch:
@@ -236,24 +243,36 @@ def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
             for a in axes}
 
 
-def _compile(patch: LatticePatch, x, source=None, coef=None):
-    """Compiled operator new[x] = coef[x] * old[source(x)] as (first, last, shift, coef).
+class _Compiled(NamedTuple):
+    """What every operator builder returns: the `axes` it reads, run(patch, state, *key) applying
+    build(patch, *key) by its public function, and a gather (shift), mask (coef) or orbit sum (src)."""
+    axes: tuple
+    run: object
+    first: int
+    last: int
+    shift: np.ndarray | None = None
+    coef: np.ndarray | None = None
+    src: np.ndarray | None = None
+    owner: np.ndarray | None = None
+    back: np.ndarray | None = None
 
-    `source` maps each moved axis to its source values on the grid `x`;
-    axes first..last are the contiguous span from the first to the last of
-    them, and shift is the flat offset of source(x) from x within that span,
-    shaped over the span's axes (all None: nothing moves).  coef is the
-    broadcast coefficient (None: all ones)."""
-    first = last = shift = None
+
+def _compile(patch: LatticePatch, run, x, source=None, coef=None) -> _Compiled:
+    """Compiled operator new[x] = coef[x] * old[source(x)] on the axes of the grid `x`.
+
+    `source` maps each moved axis to its source values on `x`; shift is the flat offset of
+    source(x) from x within the span first..last of x's axes, varying on the moved axes
+    only (None: nothing moves), and coef the broadcast coefficient (None: all ones)."""
+    first, last, shift = min(x), max(x), None
     if source is not None:
-        first, last = min(source), max(source)
         span = patch.dims[first:last + 1]
         stride = np.cumprod((1,) + span[:0:-1])[::-1]
-        shift = sum((source[a] - x[a]) * int(stride[a - first]) for a in source)
+        shift = sum(((source[a] - x[a]) * int(stride[a - first]) for a in source),
+                    np.zeros((1,) * len(patch.dims), dtype=np.int64))  # no moved axis: shift 0
         shift = shift.reshape(shift.shape[first:last + 1])
     if coef is not None:
         coef = np.array(coef, dtype=np.complex128)
-    return first, last, shift, coef
+    return _Compiled(tuple(x), run, first, last, shift, coef)
 
 
 def _op(patch: LatticePatch, build, *key):
@@ -271,7 +290,7 @@ def _gather(patch: LatticePatch, op, amps: np.ndarray, pos=None, at=None) -> np.
     With `pos`, flat positions within the span, only those are made, under
     every lead value: the result is (lead, len(pos), trailing), read through
     `at`, pos's index into each broadcast shape (`_at`), which callers share."""
-    first, last, shift, coef = op
+    first, last, shift, coef = op.first, op.last, op.shift, op.coef
     dims = patch.dims[first:last + 1]
     span = _cached(patch._cache, ("span", dims), lambda: np.arange(prod(dims)).reshape(dims))
     blocks = amps.reshape(prod(patch.dims[:first]), span.size, -1)
@@ -297,59 +316,45 @@ def _at(a: np.ndarray, dims, pos: np.ndarray, at: dict) -> np.ndarray:
 
 
 def _apply(patch: LatticePatch, state: LatticeState, build, *key) -> LatticeState:
-    """The one entry behind every vertex, face, wall and ribbon operator and vertex
-    projector: a mask is one broadcast multiply, an orbit layout one orbit sum, anything
-    else one `_gather`, compiled on the state's patch, `patch` or a restriction of it."""
+    """The one entry behind every operator and projector, compiled on the state's patch,
+    `patch` or a restriction of it: a mask is one broadcast multiply, a gather one
+    `_gather`, and an orbit sum adds the phased columns in label order (`_layout`)."""
     if state.patch.edges is not patch.edges:
         raise GroupMismatch("the state lives on another patch")
     patch = state.patch
     op = _op(patch, build, *key)
-    if build is _orbit:
-        shape, src, owner = op
-        blocks = state.amplitudes.reshape(shape)
-        acc = sum((np.take(blocks, s, axis=1) for s in src[1:]), np.take(blocks, src[0], axis=1)) / len(src)
-        return LatticeState(patch, np.take(acc, owner, axis=1).reshape(patch.dims))
-    if op[2] is None:
-        return LatticeState(patch, state.amplitudes * op[3])
+    if op.src is not None:
+        blocks = state.amplitudes.reshape(prod(patch.dims[:op.first]), prod(patch.dims[op.first:op.last + 1]), -1)
+        terms = (np.take(blocks, s, axis=1) for s in op.src)
+        if op.coef is not None:
+            terms = map(np.multiply, op.coef[:, :, None], terms)
+        new = np.take(sum(terms, next(terms)) / len(op.src), op.owner, axis=1)
+        if op.back is not None:
+            new *= op.back[:, None]
+        return LatticeState(patch, new.reshape(patch.dims))
+    if op.shift is None:
+        return LatticeState(patch, state.amplitudes * op.coef)
     return LatticeState(patch, _gather(patch, op, state.amplitudes).reshape(patch.dims))
 
 
-def _axes(patch: LatticePatch, build, site, *labels) -> list[int]:
-    """The axes the operator build(patch, site, *labels) reads, from its site alone:
-    the star, face cycle, wall star or ribbon triangles the builder reads."""
-    if build in (_vertex_op, _orbit):
-        return [a for a, _ in patch.star(site)]
-    if build is _face_op:
-        return [a for a, _ in _face_cycle(patch, site[1], site[0])]
-    if build in (_ribbon_op, _invariant_op):
-        return [t.axis for t in site.triangles]
-    solid, dotted, internal = _wall_star(patch, site)
-    return [solid[0]] if build is _wall_face_op else [solid[0], dotted[0], internal[0]]
-
-
 class _Op(NamedTuple):
-    """The state map of the operator build(patch, *key), as data: `axes` is
-    known before it runs, and a call runs it through its public apply_* function."""
+    """The state map of the operator build(patch, *key), as data: its compiled record
+    on the patch declares the axes it reads before it runs, and runs it."""
     patch: LatticePatch
     build: object
     key: tuple
 
     @property
-    def axes(self) -> list[int]:
-        return _axes(self.patch, self.build, *self.key)
+    def axes(self) -> tuple:
+        return _op(self.patch, self.build, *self.key).axes
 
     def __call__(self, state: LatticeState) -> LatticeState:
-        patch, build, (site, *labels) = self
-        if build in (_ribbon_op, _invariant_op):  # ribbon maps take their spec before the state
-            return (apply_ribbon if build is _ribbon_op else apply_invariant_op)(patch, site, state, *labels)
-        return {_vertex_op: apply_vertex, _orbit: vertex_projector, _face_op: apply_face,
-                _wall_vertex_op: apply_wall_vertex, _wall_face_op: apply_wall_face}[build](patch, state, site, *labels)
+        return _op(self.patch, self.build, *self.key).run(self.patch, state, *self.key)
 
 
 class _Sum(NamedTuple):
-    """The state map sum_i map_i / divisor of its maps, summed in order."""
+    """The state map sum_i map_i of its maps, summed in order."""
     maps: tuple
-    divisor: int = 1
 
     @property
     def axes(self) -> frozenset:
@@ -359,15 +364,7 @@ class _Sum(NamedTuple):
         acc = np.zeros_like(state.amplitudes)
         for m in self.maps:
             acc += m(state).amplitudes  # one map's output alive at a time
-        acc /= self.divisor  # exact for 1
         return LatticeState(state.patch, acc)
-
-
-def _average(patch: LatticePatch, v):
-    """The projector onto the invariants at v: an orbit sum in the bulk, the `_Sum` of its phased labels at a wall."""
-    if v not in patch.ham_wall_vertices:
-        return _Op(patch, _orbit, (tuple(v),))
-    return _Sum(tuple(_Op(patch, _wall_vertex_op, (v, k)) for k in range(patch.boundary.order)), patch.boundary.order)
 
 
 def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
@@ -384,9 +381,7 @@ def _face_cycle(patch: LatticePatch, face, base) -> list[tuple[int, int]]:
 
 def _edge_values(patch: LatticePatch, axis: int) -> np.ndarray:
     """Axis values as bulk group elements (wall axes map through the subgroup)."""
-    if patch.edges[axis].wall:
-        return patch.boundary.members
-    return np.arange(patch.group.order)
+    return patch.boundary.members if patch.edges[axis].wall else np.arange(patch.group.order)
 
 
 def _act(gt: GroupTable, g, x, sign: int):
@@ -408,7 +403,8 @@ def _holonomy(patch: LatticePatch, site):
 
 
 def _face_op(patch: LatticePatch, site, h: int):
-    return _compile(patch, None, coef=_op(patch, _holonomy, site) == h)
+    x = _coords(patch, [a for a, _ in _face_cycle(patch, site[1], site[0])])
+    return _compile(patch, lambda *a: apply_face(*a), x, coef=_op(patch, _holonomy, site) == h)
 
 
 def apply_face(patch: LatticePatch, state: LatticeState, site, h: int) -> LatticeState:
@@ -427,7 +423,7 @@ def _vertex_op(patch: LatticePatch, v, g: int, fixed=()):
     if any(patch.edges[a].wall for a, _ in star):
         raise NotInSubgroup("use apply_wall_vertex at wall vertices")
     x = _coords(patch, [a for a, _ in star] + list(fixed))  # the span also covers the unmoved axes `fixed`
-    return _compile(patch, x, {**{a: x[a] for a in fixed}, **{a: _act(patch.group, g, x[a], sign) for a, sign in star}})
+    return _compile(patch, lambda *a: apply_vertex(*a), x, {a: _act(patch.group, g, x[a], sign) for a, sign in star})
 
 
 def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> LatticeState:
@@ -437,55 +433,63 @@ def apply_vertex(patch: LatticePatch, state: LatticeState, v, g: int) -> Lattice
     return _apply(patch, state, _vertex_op, tuple(v), int(g))
 
 
-def _orbit(patch: LatticePatch, v, face=None):
-    """v's orbit layout (shape, src, owner), with a face (shape, src, ends, conj).
+def _layout(patch: LatticePatch, a0: int, order: int, label_op, run) -> _Compiled:
+    """P = sum_t A^t / order, A^t = label_op(t) for a group acting freely on axis a0, as an
+    orbit sum: at the representatives r, x_{a0} = e, (P psi)[r] = sum_t c_t(r) psi[src_t(r)] /
+    order, src[t] the int32 span positions and coef[t] the phases (None: all 1).  The A^t
+    form a representation, so A^s P = P: x = src_s(r) in column owner[x] reads (P psi)[r]
+    back[x], back = 1 / c_s(r).  Each label is compiled in turn and read at the r alone."""
+    src, phase = [], []
+    for t in range(order):
+        op = label_op(t)
+        dims = patch.dims[op.first:op.last + 1]
+        if t == 0:  # label 0 is the identity: its sources are the representatives
+            pos, at = np.take(np.arange(prod(dims)).reshape(dims), 0, axis=a0 - op.first).reshape(-1), {}
+        src.append(pos + _at(op.shift, dims, pos, at))
+        if op.coef is not None:
+            phase.append(_at(op.coef.reshape(op.coef.shape[op.first:op.last + 1]), dims, pos, at))
+    src, coef, back = np.stack(src).astype(np.int32), None, None
+    owner = np.empty(prod(dims), dtype=np.int32)
+    owner[src] = np.arange(pos.size)
+    if phase:
+        coef, back = np.stack(phase), np.empty(prod(dims), dtype=np.complex128)
+        back[src] = 1 / coef
+    return _Compiled(op.axes, run, op.first, op.last, coef=coef, src=src, owner=owner, back=back)
 
-    A_v^t acts freely on the star's first edge a0, so the r with x_{a0} = e represent
-    its orbits.  A state's layout is U[t, r] = psi[src_t(r)] = (A_v^t psi)[r]: its
-    (lead, span, trailing) `shape` at the int32 span positions src[t]; owner[x] is the
-    column of x's orbit.  With a face the span also covers its cycle, the r run by
-    holonomy k at (v, face), class k ending at ends[k], and hol(src_t(r)) = conj[t, k], checked."""
-    gt, a0 = patch.group, patch.star(v)[0][0]
+
+def _orbit(patch: LatticePatch, v, face=None) -> _Compiled:
+    """A_v's orbit sum: A_v^t acts freely on the star's first edge; with a face the span covers its cycle too."""
     cycle = () if face is None else tuple(a for a, _ in _face_cycle(patch, face, v))
-    ops = [_vertex_op(patch, v, t, cycle) for t in range(gt.order)]
-    first, last = ops[0][:2]
-    dims = patch.dims[first:last + 1]
-    pos = np.flatnonzero(np.arange(prod(dims)) // prod(dims[a0 - first + 1:]) % dims[a0 - first] == gt.identity)
-    if face is not None:
-        hol = _op(patch, _holonomy, (tuple(v), tuple(face)))
-        hol = np.broadcast_to(hol.reshape(hol.shape[first:last + 1]), dims).reshape(-1)  # at each span position
-        pos = pos[np.argsort(hol[pos], kind="stable")]
-    at, shape = {}, (prod(patch.dims[:first]), prod(dims), -1)
-    src = np.stack([pos + _at(op[2], dims, pos, at) for op in ops]).astype(np.int32)
-    if face is None:
-        owner = np.empty(prod(dims), dtype=np.int32)
-        owner[src] = np.arange(pos.size)
-        return shape, src, owner
-    conj = np.zeros((gt.order, gt.order), dtype=np.int64)
-    conj[:, hol[pos]] = hol[src]
-    _check("A_v^t must conjugate the holonomy at its site", np.count_nonzero(conj[:, hol[pos]] != hol[src]), 0)
-    return shape, src, np.cumsum(np.bincount(hol[pos], minlength=gt.order)), conj
+    return _layout(patch, patch.star(v)[0][0], patch.group.order, lambda t: _vertex_op(patch, v, t, cycle),
+                   lambda p, s, v, face=None: vertex_projector(p, s, v))
+
+
+def _by_holonomy(patch: LatticePatch, v, face):
+    """v's orbit layout over the face's cycle as (state shape (lead, span, trailing), src, ends, conj):
+    the r run by their holonomy k at (v, face), class k ending at ends[k], hol(src_t(r)) = conj[t, k], checked."""
+    op, n = _op(patch, _orbit, v, face), patch.group.order
+    dims = patch.dims[op.first:op.last + 1]
+    hol = _op(patch, _holonomy, (tuple(v), tuple(face)))
+    hol = _at(hol.reshape(hol.shape[op.first:op.last + 1]), dims, op.src, {})  # at each source
+    order = np.argsort(hol[0], kind="stable")
+    src, hol = op.src[:, order], hol[:, order]
+    conj = np.zeros((n, n), dtype=np.int64)
+    conj[:, hol[0]] = hol
+    _check("A_v^t must conjugate the holonomy at its site", np.count_nonzero(conj[:, hol[0]] != hol), 0)
+    return (prod(patch.dims[:op.first]), prod(dims), -1), src, np.cumsum(np.bincount(hol[0], minlength=n)), conj
 
 
 def vertex_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
-    """A_v = sum_g A_v^g / |G| at a bulk vertex as one orbit sum (`_orbit`): R = sum_t U[t] / |G|,
-    t = 0..|G|-1 in order, read back by each x at its orbit's column, so exactly constant on orbits."""
+    """A_v = sum_g A_v^g / |G| at a bulk vertex as one orbit sum (`_orbit`), exactly constant on orbits."""
     return _apply(patch, state, _orbit, tuple(v))
 
 
 def _wall_star(patch: LatticePatch, v):
-    solid = dotted = internal = None
-    for axis, sign in patch.star(v):
-        e = patch.edges[axis]
-        if e.mark == "solid":
-            solid = (axis, sign)
-        elif e.mark == "dotted":
-            dotted = (axis, sign)
-        else:
-            internal = (axis, sign)
-    if solid is None or dotted is None or internal is None:
+    """The wall site's solid, dotted and internal edges as (axis, sign)."""
+    marks = {patch.edges[axis].mark: (axis, sign) for axis, sign in patch.star(v)}
+    if set(marks) != {"solid", "dotted", None}:
         raise InvalidRibbon(f"vertex {v} is not a complete wall site")
-    return solid, dotted, internal
+    return marks["solid"], marks["dotted"], marks[None]
 
 
 def _wall_vertex_op(patch: LatticePatch, v, k: int):
@@ -499,7 +503,13 @@ def _wall_vertex_op(patch: LatticePatch, v, k: int):
         # the phase reads the pre-action value; incoming edges read it inverted
         phase = patch.cocycle.table[k, src[a] if s == 1 else kg.inv[src[a]]]
         coef = coef * (phase if positive else 1 / phase)
-    return _compile(patch, x, src, coef)
+    return _compile(patch, lambda *a: apply_wall_vertex(*a), x, src, coef)
+
+
+def _wall_orbit(patch: LatticePatch, v) -> _Compiled:
+    """The wall projector's orbit sum: A^k acts freely on the solid edge, with its cocycle phase."""
+    return _layout(patch, _wall_star(patch, v)[0][0], patch.boundary.order, lambda k: _wall_vertex_op(patch, v, k),
+                   lambda p, s, v: _apply(p, s, _wall_orbit, v))
 
 
 def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
@@ -512,7 +522,7 @@ def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> La
 def _wall_face_op(patch: LatticePatch, v, k: int):
     (axis, _), _, _ = _wall_star(patch, v)
     x = _coords(patch, [axis])
-    return _compile(patch, x, coef=x[axis] == k)
+    return _compile(patch, lambda *a: apply_wall_face(*a), x, coef=x[axis] == k)
 
 
 def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:
@@ -522,10 +532,10 @@ def apply_wall_face(patch: LatticePatch, state: LatticeState, v, k: int) -> Latt
 
 def hamiltonian_terms(patch: LatticePatch):
     """Commuting projectors of the truncated Hamiltonian as (kind, site, map), each
-    map a state map as data (`_Op` or `_Sum`)."""
-    return ([("vertex", v, _average(patch, v)) for v in patch.ham_vertices]
+    map one operator as data (`_Op`)."""
+    return ([("vertex", v, _Op(patch, _orbit, (v,))) for v in patch.ham_vertices]
             + [("face", f, _Op(patch, _face_op, ((f, f), patch.group.identity))) for f in patch.faces]
-            + [("wall", v, _average(patch, v)) for v in patch.ham_wall_vertices])
+            + [("wall", v, _Op(patch, _wall_orbit, (v,))) for v in patch.ham_wall_vertices])
 
 
 def _project_pass(patch: LatticePatch, rng, terms) -> LatticeState:
@@ -557,7 +567,7 @@ def disk_state(patch: LatticePatch, seed: int = 0) -> LatticeState:
     closed-string superposition, which makes this the right state for
     deformation (path independence) and seed-independence checks."""
     projs = [_Op(patch, _face_op, ((f, f), patch.group.identity)) for f in patch.faces]
-    projs += [_average(patch, v) for v in sorted(patch._star)
+    projs += [_Op(patch, _wall_orbit if v in patch.ham_wall_vertices else _orbit, (v,)) for v in sorted(patch._star)
               if v in patch.ham_wall_vertices or not any(patch.edges[a].wall for a, _ in patch.star(v))]
     return _project_pass(patch, np.random.default_rng(seed), projs)
 
@@ -611,8 +621,7 @@ def make_ribbon(patch: LatticePatch, start, moves: str) -> RibbonSpec:
         if mv == "w":
             if pos != 0 or f is not None:
                 raise InvalidRibbon("wall crossing is only allowed as the first move")
-            solid, _, _ = _wall_star(patch, v)
-            axis, sign = solid
+            (axis, sign), _, _ = _wall_star(patch, v)
             if sign != -1:
                 raise InvalidRibbon("the site's solid edge must point into the wall vertex")
             new_f = _other_face(patch, axis, (None, None))
@@ -623,18 +632,15 @@ def make_ribbon(patch: LatticePatch, start, moves: str) -> RibbonSpec:
         elif mv in ("v", "f"):
             if f is None:
                 raise InvalidRibbon("ribbon at a wall site must start with 'w'")
-            axis, trav = _face_cycle(patch, f, v)[-1]
+            axis, _ = _face_cycle(patch, f, v)[-1]
+            e = patch.edges[axis]
+            triangles.append(Triangle("direct" if mv == "v" else "dual", axis, 1 if e.tail == v else -1))
             if mv == "v":
-                e = patch.edges[axis]
-                v2 = e.head if e.tail == v else e.tail
-                triangles.append(Triangle("direct", axis, 1 if e.tail == v else -1))
-                v = v2
+                v = e.head if e.tail == v else e.tail
             else:
                 new_f = _other_face(patch, axis, f)
                 if new_f is None:
                     raise InvalidRibbon(f"no face across edge {axis} from {f}")
-                e = patch.edges[axis]
-                triangles.append(Triangle("dual", axis, 1 if e.tail == v else -1))
                 f = new_f
         else:
             raise InvalidRibbon(f"unknown move {mv!r}")
@@ -658,7 +664,6 @@ def _ribbon_op(patch: LatticePatch, spec: RibbonSpec, h: int, g: int):
         if tri.kind == "direct":
             vals = _edge_values(patch, a)[x[a]]
             u = gt.mul[u, vals if tri.sign == 1 else gt.inv[vals]]
-            src[a] = x[a]
         elif tri.kind == "dual":
             src[a] = _act(gt, gt.mul[gt.mul[gt.inv[u], h], u], x[a], tri.sign)
         else:
@@ -669,7 +674,7 @@ def _ribbon_op(patch: LatticePatch, spec: RibbonSpec, h: int, g: int):
                 raise NotInSubgroup(f"flux {h} is outside the boundary subgroup")
             src[a] = patch.boundary.as_group.mul[x[a], kk]
             coef = patch.cocycle.table[x[a], kk]
-    return _compile(patch, x, src, coef * (u == g))
+    return _compile(patch, lambda p, s, r, *labels: apply_ribbon(p, r, s, *labels), x, src, coef * (u == g))
 
 
 def apply_ribbon(patch: LatticePatch, spec: RibbonSpec, state: LatticeState, h: int, g: int) -> LatticeState:
@@ -698,12 +703,12 @@ def _invariant_op(patch: LatticePatch, spec: RibbonSpec, k: int, g: int):
     for l in range(sub.order):
         lg = int(sub.members[l])
         flux = int(gt.mul[gt.mul[lg, k], gt.inv[lg]])
-        first, last, s, c = _ribbon_op(patch, spec, flux, int(gt.mul[lg, gt.inv[g]]))
-        hit = (c != 0).reshape(c.shape[first:last + 1])  # c lives on the span
-        hits, shift = hits + hit, np.where(hit, s, shift)
-        coef = coef + phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]] * c
+        term = _ribbon_op(patch, spec, flux, int(gt.mul[lg, gt.inv[g]]))
+        hit = (term.coef != 0).reshape(term.coef.shape[term.first:term.last + 1])  # coef lives on the span
+        hits, shift = hits + hit, np.where(hit, term.shift, shift)
+        coef = coef + phi[l, kk] * phi[kg.mul[l, kk], kg.inv[l]] * term.coef
     _check("T~ ribbon terms must keep disjoint configurations", int(np.max(hits)) - 1, 0)
-    return first, last, shift, coef
+    return term._replace(run=lambda p, s, r, *labels: apply_invariant_op(p, r, s, *labels), shift=shift, coef=coef)
 
 
 def apply_invariant_op(patch: LatticePatch, spec: RibbonSpec, state: LatticeState, k: int,
@@ -730,7 +735,7 @@ def lattice_boundary_character(patch: LatticePatch, spec: RibbonSpec, seed: int 
     if v1 not in patch.ham_vertices or f1 not in patch.faces:
         raise InvalidRibbon("ribbon must end at a complete interior site")
     gt, sub, n, reps = patch.group, patch.boundary, patch.group.order, cosets(patch.group, patch.boundary)
-    shape, src, ends, conj = _op(patch, _orbit, v1, f1)
+    shape, src, ends, conj = _by_holonomy(patch, v1, f1)
     g, t = np.arange(n)[:, None], np.arange(n)[None, :]
     psi = ground_state(patch, seed=seed)
     values = np.zeros((n, n), dtype=np.complex128)
@@ -750,29 +755,29 @@ def lattice_boundary_character(patch: LatticePatch, spec: RibbonSpec, seed: int 
 def _dist(a: LatticeState, b: LatticeState, scale: complex = 1.0) -> float:
     """||a - scale b||, with at most one temporary of the state's size."""
     if scale == 0:
-        return float(np.linalg.norm(a.amplitudes))
+        return _norm(a.amplitudes)
     if scale == 1:
-        return float(np.linalg.norm(a.amplitudes - b.amplitudes))
+        return _norm(a.amplitudes - b.amplitudes)
     t = scale * b.amplitudes
-    return float(np.linalg.norm(np.subtract(a.amplitudes, t, out=t)))
+    return _norm(np.subtract(a.amplitudes, t, out=t))
 
 
-def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, ops) -> np.ndarray:
+def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, ops, vacuum: bool = False) -> np.ndarray:
     """gram[0, j] = <state|op_j state> and gram[1 + i, j] = <op_i state|op_j state>
-    for compiled gathers `ops` on the ribbon `spec`.
+    for compiled gathers `ops` on the ribbon `spec`; with `vacuum`, row 0 alone.
 
     The charge sectors of `spec`, the span positions where F^{e,c} is nonzero,
     partition the span, so the Gram is a sum of one block per sector: state and
     the ops nonzero there, gathered at its positions under every lead value and
-    trailing slice, conj(buf) @ buf[1:].T over column blocks added with
+    trailing slice, conj(buf[rows]) @ buf[1:].T over column blocks added with
     Neumaier's compensation so the rounding does not grow with the block count.
     Ops nonzero in no common sector meet in an exact zero."""
-    first, last = ops[0][:2]
+    first, last = ops[0].first, ops[0].last
     dims = patch.dims[first:last + 1]
-    nonzero = lambda op: op[3].reshape(op[3].shape[first:last + 1]) != 0  # broadcast over the span
+    nonzero = lambda op: op.coef.reshape(op.coef.shape[first:last + 1]) != 0  # broadcast over the span
     masks = [nonzero(op) for op in ops]
     blocks = state.amplitudes.reshape(prod(patch.dims[:first]), prod(dims), -1)
-    gram = np.zeros((len(ops) + 1, len(ops)), dtype=np.complex128)
+    gram = np.zeros((1 if vacuum else len(ops) + 1, len(ops)), dtype=np.complex128)
     for c in range(patch.group.order):
         sector = nonzero(_op(patch, _ribbon_op, spec, patch.group.identity, c))
         live = np.array([j for j, m in enumerate(masks) if np.any(m & sector)], dtype=int)
@@ -781,16 +786,15 @@ def _gram(patch: LatticePatch, state: LatticeState, spec: RibbonSpec, ops) -> np
         buf[0] = blocks[:, pos].ravel()
         for i, j in enumerate(live, 1):
             buf[i] = _gather(patch, ops[j], blocks, pos, at).ravel()
-        total, comp = np.zeros((2, len(buf), 2 * live.size))
+        rows = np.r_[0, live + 1][:len(gram)]
+        total, comp = np.zeros((2, rows.size, 2 * live.size))
         for cols in _blocks(buf.shape[1], 16 * len(buf)):
-            part = (np.conj(buf[:, cols]) @ buf[1:, cols].T).view(np.float64)
+            part = (np.conj(buf[:rows.size, cols]) @ buf[1:, cols].T).view(np.float64)
             new = total + part
             comp += np.where(np.abs(total) >= np.abs(part), (total - new) + part, (part - new) + total)
             total[...] = new
         del buf  # freed before the next sector's buffer is made
-        block = (total + comp).view(np.complex128)
-        gram[0, live] += block[0]
-        gram[np.ix_(live + 1, live)] += block[1:]
+        gram[np.ix_(rows, live)] += (total + comp).view(np.complex128)
     return gram
 
 
@@ -1000,7 +1004,7 @@ def wall_relation_report(g: GroupTable, boundary: Subgroup, cocycle: TwoCocycle 
 
     # the ground-state statements run first and are reported after the probes
     gs = ground_state(patch, seed=seed)
-    vacuum = _gram(patch, gs, rib, [_op(patch, _ribbon_op, rib, int(h), gg) for h in mem for gg in range(n)])[0]
+    vacuum = _gram(patch, gs, rib, [_op(patch, _ribbon_op, rib, int(h), gg) for h in mem for gg in range(n)], True)[0]
     tail = [("<F~^{k,g}> = delta_{k,e}/|G| on the ground state",
              float(np.max(np.abs(vacuum - (np.arange(nk * n) < n) / n))))]
     basis = [(k, gi) for k in range(nk) for gi in reps]

@@ -87,7 +87,7 @@ def list_boundary_character(patch, spec, seed: int = 0) -> ClassFunction:
     `lattice_boundary_character`."""
     gt, sub, n = patch.group, patch.boundary, patch.group.order
     reps = cosets(gt, sub)
-    shape, src, ends, conj = lattice._orbit(patch, *spec.end)
+    shape, src, ends, conj = lattice._by_holonomy(patch, *spec.end)
     psi = ground_state(patch, seed=seed)
     layouts = [
         np.take(apply_invariant_op(patch, spec, psi, int(sub.members[k]), int(gi)).amplitudes.reshape(shape),

@@ -118,39 +118,114 @@ def test_projectors_are_idempotent_and_commute():
 
 
 def _orbit_cases():
-    """(patch, state, bulk vertices): S3 3x2, Z2 4x3, the minimal S3/full and S3/Z3
-    patches, and S3 3x2 restricted to the star of (1, 0) with a product state on it."""
+    """(patch, state, vertices): S3 3x2 and Z2 4x3 with their bulk vertices; the minimal
+    S3/full, S3/Z3, Z2/full and bilinear Z2xZ2 patches with their bulk and wall vertices;
+    S3 3x2 restricted to the star of (1, 0) and the bilinear wall restricted to the wall
+    star of (1, 0), each with a product state on it."""
     rng = np.random.default_rng(11)
-    patches = [build_patch(symmetric(3), 3, 2), build_patch(cyclic(2), 4, 3),
-               _s3_wall("full")[0], _s3_wall("Z3")[0]]
+    bulk = build_patch(symmetric(3), 3, 2)
+    z2 = cyclic(2)
+    bilinear = minimal_boundary_patch(*_z22_bilinear())
+    patches = [bulk, build_patch(z2, 4, 3), _s3_wall("full")[0], _s3_wall("Z3")[0],
+               minimal_boundary_patch(z2, full_subgroup(z2)), bilinear]
     for patch in patches:
-        yield patch, random_state(patch, rng), [v for v in sorted(patch._star)
-                                                if not any(patch.edges[a].wall for a, _ in patch.star(v))]
-    support = frozenset(a for a, _ in patches[0].star((1, 0)))
-    sub = lattice._restrict(patches[0], support)
-    vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) if a in support else None
-          for a, d in enumerate(sub.dims)]
-    yield sub, lattice._product(sub, vs), [(1, 0)]
+        yield patch, random_state(patch, rng), [v for v in sorted(patch._star) if v in patch.ham_wall_vertices
+                                                or not any(patch.edges[a].wall for a, _ in patch.star(v))]
+    for patch, v in ((bulk, (1, 0)), (bilinear, (1, 0))):
+        support = frozenset(a for a, _ in patch.star(v))
+        sub = lattice._restrict(patch, support)
+        vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) if a in support else None
+              for a, d in enumerate(sub.dims)]
+        yield sub, lattice._product(sub, vs), [v]
 
 
 def test_the_orbit_projector_is_the_average_of_the_vertex_operators():
     # the orbit sum adds the |G| images of each orbit representative in the order
     # of the _Sum of apply_vertex maps, so it differs from that sum only in the
     # rounding of the other configurations' orders (none on Z2, where a two-term
-    # sum commutes), and every configuration reads its orbit's one value
+    # sum commutes), and every configuration reads its orbit's one value.  At a
+    # wall the |K| images carry their cocycle phases, the representatives (solid
+    # edge e) read the _Sum of apply_wall_vertex maps exactly, and every other
+    # configuration reads its representative's value over its phase
     for patch, psi, vertices in _orbit_cases():
-        n = patch.group.order
         for v in vertices:
+            if v in patch.ham_wall_vertices:
+                n, solid = patch.boundary.order, lattice._wall_star(patch, v)[0][0]
+                out = lattice._Op(patch, lattice._wall_orbit, (v,))(psi).amplitudes
+                ref = lattice._Sum(tuple(lattice._Op(patch, lattice._wall_vertex_op, (v, k)) for k in range(n)))(psi)
+                ref = ref.amplitudes / n
+                assert np.array_equal(np.take(out, 0, axis=solid), np.take(ref, 0, axis=solid)), v
+                assert dist(out, ref) <= 1e-15, v
+                for k in range(n):
+                    image = apply_wall_vertex(patch, LatticeState(psi.patch, out), v, k).amplitudes
+                    assert dist(image, out) <= 1e-15, (v, k)
+                continue
+            n = patch.group.order
             out = vertex_projector(patch, psi, v).amplitudes
-            ref = lattice._Sum(tuple(lattice._Op(patch, lattice._vertex_op, (v, g)) for g in range(n)), n)(psi)
+            ref = lattice._Sum(tuple(lattice._Op(patch, lattice._vertex_op, (v, g)) for g in range(n)))(psi)
+            ref = ref.amplitudes / n
             if n == 2:
-                assert np.array_equal(out, ref.amplitudes), v
-            assert dist(out, ref.amplitudes) <= 1e-15, v
+                assert np.array_equal(out, ref), v
+            assert dist(out, ref) <= 1e-15, v
             for g in range(n):
                 assert np.array_equal(apply_vertex(patch, LatticeState(psi.patch, out), v, g).amplitudes, out), (v, g)
-        # every bulk vertex average of the Hamiltonian is the orbit sum, not a _Sum
+        # every vertex and wall average of the Hamiltonian is one orbit sum
         for kind, _, proj in hamiltonian_terms(patch):
-            assert kind != "vertex" or (isinstance(proj, lattice._Op) and proj.build is lattice._orbit)
+            assert kind == "face" or proj.build is {"vertex": lattice._orbit, "wall": lattice._wall_orbit}[kind]
+
+
+def test_no_projector_of_the_ground_or_disk_state_is_a_sum(monkeypatch):
+    # every face, vertex and wall projector is one compiled operator: _Sum serves
+    # only the summed words of the probes
+    passes, project = [], lattice._project_pass
+    monkeypatch.setattr(lattice, "_project_pass", lambda patch, rng, terms: (
+        passes.append(list(terms)) or project(patch, rng, terms)))
+    patches = [build_patch(symmetric(3), 3, 2), _s3_wall("full")[0], minimal_boundary_patch(*_z22_bilinear())]
+    for patch in patches:
+        disk_state(patch)
+        ground_state(patch)
+        assert all(isinstance(proj, lattice._Op) for _, _, proj in hamiltonian_terms(patch))
+    assert len(passes) == 2 * len(patches) and all(passes)
+    assert all(isinstance(proj, lattice._Op) for terms in passes for proj in terms)
+
+
+def _pinned_operators(patch, ribbons):
+    """(builder, key) for every operator of the patch's sites and ribbons: vertex,
+    face, wall vertex and wall face at every label, both projector layouts, and every
+    ribbon and (on a wall) T~ label."""
+    n, nk = patch.group.order, (patch.boundary.order if patch.boundary is not None else 0)
+    for v in sorted(patch._star):
+        if v in patch.ham_wall_vertices:
+            yield lattice._wall_orbit, (v,)
+            for k in range(nk):
+                yield from ((lattice._wall_vertex_op, (v, k)), (lattice._wall_face_op, (v, k)))
+        elif not any(patch.edges[a].wall for a, _ in patch.star(v)):
+            yield lattice._orbit, (v,)
+            yield from ((lattice._vertex_op, (v, g)) for g in range(n))
+    for i, j in patch.faces:
+        for base in ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            yield from ((lattice._face_op, ((base, (i, j)), h)) for h in range(n))
+    fluxes = range(n) if patch.boundary is None else patch.boundary.members
+    for spec in ribbons:
+        yield from ((lattice._ribbon_op, (spec, int(h), g)) for h in fluxes for g in range(n))
+        if patch.boundary is not None:
+            yield lattice._orbit, spec.end
+            yield from ((lattice._invariant_op, (spec, int(k), g)) for k in fluxes for g in range(n))
+
+
+def test_the_declared_axes_are_enough_to_compile_every_operator():
+    # a probe restricts the patch to the axes its operators declare: on every
+    # pinned patch, each operator compiles on that restriction to the same axes
+    walls = [("S3/full", "full", None), ("S3/trivial", "trivial", None), ("Z2/full", "full", cyclic(2))]
+    cases = _equivalence_cases() + [(f"wall {label}", patch, [rib]) for label, boundary, group in walls
+                                    for patch, rib in [_s3_wall(boundary, group)]]
+    for label, patch, ribbons in cases:
+        ops = list(_pinned_operators(patch, ribbons))
+        assert {build for build, _ in ops} >= {lattice._orbit, lattice._face_op, lattice._ribbon_op}, label
+        for build, key in ops:
+            axes = lattice._op(patch, build, *key).axes
+            sub = lattice._restrict(patch, frozenset(axes))
+            assert lattice._op(sub, build, *key).axes == axes, (label, build.__name__, key)
 
 
 def test_a_wrong_holonomy_conjugation_is_refused(monkeypatch):
@@ -361,14 +436,14 @@ def test_a_wrong_adjoint_record_fails_in_both_suites(monkeypatch):
 
 
 def test_a_map_reading_outside_its_declared_axes_is_refused(monkeypatch):
-    # a face map that declares three of its four cycle edges: the probe's
+    # a face record that declares three of its four cycle edges: the probe's
     # restriction collapses the fourth, which the face's builder reads.  That is
     # an internal bug, raised (not asserted, so under python -O too) as
     # ConditionMismatch before any residual is returned, and the refused
     # operator is not cached
-    axes = lattice._axes
-    monkeypatch.setattr(lattice, "_axes", lambda patch, build, *key: (
-        axes(patch, build, *key)[:3] if build is lattice._face_op else axes(patch, build, *key)))
+    face_op = lattice._face_op
+    monkeypatch.setattr(lattice, "_face_op", lambda patch, site, h: (
+        lambda op: op._replace(axes=op.axes[:3]))(face_op(patch, site, h)))
     for run in _both_suites():
         with pytest.raises(ConditionMismatch, match="declared support"):
             run()
@@ -408,12 +483,13 @@ def test_gram_matches_pairwise_inner(monkeypatch, block_bytes):
     monkeypatch.setattr(errors, "BLOCK_BYTES", block_bytes)
     for patch, rib, build, labels, apply in _gram_cases():
         ops = [lattice._op(patch, build, rib, *key) for key in labels]
-        assert patch.size > np.prod(patch.dims[:ops[0][1] + 1])  # several trailing slices
+        assert patch.size > np.prod(patch.dims[:ops[0].last + 1])  # several trailing slices
         psi = random_state(patch, np.random.default_rng(4))
         gram = _gram(patch, psi, rib, ops)
         ref = _pairwise_gram(psi, [apply(patch, rib, psi, *key) for key in labels])
         assert gram.shape == (len(labels) + 1, len(labels))
         assert dist(gram, ref) <= 1e-15
+        assert dist(_gram(patch, psi, rib, ops, vacuum=True), ref[:1]) <= 1e-15  # row 0 alone
         # operators nonzero in no common charge sector: both Grams hold exact zeros there
         assert np.all(gram[ref == 0] == 0)
         if build is lattice._ribbon_op:  # F^{h,g} lives in sector g alone
@@ -432,11 +508,12 @@ def test_a_ribbon_crossing_sectors_is_summed_exactly(monkeypatch):
     ribbon = lattice._ribbon_op
 
     def leaky(patch, spec, h, g):
-        first, last, shift, coef = ribbon(patch, spec, h, g)
+        op = ribbon(patch, spec, h, g)
         if (h, g) == (1, 1):
-            coef = coef.copy()
+            coef = op.coef.copy()
             coef.flat[np.flatnonzero(coef == 0)[0]] = 1
-        return first, last, shift, coef
+            op = op._replace(coef=coef)
+        return op
 
     monkeypatch.setattr(lattice, "_ribbon_op", leaky)
     labels = [(h, g) for h in range(2) for g in range(2)]
@@ -498,7 +575,7 @@ def test_a_sector_gather_reads_its_coefficient_at_its_positions():
     patch = build_patch(symmetric(3), 3, 2)
     rib = make_ribbon(patch, ((1, 0), (1, 0)), "fv")
     op = lattice._op(patch, lattice._ribbon_op, rib, 2, 1)
-    first, last, _, coef = op
+    first, last, coef = op.first, op.last, op.coef
     span = patch.dims[first:last + 1]
     assert first == 0 and np.prod(span) == 46_656 and coef.size == 6  # the coefficient varies on one axis
     pos = np.flatnonzero(np.broadcast_to(coef.reshape(coef.shape[first:last + 1]) != 0, span))

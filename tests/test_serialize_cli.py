@@ -362,36 +362,36 @@ def test_cli_fusion_s3_bytes_are_frozen(fmt, digest):
 
 LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
-     "c915528f4fc6ffaa6551757c4bcc44670513772a50ea9ac1a0cf7da5c042ddb4"),
+     "a308839706964d1c512ba19ce1fb3774adcfd64653bb7dd2d249e1a9477f76b5"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
-     "e3770847b7d88e6d48c8a7adcb1ddef76aea9e37509ab9ba50f257c84768e1f0"),
+     "0e301a6a1359c22fca2fadf869cb01bf52ede1def12039fc47893faa205fff86"),
     (["lattice", "verify", "--group", "builtin:Z2"],
-     "168659a1fef6894cbd1795650a17720869468ca8db273d32d80ae33ee436acbf"),
+     "dfb29b51b8455914befd841a8f5e6e76780dd27de94d04cdc611f8304b00daa7"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
     # and a cocycle phase on every phased record
     (["lattice", "verify", "--group", "builtin:S3"],
-     "6ecdf2b2f23a1e1535d385645d07cb109931908f100f9732cd0087c722fe52a0"),
+     "c9031ec16bf825e3d4e23f0f7b6b5a31be13d116d275fa67beb63a79a696b9be"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
-     "37c54fa02b4c01b7d091b628b9487c33bf36e0419402cf441888dea6782fe98c"),
+     "ba5ebfb46f660db5c2af2054fad1d6618e2c046c478570f25dde547d4fcfb48d"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
-     "d660f49d469d09af1609db975d6854f473b553f01abe820e3fc82b01117577db"),
+     "e38d61c75f0002589af428e9fca4174544188e4c0c448bd9f70a775923048df5"),
     # the largest wall suite: T~ sums over all of K = S3 in every T~ record
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "full"],
-     "12a98f6ff7f18e63fa31b37f46b4ef0365f045eb9d8de3c89ed1828bbe6651bd"),
+     "05470a3dae37be67a1b9cb444fcc53f27fdbb9b0008cd7b3c92b35b7ccda5051"),
     # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
-     "dc9d11db4e50e986589bcafb4215cdc80d1840a4f0efb15d040a523894204d74"),
+     "95a8a00b19620458bcce7650dd834ca5eab0c7b336618cf71d410429d40726d6"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=["_".join(argv) for argv, _ in LATTICE_PINS])
 def test_cli_lattice_bytes_are_frozen(tmp_path, argv, digest):
     # SHA-256 of the output with random product-state probes, each on the axes
-    # its identity touches, run at one BLAS thread as the benchmark runs: the
-    # full-patch tails' sector Gram products, the character's orbit-layout Grams
-    # and state norms sum in the order of the thread split, so their last bits
-    # follow the count.  Bulk vertex projectors are orbit sums, exactly constant
-    # on each orbit, so the wall suites' charge row reads exactly 0
+    # its identity touches, run at one BLAS thread as the benchmark runs.  State
+    # norms and inner products are einsums in one fixed order; the sector Gram
+    # and character Gram products are GEMMs whose bytes the CI also compares at
+    # two threads.  Bulk vertex projectors are orbit sums, exactly constant on
+    # each orbit, so the wall suites' charge row reads exactly 0
     z22 = direct_product(cyclic(2), cyclic(2))
     bilinear = np.array([[(-1.0) ** ((x >> 1) * (y & 1)) for y in range(4)] for x in range(4)])
     phi = bicharacter_cocycle(full_subgroup(z22), bilinear)
@@ -458,7 +458,7 @@ CONTRACT = [
     ("verify cf 9", 0,
      "188a73773136293114de32f849a811f9d5dfecd197c13c6aff6a124e5e511425"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
-     "0b0b5fa1826550d01508deb7ce2e6dec4216e75ad92454bc1c37a0781e72fbd3"),
+     "87c4adf280cb3f19dc155d84c84c432c30dd586c3c0e2df8da2c74e54324fabe"),
 ]
 
 
