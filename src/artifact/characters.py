@@ -12,7 +12,7 @@ multiplicities counting the degree) are exact in F_p.  Dixon's formula reads the
 multiplicity of each root z^t in rho(g) off chi(g^j), j = 0..e-1, with one
 discrete Fourier transform mod p; the complex table is the multiplicities times
 exp(2 pi i t / e), and `CharacterTable.mult` keeps them for exact use mod other
-primes.  `root_multiplicities` is the same formula on float values.
+primes: fusion, and the snapped S and T of `quantum_double`.
 """
 
 from __future__ import annotations
@@ -154,12 +154,21 @@ def _split(m: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gemm_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as int64, for float64 a < p^2 and b < p holding integers; exact (the
-    floor-mod too) while a.shape[-1] (p - 1)^3 <= 2^53, else SizeExceeded."""
-    _check("residue GEMM beyond exact float64 integers", a.shape[-1] * (p - 1) ** 3, 2**53, SizeExceeded)
+    """a @ b mod p as int64, for float64 a, b holding non-negative integers; exact (the
+    floor-mod too) while a.shape[-1] max(a) max(b) <= 2^53, else SizeExceeded."""
+    reach = a.shape[-1] * int(a.max()) * int(b.max())
+    _check("residue GEMM beyond exact float64 integers", reach, 2**53, SizeExceeded)
     out = a @ b
     out -= p * np.floor(out / p)
     return out.astype(np.int64)
+
+
+def _dixon(values: np.ndarray, zp: np.ndarray, p: int) -> np.ndarray:
+    """Dixon's formula mod p: int64 c[..., t] = sum_j z^-jt values[..., j] / e, the multiplicity
+    of z^t in a sum of roots whose j-th powers sum to values[..., j] (float64 residues), z = zp[1]."""
+    e = len(zp)
+    dft = zp[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p * 1.0  # [j, t] = z^-jt / e
+    return _gemm_mod(values.reshape(-1, e), dft, p).reshape(values.shape)
 
 
 def character_table(g: GroupTable) -> CharacterTable:
@@ -168,7 +177,7 @@ def character_table(g: GroupTable) -> CharacterTable:
     return CharacterTable(g, *_cached(g._cache, "chartable", _character_table, g))
 
 
-# (n, e) -> (p, z^s): one entry for every group of order n and exponent e and for its S residues
+# (n, e) -> (p, z^s): for every group of order n and exponent e, its S residues, and (B, e) snaps
 _PRIMES: dict = {}
 
 
@@ -209,8 +218,7 @@ def _character_table(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rows = (chi * sizes % p) @ dual.T % p  # |G| <chi, psi>
     _check("row orthogonality mod p", np.count_nonzero(rows != n * np.eye(k, dtype=np.int64)), 0)
     _check("column orthogonality mod p", np.count_nonzero(chi.T @ dual % p != np.diag(n // sizes)), 0)
-    dft = zp[-np.outer(np.arange(e), np.arange(e)) % e] * pow(e, -1, p) % p  # [j, t] = z^-jt / e
-    mult = _gemm_mod(chi[:, powers.T].reshape(-1, e) * 1.0, dft * 1.0, p).reshape(k, k, e)  # [chi, l, t]: z^t in rho(z_l)
+    mult = _dixon(chi[:, powers.T] * 1.0, zp, p)  # [chi, l, t]: z^t in rho(z_l)
     _check("root multiplicities must count the degree", np.count_nonzero(mult.sum(-1) != dims[:, None]), 0)
     table = mult @ np.exp(2j * np.pi * np.arange(e) / e)
     order = _row_sort_order(table, dims)
@@ -281,20 +289,3 @@ def induced_character(g: GroupTable, k: Subgroup, chi: ClassFunction) -> ClassFu
         hit = local >= 0
         values[ci] = np.sum(sub_values[local[hit]]) / k.order
     return ClassFunction(g, values, class_orbits(g))
-
-
-# --- exact values ----------------------------------------------------------------
-
-def root_multiplicities(values: np.ndarray) -> np.ndarray:
-    """Dixon's formula: integer c[..., k] with f = sum_k c_k z^k, z = exp(2 pi i / e),
-    from values[..., j] = f evaluated with every group element raised to the j-th
-    power, j = 0..e-1 (so values[..., j] = sum_k c_k z^(jk)).
-
-    c is the inverse discrete Fourier transform along the last axis.  Raises
-    NumericalDegeneracy when it is off integers by more than TOL["character"],
-    negative, or NaN."""
-    raw = np.fft.fft(values, axis=-1) / values.shape[-1]
-    c = _integers(raw, "root multiplicities off integers", TOL["character"], NumericalDegeneracy)
-    if c.min() < 0:
-        raise NumericalDegeneracy("negative root multiplicity")
-    return c

@@ -6,7 +6,7 @@ through _check, against an entry of TOL, and fails on NaN.  A loop whose
 temporaries grow with its input runs over the slices of _blocks, and every
 per-group or per-patch memo, and the per-(n, e) memo of characters._PRIMES
 (the prime and roots of unity that every group of order n and exponent e
-shares), is read and written by _cached.
+shares, and those of each snapped S), is read and written by _cached.
 """
 
 import dataclasses

@@ -87,7 +87,8 @@ def search_transposition_invariants(g: GroupTable, tol: float = TOL["character"]
     """All unordered anyon pairs whose transposition commutes with S and T.
 
     Pairs touching the vacuum are excluded up front (their candidate loses the
-    unit vacuum entry); T-commutation reduces to equal twists and prunes the scan."""
+    unit vacuum entry); T-commutation reduces to equal twists and prunes the scan.
+    Both tests read "not ... <=" so that NaN fails them."""
     objs = anyons(g)
     s = s_matrix(g)
     t = t_vector(g)
@@ -95,11 +96,11 @@ def search_transposition_invariants(g: GroupTable, tol: float = TOL["character"]
     hits = []
     for i in range(1, m):
         for j in range(i + 1, m):
-            if abs(t[i] - t[j]) > tol:
+            if not abs(t[i] - t[j]) <= tol:
                 continue
             p = np.arange(m)
             p[i], p[j] = j, i
-            if np.abs(s[np.ix_(p, p)] - s).max() > tol:
+            if not np.abs(s[np.ix_(p, p)] - s).max() <= tol:
                 continue
             hits.append(TranspositionHit(objs[i], objs[j], (kind(objs[i]), kind(objs[j]))))
     return hits

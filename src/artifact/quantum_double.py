@@ -10,7 +10,9 @@ the orbits of `pair_orbits`, one value per orbit; its `.values` is the expanded
 |G| x |G| grid.  Inner product and decomposition are the ones of
 `characters`, bound here as `dg_inner_product` and `dg_decompose`.  Fusion is
 exact: it reads the same characters mod p, from the centralizers' root
-multiplicities, and certifies its integers over Z.
+multiplicities, and certifies its integers over Z.  So are the cyclotomic
+forms of S and T: `s_root_counts` by Dixon's formula mod a prime above every
+count, and `twist_exponents` read off the multiplicities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import ClassFunction, Orbits, _gemm_mod, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
+from .characters import ClassFunction, Orbits, _dixon, _gemm_mod, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
 from .errors import TOL, ConditionMismatch, GroupMismatch, _blocks, _cached, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
@@ -165,29 +167,6 @@ def _s_matrix(g: GroupTable) -> np.ndarray:
     return (x[:, swap] * po.sizes) @ x.T / g.order
 
 
-def s_charge_powers(g: GroupTable, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of S with every charge raised to the j-th power, j = 0..e-1
-    (e the exponent) along the last axis.  Times |Z(a)||Z(b)| these are the
-    values from which root_multiplicities reads S_XY as a sum of roots of unity.
-
-    S_XY with charges to the j-th power pairs orbit (h^j, g) of X with orbit
-    (g^j, h) of Y; the X side is summed onto the orbits of (g^j, h), so a row
-    block is one GEMM against the conjugate table for every j at once, and
-    j = 1 gives s_matrix bit for bit."""
-    po = pair_orbits(g)
-    rep_g, rep_h = po.reps
-    powers = g.power_table()
-    e, m = len(powers), po.sizes.size
-    x = np.conj(po.table)
-    swap = po.orbit_of[powers[:, rep_h], rep_g]
-    own = po.orbit_of[powers[:, rep_g], rep_h]
-    left = x[rows][:, swap] * po.sizes  # [X, j, orbit]
-    r = left.shape[0]
-    bins = (np.arange(r * e).reshape(r, e, 1) * m + own).ravel()  # row (X, j), column own
-    out = _scatter(bins, left.ravel(), r * e * m).reshape(r * e, m) @ x.T / g.order
-    return out.reshape(r, e, m).transpose(0, 2, 1)
-
-
 def t_vector(g: GroupTable) -> np.ndarray:
     """Twists T_X = tr_pi(a) / dim pi, one unit-modulus value per anyon."""
     po = pair_orbits(g)
@@ -198,23 +177,72 @@ def t_vector(g: GroupTable) -> np.ndarray:
     return out
 
 
-def _s_residues(g: GroupTable) -> tuple[int, np.ndarray, np.ndarray]:
-    """(p, S mod p, conj(S) mod p), int32 as p < 2^18 by _gemm_mod's bound; p and z
-    are those of g's table, e its exponent.  Centralizer tables map by exp(2 pi i / e_Z)
-    -> z^(e/e_Z), conjugates by z^-(e/e_Z); then the gather and GEMM of _s_matrix."""
-    po = pair_orbits(g)
-    p, zp = _prime_and_roots(g.order, len(g.power_table()))
-    e, n, at = len(zp), po.sizes.size, 0
-    tables = np.zeros((2, n, n))  # the double character table mod p, and its conjugate
+def twist_exponents(g: GroupTable) -> np.ndarray:
+    """k per anyon with T_X = z^k, z = exp(2 pi i / e), e the exponent: a is central in Z(a), so the
+    root multiplicities of pi at a's class are d_pi at one root and 0 elsewhere, else ConditionMismatch."""
+    e, out = len(g.power_table()), []
+    for a in conjugacy_data(g).reps:
+        z = centralizer(g, int(a))
+        tab = character_table(z.as_group)
+        row = tab.mult[:, conjugacy_data(z.as_group).class_of[z.position[a]]]  # [pi, t]
+        off = (np.count_nonzero(row, axis=1) != 1) | (row.max(axis=1) != tab.dims)
+        _check("twist rows must hold d_pi at one root", np.count_nonzero(off), 0)
+        out.append(np.argmax(row, axis=1) * (e // row.shape[1]))
+    return np.concatenate(out)
+
+
+def _double_tables(g: GroupTable, p: int, zp: np.ndarray) -> np.ndarray:
+    """[2, m, m] float64: the double character table mod p and its conjugate, zp[s] = z^s for z of
+    order e in F_p.  Centralizer tables map by exp(2 pi i / e_Z) -> z^(e/e_Z), conjugates by z^-(e/e_Z)."""
+    e, n, at = len(zp), pair_orbits(g).sizes.size, 0
+    tables = np.zeros((2, n, n))
     for a in conjugacy_data(g).reps:
         mult = character_table(centralizer(g, int(a)).as_group).mult
         t = np.arange(mult.shape[2]) * (e // mult.shape[2])
         block = slice(at, at := at + len(mult))
         tables[:, block, block] = (mult @ zp[np.stack([t, -t % e])].T % p).transpose(2, 0, 1)
+    return tables
+
+
+def _s_residues(g: GroupTable) -> tuple[int, np.ndarray, np.ndarray]:
+    """(p, S mod p, conj(S) mod p), int32 as |G| <= 2^12 (groups.MAX_ENTRIES) keeps p far
+    below 2^31; p and z are those of g's table.  The gather and GEMM of _s_matrix, mod p."""
+    po = pair_orbits(g)
+    p, zp = _prime_and_roots(g.order, len(g.power_table()))
     swap = po.orbit_of[po.reps[::-1]]
     back = pow(g.order, -1, p)
-    s, conj_s = ((_gemm_mod(x[:, swap] * po.sizes, x.T, p) * back % p).astype(np.int32) for x in tables[::-1])
+    tables = _double_tables(g, p, zp)[::-1]
+    s, conj_s = ((_gemm_mod(x[:, swap] * po.sizes, x.T, p) * back % p).astype(np.int32) for x in tables)
     return p, s, conj_s
+
+
+def s_root_counts(g: GroupTable):
+    """Yield (c, scale) over row blocks X of S: c[X, Y, k] >= 0 with scale_XY S_XY = sum_k
+    c_k z^k, z = exp(2 pi i / e), e the exponent, scale_XY = |Z(a)||Z(b)|.  S_XY with every
+    charge to the j-th power pairs orbit (h^j, g) of X with (g^j, h) of Y: X's side is summed
+    onto the orbits of (g^j, h), Dixon's formula mod P turns j into k, and a GEMM with the
+    conjugate double table mod P sums the orbits.  At j = 0, scale S_XY = B_XY = scale d'_X
+    d'_Y N_XY / |G| (d' the irrep degrees, N the commuting pairs of the two classes) and P > max
+    B, so c_k <= B_XY is its own residue; sum_k c_k = B_XY over Z, else ConditionMismatch."""
+    po, data, powers = pair_orbits(g), conjugacy_data(g), g.power_table()
+    (rep_g, rep_h), e, m, k = po.reps, len(powers), po.sizes.size, data.reps.size
+    flux = data.class_of[rep_h]  # the class of anyon X: orbits are numbered in anyon order
+    zord = g.order // np.bincount(data.class_of)[flux]  # |Z(a)|
+    degree = zord * np.array([x.dim for x in anyons(g)]) // g.order
+    pairs = np.bincount(data.class_of[rep_g] * k + flux, po.sizes, k * k).astype(np.int64).reshape(k, k)
+    bound = np.outer(zord * degree, zord * degree) * pairs[np.ix_(flux, flux)] // g.order
+    p, zp = _prime_and_roots(int(bound.max()), e)
+    x = _double_tables(g, p, zp)[1]
+    left, right = x * zord[:, None] % p, x * (zord * pow(g.order, -1, p) % p)[:, None] % p
+    swap = po.orbit_of[powers[:, rep_h], rep_g]  # [j, orbit]
+    own = po.orbit_of[powers[:, rep_g], rep_h] * e + np.arange(e)[:, None]
+    for rows in _blocks(m, 32 * m * e):
+        bins = (np.arange(rows.stop - rows.start)[:, None, None] * (m * e) + own).ravel()  # [X, own orbit, j]
+        summed = np.bincount(bins, (left[rows][:, swap] * po.sizes).ravel(), bins.size).reshape(-1, m, e)
+        summed -= p * np.floor(summed / p)  # exact: every sum stays below 2^53
+        c = _gemm_mod(right, _dixon(summed, zp, p) * 1.0, p)  # [X, Y, k]
+        _check("snapped S: sum_k c_k != B", np.count_nonzero(c.sum(axis=-1) != bound[rows]), 0)
+        yield c, np.outer(zord[rows], zord)
 
 
 def fusion_verlinde(g: GroupTable) -> np.ndarray:

@@ -15,19 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, ClassFunction, root_multiplicities
+from .characters import CharacterTable, ClassFunction
 from .cocycles import TwoCocycle, _exponent_identity_failure
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport
-from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _blocks, _check
+from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
-from .quantum_double import (
-    anyons,
-    centralizer,
-    kind,
-    pair_orbits,
-    s_charge_powers,
-)
+from .quantum_double import anyons, kind, pair_orbits, s_root_counts, twist_exponents
 
 # Largest omega_order the cocycle writer will infer when factoring a table
 # into integer powers of one primitive root.
@@ -195,49 +189,39 @@ def chartable_csv(obj: dict) -> str:
     return _csv(["irrep", *obj["classes"]], ([f"r{i}", *row] for i, row in enumerate(obj["rows"])))
 
 
+ANYON_FIELDS = ["label", "class_rep", "pi", "dim", "kind"]
+
+
+def _anyon_rows(g: GroupTable) -> list:
+    """One row per anyon, in the order of ANYON_FIELDS."""
+    return [[x.label, int(x.class_rep), int(x.pi), int(x.dim), kind(x)] for x in anyons(g)]
+
+
 def anyons_obj(g: GroupTable) -> dict:
-    rows = [
-        {
-            "label": x.label,
-            "class_rep": int(x.class_rep),
-            "pi": int(x.pi),
-            "dim": int(x.dim),
-            "kind": kind(x),
-        }
-        for x in anyons(g)
-    ]
-    return {"group": g.label, "anyons": rows}
+    return {"group": g.label, "anyons": [dict(zip(ANYON_FIELDS, row)) for row in _anyon_rows(g)]}
 
 
 def anyons_csv(g: GroupTable) -> str:
-    rows = ([x.label, int(x.class_rep), int(x.pi), int(x.dim), kind(x)] for x in anyons(g))
-    return _csv(["label", "class_rep", "pi", "dim", "kind"], rows)
+    return _csv(ANYON_FIELDS, _anyon_rows(g))
 
 
 # --- modular matrices ---------------------------------------------------------------
 
 def s_matrix_obj(g: GroupTable, s: np.ndarray, snap: bool = False) -> dict:
     """With snap, S_XY is rendered over the scale |Z(a)||Z(b)|, which makes it a
-    sum of roots of unity; its multiplicities come from s_charge_powers."""
-    objs = anyons(g)
-    labels = [x.label for x in objs]
+    sum of roots of unity; its multiplicities come exactly from s_root_counts."""
+    labels = [x.label for x in anyons(g)]
     if not snap:
         return {"group": g.label, "objects": labels, "s": complex_grid(s)}
-    zord = np.array([centralizer(g, x.class_rep).order for x in objs])
-    scale = np.outer(zord, zord)
-    cells = []
-    for rows in _blocks(len(objs), 16 * len(objs) * group_exponent(g)):
-        c = root_multiplicities(scale[rows, :, None] * s_charge_powers(g, rows))
-        cells += _cyclotomic_cells(c, scale[rows])
-    return {"group": g.label, "objects": labels, "s": cells}
+    return {"group": g.label, "objects": labels, "s": [row for block in s_root_counts(g) for row in _cyclotomic_cells(*block)]}
 
 
 def t_vector_obj(g: GroupTable, t: np.ndarray, snap: bool = False) -> dict:
     labels = [x.label for x in anyons(g)]
     if not snap:
         return {"group": g.label, "objects": labels, "t": complex_grid(t)}
-    powers = np.asarray(t)[:, None] ** np.arange(group_exponent(g))
-    return {"group": g.label, "objects": labels, "t": _cyclotomic_cells(root_multiplicities(powers), 1)}
+    roots = np.eye(group_exponent(g), dtype=np.int64)[twist_exponents(g)]
+    return {"group": g.label, "objects": labels, "t": _cyclotomic_cells(roots, 1)}
 
 
 def fusion_obj(g: GroupTable, n: np.ndarray) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 
 from artifact import lattice
 from artifact.characters import ClassFunction
-from artifact.errors import GroupMismatch
+from artifact.errors import GroupMismatch, NumericalDegeneracy
 from artifact.groups import (
     GroupTable,
     affine_group,
@@ -23,6 +23,7 @@ from artifact.quantum_double import (
     anyon_dual,
     anyon_op,
     anyons,
+    centralizer,
     pair_orbits,
 )
 
@@ -30,6 +31,36 @@ from artifact.quantum_double import (
 def dist(a, b):
     """Max absolute entrywise difference."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def root_multiplicities(values: np.ndarray) -> np.ndarray:
+    """The float route of Dixon's formula, kept as a reference for the exact counts:
+    integer c[..., k] with values[..., j] = sum_k c_k z^(jk), z = exp(2 pi i / e), by one
+    inverse discrete Fourier transform along the last axis.  Raises NumericalDegeneracy
+    when c is off integers by more than 1e-8, negative, or NaN."""
+    raw = np.fft.fft(values, axis=-1) / values.shape[-1]
+    c = np.rint(raw.real)
+    if not np.max(np.abs(raw - c)) <= 1e-8 or not c.min() >= 0:
+        raise NumericalDegeneracy("root multiplicities off non-negative integers")
+    return c.astype(np.int64)
+
+
+def reference_s_power(g: GroupTable, j: int) -> np.ndarray:
+    """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*, one j at a time."""
+    po = pair_orbits(g)
+    power = g.power_table()[j]
+    own = po.orbit_of[power[po.reps[0]], po.reps[1]]
+    swap = po.orbit_of[power[po.reps[1]], po.reps[0]]
+    x = np.conj(po.table)
+    return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
+
+
+def reference_s_counts(g: GroupTable) -> np.ndarray:
+    """c[X, Y, k] of |Z(a)||Z(b)| S_XY = sum_k c_k z^k by the float route: S with every
+    charge raised to the j-th power, scaled, then root_multiplicities over j."""
+    zord = np.array([centralizer(g, x.class_rep).order for x in anyons(g)])
+    stack = np.stack([reference_s_power(g, j) for j in range(len(g.power_table()))], axis=-1)
+    return root_multiplicities(np.outer(zord, zord)[..., None] * stack)
 
 
 def sweep_groups():

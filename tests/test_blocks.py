@@ -21,7 +21,7 @@ from test_groups import FIVE_LOOP
 SRC = Path(artifact.__file__).parent
 # the five blocked loops: the Latin and associativity scans, Verlinde fusion,
 # the snapped S cells and the Gram's column blocks
-CALLERS = {"groups.py": 2, "quantum_double.py": 1, "serialize.py": 1, "lattice.py": 1}
+CALLERS = {"groups.py": 2, "quantum_double.py": 2, "lattice.py": 1}
 
 
 def _raised(error, table):

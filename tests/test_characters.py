@@ -24,7 +24,6 @@ from artifact.characters import (
     inner_product,
     regular_character,
     restricted_character,
-    root_multiplicities,
     trivial_character,
 )
 from artifact.cli import main
@@ -44,6 +43,7 @@ from artifact.groups import (
 from conftest import (
     dist,
     eigensolve_character_table,
+    root_multiplicities,
     sweep_groups,
     tensor_product_character_table,
     tuple_key_order,
@@ -201,6 +201,8 @@ def _powers(value: complex, e: int) -> np.ndarray:
     return value ** np.arange(e)
 
 
+# root_multiplicities is the tests' float route of Dixon's formula, the reference that
+# the exact multiplicities (the table's and the snapped S cells') are held to
 def test_root_multiplicities_of_roots_of_unity():
     z8 = np.exp(2j * np.pi / 8)
     assert root_multiplicities(2 * _powers(z8, 8)).tolist() == [0, 2, 0, 0, 0, 0, 0, 0]
@@ -227,7 +229,7 @@ def test_root_multiplicities_reject_non_multiplicities(values):
 
 def test_character_values_are_sums_of_eigenvalue_roots():
     # chi(x^j), j = 0..e-1, gives the eigenvalue multiplicities of rho(x): they
-    # count dim rho eigenvalues and sum back to chi(x)
+    # count dim rho eigenvalues, sum back to chi(x) and are the exact ones the table keeps
     for g in (symmetric(4), alternating(5), direct_product(cyclic(3), symmetric(3))):
         ct = character_table(g)
         data = conjugacy_data(g)
@@ -237,6 +239,7 @@ def test_character_values_are_sums_of_eigenvalue_roots():
         assert c.shape == (ct.n_rows, len(data.reps), e)
         assert np.array_equal(c.sum(axis=-1), np.repeat(ct.dims[:, None], len(data.reps), 1))
         assert dist(c @ np.exp(2j * np.pi * np.arange(e) / e), ct.table) < 1e-12
+        assert np.array_equal(c, ct.mult)
 
 
 def _reference_groups():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from artifact import modular
 from artifact.errors import SizeMismatch
 from artifact.groups import cyclic, near_field, symmetric
 from artifact.modular import (
@@ -110,6 +111,21 @@ def test_search_skips_non_invariant_transpositions():
             m = transposition_matrix(data, h.x, h.y)
             assert is_modular_invariant(m, data).ok
             assert h.x.label != h.y.label
+
+
+# NaN fails both tests of the scan: one NaN in S rejects every transposition (each
+# comparison reads all of S), and NaN twists reject every pair before S is read
+@pytest.mark.parametrize("where", ["s", "t"])
+def test_search_rejects_nan_modular_data(monkeypatch, where):
+    g = symmetric(3)
+    s, t = np.array(modular.s_matrix(g)), np.array(modular.t_vector(g))
+    if where == "s":
+        s[3, 4] = np.nan
+    else:
+        t[:] = np.nan
+    monkeypatch.setattr(modular, "s_matrix", lambda g: s)
+    monkeypatch.setattr(modular, "t_vector", lambda g: t)
+    assert search_transposition_invariants(g) == []
 
 
 def test_affine_cf_anyons_q2():

@@ -40,13 +40,14 @@ from artifact.quantum_double import (
     kind,
     pair_orbits,
     product_anyon,
-    s_charge_powers,
     s_matrix,
+    s_root_counts,
     t_vector,
     tensor_character,
+    twist_exponents,
 )
 
-from conftest import dist, sweep_groups
+from conftest import dist, reference_s_counts, sweep_groups
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -390,12 +391,15 @@ def test_fusion_rejects_a_corrupted_centralizer_mult(rep):
 
 
 def test_residue_gemm_refuses_sums_past_exact_float64():
-    # sums of m products below (p - 1)^3: with p - 1 = 2^17, m = 4 reaches 2^53 exactly
+    # the guard reads the operands: K max(a) max(b) = 4 2^34 2^17 = 2^53 passes, and one
+    # more in a's largest entry or one more column is refused; zeros pass at any width
     p = 2**17 + 1
-    ones = np.ones((1, 4)) * (p - 1)
-    assert quantum_double._gemm_mod(ones * (p - 1), ones.T, p)[0, 0] == 4 * (p - 1) ** 3 % p
-    with pytest.raises(SizeExceeded, match="exact float64"):
-        quantum_double._gemm_mod(np.zeros((1, 5)), np.zeros((5, 1)), p)
+    a, b = np.full((1, 4), 2.0**34), np.full((4, 1), 2.0**17)
+    assert quantum_double._gemm_mod(a, b, p)[0, 0] == 2**53 % p
+    for a, b in ((a + np.eye(1, 4), b), (np.full((1, 5), 2.0**34), np.full((5, 1), 2.0**17))):
+        with pytest.raises(SizeExceeded, match="exact float64"):
+            quantum_double._gemm_mod(a, b, p)
+    assert quantum_double._gemm_mod(np.zeros((1, 5)), np.zeros((5, 1)), p)[0, 0] == 0
 
 
 @pytest.mark.parametrize("p", [7, 13, 331, 2**17 - 1, 2**17 + 1])
@@ -561,34 +565,52 @@ def test_nan_class_functions_are_rejected():
         ClassFunction.from_dense(g, grid, pair_orbits(g))
 
 
-def test_s_charge_powers_start_at_the_identity_and_hold_s():
+def _s_counts(g):
+    """The row blocks of s_root_counts, stacked, after checking their scales |Z(a)||Z(b)|."""
+    blocks = list(s_root_counts(g))
+    zord = np.array([centralizer(g, x.class_rep).order for x in anyons(g)])
+    assert np.array_equal(np.concatenate([scale for _, scale in blocks]), np.outer(zord, zord))
+    return np.concatenate([c for c, _ in blocks])
+
+
+def test_s_root_counts_start_at_the_identity_and_hold_s():
     for g in (cyclic(1), symmetric(3), alternating(4)):
-        stack = s_charge_powers(g)
-        assert stack.shape == s_matrix(g).shape + (len(g.power_table()),)
-        assert np.array_equal(stack[..., 1 % stack.shape[-1]], s_matrix(g))
-        # j = 0 sends every charge to the identity: d_X d_Y / |G| times the flux overlap
-        dims = np.array([x.dim for x in anyons(g)])
-        assert dist(stack[0, :, 0], dims / g.order) < 1e-12
+        c, e = _s_counts(g), len(g.power_table())
+        zord = np.array([centralizer(g, x.class_rep).order for x in anyons(g)])
+        assert c.shape == s_matrix(g).shape + (e,) and c.min() >= 0
+        assert dist(c @ np.exp(2j * np.pi * np.arange(e) / e) / np.outer(zord, zord), s_matrix(g)) < 1e-12
+        # j = 0 sends every charge to the identity: the vacuum row counts |G| |Z(b)| S_0Y = |Z(b)| d_Y
+        assert np.array_equal(c[0].sum(axis=-1), zord * [x.dim for x in anyons(g)])
 
 
-def reference_s_power(g, j):
-    """(1/|G|) sum over commuting (g, h) of chi_X(h^j g*)* chi_Y(g^j h*)*, one j at a time."""
-    po = pair_orbits(g)
-    power = g.power_table()[j]
-    own = po.orbit_of[power[po.reps[0]], po.reps[1]]
-    swap = po.orbit_of[power[po.reps[1]], po.reps[0]]
-    x = np.conj(po.table)
-    return (x[:, swap] * po.sizes) @ x[:, own].T / g.order
+def test_s_root_counts_match_the_float_route(monkeypatch):
+    for g in (*sweep_groups(), symmetric(5), alternating(6), symmetric(6)):
+        assert np.array_equal(_s_counts(g), reference_s_counts(g)), g.label
+    g = direct_product(cyclic(2), symmetric(3))
+    monkeypatch.setattr(errors, "BLOCK_BYTES", 1)  # one row per block
+    assert len(list(s_root_counts(g))) == len(anyons(g))
+    assert np.array_equal(_s_counts(g), reference_s_counts(g))
 
 
-def test_s_charge_power_row_blocks_match_the_per_power_reference():
-    for g in (symmetric(3), alternating(4), direct_product(cyclic(2), symmetric(3)), cyclic(6)):
-        e, m = len(g.power_table()), len(anyons(g))
-        reference = np.stack([reference_s_power(g, j) for j in range(e)], axis=-1)
-        assert dist(s_charge_powers(g), reference) < 1e-13
-        for x0 in range(0, m, 3):
-            rows = slice(x0, x0 + 3)
-            assert np.array_equal(s_charge_powers(g, rows), s_charge_powers(g)[rows])
+def test_twist_exponents_give_t():
+    for g in (symmetric(3), alternating(5), affine_group(near_field(7))):
+        e = len(g.power_table())
+        assert dist(np.exp(2j * np.pi * twist_exponents(g) / e), t_vector(g)) < 1e-12
+
+
+# a row of mult at a's own class in Z(a) that is not d_pi at one root: d = 2 split over
+# two roots on S3 (a = e, Z(a) = S3), and a sign twist counted twice on Z2 (a a transposition)
+@pytest.mark.parametrize("rep, pi, row", [(0, 2, [1, 1, 0, 0, 0, 0]), (1, 1, [0, 2])])
+def test_twist_exponents_refuse_a_wrong_twist_row(rep, pi, row):
+    g = symmetric(3)
+    a = int(conjugacy_data(g).reps[rep])
+    z = centralizer(g, a)
+    tab = character_table(z.as_group)
+    mult = tab.mult.copy()
+    mult[pi, conjugacy_data(z.as_group).class_of[z.position[a]]] = row
+    z.as_group._cache["chartable"] = (tab.table, tab.dims, mult)
+    with pytest.raises(ConditionMismatch, match="twist rows must hold d_pi at one root"):
+        twist_exponents(g)
 
 
 def test_dropped_groups_are_freed_without_the_garbage_collector():

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact import cli, errors, serialize
+from artifact import cli, errors, quantum_double, serialize
 from artifact.characters import character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
 from artifact.condensation import boundary_character
-from artifact.errors import CocycleIdentityFailure, ConditionMismatch, NumericalDegeneracy, SizeMismatch
+from artifact.errors import CocycleIdentityFailure, ConditionMismatch, SizeMismatch
 from artifact.groups import (
     affine_group,
     cyclic,
@@ -246,25 +246,28 @@ def test_snapped_s_cells_do_not_depend_on_the_row_block(monkeypatch):
     g = affine_group(near_field(5))  # 22 anyons, exponent 20
     whole = s_matrix_obj(g, s_matrix(g), snap=True)
     for rows in (1, 3):  # one row, and blocks of 3 ending in a partial one
-        monkeypatch.setattr(errors, "BLOCK_BYTES", 16 * 22 * 20 * rows)
+        monkeypatch.setattr(errors, "BLOCK_BYTES", 32 * 22 * 20 * rows)
         assert s_matrix_obj(g, s_matrix(g), snap=True) == whole
 
 
-@pytest.mark.parametrize("defect", [np.nan, 0.25])
-def test_snapped_cells_reject_non_multiplicities(monkeypatch, defect):
-    exact = serialize.s_charge_powers
+# one residue of the conjugate double table mod P moved by one, at a trivial charge (the
+# j = 0 sums move) and at the last orbit (counts wrap mod P): some cell's counts then miss
+# their certified sum, and the rendering fails with exit code 1
+@pytest.mark.parametrize("at", [(1, 0), (-1, -1)], ids=["trivial-charge", "last"])
+def test_snapped_cells_reject_a_corrupted_residue(monkeypatch, at):
+    exact = quantum_double._double_tables
 
-    def broken(g, rows=slice(None)):
-        stack = np.array(exact(g, rows))
-        stack[1, 1, 0] += defect
-        return stack
+    def broken(g, p, zp):
+        tables = exact(g, p, zp)
+        tables[1][at] = (tables[1][at] + 1) % p
+        return tables
 
-    monkeypatch.setattr(serialize, "s_charge_powers", broken)
-    with pytest.raises(NumericalDegeneracy):
+    monkeypatch.setattr(quantum_double, "_double_tables", broken)
+    with pytest.raises(ConditionMismatch, match="snapped S"):
         s_matrix_obj(symmetric(3), s_matrix(symmetric(3)), snap=True)
     code, out, err = run_cli(["smatrix", "--snap", "--group", "builtin:S3"])
     assert code == 1 and out == ""
-    assert "root multiplicities off integers" in err
+    assert "snapped S: sum_k c_k != B" in err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact.characters import ClassFunction, character_table, root_multiplicities
+from artifact.characters import ClassFunction, character_table
 from artifact.cocycles import normalize, trivial_cocycle, validate
 from artifact.errors import (
     TOL,
@@ -21,8 +21,9 @@ from artifact.errors import (
     ZeroProjection,
     _check,
 )
-from artifact.groups import cyclic, full_subgroup, symmetric
+from artifact.groups import cyclic, full_subgroup, near_field, symmetric
 from artifact.lattice import build_patch, ground_state
+from artifact.modular import verify_theorem_b1
 from artifact.quantum_double import anyon_character, anyons, dg_decompose, pair_orbits
 
 SRC = Path(artifact.__file__).parent
@@ -81,6 +82,11 @@ def _row_match():
     return lambda: tab.match_row(tab.table[1])
 
 
+def _induced_norm():
+    h = near_field(3)
+    return lambda: verify_theorem_b1(h)
+
+
 def _ground_state():
     patch = build_patch(cyclic(2), 2, 2)
     return lambda: ground_state(patch)
@@ -110,7 +116,7 @@ def _from_dense():
 
 # entry -> (error raised once the entry fails, builder of the call that reads it)
 READERS = {
-    "character": (NumericalDegeneracy, lambda: lambda: root_multiplicities(np.ones((1, 2)))),
+    "character": (ConditionMismatch, _induced_norm),
     "match": (NumericalDegeneracy, _row_match),
     "nonzero": (ZeroProjection, _ground_state),
     "multiplicity": (NonIntegerMultiplicity, _decompose),
