@@ -94,11 +94,11 @@ class CharacterTable:
         return ClassFunction(self.group, self.table[i], class_orbits(self.group))
 
     def match_row(self, values: np.ndarray) -> int:
-        """Row index whose values match the given class vector."""
-        for i in range(self.n_rows):
-            if np.max(np.abs(self.table[i] - values)) <= TOL["match"]:
-                return i
-        raise NumericalDegeneracy("no matching irreducible row")
+        """Row index whose values match the given class vector: the row least off it, within TOL["match"]."""
+        off = np.max(np.abs(self.table - values), axis=1)
+        i = int(np.argmin(off))
+        _check("no matching irreducible row", float(off[i]), TOL["match"], NumericalDegeneracy)
+        return i
 
 
 def _row_sort_order(table: np.ndarray, dims: np.ndarray) -> np.ndarray:

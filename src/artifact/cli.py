@@ -8,8 +8,9 @@ emit identical bytes.
 The two paragraphs above are the --help description; in detail: each
 subcommand body returns its document, a JSON tree or CSV text, and `main`
 writes it.  Exit code 1 means the document says "ok": false (modinv check,
-verify cf, lattice verify) or a check failed with an error.  --snap applies to
-JSON output only; --tol must be a finite, non-negative float.
+verify cf, lattice verify) or a check failed (errors.ConditionMismatch); any
+other error exits 2.  --snap applies to JSON output only; --tol must be a
+finite, non-negative float.
 The parser is built once per process and shared by every `main` call; each call
 parses into a fresh namespace, so no option value carries from one command to the next.
 """
@@ -26,14 +27,7 @@ from . import serialize
 from .characters import character_table
 from .cocycles import trivial_cocycle, wall_cocycle
 from .condensation import UWallSpec, condense, diagonal_wall, equivalence_check, verify_cf_symmetry
-from .errors import (
-    TOL,
-    ArtifactError,
-    ConditionMismatch,
-    NonIntegerMultiplicity,
-    NumericalDegeneracy,
-    ZeroProjection,
-)
+from .errors import TOL, ArtifactError, ConditionMismatch
 from .groups import (
     GroupTable,
     NearFieldSpec,
@@ -61,15 +55,6 @@ from .modular import (
     transposition_matrix,
 )
 from .quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
-
-# Failures of a mathematical condition on otherwise valid input; everything
-# else raised by the library is treated as an input problem.
-CHECK_FAILURES = (
-    ConditionMismatch,
-    NonIntegerMultiplicity,
-    NumericalDegeneracy,
-    ZeroProjection,
-)
 
 BUILTIN_RE = re.compile(r"([ZSA])(\d+)")
 
@@ -351,7 +336,7 @@ def main(argv=None) -> int:
         doc = args.fn(args)
         sys.stdout.write(doc if isinstance(doc, str) else serialize.render_json(doc))
         return 1 if isinstance(doc, dict) and doc.get("ok") is False else 0
-    except CHECK_FAILURES as exc:
+    except ConditionMismatch as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

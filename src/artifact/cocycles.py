@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     TOL,
     CocycleIdentityFailure,
-    ConditionMismatch,
     NotAbelian,
     NotAField,
     NotBimultiplicative,
@@ -173,8 +172,7 @@ def absolute_trace(h: NearFieldSpec) -> np.ndarray:
     total, term = np.zeros_like(idx), idx
     for _ in range(d):
         total, term = h.add[total, term], frobenius[term]
-    if (total >= p).any():
-        raise ConditionMismatch("trace must land in the prime subfield")
+    _check("trace must land in the prime subfield", np.count_nonzero(total >= p), 0)
     return total
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .characters import ClassFunction
 from .cocycles import TwoCocycle, phase, trivial_cocycle, wall_cocycle
-from .errors import TOL, ConditionMismatch, GroupMismatch, SubgroupMismatch, _integers, _places, _reassembles
+from .errors import TOL, GroupMismatch, SubgroupMismatch, _check, _integers, _places, _reassembles
 from .groups import GroupTable, NearFieldSpec, Subgroup, direct_product, is_right_distributive, subgroup
 from .modular import affine_cf_anyons, verify_theorem_b1
 from .quantum_double import (
@@ -91,12 +91,10 @@ def condense(g: GroupTable, k: Subgroup, phi: TwoCocycle | None = None) -> Conde
     chi = boundary_character(g, k, phi)
     mult = dg_decompose(chi)
     objs = anyons(g)
-    if mult.min() < 0:
-        raise ConditionMismatch("boundary multiplicities must be non-negative")
-    if mult[0] != 1:
-        raise ConditionMismatch("the vacuum must condense with multiplicity one")
-    if int(sum(m * x.dim for m, x in zip(mult, objs))) != g.order:
-        raise ConditionMismatch("dimension-weighted multiplicities must total |G|")
+    _check("boundary multiplicities must be non-negative", np.count_nonzero(mult < 0), 0)
+    _check("the vacuum must condense with multiplicity one", abs(int(mult[0]) - 1), 0)
+    dims = np.array([x.dim for x in objs])
+    _check("dimension-weighted multiplicities must total |G|", abs(int(mult @ dims) - g.order), 0)
     condensed = tuple(x for m, x in zip(mult, objs) if m > 0)
     return CondensationReport(g, k, phi, chi, mult, condensed)
 
@@ -113,8 +111,8 @@ def fold(ga: GroupTable, gb: GroupTable) -> tuple[GroupTable, np.ndarray]:
     for i, x in enumerate(ax):
         for j, y in enumerate(bx):
             pair_index[i, j] = target[product_anyon(gg, x, y)]
-    if not np.array_equal(np.sort(pair_index.ravel()), np.arange(len(target))):
-        raise ConditionMismatch("product anyons must biject with pairs of factor anyons")
+    hits = np.bincount(pair_index.ravel(), minlength=len(target))
+    _check("product anyons must biject with pairs of factor anyons", np.count_nonzero(hits != 1), 0)
     return gg, pair_index
 
 
@@ -140,17 +138,14 @@ def tunnel(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> TunnelingMatrix:
     ids = pa.orbit_of[left[i], left[j]] * mb + pb.orbit_of[right[i], right[j]]
     w = _scatter(ids, ph, ma * mb).reshape(ma, mb)
     raw = np.conj(pa.table) @ w @ np.conj(pb.table).T / wall.u.order
-    n = _integers(raw, "wall character is not a sum of product anyons", TOL["multiplicity"], ConditionMismatch)
-    if n.min() < 0:
-        raise ConditionMismatch("wall character has a negative multiplicity")
+    n = _integers(raw, "wall character is not a sum of product anyons", TOL["multiplicity"])
+    _check("wall character has a negative multiplicity", np.count_nonzero(n < 0), 0)
     folded = w * (gg.order / wall.u.order) / np.outer(pa.sizes, pb.sizes)
     _reassembles("tunneling matrix must reassemble the wall character", pa.table.T @ n @ pb.table, folded)
-    if n[0, 0] != 1:
-        raise ConditionMismatch("the product vacuum must appear exactly once")
+    _check("the product vacuum must appear exactly once", abs(int(n[0, 0]) - 1), 0)
     da = np.array([x.dim for x in anyons(ga)])
     db = np.array([y.dim for y in anyons(gb)])
-    if int(da @ n @ db) != gg.order:
-        raise ConditionMismatch("dimension-weighted total must be |G||G'|")
+    _check("dimension-weighted total must be |G||G'|", abs(int(da @ n @ db) - gg.order), 0)
     return TunnelingMatrix(ga, gb, n)
 
 
@@ -199,8 +194,7 @@ def equivalence_check(ga: GroupTable, gb: GroupTable, wall: UWallSpec) -> Equiva
     )
     conditions = bool(proj_left and proj_right and nondeg)
 
-    if conditions != is_perm:
-        raise ConditionMismatch("subgroup-side invertibility test and tunneling matrix disagree")
+    _check("subgroup-side invertibility test and tunneling matrix disagree", abs(conditions - is_perm), 0)
     targets = tuple(int(np.argmax(row)) for row in n) if is_perm else None
     return EquivalenceReport(
         "equivalence" if is_perm else "partial",
@@ -244,8 +238,7 @@ def verify_cf_symmetry(h: NearFieldSpec) -> CFSymmetryReport:
     u = wall_phi.subgroup
     gg = u.parent
     ga, gb = gg.meta["product_of"]
-    if ga is not gb:
-        raise ConditionMismatch("the wall folds two copies of the same affine group")
+    _check("the wall folds two copies of the same affine group", int(ga is not gb), 0)
     c, f = affine_cf_anyons(ga, h.q)
     eq = equivalence_check(ga, gb, UWallSpec(u, wall_phi))
     objs, swap = anyons(ga), {c: f, f: c}

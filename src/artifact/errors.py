@@ -1,12 +1,15 @@
 """Exception types shared across the package, and its numerical checks.
 
 Every validation failure carries enough context (indices, names) to locate
-the first offending element, triple, or axiom.  A numerical check raises
-through _check, against an entry of TOL, and fails on NaN.  A loop whose
-temporaries grow with its input runs over the slices of _blocks, and every
-per-group or per-patch memo, and the per-(n, e) memo of characters._PRIMES
-(the prime and roots of unity that every group of order n and exponent e
-shares, and those of each snapped S), is read and written by _cached.
+the first offending element, triple, or axiom.  Every numerical or integer
+check raises through _check, against an entry of TOL (0 for an integer
+residual), and fails on NaN.  A failed check of an invariant is a
+ConditionMismatch or a subclass, the one error the CLI maps to exit code 1;
+any other error refuses the input (exit code 2).  A loop whose temporaries
+grow with its input runs over the slices of _blocks, and every per-group or
+per-patch memo, and the per-(n, e) memo of characters._PRIMES (the prime and
+roots of unity that every group of order n and exponent e shares, and those
+of each snapped S), is read and written by _cached.
 """
 
 import dataclasses
@@ -31,6 +34,10 @@ BLOCK_BYTES = 1 << 19
 
 class ArtifactError(Exception):
     """Base class for all package errors."""
+
+
+class ConditionMismatch(ArtifactError):
+    """A check failed: CLI exit code 1.  Two routes disagree, or an invariant fails; an internal bug."""
 
 
 # --- group construction -----------------------------------------------------
@@ -86,11 +93,11 @@ class SubgroupMismatch(ArtifactError):
 
 # --- character theory and modular data --------------------------------------
 
-class NumericalDegeneracy(ArtifactError):
+class NumericalDegeneracy(ConditionMismatch):
     pass
 
 
-class NonIntegerMultiplicity(ArtifactError):
+class NonIntegerMultiplicity(ConditionMismatch):
     pass
 
 
@@ -119,19 +126,13 @@ class NotBimultiplicative(ArtifactError):
     pass
 
 
-# --- condensation / wall checks ----------------------------------------------
-
-class ConditionMismatch(ArtifactError):
-    """Two independent verification routes disagree; indicates an internal bug."""
-
-
 # --- lattice ------------------------------------------------------------------
 
 class DimensionCap(ArtifactError):
     pass
 
 
-class ZeroProjection(ArtifactError):
+class ZeroProjection(ConditionMismatch):
     pass
 
 
@@ -157,7 +158,7 @@ def _places(tol: float) -> int:
     return round(-math.log10(tol))
 
 
-def _integers(raw: np.ndarray, what: str, tol: float, error) -> np.ndarray:
+def _integers(raw: np.ndarray, what: str, tol: float, error=ConditionMismatch) -> np.ndarray:
     """Nearest integers to raw as int64, checked within tol.  raw is overwritten
     with its off-integer part (no temporary of its size)."""
     n = np.rint(raw.real)

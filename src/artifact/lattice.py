@@ -59,7 +59,6 @@ from .characters import ClassFunction
 from .cocycles import TwoCocycle, normalize, trivial_cocycle
 from .errors import (
     TOL,
-    ConditionMismatch,
     DimensionCap,
     GroupMismatch,
     InvalidRibbon,
@@ -236,8 +235,7 @@ def _coords(patch: LatticePatch, axes) -> dict[int, np.ndarray]:
     shaped to broadcast against the state.  An axis a restriction collapsed lies
     outside the support its probe declared, an internal bug, so it is refused."""
     collapsed = sorted(a for a in axes if patch.dims[a] < len(_edge_values(patch, a)))
-    if collapsed:
-        raise ConditionMismatch(f"an operator reads axes {collapsed} outside its probe's declared support")
+    _check(f"an operator reads axes {collapsed} outside its probe's declared support", len(collapsed), 0)
     nd = len(patch.dims)
     return {a: np.arange(patch.dims[a]).reshape([-1 if b == a else 1 for b in range(nd)])
             for a in axes}
@@ -509,7 +507,12 @@ def _wall_vertex_op(patch: LatticePatch, v, k: int):
 def _wall_orbit(patch: LatticePatch, v) -> _Compiled:
     """The wall projector's orbit sum: A^k acts freely on the solid edge, with its cocycle phase."""
     return _layout(patch, _wall_star(patch, v)[0][0], patch.boundary.order, lambda k: _wall_vertex_op(patch, v, k),
-                   lambda p, s, v: _apply(p, s, _wall_orbit, v))
+                   lambda p, s, v: wall_projector(p, s, v))
+
+
+def wall_projector(patch: LatticePatch, state: LatticeState, v) -> LatticeState:
+    """A_v = sum_k A_v^k / |K| at a wall vertex as one phased orbit sum (`_wall_orbit`)."""
+    return _apply(patch, state, _wall_orbit, tuple(v))
 
 
 def apply_wall_vertex(patch: LatticePatch, state: LatticeState, v, k: int) -> LatticeState:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table, induced_character, inner_product
-from .errors import TOL, ConditionMismatch, SizeMismatch, _check
+from .errors import TOL, SizeMismatch, _check
 from .groups import (
     GroupTable,
     NearFieldSpec,
@@ -127,8 +127,7 @@ def affine_cf_anyons(g: GroupTable, q: int) -> tuple[Anyon, Anyon]:
         for p in range(tab.n_rows)
         if tab.dims[p] == q - 1 and abs(tab.table[p, cls] + 1) <= TOL["match"]
     ]
-    if len(rows) != 1:
-        raise ConditionMismatch("the induced irrep must be unique")
+    _check("the induced irrep must be unique", abs(len(rows) - 1), 0)
     chargeon = anyon_by(g, 0, rows[0])
     fluxion = anyon_by(g, int(data.reps[cls]), 0)
     return chargeon, fluxion

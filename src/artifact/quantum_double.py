@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import ClassFunction, Orbits, _dixon, _gemm_mod, _on_orbits, _prime_and_roots, character_table, decompose, inner_product
-from .errors import TOL, ConditionMismatch, GroupMismatch, _blocks, _cached, _check
+from .errors import TOL, GroupMismatch, _blocks, _cached, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, subgroup
 
 
@@ -72,8 +72,7 @@ def _anyons(g: GroupTable) -> tuple[tuple[Anyon, ...], dict[tuple[int, int], int
         for p in range(tab.n_rows):
             index[(int(a), p)] = len(out)
             out.append(Anyon(int(a), p, size * int(tab.dims[p]), f"({cl},r{p})"))
-    if sum(x.dim**2 for x in out) != g.order**2:
-        raise ConditionMismatch("squared dims must total |G|^2")
+    _check("squared dims must total |G|^2", abs(sum(x.dim**2 for x in out) - g.order**2), 0)
     return tuple(out), index
 
 
@@ -223,7 +222,8 @@ def s_root_counts(g: GroupTable):
     onto the orbits of (g^j, h), Dixon's formula mod P turns j into k, and a GEMM with the
     conjugate double table mod P sums the orbits.  At j = 0, scale S_XY = B_XY = scale d'_X
     d'_Y N_XY / |G| (d' the irrep degrees, N the commuting pairs of the two classes) and P > max
-    B, so c_k <= B_XY is its own residue; sum_k c_k = B_XY over Z, else ConditionMismatch."""
+    B, so c_k <= B_XY is its own residue; sum_k c_k = B_XY over Z, and sum_k c_k z_p^k = scale_XY
+    S_XY mod fusion's prime p (`_s_residues`, z -> z_p), else ConditionMismatch."""
     po, data, powers = pair_orbits(g), conjugacy_data(g), g.power_table()
     (rep_g, rep_h), e, m, k = po.reps, len(powers), po.sizes.size, data.reps.size
     flux = data.class_of[rep_h]  # the class of anyon X: orbits are numbered in anyon order
@@ -232,6 +232,8 @@ def s_root_counts(g: GroupTable):
     pairs = np.bincount(data.class_of[rep_g] * k + flux, po.sizes, k * k).astype(np.int64).reshape(k, k)
     bound = np.outer(zord * degree, zord * degree) * pairs[np.ix_(flux, flux)] // g.order
     p, zp = _prime_and_roots(int(bound.max()), e)
+    fp, fz = _prime_and_roots(g.order, e)
+    s_fp = _cached(g._cache, "s_residues", _s_residues, g)[1]
     x = _double_tables(g, p, zp)[1]
     left, right = x * zord[:, None] % p, x * (zord * pow(g.order, -1, p) % p)[:, None] % p
     swap = po.orbit_of[powers[:, rep_h], rep_g]  # [j, orbit]
@@ -241,8 +243,10 @@ def s_root_counts(g: GroupTable):
         summed = np.bincount(bins, (left[rows][:, swap] * po.sizes).ravel(), bins.size).reshape(-1, m, e)
         summed -= p * np.floor(summed / p)  # exact: every sum stays below 2^53
         c = _gemm_mod(right, _dixon(summed, zp, p) * 1.0, p)  # [X, Y, k]
+        scale = np.outer(zord[rows], zord)
         _check("snapped S: sum_k c_k != B", np.count_nonzero(c.sum(axis=-1) != bound[rows]), 0)
-        yield c, np.outer(zord[rows], zord)
+        _check("snapped S: sum_k c_k z_p^k != scale S mod p", np.count_nonzero(c @ fz % fp != scale * s_fp[rows] % fp), 0)
+        yield c, scale
 
 
 def fusion_verlinde(g: GroupTable) -> np.ndarray:

@@ -13,8 +13,9 @@ from artifact import errors
 
 SRC = Path(artifact.__file__).parent
 # the memos: conj, powers and conjugacy data; the character table and the per-(n, e) prime;
-# centralizers, anyons (read by anyons and _index), pair orbits, S, S mod p and fusion; compiled ops and spans
-CALLERS = {"groups.py": 3, "characters.py": 2, "quantum_double.py": 7, "lattice.py": 2}
+# centralizers, anyons (read by anyons and _index), pair orbits, S, S mod p (read by fusion and the snapped S)
+# and fusion; compiled ops and spans
+CALLERS = {"groups.py": 3, "characters.py": 2, "quantum_double.py": 8, "lattice.py": 2}
 # where an array may be made read-only: the memo walker, and a group's own mul and inv
 WRITEABLE = {("errors.py", "_read_only"), ("groups.py", "GroupTable")}
 

@@ -51,6 +51,7 @@ from artifact.lattice import (
     minimal_boundary_patch,
     random_state,
     vertex_projector,
+    wall_projector,
     wall_relation_report,
 )
 from artifact.quantum_double import pair_orbits
@@ -151,7 +152,7 @@ def test_the_orbit_projector_is_the_average_of_the_vertex_operators():
         for v in vertices:
             if v in patch.ham_wall_vertices:
                 n, solid = patch.boundary.order, lattice._wall_star(patch, v)[0][0]
-                out = lattice._Op(patch, lattice._wall_orbit, (v,))(psi).amplitudes
+                out = wall_projector(patch, psi, v).amplitudes
                 ref = lattice._Sum(tuple(lattice._Op(patch, lattice._wall_vertex_op, (v, k)) for k in range(n)))(psi)
                 ref = ref.amplitudes / n
                 assert np.array_equal(np.take(out, 0, axis=solid), np.take(ref, 0, axis=solid)), v

@@ -250,16 +250,21 @@ def test_snapped_s_cells_do_not_depend_on_the_row_block(monkeypatch):
         assert s_matrix_obj(g, s_matrix(g), snap=True) == whole
 
 
-# one residue of the conjugate double table mod P moved by one, at a trivial charge (the
-# j = 0 sums move) and at the last orbit (counts wrap mod P): some cell's counts then miss
-# their certified sum, and the rendering fails with exit code 1
-@pytest.mark.parametrize("at", [(1, 0), (-1, -1)], ids=["trivial-charge", "last"])
-def test_snapped_cells_reject_a_corrupted_residue(monkeypatch, at):
+# one residue of the conjugate double table mod the snap's prime P (S3: P = 31; fusion's
+# p = 7 is left exact) moved by one: at a trivial charge (the j = 0 sums move) and at the
+# last orbit (counts wrap mod P), some cell's counts miss their certified sum; at (1, 1) the
+# counts move between the roots of a cell and keep its sum, but miss S mod p.  Either way
+# the rendering fails with exit code 1
+@pytest.mark.parametrize("at, check", [((1, 0), "sum_k c_k != B"), ((-1, -1), "sum_k c_k != B"),
+                                       ((1, 1), "sum_k c_k z_p^k != scale S mod p")],
+                         ids=["trivial-charge", "last", "within-a-cell"])
+def test_snapped_cells_reject_a_corrupted_residue(monkeypatch, at, check):
     exact = quantum_double._double_tables
 
     def broken(g, p, zp):
         tables = exact(g, p, zp)
-        tables[1][at] = (tables[1][at] + 1) % p
+        if p == 31:
+            tables[1][at] = (tables[1][at] + 1) % p
         return tables
 
     monkeypatch.setattr(quantum_double, "_double_tables", broken)
@@ -267,7 +272,7 @@ def test_snapped_cells_reject_a_corrupted_residue(monkeypatch, at):
         s_matrix_obj(symmetric(3), s_matrix(symmetric(3)), snap=True)
     code, out, err = run_cli(["smatrix", "--snap", "--group", "builtin:S3"])
     assert code == 1 and out == ""
-    assert "snapped S: sum_k c_k != B" in err
+    assert f"snapped S: {check}" in err
 
 
 @pytest.mark.parametrize(
@@ -482,6 +487,22 @@ def test_oversized_inputs_are_refused_before_any_array_exists(argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and "above the cap" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.ConditionMismatch, 1, "check failed:"),
+    (errors.NonIntegerMultiplicity, 1, "check failed:"),
+    (errors.NumericalDegeneracy, 1, "check failed:"),
+    (errors.ZeroProjection, 1, "check failed:"),
+    (errors.SizeMismatch, 2, "input error:"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_cli_exit_code_of_each_error(monkeypatch, error, code, prefix):
+    # every check error exits 1, any other package error 2
+    def fail(g):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "conjugacy_data", fail)
+    assert run_cli(["group", "info", "--group", "builtin:S3"]) == (code, "", f"{prefix} planted\n")
 
 
 def test_cli_lattice_verify_passes_residuals_equal_to_the_tolerance():

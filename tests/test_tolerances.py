@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import artifact
+from artifact import errors
 from artifact.characters import ClassFunction, character_table
 from artifact.cocycles import normalize, trivial_cocycle, validate
 from artifact.errors import (
@@ -67,6 +68,27 @@ def test_no_tolerance_literal_outside_the_table():
             if (LITERAL.search(line) or no in rounded) and not (path.name == "errors.py" and no in table)
         ]
     assert not stray, "\n".join(stray)
+
+
+# the errors of a failed check: ConditionMismatch and its subclasses
+CHECK_ERRORS = {"ConditionMismatch", "NonIntegerMultiplicity", "NumericalDegeneracy", "ZeroProjection"}
+
+
+def test_every_check_fails_through_check():
+    # a check error is raised by errors._check alone, and no check lives in an assert,
+    # which python -O strips
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raised = getattr(node, "exc", None)
+            raised = getattr(raised, "func", raised)  # raise E(...) or raise E, E a name or an attribute
+            name = getattr(raised, "id", getattr(raised, "attr", None))
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and name in CHECK_ERRORS
+                                                and path.name != "errors.py"):
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, "\n".join(stray)
+    assert CHECK_ERRORS == {name for name, value in vars(errors).items()
+                            if isinstance(value, type) and issubclass(value, ConditionMismatch)}
 
 
 def test_the_scan_sees_literal_decimal_places():
