@@ -113,15 +113,22 @@ def _ints(raw, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _fields(obj, what: str) -> dict:
+    """obj if it is a JSON object; anything else raises SizeMismatch."""
+    if not isinstance(obj, dict):
+        raise SizeMismatch(f"{what} must be a JSON object")
+    return obj
+
+
 def group_from_obj(obj) -> GroupTable:
-    mul = _ints(obj["mul"], "mul entries")
+    mul = _ints(_fields(obj, "a group")["mul"], "mul entries")
     if mul.shape != (_ints(obj["order"], "order").item(),) * 2:
         raise SizeMismatch("mul table shape disagrees with order")
     return from_cayley(mul, label=str(obj.get("label", "custom")))
 
 
 def subgroup_from_obj(g: GroupTable, obj) -> Subgroup:
-    return subgroup(g, _ints(obj["members"], "subgroup members"))
+    return subgroup(g, _ints(_fields(obj, "a subgroup")["members"], "subgroup members"))
 
 
 def cocycle_to_obj(phi: TwoCocycle) -> dict:
@@ -150,7 +157,7 @@ def cocycle_from_obj(g: GroupTable, obj) -> TwoCocycle:
     the wall cocycle); that check adds two exponents in int64, so omega_order
     stays below 2^62.  The exponents are indexed by the listed members, so the
     list must be the subgroup's members in increasing order, without repeats."""
-    listed = _ints(obj["subgroup"], "subgroup members")
+    listed = _ints(_fields(obj, "a cocycle")["subgroup"], "subgroup members")
     k = subgroup(g, listed)
     if not np.array_equal(listed, k.members):
         raise SizeMismatch("cocycle subgroup members must be listed in increasing order, without repeats")
@@ -313,22 +320,17 @@ def invariant_obj(v: InvariantVerdict) -> dict:
 
 
 def hits_obj(g: GroupTable, hits: list[TranspositionHit], residuals) -> dict:
-    pairs = []
-    for hit, verdict in zip(hits, residuals):
-        pairs.append(
-            {
-                "x": hit.x.label,
-                "y": hit.y.label,
-                "kinds": list(hit.kinds),
-                "s_residual": float(verdict.s_residual),
-                "t_residual": float(verdict.t_residual),
-            }
-        )
+    pairs = [{"x": hit.x.label, "y": hit.y.label, "kinds": list(hit.kinds),
+              "s_residual": float(verdict.s_residual), "t_residual": float(verdict.t_residual)}
+             for hit, verdict in zip(hits, residuals)]
     return {"group": g.label, "count": len(pairs), "pairs": pairs}
 
 
 def square_matrix_from_obj(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
+    arr = np.asarray(obj)
+    if arr.dtype.kind not in "iuf":  # an object, string, boolean or null
+        raise SizeMismatch("square matrix entries must be numbers")
+    arr = arr.astype(np.float64)
     if arr.ndim == 3 and arr.shape[-1] == 2:
         arr = arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -1,7 +1,10 @@
 """Exact state-vector checks for the lattice model and its boundary."""
 
+import contextlib
 import gc
 import inspect
+import io
+import json
 import math
 import threading
 import tracemalloc
@@ -10,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from artifact import errors, lattice
+from artifact import cli, errors, lattice
 from artifact.characters import ClassFunction
 from artifact.cocycles import bicharacter_cocycle
 from artifact.errors import (
@@ -55,6 +58,7 @@ from artifact.lattice import (
     wall_relation_report,
 )
 from artifact.quantum_double import pair_orbits
+from artifact.serialize import relation_report_obj
 
 from conftest import dist, list_boundary_character
 
@@ -142,19 +146,19 @@ def _orbit_cases():
 
 def test_the_orbit_projector_is_the_average_of_the_vertex_operators():
     # the orbit sum adds the |G| images of each orbit representative in the order
-    # of the _Sum of apply_vertex maps, so it differs from that sum only in the
-    # rounding of the other configurations' orders (none on Z2, where a two-term
-    # sum commutes), and every configuration reads its orbit's one value.  At a
-    # wall the |K| images carry their cocycle phases, the representatives (solid
-    # edge e) read the _Sum of apply_wall_vertex maps exactly, and every other
-    # configuration reads its representative's value over its phase
+    # of the ordered sum of the apply_vertex outputs, so it differs from that sum
+    # only in the rounding of the other configurations' orders (none on Z2, where
+    # a two-term sum commutes), and every configuration reads its orbit's one
+    # value.  At a wall the |K| images carry their cocycle phases, the
+    # representatives (solid edge e) read the ordered sum of the apply_wall_vertex
+    # outputs exactly, and every other configuration reads its representative's
+    # value over its phase
     for patch, psi, vertices in _orbit_cases():
         for v in vertices:
             if v in patch.ham_wall_vertices:
                 n, solid = patch.boundary.order, lattice._wall_star(patch, v)[0][0]
                 out = wall_projector(patch, psi, v).amplitudes
-                ref = lattice._Sum(tuple(lattice._Op(patch, lattice._wall_vertex_op, (v, k)) for k in range(n)))(psi)
-                ref = ref.amplitudes / n
+                ref = sum(apply_wall_vertex(patch, psi, v, k).amplitudes for k in range(n)) / n
                 assert np.array_equal(np.take(out, 0, axis=solid), np.take(ref, 0, axis=solid)), v
                 assert dist(out, ref) <= 1e-15, v
                 for k in range(n):
@@ -163,8 +167,7 @@ def test_the_orbit_projector_is_the_average_of_the_vertex_operators():
                 continue
             n = patch.group.order
             out = vertex_projector(patch, psi, v).amplitudes
-            ref = lattice._Sum(tuple(lattice._Op(patch, lattice._vertex_op, (v, g)) for g in range(n)))(psi)
-            ref = ref.amplitudes / n
+            ref = sum(apply_vertex(patch, psi, v, g).amplitudes for g in range(n)) / n
             if n == 2:
                 assert np.array_equal(out, ref), v
             assert dist(out, ref) <= 1e-15, v
@@ -176,8 +179,8 @@ def test_the_orbit_projector_is_the_average_of_the_vertex_operators():
 
 
 def test_no_projector_of_the_ground_or_disk_state_is_a_sum(monkeypatch):
-    # every face, vertex and wall projector is one compiled operator: _Sum serves
-    # only the summed words of the probes
+    # every face, vertex and wall projector is one compiled operator, as is
+    # every map of a probe word
     passes, project = [], lattice._project_pass
     monkeypatch.setattr(lattice, "_project_pass", lambda patch, rng, terms: (
         passes.append(list(terms)) or project(patch, rng, terms)))
@@ -323,6 +326,68 @@ def test_bulk_relation_report_small():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("g", [cyclic(2), symmetric(3)], ids=["Z2", "S3"])
+def test_the_completeness_rows_are_exact_and_draw_no_probe(monkeypatch, g):
+    # sum_h B_s^h = 1 and sum_g F^{e,g} = 1 are read off the compiled masks of
+    # the full patch, in their places among the probe rows; no probe record names them
+    probed, run_probes = [], lattice._run_probes
+    monkeypatch.setattr(lattice, "_run_probes", lambda patch, rng, states, records: (
+        probed.extend(name for name, *_ in records) or run_probes(patch, rng, states, records)))
+    names, residuals = zip(*bulk_relation_report(g, states=1))
+    assert names.index("sum_h B_s^h = 1") == 3 and names.index("sum_g F^{e,g} = 1") == 9
+    assert residuals[3] == residuals[9] == 0.0
+    assert len(probed) == len(names) - 2 - (3 if g.order == 2 else 2)  # less the disk-state tail
+    assert not {"sum_h B_s^h = 1", "sum_g F^{e,g} = 1"} & set(probed)
+
+
+def _wrong_face_label(monkeypatch, factor):
+    """B_s^1 compiled with its coefficient times `factor`; label 1 != e, so the disk state's projectors stay intact."""
+    face_op = lattice._face_op
+    monkeypatch.setattr(lattice, "_face_op", lambda patch, site, h: (
+        lambda op: op._replace(coef=factor * op.coef) if h == 1 else op)(face_op(patch, site, h)))
+
+
+def test_a_doubled_face_label_fails_the_face_completeness_row(monkeypatch):
+    _wrong_face_label(monkeypatch, 2.0)
+    for g in (cyclic(2), symmetric(3)):
+        rows = dict(bulk_relation_report(g, states=1))
+        assert rows["sum_h B_s^h = 1"] == 1.0 and rows["sum_g F^{e,g} = 1"] == 0.0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["lattice", "verify", "--group", "builtin:S3"]) == 1
+    row = next(c for c in json.loads(out.getvalue())["checks"] if c["name"] == "sum_h B_s^h = 1")
+    assert row == {"name": "sum_h B_s^h = 1", "residual": 1.0, "ok": False}
+
+
+def test_a_nan_face_coefficient_reads_nan_in_the_face_completeness_row(monkeypatch):
+    _wrong_face_label(monkeypatch, math.nan)
+    checks = bulk_relation_report(symmetric(3), states=1)
+    row = next(r for r in relation_report_obj("bulk", checks, errors.TOL["character"])["checks"]
+               if r["name"] == "sum_h B_s^h = 1")
+    assert math.isnan(row["residual"]) and row["ok"] is False
+
+
+def test_a_moved_f_record_fails_the_charge_completeness_row(monkeypatch):
+    # the F^{e,g} records `_gram` splits its sectors by are masks; one that moves
+    # a configuration is no mask, whatever its coefficients sum to
+    sums = lattice._sums_to_one
+    monkeypatch.setattr(lattice, "_sums_to_one", lambda ops: sums(
+        ops if ops[0].shift is None else [ops[0]._replace(shift=ops[0].shift + 1), *ops[1:]]))
+    for g in (cyclic(2), symmetric(3)):
+        rows = dict(bulk_relation_report(g, states=1))
+        assert rows["sum_g F^{e,g} = 1"] >= 1 and rows["sum_h B_s^h = 1"] == 0.0
+
+
+def test_the_distance_keeps_a_nan_at_scale_zero():
+    # a - 0 b is a + NaN where b holds a NaN: a NaN right-hand side is not dropped
+    patch = build_patch(cyclic(2), 2, 2)
+    a = random_state(patch, np.random.default_rng(0))
+    b = LatticeState(patch, a.amplitudes.copy())
+    assert lattice._dist(a, b, 0.0) == a.norm()
+    b.amplitudes[(0,) * b.amplitudes.ndim] = math.nan
+    assert math.isnan(lattice._dist(a, b, 0.0))
+
+
 def test_wall_relation_report_small():
     g = symmetric(3)
     k = generated_subgroup(g, [next(x for x in range(6) if g.element_order(x) == 3)])
@@ -391,8 +456,10 @@ def _rank_one_aa(entangled):
         def rank_one(psi):
             chi = entangled(patch, psi)
             return LatticeState(psi.patch, inner(chi, psi) * chi.amplitudes)
-        chi = StateMap(a(0).axes, rank_one)
-        return (lambda k, l: ([a(k), a(l)], [lattice._Sum((a(kmul[k, l]), chi))], 1.0),)
+        def wrong(m):  # A^m + |chi><chi|, summed in that order
+            return StateMap(a(0).axes, lambda psi: LatticeState(psi.patch, a(m)(psi).amplitudes
+                                                                + rank_one(psi).amplitudes))
+        return (lambda k, l: ([a(k), a(l)], [wrong(kmul[k, l])], 1.0),)
     return aa
 
 

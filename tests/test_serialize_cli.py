@@ -376,9 +376,10 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2"],
      "dfb29b51b8455914befd841a8f5e6e76780dd27de94d04cdc611f8304b00daa7"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
-    # and a cocycle phase on every phased record
+    # and a cocycle phase on every phased record.  The completeness rows draw no
+    # probe, so the probes after them draw other states than the summed words did
     (["lattice", "verify", "--group", "builtin:S3"],
-     "c9031ec16bf825e3d4e23f0f7b6b5a31be13d116d275fa67beb63a79a696b9be"),
+     "d217e778c1e7daa21216e7f9aa07884fa1ccb0fc1bfce33be26f0175f2d505c2"),
     (["lattice", "verify", "--group", "builtin:S3", "--subgroup", "0,3,4"],
      "ba5ebfb46f660db5c2af2054fad1d6618e2c046c478570f25dde547d4fcfb48d"),
     (["lattice", "verify", "--group", "product:builtin:Z2xbuiltin:Z2", "--cocycle", "bilinear.json"],
@@ -671,6 +672,27 @@ def test_cli_modinv_check_rejects_a_non_finite_candidate(tmp_path, value):
     path.write_text(json.dumps(m.tolist()))
     code, out, err = run_cli(["modinv", "check", str(path), "--group", "builtin:Z2"])
     assert (code, out, err) == (2, "", "input error: square matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    ("group info --group file:X", [1, 2], "a group must be a JSON object"),
+    ("group info --group file:X", "S3", "a group must be a JSON object"),
+    ("group info --group X", [1, 2], "a group must be a JSON object"),
+    ("condense --group builtin:S3 --subgroup X", [1, 2], "a subgroup must be a JSON object"),
+    ("condense --group builtin:S3 --cocycle X", [1, 2], "a cocycle must be a JSON object"),
+    ("tunnel --group product:builtin:Z2xbuiltin:Z2 --wall-u X", [1, 2], "a subgroup must be a JSON object"),
+    ("modinv check X --group builtin:S3", {"a": 1}, "square matrix entries must be numbers"),
+    ("modinv check X --group builtin:Z2", [["1", "0"], ["0", "1"]], "square matrix entries must be numbers"),
+    ("modinv check X --group builtin:Z2", [[True, False], [False, True]], "square matrix entries must be numbers"),
+], ids=["group-list", "group-string", "bare-group-list", "subgroup-list", "cocycle-list", "wall-list",
+        "matrix-object", "matrix-strings", "matrix-booleans"])
+def test_cli_a_wrong_shaped_input_file_exits_2(tmp_path, argv, content, message):
+    # each died with a TypeError traceback and exit code 1, the code of a failed
+    # check; a string matrix was read as numbers
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(argv.replace("X", str(path)).split())
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_cli_group_file_roundtrip(tmp_path):
