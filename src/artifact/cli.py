@@ -27,7 +27,7 @@ from . import serialize
 from .characters import character_table
 from .cocycles import trivial_cocycle, wall_cocycle
 from .condensation import UWallSpec, condense, diagonal_wall, equivalence_check, verify_cf_symmetry
-from .errors import TOL, ArtifactError, ConditionMismatch
+from .errors import TOL, ArtifactError, ConditionMismatch, _check
 from .groups import (
     GroupTable,
     NearFieldSpec,
@@ -54,7 +54,7 @@ from .modular import (
     search_transposition_invariants,
     transposition_matrix,
 )
-from .quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
+from .quantum_double import anyons, dg_decompose, fusion_verlinde, s_matrix, t_vector
 
 BUILTIN_RE = re.compile(r"([ZSA])(\d+)")
 
@@ -259,7 +259,9 @@ def cmd_lattice_character(args) -> dict:
     k, phi = _resolve_boundary(g, args.subgroup, args.cocycle)
     patch = minimal_boundary_patch(g, k, phi)
     chi = lattice_boundary_character(patch, make_ribbon(patch, ((1, 0), None), "wv"), seed=args.seed)
-    return {**serialize.class_function_obj(chi), "boundary": [int(m) for m in k.members]}
+    rep = condense(g, k, phi)
+    _check("lattice multiplicities must equal condense's", int((dg_decompose(chi) != rep.multiplicities).sum()), 0)
+    return serialize.condensation_obj(rep)
 
 
 def tolerance(text: str) -> float:
@@ -305,8 +307,8 @@ COMMANDS = [
      (("target", {"help": "prime power q, 'q=N', or 'dickson9'"}),), cmd_verify_cf),
     ("lattice", "exact simulator checks", (), None),
     ("lattice verify", "operator relation suite", (GROUP, SUBGROUP, COCYCLE, TOLERANCE, SEED), cmd_lattice_verify),
-    ("lattice character", "boundary character from the lattice", (GROUP, SUBGROUP, COCYCLE, SEED),
-     cmd_lattice_character),
+    ("lattice character", "condensation read off the lattice, equal to condense's",
+     (GROUP, SUBGROUP, COCYCLE, SEED), cmd_lattice_character),
 ]
 
 

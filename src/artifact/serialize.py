@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, ClassFunction
+from .characters import CharacterTable
 from .cocycles import TwoCocycle, _exponent_identity_failure
 from .condensation import CFSymmetryReport, CondensationReport, EquivalenceReport
 from .errors import TOL, CocycleIdentityFailure, SizeMismatch, _check
 from .groups import GroupTable, Subgroup, conjugacy_data, from_cayley, subgroup
 from .modular import InvariantVerdict, TranspositionHit
-from .quantum_double import anyons, kind, pair_orbits, s_root_counts, twist_exponents
+from .quantum_double import anyons, kind, s_root_counts, twist_exponents
 
 # Largest omega_order the cocycle writer will infer when factoring a table
 # into integer powers of one primitive root.
@@ -36,13 +36,6 @@ def complex_grid(values: np.ndarray) -> list:
     """Nested lists of [re, im] float pairs."""
     arr = np.asarray(values)
     return np.stack([arr.real, arr.imag], axis=-1).astype(np.float64).tolist()
-
-
-def _pair_grid_to_array(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-1] != 2:
-        raise SizeMismatch("expected nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def format_complex(z) -> str:
@@ -251,23 +244,6 @@ def fusion_csv(g: GroupTable, n: np.ndarray) -> str:
     return _csv(["left", "right", "result", "multiplicity"], rows)
 
 
-# --- class functions on the double --------------------------------------------------
-
-def class_function_obj(chi: ClassFunction) -> dict:
-    return {
-        "group": chi.group.label,
-        "order": int(chi.group.order),
-        "values": complex_grid(chi.values),
-    }
-
-
-def class_function_from_obj(g: GroupTable, obj) -> ClassFunction:
-    values = _pair_grid_to_array(obj["values"])
-    if values.shape != (g.order, g.order):
-        raise SizeMismatch("class function grid shape disagrees with group order")
-    return ClassFunction.from_dense(g, values, pair_orbits(g))
-
-
 # --- condensation and tunneling reports ---------------------------------------------
 
 def condensation_obj(rep: CondensationReport) -> dict:
@@ -343,8 +319,9 @@ def square_matrix_from_obj(obj) -> np.ndarray:
 # --- lattice reports -----------------------------------------------------------------
 
 def relation_report_obj(label: str, checks, tol: float) -> dict:
+    """A residual that is not finite is written as null, and its row fails."""
     rows = [
-        {"name": name, "residual": float(res), "ok": bool(res <= tol)}
+        {"name": name, "residual": float(res) if np.isfinite(res) else None, "ok": bool(res <= tol)}
         for name, res in checks
     ]
     return {

@@ -362,20 +362,40 @@ def test_a_doubled_face_label_fails_the_face_completeness_row(monkeypatch):
 def test_a_nan_face_coefficient_reads_nan_in_the_face_completeness_row(monkeypatch):
     _wrong_face_label(monkeypatch, math.nan)
     checks = bulk_relation_report(symmetric(3), states=1)
+    assert math.isnan(dict(checks)["sum_h B_s^h = 1"])
     row = next(r for r in relation_report_obj("bulk", checks, errors.TOL["character"])["checks"]
                if r["name"] == "sum_h B_s^h = 1")
-    assert math.isnan(row["residual"]) and row["ok"] is False
+    assert row["residual"] is None and row["ok"] is False  # JSON has no NaN
+
+
+def _moved_f_record(monkeypatch):
+    """`_sums_to_one` sees the first F^{e,g} record, a mask with shift 0, moved by one position."""
+    sums = lattice._sums_to_one
+    monkeypatch.setattr(lattice, "_sums_to_one", lambda ops: sums(
+        ops if ops[0].shift is None else [ops[0]._replace(shift=ops[0].shift + 1), *ops[1:]]))
 
 
 def test_a_moved_f_record_fails_the_charge_completeness_row(monkeypatch):
     # the F^{e,g} records `_gram` splits its sectors by are masks; one that moves
     # a configuration is no mask, whatever its coefficients sum to
-    sums = lattice._sums_to_one
-    monkeypatch.setattr(lattice, "_sums_to_one", lambda ops: sums(
-        ops if ops[0].shift is None else [ops[0]._replace(shift=ops[0].shift + 1), *ops[1:]]))
+    _moved_f_record(monkeypatch)
     for g in (cyclic(2), symmetric(3)):
         rows = dict(bulk_relation_report(g, states=1))
         assert rows["sum_g F^{e,g} = 1"] >= 1 and rows["sum_h B_s^h = 1"] == 0.0
+
+
+@pytest.mark.parametrize("corrupt, name", [
+    (lambda monkeypatch: _wrong_face_label(monkeypatch, math.nan), "sum_h B_s^h = 1"),
+    (_moved_f_record, "sum_g F^{e,g} = 1"),
+], ids=["nan-face", "moved-f"])
+def test_a_residual_that_is_not_finite_prints_null_and_exits_1(monkeypatch, corrupt, name):
+    corrupt(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["lattice", "verify", "--group", "builtin:S3"]) == 1
+    report = json.loads(out.getvalue())
+    assert report["ok"] is False
+    assert next(c for c in report["checks"] if c["name"] == name) == {"name": name, "residual": None, "ok": False}
 
 
 def test_the_distance_keeps_a_nan_at_scale_zero():

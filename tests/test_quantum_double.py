@@ -10,7 +10,7 @@ import pytest
 
 from artifact import characters, errors, quantum_double
 from artifact.characters import ClassFunction, character_table
-from artifact.condensation import verify_cf_symmetry
+from artifact.condensation import boundary_character, verify_cf_symmetry
 from artifact.errors import (
     ConditionMismatch,
     GroupMismatch,
@@ -24,6 +24,7 @@ from artifact.groups import (
     conjugacy_data,
     cyclic,
     direct_product,
+    full_subgroup,
     near_field,
     symmetric,
 )
@@ -561,6 +562,15 @@ def test_nan_class_functions_are_rejected():
         dg_decompose(ClassFunction(g, values, pair_orbits(g)))
     grid = np.array(anyon_character(g, anyons(g)[2]).values)
     grid[0, 0] = np.nan
+    with pytest.raises(ConditionMismatch):
+        ClassFunction.from_dense(g, grid, pair_orbits(g))
+
+
+def test_from_dense_on_pairs_rejects_values_off_commuting_pairs():
+    g = symmetric(3)
+    grid = np.array(boundary_character(g, full_subgroup(g)).values)
+    x, y = np.argwhere(g.mul != g.mul.T)[0]
+    grid[x, y] = 1.0
     with pytest.raises(ConditionMismatch):
         ClassFunction.from_dense(g, grid, pair_orbits(g))
 

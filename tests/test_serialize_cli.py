@@ -16,10 +16,10 @@ import pytest
 
 import artifact
 from artifact import cli, errors, quantum_double, serialize
-from artifact.characters import character_table
+from artifact.characters import ClassFunction, character_table
 from artifact.cli import main
 from artifact.cocycles import bicharacter_cocycle, validate, wall_cocycle
-from artifact.condensation import boundary_character
+from artifact.condensation import boundary_character, condense
 from artifact.errors import CocycleIdentityFailure, ConditionMismatch, SizeMismatch
 from artifact.groups import (
     affine_group,
@@ -28,13 +28,12 @@ from artifact.groups import (
     full_subgroup,
     near_field,
     symmetric,
+    trivial_subgroup,
 )
 from artifact.quantum_double import anyons, fusion_verlinde, s_matrix, t_vector
 from artifact.serialize import (
     anyons_csv,
     chartable_obj,
-    class_function_from_obj,
-    class_function_obj,
     cocycle_from_obj,
     cocycle_to_obj,
     fusion_csv,
@@ -305,31 +304,6 @@ def test_matrix_and_fusion_csv_shapes():
     assert len(flines) == 1 + int(np.round(n).sum())
 
 
-def test_class_function_roundtrip():
-    g = cyclic(2)
-    chi = boundary_character(g, full_subgroup(g))
-    obj = class_function_obj(chi)
-    back = class_function_from_obj(g, obj)
-    assert dist(back.values, chi.values) < 1e-12
-
-
-def test_class_function_from_obj_rejects_values_off_commuting_pairs():
-    g = symmetric(3)
-    obj = class_function_obj(boundary_character(g, full_subgroup(g)))
-    x, y = np.argwhere(g.mul != g.mul.T)[0]
-    obj["values"][x][y] = [1.0, 0.0]
-    with pytest.raises(ConditionMismatch):
-        class_function_from_obj(g, obj)
-
-
-def test_class_function_from_obj_rejects_nan_values():
-    g = symmetric(3)
-    obj = json.loads(render_json(class_function_obj(boundary_character(g, full_subgroup(g)))))
-    obj["values"][0][0] = [float("nan"), 0.0]
-    with pytest.raises(ConditionMismatch):
-        class_function_from_obj(g, obj)
-
-
 def test_square_matrix_from_obj_accepts_pairs_and_scalars():
     plain = square_matrix_from_obj([[1, 0], [0, 1]])
     assert dist(plain, np.eye(2)) < 1e-12
@@ -372,7 +346,7 @@ LATTICE_PINS = [
     (["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"],
      "a308839706964d1c512ba19ce1fb3774adcfd64653bb7dd2d249e1a9477f76b5"),
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "trivial"],
-     "0e301a6a1359c22fca2fadf869cb01bf52ede1def12039fc47893faa205fff86"),
+     "8fc8390be2458a6973d43716a8e2e44a18f5317f5477506a7355c379fb9ac95f"),
     (["lattice", "verify", "--group", "builtin:Z2"],
      "dfb29b51b8455914befd841a8f5e6e76780dd27de94d04cdc611f8304b00daa7"),
     # a non-abelian bulk group, the two-coset wall (T~ T~ = 0 off the coset)
@@ -389,7 +363,7 @@ LATTICE_PINS = [
      "05470a3dae37be67a1b9cb444fcc53f27fdbb9b0008cd7b3c92b35b7ccda5051"),
     # the T~ basis of the full wall: every T~^{k,g} merges |K| = 6 ribbon terms
     (["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"],
-     "95a8a00b19620458bcce7650dd834ca5eab0c7b336618cf71d410429d40726d6"),
+     "fafe21cf7063c5a9872377b60e1743753a849a79cb6b3b0f2b2c9e6a99efe483"),
 ]
 
 
@@ -467,7 +441,7 @@ CONTRACT = [
     ("verify cf 9", 0,
      "188a73773136293114de32f849a811f9d5dfecd197c13c6aff6a124e5e511425"),
     ("lattice character --group builtin:Z2 --subgroup full", 0,
-     "87c4adf280cb3f19dc155d84c84c432c30dd586c3c0e2df8da2c74e54324fabe"),
+     "505226a5000e15cfea9ccad8163bb427a175dc4b0d56ce772cd2db798e1d04a0"),
 ]
 
 
@@ -589,13 +563,49 @@ def test_cli_verify_cf():
 
 
 def test_cli_lattice_character():
-    code, out, _ = run_cli(
-        ["lattice", "character", "--group", "builtin:Z2", "--subgroup", "full"]
-    )
+    # the lattice's multiplicities, checked against condense's: on Z2/full the vacuum and the pure flux condense
+    code, out, _ = run_cli(["lattice", "character", "--group", "builtin:Z2", "--subgroup", "full"])
     assert code == 0
-    obj = json.loads(out)
-    grid = square_matrix_from_obj(obj["values"])
-    assert dist(grid, np.ones((2, 2))) < 1e-6
+    g = cyclic(2)
+    rep = condense(g, full_subgroup(g))
+    assert json.loads(out)["multiplicities"] == {x.label: int(m) for x, m in zip(anyons(g), rep.multiplicities) if m}
+    assert rep.multiplicities.tolist() == [1, 0, 1, 0]
+
+
+# Every kind of boundary the lattice builds: a full and a trivial K, a normal and
+# a non-normal proper K of S3, and a bilinear cocycle on the full Z2xZ2 wall
+CHARACTER_BOUNDARIES = [
+    "--group builtin:Z2 --subgroup full",
+    "--group builtin:Z2 --subgroup trivial",
+    "--group builtin:S3 --subgroup trivial",
+    "--group builtin:S3 --subgroup full",
+    "--group builtin:S3 --subgroup 0,3,4",
+    "--group builtin:S3 --subgroup 0,1",
+    "--group product:builtin:Z2xbuiltin:Z2 --cocycle z22-bicharacter.json",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("boundary", CHARACTER_BOUNDARIES)
+def test_cli_lattice_character_prints_the_condense_report(tmp_path, monkeypatch, boundary, seed):
+    (tmp_path / "z22-bicharacter.json").write_text(json.dumps(CONTRACT_FILES["z22-bicharacter.json"]))
+    monkeypatch.chdir(tmp_path)
+    lattice = run_cli(["lattice", "character", *boundary.split(), "--seed", str(seed)])
+    assert lattice == run_cli(["condense", *boundary.split()])
+
+
+@pytest.mark.parametrize("wrong, message", [
+    # another boundary's character decomposes into integers, but not condense's
+    (lambda g, chi: boundary_character(g, trivial_subgroup(g)), "lattice multiplicities must equal condense's"),
+    (lambda g, chi: ClassFunction(g, chi.orbit_values / 2, chi.orbits), "projection off nearest integer"),
+], ids=["another-boundary", "half"])
+def test_cli_lattice_character_refuses_a_wrong_character(monkeypatch, wrong, message):
+    measured = cli.lattice_boundary_character
+    monkeypatch.setattr(cli, "lattice_boundary_character",
+                        lambda patch, spec, seed: wrong(patch.group, measured(patch, spec, seed=seed)))
+    code, out, err = run_cli(["lattice", "character", "--group", "builtin:S3", "--subgroup", "full"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"check failed: {message}")
 
 
 def test_cli_tol_and_seed_only_where_read():
@@ -644,12 +654,12 @@ def test_cli_tunnel_refuses_the_dickson_wall():
     assert "dickson9" not in help_text.getvalue()
 
 
-def test_cli_a_document_with_nan_exits_2(monkeypatch):
-    # a NaN residual is written into the report, which the JSON writer refuses
-    # inside main's error mapping, before anything is written
+def test_cli_a_report_with_nan_prints_null_and_exits_1(monkeypatch):
+    # a NaN residual is a failed row, written as JSON null: the report prints and exits 1
     monkeypatch.setattr(cli, "wall_relation_report", lambda *args, **kwargs: [("probe", float("nan"))])
     code, out, err = run_cli(["lattice", "verify", "--group", "builtin:Z2", "--subgroup", "full"])
-    assert (code, out) == (2, "") and err.startswith("input error: Out of range float values")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["checks"] == [{"name": "probe", "residual": None, "ok": False}]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
